@@ -9,6 +9,7 @@ back as canonical echelon subspaces so results compare syntactically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InputError, StructureError
 from .linalg import (
@@ -22,6 +23,7 @@ from .linalg import (
     rref,
     signature_of_symmetric,
     solve_linear_conditions,
+    sparse_echelon,
 )
 from .scalars import QI, QQ, compact, field_one, field_zero, is_zero
 
@@ -167,17 +169,22 @@ class Subspace:
     def dim(self):
         return len(self.rows)
 
+    @cached_property
+    def _echelon(self):
+        # sparse view of the rows, built on the first reduction against them
+        return sparse_echelon(self.rows, self.pivots)
+
     def contains(self, v):
-        return in_span(v, self.rows, self.pivots)
+        return in_span(v, self._echelon, self.pivots)
 
     def contains_space(self, other):
         return all(self.contains(r) for r in other.rows)
 
     def reduce(self, v):
-        return reduce_mod(v, self.rows, self.pivots)
+        return reduce_mod(v, self._echelon, self.pivots)
 
     def coefficients(self, v):
-        return coefficients_in_span(v, self.rows, self.pivots)
+        return coefficients_in_span(v, self._echelon, self.pivots)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -638,11 +645,3 @@ def direct_sum(*algebras, names=None):
     if names is None:
         names = tuple(all_names)
     return LieAlgebra(dim, field, names, brackets)
-
-
-def embed_block(total_dim, offset, v, zero):
-    """Pad a block vector into a direct-sum coordinate vector."""
-    out = [zero] * total_dim
-    for t, x in enumerate(v):
-        out[offset + t] = x
-    return tuple(out)

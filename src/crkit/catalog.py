@@ -1010,7 +1010,7 @@ def verify_entry(entry: CatalogEntry, expected: Expected | None = None) -> Verif
         else:
             codir = [F(0)] * levi.value_dim
             codir[0] = F(1)
-            sig = levi_signature(pair, tuple(codir))
+            sig = levi_signature(pair, tuple(codir), report=levi)
             computed = frozenset({sig.normalized[0], sig.normalized[1]})
         rows.append(
             VerifyRow("levi_signature_unordered", exp.levi_signature_unordered, computed)
@@ -1045,10 +1045,3 @@ def is_noncompact_simple_entry(entry: CatalogEntry) -> bool:
         return False
     pos, neg, zero = killing_signature(g)
     return pos != 0
-
-
-def export_model(entry: CatalogEntry) -> dict:
-    """Orbit-model file payload for an entry (see fileio for the format)."""
-    from .fileio import algebra_payload, orbit_payload
-
-    return orbit_payload(entry.model)

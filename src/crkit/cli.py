@@ -195,7 +195,7 @@ def _levi_records(rep, target, pair):
     if report.value_dim >= 1 and not report.degenerate_domain:
         codir = [Fraction(0)] * report.value_dim
         codir[0] = Fraction(1)
-        sig = levi_signature(pair, tuple(codir))
+        sig = levi_signature(pair, tuple(codir), report=report)
         rep.emit(target=target, analysis="levi", check="levi-signature",
                  status=str(sig.normalized), detail=f"orderings {sig.orderings}")
 

@@ -32,6 +32,7 @@ from .linalg import (
     in_span,
     rref,
     solve_condition_coefficients,
+    sparse_echelon,
 )
 from .scalars import QI, QQ, GaussianRational, compact, is_zero, to_gaussian
 
@@ -189,22 +190,22 @@ class OrbitModel:
         if self.real_sub.dim != len(real_rows):
             raise InputError("real basis rows are linearly dependent")
 
-        iso = rref([tuple(to_gaussian(x) for x in row) for row in isotropy_rows])[0]
+        iso, iso_pivots = rref([tuple(to_gaussian(x) for x in row) for row in isotropy_rows])
         self.isotropy_rows = iso
         self.isotropy_real = span(self.ambient_real, complex_rows_realified(iso))
 
-        self._validate_isotropy_subalgebra()
+        self._validate_isotropy_subalgebra(iso_pivots)
         self._validate_real_subalgebra()
 
         if real_algebra is None:
-            real_algebra, _ = subalgebra_structure(self.ambient_real, self.real_sub)
+            real_algebra, self._solver = subalgebra_structure(self.ambient_real, self.real_sub)
             self.real_rows = self.real_sub.rows
         else:
             if real_algebra.dim != len(self.real_rows):
                 raise InputError("real_algebra dimension does not match basis rows")
+            self._solver = Solver(self.real_rows)
             self._validate_alignment(real_algebra)
         self.real_algebra = real_algebra
-        self._solver = Solver(self.real_rows) if self.real_rows else None
 
         # genericity: g + Jg must span the realified ambient
         jg = span(self.ambient_real, [j_apply(v) for v in self.real_rows])
@@ -225,13 +226,13 @@ class OrbitModel:
 
     # -- validation ---------------------------------------------------------
 
-    def _validate_isotropy_subalgebra(self):
+    def _validate_isotropy_subalgebra(self, pivots):
         rows = self.isotropy_rows
-        pivots = rref(rows)[1]
+        echelon = sparse_echelon(rows, pivots)
         for a in range(len(rows)):
             for b in range(a + 1, len(rows)):
                 v = self.ambient.bracket(rows[a], rows[b])
-                if not in_span(v, rows, pivots):
+                if not in_span(v, echelon, pivots):
                     raise StructureError("isotropy rows are not a complex subalgebra")
 
     def _validate_real_subalgebra(self):
@@ -242,23 +243,19 @@ class OrbitModel:
                     raise StructureError("real rows are not a subalgebra")
 
     def _validate_alignment(self, real_algebra):
-        # brackets of the aligned rows must reproduce real_algebra's constants;
-        # exhaustive on small algebras, banded on large ones (tests cover the rest)
-        solver = Solver(self.real_rows)
+        # brackets of the aligned rows must reproduce real_algebra's constants,
+        # checked on every pair
+        solver = self._solver
         n = real_algebra.dim
-        if n <= 12:
-            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        else:
-            pairs = [(i, j) for i in range(n) for j in (i + 1, i + 2) if j < n]
-            pairs += [(0, j) for j in range(2, n)]
-        for (i, j) in sorted(set(pairs)):
-            v = self.ambient_real.bracket(self.real_rows[i], self.real_rows[j])
-            coeffs = solver.solve(v)
-            if coeffs is None:
-                raise InternalError("aligned rows do not close under the bracket")
-            expect = {k: c for k, c in enumerate(coeffs) if not is_zero(c)}
-            if expect != real_algebra.basis_bracket(i, j):
-                raise InternalError("real_algebra is not aligned with its rows")
+        for i in range(n):
+            for j in range(i + 1, n):
+                v = self.ambient_real.bracket(self.real_rows[i], self.real_rows[j])
+                coeffs = solver.solve(v)
+                if coeffs is None:
+                    raise InternalError("aligned rows do not close under the bracket")
+                expect = {k: c for k, c in enumerate(coeffs) if not is_zero(c)}
+                if expect != real_algebra.basis_bracket(i, j):
+                    raise InternalError("real_algebra is not aligned with its rows")
 
     def _maximal_complex_ideal(self, jg):
         m = intersect(self.real_sub, jg)

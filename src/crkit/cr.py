@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .algebra import LieAlgebra, Subspace, span
 from .errors import InputError, InternalError, StructureError
-from .linalg import left_nullspace, rref, signature_of_symmetric
+from .linalg import combine_rows, left_nullspace, rref, signature_of_symmetric
 from .scalars import QQ, is_zero
 
 
@@ -163,15 +163,8 @@ def check_cr_pair(pair: CRPair, connected_isotropy: bool = True) -> AxiomReport:
         comp = pair.complement_rows
         images = [h.reduce(apply_endo(pair.j_raw, v)) for v in comp]
         if images:
-            relations = left_nullspace(images)
-            for rel in relations:
-                vec = None
-                for c, base in zip(rel, comp):
-                    if is_zero(c):
-                        continue
-                    term = tuple(c * x for x in base)
-                    vec = term if vec is None else tuple(a + b for a, b in zip(vec, term))
-                if vec is not None and not h.contains(vec):
+            for vec in combine_rows(left_nullspace(images), comp):
+                if not h.contains(vec):
                     witness = vec
                     break
     results.append(
@@ -330,18 +323,7 @@ def levi_form(pair: CRPair, codirection=None) -> LeviReport:
         tuple(x for c in range(len(value_idx)) for x in completed[c][i])
         for i in range(m)
     ]
-    coeff_kernel = left_nullspace(stacked)
-    kernel_vecs = []
-    for cvec in coeff_kernel:
-        v = None
-        for c, base in zip(cvec, comp):
-            if is_zero(c):
-                continue
-            term = tuple(c * x for x in base)
-            v = term if v is None else tuple(a + b for a, b in zip(v, term))
-        if v is not None:
-            kernel_vecs.append(v)
-    kernel = span(g, kernel_vecs)
+    kernel = span(g, combine_rows(left_nullspace(stacked), comp))
     report = LeviReport(
         comp,
         value_idx,
@@ -352,7 +334,7 @@ def levi_form(pair: CRPair, codirection=None) -> LeviReport:
         False,
     )
     if codirection is not None:
-        report.signature = levi_signature(pair, codirection).normalized
+        report.signature = levi_signature(pair, codirection, report=report).normalized
     return report
 
 
@@ -366,7 +348,7 @@ class SignatureResult:
         return frozenset({p, q}), z
 
 
-def levi_signature(pair: CRPair, codirection) -> SignatureResult:
+def levi_signature(pair: CRPair, codirection, *, report=None) -> SignatureResult:
     """Inertia of the Levi form paired with a covector on g/R.
 
     The scalar form on R/h is J-invariant, so its inertia counts are even
@@ -374,8 +356,11 @@ def levi_signature(pair: CRPair, codirection) -> SignatureResult:
     pos + neg + zero = CR rank.  Replacing the codirection by a positive
     multiple is invisible; negating it swaps pos and neg, hence the
     normalized ordering plus both orderings in the result.
+
+    report, if given, is levi_form(pair), reused instead of rebuilding it.
     """
-    report = levi_form(pair)
+    if report is None:
+        report = levi_form(pair)
     k = report.value_dim
     if len(codirection) != k:
         raise InputError(f"codirection must have length {k}")

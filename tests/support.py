@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 from crkit.algebra import LieAlgebra
+from crkit.linalg import Solver
 from crkit.scalars import QQ
 
 
@@ -51,3 +52,126 @@ def random_solvable(rng, n):
             brackets[(0, 1 + j)] = row
     names = ["t"] + [f"v{k}" for k in range(n)]
     return LieAlgebra(n + 1, QQ, names, brackets)
+
+
+# ---------------------------------------------------------------------------
+# dense references for the exact linear algebra
+# ---------------------------------------------------------------------------
+
+def dense_rref(rows):
+    """Plain dense Gauss-Jordan elimination: (echelon rows, pivot columns).
+
+    Works column by column on full lists, independent of the sparse core
+    in crkit.linalg.  Entries may be Fractions or GaussianRationals.
+    """
+    m = [[Fraction(x) if isinstance(x, int) else x for x in row] for row in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        lead = m[r][c]
+        m[r] = [x / lead for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m[:r], pivots
+
+
+def dense_rank(rows):
+    return len(dense_rref(rows)[0])
+
+
+def dense_left_nullspace(rows, one=Fraction(1)):
+    """Canonical basis of {x : x . rows = 0} from the free columns of rref(rows^T)."""
+    n = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    transposed = [[rows[i][c] for i in range(n)] for c in range(ncols)]
+    reduced, pivots = dense_rref(transposed)
+    basis = []
+    for free in (j for j in range(n) if j not in pivots):
+        x = [0 * one] * n
+        x[free] = one
+        for row, p in zip(reduced, pivots):
+            x[p] = -row[free]
+        basis.append(x)
+    return dense_rref(basis)[0]
+
+
+def combination(coeffs, rows):
+    """sum_a coeffs[a] * rows[a], densely."""
+    out = [0] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        out = [a + c * b for a, b in zip(out, row)]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# inertia reference: Berkowitz characteristic polynomial + Descartes
+# ---------------------------------------------------------------------------
+
+def berkowitz_charpoly(m):
+    """Coefficients [1, c_1, ..., c_n] of det(t I - m), highest power first.
+
+    Berkowitz's algorithm: products of Toeplitz matrices built from the
+    leading principal blocks, without any division.
+    """
+    n = len(m)
+    if n == 0:
+        return [1]
+    poly = [1, -m[0][0]]
+    for r in range(1, n):
+        row, col, corner = m[r][:r], [m[i][r] for i in range(r)], m[r][r]
+        toeplitz = [1, -corner]
+        power_col = col
+        for _ in range(r):
+            toeplitz.append(-sum(a * b for a, b in zip(row, power_col)))
+            power_col = [sum(m[i][j] * power_col[j] for j in range(r)) for i in range(r)]
+        poly = [
+            sum(toeplitz[i - j] * poly[j] for j in range(len(poly)) if 0 <= i - j < len(toeplitz))
+            for i in range(r + 2)
+        ]
+    return poly
+
+
+def _sign_changes(coeffs):
+    signs = [c > 0 for c in coeffs if c != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def descartes_inertia(m):
+    """(positive, negative, zero) eigenvalue counts of a symmetric rational matrix.
+
+    All roots of the characteristic polynomial are real, so Descartes' rule
+    of signs counts the positive roots exactly, and applied to p(-t) the
+    negative ones.
+    """
+    poly = berkowitz_charpoly(m)
+    n = len(poly) - 1
+    zero = 0
+    while zero < n and poly[n - zero] == 0:
+        zero += 1
+    pos = _sign_changes(poly)
+    neg = _sign_changes([c * (-1) ** (n - k) for k, c in enumerate(poly)])
+    return pos, neg, zero
+
+
+def rebase(L, rows):
+    """L on the basis b_a = sum_i rows[a][i] e_i (rows must be invertible)."""
+    solver = Solver(rows)
+    brackets = {}
+    for a in range(L.dim):
+        for b in range(a + 1, L.dim):
+            coeffs = solver.solve(L.bracket(rows[a], rows[b]))
+            row = {k: c for k, c in enumerate(coeffs) if c != 0}
+            if row:
+                brackets[(a, b)] = row
+    return LieAlgebra(L.dim, L.field, [f"b{a}" for a in range(L.dim)], brackets)

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from crkit.algebra import (
+    LieAlgebra,
     abelian,
     derived_series,
     heisenberg,
@@ -12,6 +13,7 @@ from crkit.algebra import (
     span,
     validate,
 )
+from crkit.catalog import get_entry
 from crkit.complexify import (
     OrbitModel,
     anticanonical_fibration,
@@ -30,7 +32,7 @@ from crkit.complexify import (
     real_to_complex,
 )
 from crkit.cr import check_cr_pair
-from crkit.errors import InputError, StructureError
+from crkit.errors import InputError, InternalError, StructureError
 from crkit.linalg import rank
 from crkit.scalars import QI, GaussianRational, I
 
@@ -186,6 +188,22 @@ def test_non_subalgebra_isotropy_rejected():
     rows = [real.basis_vector(k) for k in range(6)]
     with pytest.raises(StructureError):
         OrbitModel(ambient, rows, [gz(0, 1, 0), gz(0, 0, 1)])  # span(e, f) not closed
+
+
+def test_alignment_checked_on_every_pair():
+    # su(2,2) has dimension 15: one wrong constant on a pair (i, j) with
+    # i >= 1 and j >= i + 3 lies outside the adjacent and first-row pairs
+    model = get_entry("quadric(2,2)").model
+    good = model.real_algebra
+    assert good.dim > 12
+    key = next((i, j) for (i, j) in sorted(good.brackets) if i >= 1 and j >= i + 3)
+    brackets = {k: dict(row) for k, row in good.brackets.items()}
+    k0 = next(iter(brackets[key]))
+    brackets[key][k0] += 1
+    bad = LieAlgebra(good.dim, good.field, good.names, brackets)
+    with pytest.raises(InternalError):
+        OrbitModel(model.ambient, model.real_rows, model.isotropy_rows, real_algebra=bad)
+    OrbitModel(model.ambient, model.real_rows, model.isotropy_rows, real_algebra=good)
 
 
 # ---------------------------------------------------------------------------

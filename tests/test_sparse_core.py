@@ -1,0 +1,261 @@
+"""The sparse elimination core and congruence diagonalization against dense oracles.
+
+Matrices here are sparse (at most 10% nonzero) with a forced zero row and
+zero column, over Q and Q(i), the shape the catalog's realified and complex
+rows have.  Every routine must agree exactly with the plain dense
+Gauss-Jordan reference in tests/support.py.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from crkit.algebra import killing_signature, sl2
+from crkit.catalog import build_sl_real, build_su
+from crkit.errors import InputError
+from crkit.linalg import (
+    Solver,
+    coefficients_in_span,
+    congruence_diagonalize,
+    in_span,
+    left_nullspace,
+    reduce_mod,
+    rref,
+    signature_of_symmetric,
+    sparse_echelon,
+)
+from crkit.scalars import GaussianRational, compact
+
+from .support import (
+    combination,
+    dense_left_nullspace,
+    dense_rank,
+    dense_rref,
+    descartes_inertia,
+    rebase,
+)
+
+F = Fraction
+FIELDS = ("Q", "Q_i")
+
+nonzero_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=3).filter(bool)
+
+
+def scalars(field):
+    if field == "Q":
+        return nonzero_rationals
+    parts = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+    return st.builds(GaussianRational, parts, parts).filter(bool)
+
+
+def zero_of(field):
+    return 0 if field == "Q" else GaussianRational(0)
+
+
+@st.composite
+def sparse_matrices(draw, field, max_rows=9, max_cols=12):
+    """At most 10% nonzero, one zero row and one zero column, maybe a repeated row."""
+    nrows = draw(st.integers(2, max_rows))
+    ncols = draw(st.integers(2, max_cols))
+    zero_row = draw(st.integers(0, nrows - 1))
+    zero_col = draw(st.integers(0, ncols - 1))
+    budget = nrows * ncols // 10
+    cells = [
+        (i, j)
+        for i in range(nrows)
+        for j in range(ncols)
+        if i != zero_row and j != zero_col
+    ]
+    rows = [[zero_of(field)] * ncols for _ in range(nrows)]
+    others = [i for i in range(nrows) if i != zero_row]
+    repeat = len(others) >= 2 and draw(st.booleans())
+    chosen = draw(st.lists(st.sampled_from(cells), unique=True,
+                           max_size=budget // 2 if repeat else budget))
+    for i, j in chosen:
+        rows[i][j] = draw(scalars(field))
+    if repeat:
+        # a multiple of another row: forces a dependency without adding density
+        src, dst = draw(st.permutations(others))[:2]
+        factor = draw(scalars(field))
+        rows[dst] = [factor * x if x else x for x in rows[src]]
+    return [tuple(r) for r in rows]
+
+
+@st.composite
+def sparse_vectors(draw, field, ncols):
+    v = [zero_of(field)] * ncols
+    for j in draw(st.lists(st.integers(0, ncols - 1), unique=True, max_size=3)):
+        v[j] = draw(scalars(field))
+    return tuple(v)
+
+
+def is_compacted(row):
+    return all(compact(x) is x for x in row)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_rref_matches_dense_reference(field, data):
+    m = data.draw(sparse_matrices(field))
+    reduced, pivots = rref(m)
+    ref_rows, ref_pivots = dense_rref(m)
+    assert pivots == tuple(ref_pivots)
+    assert reduced == tuple(tuple(r) for r in ref_rows)
+    assert all(is_compacted(r) for r in reduced)
+    assert all(type(x) is int for r in reduced for x in r if not x)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_reduction_matches_dense_reference(field, data):
+    m = data.draw(sparse_matrices(field))
+    ncols = len(m[0])
+    basis, pivots = rref(m)
+    view = sparse_echelon(basis, pivots)
+    coeffs = data.draw(st.lists(scalars(field), min_size=len(basis), max_size=len(basis)))
+    inside = combination(coeffs, basis) if basis else [zero_of(field)] * ncols
+    outside = data.draw(sparse_vectors(field, ncols))
+    for v in (inside, outside):
+        member = dense_rank(list(basis) + [v]) == len(basis)
+        for rows in (basis, view):
+            assert in_span(v, rows, pivots) == member
+            residual = reduce_mod(v, rows, pivots)
+            assert (not any(residual)) == member
+            assert is_compacted(residual)
+            assert dense_rank(list(basis) + [residual]) == dense_rank(list(basis) + [v])
+            found = coefficients_in_span(v, rows, pivots)
+            if not member:
+                assert found is None
+            elif basis:
+                assert tuple(combination(found, basis)) == tuple(v)
+                assert is_compacted(found)
+            else:
+                assert found == ()
+    if basis:
+        assert coefficients_in_span(inside, view, pivots) == tuple(coeffs)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_left_nullspace_matches_dense_reference(field, data):
+    m = data.draw(sparse_matrices(field))
+    one = F(1) if field == "Q" else GaussianRational(1)
+    ns = left_nullspace(m)
+    assert ns == tuple(tuple(r) for r in dense_left_nullspace(m, one))
+    assert all(is_compacted(r) for r in ns)
+    # at least the forced zero row is a relation
+    assert len(ns) == len(m) - dense_rank(m) >= 1
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_solver_matches_dense_reference(field, data):
+    m = data.draw(sparse_matrices(field))
+    ncols = len(m[0])
+    rows = [r for r in dense_rref(m)[0]]
+    if not rows:
+        with pytest.raises(InputError):
+            Solver(rows)
+        return
+    # an invertible, non-echelon recombination keeps the rows sparse-ish
+    rows = [tuple(r) for r in rows]
+    mixed = [tuple(a + b for a, b in zip(rows[k], rows[k + 1])) for k in range(len(rows) - 1)]
+    rows = mixed + [rows[-1]]
+    solver = Solver(rows)
+    coeffs = data.draw(st.lists(scalars(field), min_size=len(rows), max_size=len(rows)))
+    v = combination(coeffs, rows)
+    assert solver.solve(v) == tuple(coeffs)
+    assert is_compacted(solver.solve(v))
+    outside = data.draw(sparse_vectors(field, ncols))
+    member = dense_rank(rows + [outside]) == len(rows)
+    solved = solver.solve(outside)
+    if member:
+        assert tuple(combination(solved, rows)) == outside
+    else:
+        assert solved is None
+    with pytest.raises(InputError):
+        Solver(rows + [rows[0]])
+
+
+# ---------------------------------------------------------------------------
+# congruence diagonalization: inertia against Berkowitz + Descartes
+# ---------------------------------------------------------------------------
+
+def congruence_product(p, m):
+    n = len(m)
+    return [
+        [sum(p[i][a] * m[a][b] * p[j][b] for a in range(n) for b in range(n)) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def test_zero_pivot_with_cancelling_sum():
+    # adding row 1 to row 0 gives the pivot -2 + 2*1 = 0; det = -1
+    m = [[0, 1], [1, -2]]
+    assert signature_of_symmetric(m) == (1, 1, 0) == descartes_inertia(m)
+
+
+def random_zero_diagonal_symmetric(rng, n, zero_diagonal):
+    m = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            x = F(rng.choice([0, 0, 1, -1, 2, -3]), rng.choice([1, 2]))
+            m[i][j] = m[j][i] = x
+    for i in zero_diagonal:
+        m[i][i] = F(0)
+    return m
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_congruence_diagonalizes_with_zero_diagonal(seed):
+    rng = random.Random(seed)
+    n = rng.randint(2, 7)
+    zeros = rng.sample(range(n), rng.randint(1, n))
+    m = random_zero_diagonal_symmetric(rng, n, zeros)
+    diag, p = congruence_diagonalize(m)
+    prod = congruence_product(p, m)
+    for i in range(n):
+        for j in range(n):
+            assert prod[i][j] == (diag[i] if i == j else 0)
+    assert dense_rank(p) == n
+    assert signature_of_symmetric(m) == descartes_inertia(m)
+
+
+def test_killing_signature_zero_diagonal_bases():
+    # sl(2) on (e, f - e, h) and sl(3) on (E_ab, E_ba - E_ab, H): zero Killing diagonal
+    sl2_zd = rebase(sl2(), [(0, 1, 0), (0, -1, 1), (1, 0, 0)])
+    assert killing_signature(sl2_zd) == (2, 1, 0)
+
+    # build_sl_real(3) order: E01 E02 E10 E12 E20 E21 H0 H1
+    def e(*entries):
+        v = [0] * 8
+        for k, x in entries:
+            v[k] = x
+        return tuple(v)
+
+    rows = []
+    for ab, ba in ((0, 2), (1, 4), (3, 5)):
+        rows += [e((ab, 1)), e((ba, 1), (ab, -1))]
+    rows += [e((6, 1)), e((7, 1))]
+    assert killing_signature(rebase(build_sl_real(3), rows)) == (5, 3, 0)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_killing_signature_invariant_under_unimodular_rebase(seed):
+    # Sylvester's law of inertia: the signature cannot depend on the basis
+    rng = random.Random(seed)
+    L = [sl2(), build_su(2, 1), build_sl_real(3)][seed % 3]
+    n = L.dim
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        s = rng.choice((1, -1))
+        rows[i] = [a + s * b for a, b in zip(rows[i], rows[j])]
+    assert killing_signature(rebase(L, rows)) == killing_signature(L)
