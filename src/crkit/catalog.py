@@ -2,9 +2,16 @@
 
 Builders produce structure constants over Q or Q(i) from sparse matrix
 models with coordinate read-off (no generic solving in construction).
-Each catalog entry packages an orbit model with the invariants the
-classification asserts for it; verify_entry recomputes everything
-derivable and diffs it against that record.
+The matrix models are sparse with Gaussian-integer entries held as
+(re, im) pairs of Python ints, so commutators and read-offs run in
+integer arithmetic; Q(i) appears only in the stored constants, and a
+GaussianRational only for a constant whose imaginary part is nonzero.
+Each read-off returns {coordinate: value} in ascending coordinate order
+and keeps its exactness check (an imaginary anti-hermitian diagonal, real
+so coordinates, rational sl constants).  Each catalog entry packages an
+orbit model with the invariants the classification asserts for it;
+verify_entry recomputes everything derivable and diffs it against that
+record.
 """
 
 from __future__ import annotations
@@ -29,74 +36,111 @@ from .algebra import (
 from .complexify import (
     OrbitModel,
     anticanonical_fibration,
-    complex_to_real,
     induced_cr_pair,
     realify,
 )
 from .cr import check_cr_pair, cr_type, levi_form, levi_signature
 from .errors import InputError, InternalError
 from .linalg import left_nullspace, rref
-from .scalars import QI, QQ, GaussianRational, is_zero, to_gaussian
+from .scalars import QI, QQ, GaussianRational, imag_part, real_part
 
 F = Fraction
 G = GaussianRational
-GI = GaussianRational(0, 1)
+_CACHE_SIZE = 16  # per parametrized builder; names reach them from user input
 
 
 # ---------------------------------------------------------------------------
-# sparse matrices: {(row, col): scalar}
+# sparse Gaussian-integer matrices: {(row, col): (re, im)} with int parts
 # ---------------------------------------------------------------------------
+
+def _scalar(re, im):
+    """A Gaussian integer as a stored scalar: boxed only if it is not real."""
+    return G(re, im) if im else re
+
+
+def _ascending(coords):
+    return dict(sorted(coords.items()))
+
+
+def _put_parts(out, k, value):
+    """Real part at coordinate k and imaginary part at k + 1, nonzero only."""
+    re, im = value
+    if re:
+        out[k] = re
+    if im:
+        out[k + 1] = im
+
+
+def _pair_index(a, b, n):
+    """Position of a < b among the pairs of range(n) in lexicographic order."""
+    return a * (2 * n - a - 1) // 2 + b - a - 1
+
+
+def _tri_index(a, b, n):
+    """Position of a <= b among the such pairs of range(n) in lexicographic order."""
+    return a * (2 * n - a + 1) // 2 + b - a
+
 
 def mat_commutator(a, b):
+    """ab - ba in Gaussian-integer arithmetic."""
     out = {}
-
-    def mul_into(x, y, sign):
+    for x, y, sign in ((a, b, 1), (b, a, -1)):
         y_rows = {}
         for (r, c), v in y.items():
             y_rows.setdefault(r, []).append((c, v))
-        for (r, c), v in x.items():
-            for c2, w in y_rows.get(c, ()):
-                key = (r, c2)
-                out[key] = out.get(key, G(0)) + sign * v * w
-
-    mul_into(a, b, G(1))
-    mul_into(b, a, G(-1))
-    return {k: v for k, v in out.items() if v}
+        for (r, c), (xr, xi) in x.items():
+            for c2, (yr, yi) in y_rows.get(c, ()):
+                re, im = out.get((r, c2), (0, 0))
+                out[(r, c2)] = (
+                    re + sign * (xr * yr - xi * yi),
+                    im + sign * (xr * yi + xi * yr),
+                )
+    return {k: v for k, v in out.items() if v != (0, 0)}
 
 
 def mat_apply(mat, vec):
-    n = len(vec)
-    out = [G(0)] * n
-    for (r, c), v in mat.items():
-        x = vec[c]
-        if x:
-            out[r] = out[r] + v * x
+    """mat . vec for a vector of Gaussian-integer pairs."""
+    out = [(0, 0)] * len(vec)
+    for (r, c), (mr, mi) in mat.items():
+        xr, xi = vec[c]
+        if xr or xi:
+            re, im = out[r]
+            out[r] = (re + mr * xr - mi * xi, im + mr * xi + mi * xr)
     return tuple(out)
 
 
 def _algebra_from_matrices(mats, coords, names, field):
-    """Structure constants from basis matrices plus a coordinate read-off."""
+    """Structure constants from basis matrices plus a sparse coordinate read-off.
+
+    Over Q(i) the read-off gives Gaussian-integer pairs, over Q integers.
+    """
     dim = len(mats)
     brackets = {}
     for a in range(dim):
         for b in range(a + 1, dim):
-            row = {}
-            for k, c in enumerate(coords(mat_commutator(mats[a], mats[b]))):
-                if not is_zero(c):
-                    row[k] = c
+            row = coords(mat_commutator(mats[a], mats[b]))
             if row:
+                if field == QI:
+                    row = {k: _scalar(*v) for k, v in row.items()}
                 brackets[(a, b)] = row
     return LieAlgebra(dim, field, names, brackets)
 
 
-def _partial_sums_diag(mat, n):
-    """Coefficients of H_0..H_{n-2} for a traceless diagonal part."""
-    sums = []
-    acc = G(0)
-    for a in range(n - 1):
-        acc = acc + mat.get((a, a), G(0))
-        sums.append(acc)
-    return sums
+def _coroot_coords(mat, n):
+    """[(k, d_0 + ... + d_k)] for the nonzero partial sums of the diagonal, k < n - 1.
+
+    These are the coefficients of H_k = E_kk - E_{k+1,k+1} in a traceless
+    matrix; a sum only changes at a nonzero diagonal entry.
+    """
+    diag = sorted(a for (a, b) in mat if a == b)
+    out = []
+    re = im = 0
+    for a, nxt in zip(diag, diag[1:] + [n - 1]):
+        dr, di = mat[(a, a)]
+        re, im = re + dr, im + di
+        if re or im:
+            out.extend((k, (re, im)) for k in range(a, min(nxt, n - 1)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -111,28 +155,29 @@ def sl_basis_names(n):
 
 def sl_basis_matrices(n):
     mats = [
-        {(a, b): G(1)}
+        {(a, b): (1, 0)}
         for a in range(n)
         for b in range(n)
         if a != b
     ]
     for a in range(n - 1):
-        mats.append({(a, a): G(1), (a + 1, a + 1): G(-1)})
+        mats.append({(a, a): (1, 0), (a + 1, a + 1): (-1, 0)})
     return mats
 
 
 def sl_coords(mat, n):
-    """Coordinates of a traceless matrix in the E/H basis of sl(n)."""
-    out = []
-    for a in range(n):
-        for b in range(n):
-            if a != b:
-                out.append(mat.get((a, b), G(0)))
-    out.extend(_partial_sums_diag(mat, n))
-    return tuple(out)
+    """Sparse coordinates {index: (re, im)} of a traceless matrix in the E/H basis of sl(n)."""
+    out = {}
+    for (a, b), v in mat.items():
+        if a != b:
+            out[a * (n - 1) + b - (b > a)] = v
+    base = n * (n - 1)
+    for k, v in _coroot_coords(mat, n):
+        out[base + k] = v
+    return _ascending(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def build_sl_complex(n):
     """sl(n, C) over Q(i), on the elementary/coroot basis."""
     if n < 2:
@@ -142,7 +187,7 @@ def build_sl_complex(n):
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def build_sl_real(n):
     """sl(n, R): same structure constants over Q."""
     c = build_sl_complex(n)
@@ -150,15 +195,14 @@ def build_sl_real(n):
     for key, row in c.brackets.items():
         out = {}
         for k, v in row.items():
-            g = to_gaussian(v)
-            if g.im != 0:
+            if imag_part(v) != 0:
                 raise InternalError("sl structure constants must be rational")
-            out[k] = g.re
+            out[k] = real_part(v)
         brackets[key] = out
     return LieAlgebra(c.dim, QQ, c.names, brackets)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def build_sl_complex_as_real(n):
     """The realification of sl(n, C): a real algebra of dimension 2(n^2 - 1)."""
     return realify(build_sl_complex(n))
@@ -179,12 +223,12 @@ def su_basis_matrices(p, q):
     eps = su_signs(p, q)
     mats = []
     for a in range(n - 1):
-        mats.append({(a, a): GI, (a + 1, a + 1): -GI})
+        mats.append({(a, a): (0, 1), (a + 1, a + 1): (0, -1)})
     for a in range(n):
         for b in range(a + 1, n):
-            s = G(eps[a] * eps[b])
-            mats.append({(b, a): G(1), (a, b): -s})
-            mats.append({(b, a): GI, (a, b): GI * s})
+            s = eps[a] * eps[b]
+            mats.append({(b, a): (1, 0), (a, b): (-s, 0)})
+            mats.append({(b, a): (0, 1), (a, b): (0, s)})
     return mats
 
 
@@ -199,22 +243,19 @@ def su_names(p, q):
 
 
 def su_coords(mat, n):
-    """Read off su(p, q) coordinates; imaginary parts must cancel exactly."""
-    out = []
-    for c in _partial_sums_diag(mat, n):
-        g = to_gaussian(c)
-        if g.re != 0:
+    """Sparse su(p, q) coordinates {index: int}; imaginary parts must cancel exactly."""
+    out = {}
+    for k, (re, im) in _coroot_coords(mat, n):
+        if re:
             raise InternalError("diagonal of an anti-hermitian matrix must be imaginary")
-        out.append(g.im)
-    for a in range(n):
-        for b in range(a + 1, n):
-            g = to_gaussian(mat.get((b, a), G(0)))
-            out.append(g.re)
-            out.append(g.im)
-    return tuple(out)
+        out[k] = im
+    for (b, a), v in mat.items():
+        if b > a:
+            _put_parts(out, n - 1 + 2 * _pair_index(a, b, n), v)
+    return _ascending(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def build_su(p, q=0):
     """su(p, q) over Q, in the standard anti-hermitian matrix model."""
     n = p + q
@@ -225,7 +266,7 @@ def build_su(p, q=0):
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def build_u(n):
     """u(n) = su(n) plus the central line of i * identity."""
     if n < 1:
@@ -239,24 +280,25 @@ def build_u(n):
 
 def so_basis_matrices(n):
     return [
-        {(a, b): G(1), (b, a): G(-1)}
+        {(a, b): (1, 0), (b, a): (-1, 0)}
         for a in range(n)
         for b in range(a + 1, n)
     ]
 
 
 def so_coords(mat, n):
-    out = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            g = to_gaussian(mat.get((a, b), G(0)))
-            if g.im != 0:
+    """Sparse so(n) coordinates {index: int} read from the upper triangle."""
+    out = {}
+    for (a, b), (re, im) in mat.items():
+        if a < b:
+            if im:
                 raise InternalError("so coordinates must be real")
-            out.append(g.re)
-    return tuple(out)
+            if re:
+                out[_pair_index(a, b, n)] = re
+    return _ascending(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def build_so(n):
     """so(n) over Q on the elementary antisymmetric basis."""
     if n < 2:
@@ -276,34 +318,34 @@ def sp_complex_basis_matrices(m):
     mats = []
     for a in range(m):
         for b in range(m):
-            mats.append({(a, b): G(1), (m + b, m + a): G(-1)})
+            mats.append({(a, b): (1, 0), (m + b, m + a): (-1, 0)})
     for a in range(m):
         for b in range(a, m):
             if a == b:
-                mats.append({(a, m + a): G(1)})
+                mats.append({(a, m + a): (1, 0)})
             else:
-                mats.append({(a, m + b): G(1), (b, m + a): G(1)})
+                mats.append({(a, m + b): (1, 0), (b, m + a): (1, 0)})
     for a in range(m):
         for b in range(a, m):
             if a == b:
-                mats.append({(m + a, a): G(1)})
+                mats.append({(m + a, a): (1, 0)})
             else:
-                mats.append({(m + a, b): G(1), (m + b, a): G(1)})
+                mats.append({(m + a, b): (1, 0), (m + b, a): (1, 0)})
     return mats
 
 
 def sp_complex_coords(mat, m):
-    out = []
-    for a in range(m):
-        for b in range(m):
-            out.append(mat.get((a, b), G(0)))
-    for a in range(m):
-        for b in range(a, m):
-            out.append(mat.get((a, m + b), G(0)))
-    for a in range(m):
-        for b in range(a, m):
-            out.append(mat.get((m + a, b), G(0)))
-    return tuple(out)
+    """Sparse coordinates {index: (re, im)} of the A, B and C blocks of sp(2m, C)."""
+    out = {}
+    sym = m * (m + 1) // 2
+    for (r, c), v in mat.items():
+        if r < m and c < m:
+            out[r * m + c] = v
+        elif r < m <= c and r <= c - m:
+            out[m * m + _tri_index(r, c - m, m)] = v
+        elif c < m <= r and r - m <= c:
+            out[m * m + sym + _tri_index(r - m, c, m)] = v
+    return _ascending(out)
 
 
 def sp_names(m):
@@ -313,7 +355,7 @@ def sp_names(m):
     return tuple(names)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def build_sp_complex(m):
     """sp(2m, C) over Q(i), dimension m(2m + 1)."""
     if m < 1:
@@ -338,58 +380,54 @@ def sp_real_basis_matrices(p, q):
     def embed(a_block, b_block):
         out = {}
 
-        def add(key, v):
-            out[key] = out.get(key, G(0)) + v
+        def add(key, re, im):
+            r0, i0 = out.get(key, (0, 0))
+            out[key] = (r0 + re, i0 + im)
 
-        for (r, c), v in a_block.items():
-            add((r, c), v)
-            add((m + c, m + r), -v)  # D = -A^T
-        for (r, c), v in b_block.items():
-            add((r, m + c), v)
-            add((m + r, c), -G(eps[r] * eps[c]) * to_gaussian(v).conjugate())
-        return {k: v for k, v in out.items() if v}
+        for (r, c), (re, im) in a_block.items():
+            add((r, c), re, im)
+            add((m + c, m + r), -re, -im)  # D = -A^T
+        for (r, c), (re, im) in b_block.items():
+            add((r, m + c), re, im)
+            s = eps[r] * eps[c]
+            add((m + r, c), -s * re, s * im)  # C = -eps conj(B) eps
+        return {k: v for k, v in out.items() if v != (0, 0)}
 
     for a in range(m):
-        mats.append(embed({(a, a): GI}, {}))
+        mats.append(embed({(a, a): (0, 1)}, {}))
     for a in range(m):
         for b in range(a + 1, m):
-            s = G(eps[a] * eps[b])
-            mats.append(embed({(b, a): G(1), (a, b): -s}, {}))
-            mats.append(embed({(b, a): GI, (a, b): GI * s}, {}))
+            s = eps[a] * eps[b]
+            mats.append(embed({(b, a): (1, 0), (a, b): (-s, 0)}, {}))
+            mats.append(embed({(b, a): (0, 1), (a, b): (0, s)}, {}))
     for a in range(m):
         for b in range(a, m):
             if a == b:
-                mats.append(embed({}, {(a, a): G(1)}))
-                mats.append(embed({}, {(a, a): GI}))
+                mats.append(embed({}, {(a, a): (1, 0)}))
+                mats.append(embed({}, {(a, a): (0, 1)}))
             else:
-                mats.append(embed({}, {(a, b): G(1), (b, a): G(1)}))
-                mats.append(embed({}, {(a, b): GI, (b, a): GI}))
+                mats.append(embed({}, {(a, b): (1, 0), (b, a): (1, 0)}))
+                mats.append(embed({}, {(a, b): (0, 1), (b, a): (0, 1)}))
     return mats
 
 
 def sp_real_coords(mat, p, q):
-    """Read off (A diag, A offdiag, B) coordinates of a sp(p, q) matrix."""
+    """Sparse (A diag, A offdiag, B) coordinates {index: int} of a sp(p, q) matrix."""
     m = p + q
-    out = []
-    for a in range(m):
-        g = to_gaussian(mat.get((a, a), G(0)))
-        if g.re != 0:
-            raise InternalError("sp diagonal must be imaginary")
-        out.append(g.im)
-    for a in range(m):
-        for b in range(a + 1, m):
-            g = to_gaussian(mat.get((b, a), G(0)))
-            out.append(g.re)
-            out.append(g.im)
-    for a in range(m):
-        for b in range(a, m):
-            g = to_gaussian(mat.get((a, m + b), G(0)))
-            out.append(g.re)
-            out.append(g.im)
-    return tuple(out)
+    out = {}
+    for (r, c), v in mat.items():
+        if r == c < m:
+            if v[0]:
+                raise InternalError("sp diagonal must be imaginary")
+            out[r] = v[1]
+        elif c < r < m:
+            _put_parts(out, m + 2 * _pair_index(c, r, m), v)
+        elif r < m <= c and r <= c - m:
+            _put_parts(out, m * m + 2 * _tri_index(r, c - m, m), v)
+    return _ascending(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def build_sp(p, q):
     """sp(p, q) over Q: the quaternionic unitary algebra, dim (p+q)(2(p+q)+1)."""
     if p < 0 or q < 0 or p + q < 1:
@@ -405,19 +443,33 @@ def build_sp(p, q):
 # stabilizers and embeddings
 # ---------------------------------------------------------------------------
 
+def _unit_pairs(n, *indices):
+    """The Gaussian-integer vector with 1 at the given indices."""
+    return tuple((1, 0) if k in indices else (0, 0) for k in range(n))
+
+
 def line_stabilizer_rows(basis_mats, v):
-    """Complex rows (in algebra coordinates) of {xi : xi . v in C v}."""
+    """Complex rows (in algebra coordinates) of {xi : xi . v in C v}; v holds (re, im) pairs."""
     dim = len(basis_mats)
-    rows = [mat_apply(m, v) for m in basis_mats]
-    rows.append(tuple(-to_gaussian(x) for x in v))
+    rows = [tuple(_scalar(*x) for x in mat_apply(m, v)) for m in basis_mats]
+    rows.append(tuple(_scalar(-re, -im) for re, im in v))
     relations = left_nullspace(rows)
     sol = [rel[:dim] for rel in relations]
     return rref(sol)[0]
 
 
-def matrices_to_realified_rows(mats, coords_fn):
-    """Realified ambient coordinates of matrices via a complex read-off."""
-    return [complex_to_real(coords_fn(m)) for m in mats]
+def _realified(coords, dim, offset=0):
+    """Realified row (real block, then imaginary block) of sparse complex coordinates."""
+    row = [0] * (2 * dim)
+    for k, (re, im) in coords.items():
+        row[offset + k] = re
+        row[dim + offset + k] = im
+    return tuple(row)
+
+
+def matrices_to_realified_rows(mats, coords_fn, dim):
+    """Realified ambient coordinates of matrices via a sparse complex read-off."""
+    return [_realified(coords_fn(m), dim) for m in mats]
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +582,7 @@ class CatalogEntry:
 
 # -- builders ---------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def quadric_orbit(p, q):
     """Closed orbit of the signature-(p, q) unitary algebra on isotropic lines."""
     if p < 1 or q < 1:
@@ -538,12 +590,10 @@ def quadric_orbit(p, q):
     n1 = p + q
     ambient = build_sl_complex(n1)
     real_rows = matrices_to_realified_rows(
-        su_basis_matrices(p, q), lambda m: sl_coords(m, n1)
+        su_basis_matrices(p, q), lambda m: sl_coords(m, n1), ambient.dim
     )
-    v = [G(0)] * n1
-    v[0] = G(1)
-    v[p] = G(1)  # isotropic: +1 - 1 = 0
-    iso = line_stabilizer_rows(sl_basis_matrices(n1), tuple(v))
+    v = _unit_pairs(n1, 0, p)  # isotropic: +1 - 1 = 0
+    iso = line_stabilizer_rows(sl_basis_matrices(n1), v)
     model = OrbitModel(
         ambient, real_rows, iso, real_algebra=build_su(p, q), name=f"quadric({p},{q})"
     )
@@ -570,7 +620,7 @@ def quadric_orbit(p, q):
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def sp_quadric_orbit(p, q):
     """The same quadric orbit under the smaller quaternionic unitary algebra."""
     if p < 1 or q < 1:
@@ -578,12 +628,9 @@ def sp_quadric_orbit(p, q):
     m = p + q
     ambient = build_sp_complex(m)
     real_rows = matrices_to_realified_rows(
-        sp_real_basis_matrices(p, q), lambda x: sp_complex_coords(x, m)
+        sp_real_basis_matrices(p, q), lambda x: sp_complex_coords(x, m), ambient.dim
     )
-    v = [G(0)] * (2 * m)
-    v[0] = G(1)
-    v[p] = G(1)
-    iso = line_stabilizer_rows(sp_complex_basis_matrices(m), tuple(v))
+    iso = line_stabilizer_rows(sp_complex_basis_matrices(m), _unit_pairs(2 * m, 0, p))
     model = OrbitModel(
         ambient, real_rows, iso, real_algebra=build_sp(p, q), name=f"sp_quadric({p},{q})"
     )
@@ -610,7 +657,7 @@ def sp_quadric_orbit(p, q):
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def real_projective_orbit():
     """The real points of the projective plane as the closed orbit of sl(3, R)."""
     ambient = build_sl_complex(3)
@@ -620,8 +667,7 @@ def real_projective_orbit():
         row = [F(0)] * 16
         row[a] = F(1)
         real_rows.append(tuple(row))
-    v = (G(1), G(0), G(0))
-    iso = line_stabilizer_rows(sl_basis_matrices(3), v)
+    iso = line_stabilizer_rows(sl_basis_matrices(3), _unit_pairs(3, 0))
     model = OrbitModel(
         ambient, real_rows, iso, real_algebra=build_sl_real(3), name="p2r"
     )
@@ -649,16 +695,14 @@ def real_projective_orbit():
 
 
 def _conjugate_transpose_coords(n1):
-    """Complex coordinate map of xi -> -conj(xi)^T on the sl basis, as columns."""
-    mats = sl_basis_matrices(n1)
-    cols = []
-    for m in mats:
-        out = {(c, r): -to_gaussian(v).conjugate() for (r, c), v in m.items()}
-        cols.append(sl_coords(out, n1))
-    return cols
+    """Sparse complex coordinates of xi -> -conj(xi)^T on the sl basis, as columns."""
+    return [
+        sl_coords({(c, r): (-re, im) for (r, c), (re, im) in m.items()}, n1)
+        for m in sl_basis_matrices(n1)
+    ]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def twisted_diagonal_orbit(n):
     """Closed orbit of the antiholomorphically twisted diagonal on P_n x P_n*."""
     if n < 1:
@@ -672,23 +716,19 @@ def twisted_diagonal_orbit(n):
     real_rows = []
     for a in range(dim):
         # basis matrix b_a -> (b_a, -conj(b_a)^T)
-        first = [G(0)] * dim
-        first[a] = G(1)
-        real_rows.append(complex_to_real(tuple(first) + tuple(phi_cols[a])))
+        coords = {a: (1, 0)}
+        coords.update((dim + k, v) for k, v in phi_cols[a].items())
+        real_rows.append(_realified(coords, 2 * dim))
     for a in range(dim):
         # i b_a -> (i b_a, -conj(i b_a)^T) = (i b_a, i conj(b_a)^T)
-        first = [G(0)] * dim
-        first[a] = GI
-        second = tuple(-GI * c for c in phi_cols[a])
-        real_rows.append(complex_to_real(tuple(first) + second))
+        coords = {a: (0, 1)}
+        # the second block is -i phi_a, and -i (re + i im) = im - i re
+        coords.update((dim + k, (im, -re)) for k, (re, im) in phi_cols[a].items())
+        real_rows.append(_realified(coords, 2 * dim))
 
-    e0 = [G(0)] * n1
-    e0[0] = G(1)
-    e1 = [G(0)] * n1
-    e1[1] = G(1)
-    p_v = line_stabilizer_rows(sl_basis_matrices(n1), tuple(e0))
-    p_u = line_stabilizer_rows(sl_basis_matrices(n1), tuple(e1))
-    zero = (G(0),) * dim
+    p_v = line_stabilizer_rows(sl_basis_matrices(n1), _unit_pairs(n1, 0))
+    p_u = line_stabilizer_rows(sl_basis_matrices(n1), _unit_pairs(n1, 1))
+    zero = (0,) * dim
     iso = [tuple(z) + zero for z in p_v] + [zero + tuple(z) for z in p_u]
 
     model = OrbitModel(
@@ -719,22 +759,16 @@ def twisted_diagonal_orbit(n):
 
 def _su2_block_rows(total_cplx, offset):
     """Realified rows of su(2) placed in an sl2 block of a product ambient."""
-    rows = []
-    for m in su_basis_matrices(2, 0):
-        z = [G(0)] * total_cplx
-        for k, c in enumerate(sl_coords(m, 2)):
-            z[offset + k] = c
-        rows.append(complex_to_real(tuple(z)))
-    return rows
+    return [
+        _realified(sl_coords(m, 2), total_cplx, offset) for m in su_basis_matrices(2, 0)
+    ]
 
 
 def _unit_real_row(total_cplx, index, imaginary=False):
-    z = [G(0)] * total_cplx
-    z[index] = GI if imaginary else G(1)
-    return complex_to_real(tuple(z))
+    return _realified({index: (0, 1) if imaginary else (1, 0)}, total_cplx)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def torus_bundle_entry():
     """Compact model: (S^1)^2-principal over a product of projective lines."""
     sl = build_sl_complex(2)
@@ -742,8 +776,8 @@ def torus_bundle_entry():
     real_rows = _su2_block_rows(6, 0) + _su2_block_rows(6, 3)
     # raising-root lines in both factors: the nilradical of a borel pair
     iso = [
-        (G(1), G(0), G(0), G(0), G(0), G(0)),
-        (G(0), G(0), G(0), G(1), G(0), G(0)),
+        (1, 0, 0, 0, 0, 0),
+        (0, 0, 0, 1, 0, 0),
     ]
     real_algebra = direct_sum(build_su(2, 0), build_su(2, 0))
     model = OrbitModel(
@@ -768,13 +802,13 @@ def torus_bundle_entry():
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def hopf_circle_entry():
     """Compact model: an S^1 x S^1 bundle built on su(2) plus a circle factor."""
     sl = build_sl_complex(2)
     ambient = direct_sum(sl, complex_abelian(1))
     real_rows = _su2_block_rows(4, 0) + [_unit_real_row(4, 3, imaginary=True)]
-    iso = [(G(1), G(0), G(0), G(0))]
+    iso = [(1, 0, 0, 0)]
     real_algebra = direct_sum(build_su(2, 0), real_abelian(1))
     model = OrbitModel(
         ambient, real_rows, iso, real_algebra=real_algebra, name="su2xs1_hopf"
@@ -798,7 +832,7 @@ def hopf_circle_entry():
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def sl2_uz_entry():
     """Compact model around the discrete-unipotent quotient of sl(2, C).
 
@@ -809,7 +843,7 @@ def sl2_uz_entry():
     sl = build_sl_complex(2)
     ambient = direct_sum(sl, complex_abelian(1))
     real_rows = _su2_block_rows(4, 0) + [_unit_real_row(4, 3, imaginary=True)]
-    iso = [(G(1), G(0), G(0), G(1))]
+    iso = [(1, 0, 0, 1)]
     real_algebra = direct_sum(build_su(2, 0), real_abelian(1))
     model = OrbitModel(
         ambient, real_rows, iso, real_algebra=real_algebra, name="sl2_uz"
@@ -841,7 +875,7 @@ def complex_abelian(k):
     return LieAlgebra(k, QI, tuple(f"z{t}" for t in range(k)), {})
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def heisenberg_solv_entry():
     """Parallelizable compact solvmanifold model of codimension two."""
     heis_c = heisenberg(field=QI)
@@ -867,7 +901,7 @@ def heisenberg_solv_entry():
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def complex_torus_entry():
     """Complex parallelizable model: the whole ambient is the real subalgebra."""
     ambient = complex_abelian(2)

@@ -30,6 +30,7 @@ from .linalg import (
     Solver,
     combine_rows,
     in_span,
+    independent_rows,
     rref,
     solve_condition_coefficients,
     sparse_echelon,
@@ -54,16 +55,16 @@ def complexify_algebra(L: LieAlgebra) -> LieAlgebra:
     return LieAlgebra(L.dim, QI, L.names, brackets)
 
 
-_REALIFY_CACHE: dict = {}
-
-
 def realify(L: LieAlgebra) -> LieAlgebra:
-    """Realification of a complex algebra on the basis (e_1..e_N, i e_1..i e_N)."""
+    """Realification of a complex algebra on the basis (e_1..e_N, i e_1..i e_N).
+
+    Kept on L once built, so it lives exactly as long as L does.
+    """
     if L.field != QI:
         raise InputError("realify expects a complex (Q_i) algebra")
-    cached = _REALIFY_CACHE.get(id(L))
-    if cached is not None and cached[0] is L:
-        return cached[1]
+    cached = getattr(L, "_realified", None)
+    if cached is not None:
+        return cached
     n = L.dim
     brackets = {}
 
@@ -96,7 +97,7 @@ def realify(L: LieAlgebra) -> LieAlgebra:
         put(b, n + a, {k: -v for k, v in im_row.items()})
     names = list(L.names) + [f"i*{x}" for x in L.names]
     out = LieAlgebra(2 * n, QQ, names, brackets)
-    _REALIFY_CACHE[id(L)] = (L, out)
+    L._realified = out
     return out
 
 
@@ -462,6 +463,12 @@ def fiber_globalization_check(model: OrbitModel) -> FiberGlobalizationReport:
 # induced CR pair
 # ---------------------------------------------------------------------------
 
+def _extended_real_basis(model: OrbitModel):
+    """The aligned real basis, then each isotropy row outside the span of the rows before it."""
+    rows = list(model.real_rows) + list(model.isotropy_real.rows)
+    return [rows[k] for k in independent_rows(rows)]
+
+
 def induced_cr_pair(model: OrbitModel) -> CRPair:
     """The invariant CR pair the embedding induces on the real subalgebra.
 
@@ -482,14 +489,7 @@ def induced_cr_pair(model: OrbitModel) -> CRPair:
     r_sub = span(g, r_rows)
     h_sub = model.subspace_in_algebra_coords(model.h)
 
-    # extend the aligned real basis by independent isotropy rows, then solve
-    ext = list(model.real_rows)
-    seen, piv = rref(ext)
-    for row in model.isotropy_real.rows:
-        if not in_span(row, seen, piv):
-            ext.append(row)
-            seen, piv = rref(ext)
-    solver = Solver(ext)
+    solver = Solver(_extended_real_basis(model))
     ng = len(model.real_rows)
 
     def j_image(coeffs_in_g):

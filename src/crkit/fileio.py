@@ -34,6 +34,17 @@ def _require(payload, key, kind):
     return payload[key]
 
 
+def _is_int(x):
+    # JSON true/false load as bools, which Python counts as ints
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _list(value, what):
+    if not isinstance(value, list):
+        raise InputError(f"{what} must be a list, got {value!r}")
+    return value
+
+
 def load_algebra(payload) -> LieAlgebra:
     if not isinstance(payload, dict):
         raise InputError("algebra payload must be an object")
@@ -41,20 +52,22 @@ def load_algebra(payload) -> LieAlgebra:
     field = _require(payload, "field", "algebra")
     if field not in (QQ, QI):
         raise InputError(f"unknown field tag {field!r}")
-    if not isinstance(dim, int) or dim < 0:
+    if not _is_int(dim) or dim < 0:
         raise InputError("dimension must be a nonnegative integer")
     basis = payload.get("basis")
     if basis is None:
         basis = [f"e{k}" for k in range(dim)]
+    if not all(isinstance(name, str) for name in _list(basis, "basis")):
+        raise InputError("basis names must be strings")
     if len(basis) != dim:
         raise InputError("basis name count does not match dimension")
     brackets = {}
-    for item in payload.get("brackets", []):
+    for item in _list(payload.get("brackets", []), "brackets"):
         try:
             i, j, terms = item
         except (TypeError, ValueError) as exc:
             raise InputError(f"bad bracket entry {item!r}") from exc
-        if not (isinstance(i, int) and isinstance(j, int)):
+        if not (_is_int(i) and _is_int(j)):
             raise InputError(f"bracket indices must be integers, got {item!r}")
         if not i < j:
             raise InputError(
@@ -62,11 +75,13 @@ def load_algebra(payload) -> LieAlgebra:
                 "antisymmetry is filled in automatically"
             )
         row = {}
-        for term in terms:
+        for term in _list(terms, f"terms of bracket ({i}, {j})"):
             try:
                 k, literal = term
             except (TypeError, ValueError) as exc:
                 raise InputError(f"bad bracket term {term!r}") from exc
+            if not _is_int(k):
+                raise InputError(f"bracket target index must be an integer, got {k!r}")
             row[k] = parse_scalar(literal, field)
         if (i, j) in brackets:
             raise InputError(f"duplicate bracket entry for ({i}, {j})")
@@ -92,8 +107,8 @@ def algebra_payload(L: LieAlgebra) -> dict:
 
 def _rational_rows(data, width, what):
     rows = []
-    for row in data:
-        if len(row) != width:
+    for row in _list(data, what):
+        if len(_list(row, f"a {what} row")) != width:
             raise InputError(f"{what} rows must have length {width}")
         rows.append(tuple(parse_rational(x) for x in row))
     return rows
@@ -106,10 +121,10 @@ def load_cr_pair(payload):
         raise InputError("CR pairs need a real (Q) algebra")
     h_rows = _rational_rows(_require(payload, "h_basis", "cr-pair"), g.dim, "h_basis")
     r_rows = _rational_rows(_require(payload, "R_basis", "cr-pair"), g.dim, "R_basis")
-    jdata = _require(payload, "J", "cr-pair")
+    jdata = _list(_require(payload, "J", "cr-pair"), "J")
     if len(jdata) != g.dim:
         raise InputError("J must be a dim x dim matrix")
-    j = tuple(tuple(parse_rational(x) for x in row) for row in jdata)
+    j = tuple(tuple(parse_rational(x) for x in _list(row, "a J row")) for row in jdata)
     for row in j:
         if len(row) != g.dim:
             raise InputError("J must be a dim x dim matrix")
@@ -133,11 +148,14 @@ def load_orbit_model(payload) -> OrbitModel:
     width = 2 * ambient.dim
     real_rows = _rational_rows(_require(payload, "real_basis", "orbit"), width, "real_basis")
     iso_rows = []
-    for row in payload.get("isotropy_hat_basis", []):
-        if len(row) != ambient.dim:
+    for row in _list(payload.get("isotropy_hat_basis", []), "isotropy_hat_basis"):
+        if len(_list(row, "an isotropy row")) != ambient.dim:
             raise InputError("isotropy rows must have the ambient complex dimension")
         iso_rows.append(tuple(parse_scalar(x, QI) for x in row))
-    return OrbitModel(ambient, real_rows, iso_rows, name=payload.get("name", ""))
+    name = payload.get("name", "")
+    if not isinstance(name, str):
+        raise InputError(f"orbit name must be a string, got {name!r}")
+    return OrbitModel(ambient, real_rows, iso_rows, name=name)
 
 
 def orbit_payload(model: OrbitModel) -> dict:

@@ -137,6 +137,20 @@ def coefficients_in_span(v, basis, pivots):
     return tuple(compact(v[p]) if v[p] else 0 for p in pivots)
 
 
+def independent_rows(rows):
+    """Indices of the rows outside the span of the rows before them, ascending.
+
+    They are the pivot columns of the transposed matrix's echelon form, so
+    one elimination picks the same rows as a greedy pass in order.
+    """
+    columns = {}
+    for i, row in enumerate(rows):
+        for c, x in enumerate(row):
+            if x:
+                columns.setdefault(c, {})[i] = x
+    return tuple(sorted(_echelon(list(columns.values()))))
+
+
 def span_rows(rows):
     """Canonical (rref) basis of the row space."""
     return rref(rows)[0]

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from crkit.algebra import LieAlgebra
 from crkit.linalg import Solver
-from crkit.scalars import QQ
+from crkit.scalars import QQ, GaussianRational
 
 
 def oracle_bracket(L, x, y):
@@ -175,3 +175,61 @@ def rebase(L, rows):
             if row:
                 brackets[(a, b)] = row
     return LieAlgebra(L.dim, L.field, [f"b{a}" for a in range(L.dim)], brackets)
+
+
+# ---------------------------------------------------------------------------
+# structure constants of a matrix model, by solving
+# ---------------------------------------------------------------------------
+
+def dense_gaussian(mat, size):
+    """Dense GaussianRational matrix of a sparse {(row, col): (re, im)} matrix."""
+    return [
+        [GaussianRational(*mat.get((r, c), (0, 0))) for c in range(size)]
+        for r in range(size)
+    ]
+
+
+def dense_product(x, y):
+    """xy for dense square matrices, skipping zero entries of x and y."""
+    n = len(x)
+    out = [[GaussianRational(0)] * n for _ in range(n)]
+    for r in range(n):
+        for k in range(n):
+            if x[r][k]:
+                for c in range(n):
+                    if y[k][c]:
+                        out[r][c] = out[r][c] + x[r][k] * y[k][c]
+    return out
+
+
+def dense_commutator(x, y):
+    """xy - yx for dense square matrices."""
+    xy, yx = dense_product(x, y), dense_product(y, x)
+    return [[a - b for a, b in zip(p, q)] for p, q in zip(xy, yx)]
+
+
+def oracle_structure_constants(mats, size, field_is_complex):
+    """Independent route: vec the matrices and express commutators by solving.
+
+    mats are a builder's sparse basis matrices; they are multiplied densely
+    over Q(i) here, and coordinates come from a Solver on the vec'd basis
+    (complex entries over Q(i), or real parts then imaginary parts over Q)
+    instead of any coordinate read-off.
+    """
+    def vec(m):
+        flat = [m[r][c] for r in range(size) for c in range(size)]
+        if field_is_complex:
+            return tuple(flat)
+        return tuple(g.re for g in flat) + tuple(g.im for g in flat)
+
+    dense = [dense_gaussian(m, size) for m in mats]
+    solver = Solver([vec(m) for m in dense])
+    table = {}
+    for a in range(len(mats)):
+        for b in range(a + 1, len(mats)):
+            coeffs = solver.solve(vec(dense_commutator(dense[a], dense[b])))
+            assert coeffs is not None
+            row = {k: c for k, c in enumerate(coeffs) if c != 0}
+            if row:
+                table[(a, b)] = row
+    return table

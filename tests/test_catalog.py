@@ -27,20 +27,24 @@ from crkit.catalog import (
     classify_fiber,
     get_entry,
     is_noncompact_simple_entry,
-    mat_commutator,
     quadric_orbit,
     real_projective_orbit,
     sl_basis_matrices,
+    so_basis_matrices,
+    so_coords,
+    sp_complex_basis_matrices,
     sp_quadric_orbit,
     sp_real_basis_matrices,
+    sp_real_coords,
     su_basis_matrices,
+    su_coords,
     twisted_diagonal_orbit,
     verify_entry,
 )
-from crkit.complexify import complex_to_real
-from crkit.errors import InputError
-from crkit.linalg import Solver
-from crkit.scalars import GaussianRational, is_zero
+from crkit.errors import InputError, InternalError
+from crkit.scalars import GaussianRational
+
+from .support import oracle_structure_constants
 
 F = Fraction
 G = GaussianRational
@@ -121,35 +125,6 @@ def test_sl_complex_defining_bracket():
     assert list(out) == expect
 
 
-def oracle_structure_constants(mats, size, field_is_complex):
-    """Independent route: vec the matrices and express commutators by solving."""
-    def vec(m):
-        if field_is_complex:
-            return tuple(m.get((r, c), G(0)) for r in range(size) for c in range(size))
-        flat = []
-        for r in range(size):
-            for c in range(size):
-                g = m.get((r, c), G(0))
-                flat.append(g.re)
-        for r in range(size):
-            for c in range(size):
-                g = m.get((r, c), G(0))
-                flat.append(g.im)
-        return tuple(flat)
-
-    rows = [vec(m) for m in mats]
-    solver = Solver(rows)
-    table = {}
-    for a in range(len(mats)):
-        for b in range(a + 1, len(mats)):
-            coeffs = solver.solve(vec(mat_commutator(mats[a], mats[b])))
-            assert coeffs is not None
-            row = {k: c for k, c in enumerate(coeffs) if not is_zero(c)}
-            if row:
-                table[(a, b)] = row
-    return table
-
-
 def test_su_constants_match_solver_oracle():
     for (p, q) in ((2, 0), (1, 1), (2, 1)):
         L = build_su(p, q)
@@ -173,6 +148,62 @@ def test_sl_complex_constants_match_solver_oracle():
     got = {k: {i: G(0) + x for i, x in v.items()} for k, v in L.brackets.items()}
     want = {k: {i: G(0) + x for i, x in v.items()} for k, v in oracle.items()}
     assert got == want
+
+
+ORACLE_CASES = (
+    [("sl", n) for n in (2, 3, 4)]
+    + [("su", pq) for pq in ((2, 0), (1, 1), (2, 1), (2, 2))]
+    + [("so", n) for n in (3, 4, 5)]
+    + [("sp_complex", m) for m in (1, 2)]
+    + [("sp", pq) for pq in ((1, 1), (2, 0), (2, 1))]
+)
+
+
+def oracle_case(family, arg):
+    """(algebra, basis matrices, matrix size, complex?) of one builder."""
+    if family == "sl":
+        return build_sl_complex(arg), sl_basis_matrices(arg), arg, True
+    if family == "su":
+        return build_su(*arg), su_basis_matrices(*arg), sum(arg), False
+    if family == "so":
+        return build_so(arg), so_basis_matrices(arg), arg, False
+    if family == "sp_complex":
+        return build_sp_complex(arg), sp_complex_basis_matrices(arg), 2 * arg, True
+    return build_sp(*arg), sp_real_basis_matrices(*arg), 2 * sum(arg), False
+
+
+@pytest.mark.parametrize(
+    "family,arg", ORACLE_CASES, ids=[f"{f}{a}".replace(" ", "") for f, a in ORACLE_CASES]
+)
+def test_builder_constants_match_solver_oracle(family, arg):
+    L, mats, size, is_complex = oracle_case(family, arg)
+    oracle = oracle_structure_constants(mats, size, is_complex)
+    # same pairs and targets in the same (ascending) order, equal values
+    assert list(L.brackets) == list(oracle)
+    for key, row in oracle.items():
+        got = L.brackets[key]
+        assert list(got) == list(row)
+        assert all(got[k] == row[k] for k in row), key
+
+
+def test_read_offs_keep_their_exactness_checks():
+    # a real part on an anti-hermitian diagonal
+    with pytest.raises(InternalError):
+        su_coords({(0, 0): (1, 1), (1, 1): (-1, -1)}, 2)
+    with pytest.raises(InternalError):
+        sp_real_coords({(0, 0): (1, 1), (2, 2): (-1, -1)}, 1, 1)
+    # a non-real so coordinate
+    with pytest.raises(InternalError):
+        so_coords({(0, 1): (0, 1), (1, 0): (0, -1)}, 3)
+    # the imaginary diagonal itself reads off
+    assert su_coords({(0, 0): (0, 2), (1, 1): (0, -2)}, 2) == {0: 2}
+
+
+def test_parametrized_builders_have_bounded_caches():
+    for fn in (build_sl_complex, build_sl_real, build_sl_complex_as_real, build_su,
+               build_u, build_so, build_sp_complex, build_sp, quadric_orbit,
+               sp_quadric_orbit, twisted_diagonal_orbit):
+        assert fn.cache_info().maxsize is not None, fn.__name__
 
 
 # ---------------------------------------------------------------------------

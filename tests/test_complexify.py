@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,7 @@ from crkit.algebra import (
 from crkit.catalog import get_entry
 from crkit.complexify import (
     OrbitModel,
+    _extended_real_basis,
     anticanonical_fibration,
     apply_complex_matrix_to_model,
     complex_to_real,
@@ -35,6 +38,8 @@ from crkit.cr import check_cr_pair
 from crkit.errors import InputError, InternalError, StructureError
 from crkit.linalg import rank
 from crkit.scalars import QI, GaussianRational, I
+
+from .support import dense_rank
 
 F = Fraction
 G = GaussianRational
@@ -94,6 +99,17 @@ def test_realify_roundtrip_coordinates():
     v = complex_to_real((z[0], z[2]))
     assert real_to_complex(v) == (G(1), G(2, -3))
     assert j_apply(v) == complex_to_real((I * G(1), I * G(2, -3)))
+
+
+def test_realify_does_not_keep_its_argument_alive():
+    L = complexify_algebra(heisenberg())
+    real = realify(L)
+    assert realify(L) is real
+    ref = weakref.ref(L)
+    del L
+    gc.collect()
+    assert ref() is None
+    assert real.dim == 6
 
 
 def test_double_complexification_doubles_radical_dimension():
@@ -306,6 +322,18 @@ def test_induced_pair_on_mixed_model():
 
     t = cr_type(pair)
     assert t.n == 7 and t.l == 3 and t.k == 1
+
+
+@pytest.mark.parametrize("name", ["quadric(3,2)", "twisted(2)"])
+def test_real_basis_extension_is_the_greedy_choice(name):
+    model = get_entry(name).model
+    greedy = list(model.real_rows)
+    for row in model.isotropy_real.rows:
+        if dense_rank(greedy + [row]) > len(greedy):
+            greedy.append(row)
+    ext = _extended_real_basis(model)
+    assert ext == greedy
+    assert len(ext) > len(model.real_rows)
 
 
 def test_product_model_codim_additive():

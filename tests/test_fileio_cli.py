@@ -236,3 +236,32 @@ def test_malformed_pair_exits_2(tmp_path, capsys):
     payload["h_basis"] = [["0", "0", "1"]]  # h not inside R
     path = write(tmp_path, "bad.pair", payload)
     assert main(["analyze", path]) == 2
+
+
+def malformed_payloads():
+    """(label, payload) probes that must exit 2 with a message."""
+    algebra = heisenberg_payload()
+    terms_not_list = dict(algebra, brackets=[[0, 1, 5]])
+    string_target = dict(algebra, brackets=[[0, 1, [["2", "1"]]]])
+    basis_number = dict(algebra, basis=3)
+    bool_dimension = dict(algebra, dimension=True, basis=["x"], brackets=[])
+    orbit = orbit_payload(get_entry("c2_torus").model)
+    real_basis_number = dict(orbit, real_basis=4)
+    iso_row_number = dict(orbit, isotropy_hat_basis=[7])
+    return [
+        ("terms-not-list", terms_not_list),
+        ("string-target-index", string_target),
+        ("basis-number", basis_number),
+        ("real-basis-number", real_basis_number),
+        ("isotropy-row-number", iso_row_number),
+        ("dimension-true", bool_dimension),
+    ]
+
+
+@pytest.mark.parametrize("label,payload", malformed_payloads())
+def test_malformed_payload_fails_closed(tmp_path, capsys, label, payload):
+    path = write(tmp_path, label + ".json", payload)
+    assert main(["analyze", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

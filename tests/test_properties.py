@@ -20,10 +20,11 @@ from crkit.algebra import (
 )
 from crkit.catalog import build_sl_real, build_su, catalog_entries, get_entry
 from crkit.complexify import j_apply
-from crkit.cr import levi_form
+from crkit.cr import CRPair, apply_endo, check_cr_pair, cr_type, levi_form, levi_signature
 from crkit.globalize import condition_c_check, invariant_factors
+from crkit.linalg import Solver
 
-from .support import random_solvable
+from .support import random_solvable, rebase
 
 F = Fraction
 
@@ -189,3 +190,48 @@ def test_levi_kernel_equals_joint_codirection_radical():
             radicals = rad if radicals is None else intersect_spaces(radicals, rad)
         dim = len(radicals) if radicals else 0
         assert rep.kernel.dim == dim
+
+
+# ---------------------------------------------------------------------------
+# basis invariance of the Levi signature
+# ---------------------------------------------------------------------------
+
+def rebase_pair(pair, rows):
+    """The pair on the basis b_a = sum_i rows[a][i] e_i, with h, R and J carried along."""
+    g = rebase(pair.g, rows)
+    solver = Solver(rows)  # old coordinates x = y . rows -> new coordinates y
+    h = span(g, [solver.solve(v) for v in pair.h.rows])
+    r = span(g, [solver.solve(v) for v in pair.r.rows])
+    images = [solver.solve(apply_endo(pair.j_raw, row)) for row in rows]
+    j = tuple(tuple(img[k] for img in images) for k in range(g.dim))
+    return CRPair(g, h, r, j)
+
+
+def levi_invariants(pair):
+    """Unordered Levi signature (default codirection), CR type and axiom verdict."""
+    report = levi_form(pair)
+    codir = [F(0)] * report.value_dim
+    codir[0] = F(1)
+    sig = levi_signature(pair, tuple(codir), report=report)
+    t = cr_type(pair)
+    return sig.unordered(), (t.n, t.l, t.k), check_cr_pair(pair).ok
+
+
+LEVI_ENTRIES = ("quadric(2,1)", "quadric(3,1)", "sp_quadric(1,1)")
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+def test_levi_signature_invariant_under_unimodular_rebase(data):
+    # Sylvester's law of inertia, for the Levi form of a codimension-one pair:
+    # its value space is a line, so the default codirection is the same up to sign
+    pair = get_entry(data.draw(st.sampled_from(LEVI_ENTRIES))).cr_pair
+    n = pair.g.dim
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    rng = data.draw(st.randoms(use_true_random=False))
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        sgn = rng.choice((1, -1))
+        rows[i] = [a + sgn * b for a, b in zip(rows[i], rows[j])]
+    moved = rebase_pair(pair, [tuple(r) for r in rows])
+    assert levi_invariants(moved) == levi_invariants(pair)
