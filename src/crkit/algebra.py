@@ -25,6 +25,7 @@ from .linalg import (
     solve_linear_conditions,
     sparse_echelon,
 )
+from .report import Check, Report, witness_check
 from .scalars import QI, QQ, compact, field_one, field_zero, is_zero
 
 
@@ -35,7 +36,7 @@ class LieAlgebra:
     stored tensor, so instances are safe to share across threads.
     """
 
-    def __init__(self, dim, field, names, brackets, check=False):
+    def __init__(self, dim, field, names, brackets):
         if field not in (QQ, QI):
             raise InputError(f"unknown scalar field {field!r}")
         if len(names) != dim:
@@ -57,10 +58,6 @@ class LieAlgebra:
         # plain ints are exact and fast over Q; Q(i) keeps boxed scalars
         self.zero = 0 if field == QQ else field_zero(field)
         self.one = 1 if field == QQ else field_one(field)
-        if check:
-            rep = validate(self)
-            if not rep.ok:
-                raise StructureError(f"structure constants invalid: {rep.summary()}")
 
     def __repr__(self):
         return f"LieAlgebra(dim={self.dim}, field={self.field!r})"
@@ -228,49 +225,24 @@ def _same_parent(a, b):
 # validation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ValidationReport:
-    antisymmetry_ok: bool
-    jacobi_ok: bool
-    antisymmetry_witness: tuple | None = None
-    jacobi_witness: tuple | None = None
+def validate(L):
+    """Check antisymmetry and the Jacobi identity on all i < j < k triples.
 
-    @property
-    def ok(self):
-        return self.antisymmetry_ok and self.jacobi_ok
-
-    def summary(self):
-        if self.ok:
-            return "antisymmetry ok, jacobi ok"
-        parts = []
-        if not self.antisymmetry_ok:
-            parts.append(f"antisymmetry fails at {self.antisymmetry_witness}")
-        if not self.jacobi_ok:
-            parts.append(f"jacobi fails at triple {self.jacobi_witness}")
-        return "; ".join(parts)
-
-
-def validate(L, jacobi_triples=None):
-    """Check antisymmetry and the Jacobi identity.
-
-    The stored i < j representation is antisymmetric by construction, so
-    antisymmetry can only fail for tensors supplied as fully explicit
-    c[i][j][k] data; validate_tensor covers that path.  Jacobi is checked
-    on all i < j < k triples, or on the supplied triples.
+    The stored i < j table is antisymmetric by construction, so the
+    antisymmetry row always passes here; only validate_tensor, which reads
+    fully explicit c[i][j][k] data, can report an antisymmetry witness.
     """
-    if jacobi_triples is None:
-        jacobi_triples = (
+    witness = next(
+        (
             (i, j, k)
             for i in range(L.dim)
             for j in range(i + 1, L.dim)
             for k in range(j + 1, L.dim)
-        )
-    witness = None
-    for (i, j, k) in jacobi_triples:
-        if not _jacobi_holds(L, i, j, k):
-            witness = (i, j, k)
-            break
-    return ValidationReport(True, witness is None, None, witness)
+            if not _jacobi_holds(L, i, j, k)
+        ),
+        None,
+    )
+    return Report((Check("antisymmetry", True), witness_check("jacobi", witness)))
 
 
 def _jacobi_holds(L, i, j, k):
@@ -286,24 +258,24 @@ def _jacobi_holds(L, i, j, k):
 def validate_tensor(dim, field, tensor):
     """Validate a dense c[i][j][k] tensor: antisymmetry first, then Jacobi.
 
-    Returns a ValidationReport; the first violating index triple is the
-    witness.  Use this for raw external data, before building a LieAlgebra.
+    Returns a Report; the first violating index triple is the witness.
+    When antisymmetry fails, Jacobi is reported as not checkable.  Use
+    this for raw external data, before building a LieAlgebra.
     """
-    zero = field_zero(field)
     for i in range(dim):
         for j in range(dim):
             for k in range(dim):
                 if tensor[i][j][k] != -tensor[j][i][k]:
-                    return ValidationReport(False, True, (i, j, k), None)
+                    return Report(
+                        (witness_check("antisymmetry", (i, j, k)), Check("jacobi", None))
+                    )
     brackets = {}
     for i in range(dim):
         for j in range(i + 1, dim):
             row = {k: tensor[i][j][k] for k in range(dim) if not is_zero(tensor[i][j][k])}
             if row:
                 brackets[(i, j)] = row
-    L = LieAlgebra(dim, field, [f"e{t}" for t in range(dim)], brackets)
-    rep = validate(L)
-    return ValidationReport(True, rep.jacobi_ok, None, rep.jacobi_witness)
+    return validate(LieAlgebra(dim, field, [f"e{t}" for t in range(dim)], brackets))
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ from .complexify import (
 from .cr import check_cr_pair, cr_type, levi_form, levi_signature
 from .errors import InputError, InternalError
 from .linalg import left_nullspace, rref
+from .report import Check, Report
 from .scalars import QI, QQ, GaussianRational, imag_part, real_part
 
 F = Fraction
@@ -990,86 +991,61 @@ def catalog_entries():
 # verification
 # ---------------------------------------------------------------------------
 
-@dataclass
-class VerifyRow:
-    name: str
-    expected: object
-    computed: object
+def verify_entry(entry: CatalogEntry, expected: Expected | None = None) -> Report:
+    """Recompute every derivable invariant and diff it against the record.
 
-    @property
-    def match(self):
-        return self.expected == self.computed
-
-
-@dataclass
-class VerificationReport:
-    entry_name: str
-    rows: list
-
-    @property
-    def ok(self):
-        return all(r.match for r in self.rows)
-
-    def mismatches(self):
-        return [r for r in self.rows if not r.match]
-
-
-def verify_entry(entry: CatalogEntry, expected: Expected | None = None) -> VerificationReport:
-    """Recompute every derivable invariant and diff it against the record."""
+    Each check is named after the invariant and holds when the recomputed
+    value equals the recorded one; its detail shows both.
+    """
     exp = expected if expected is not None else entry.expected
-    rows = []
+    checks = []
     model = entry.model
 
+    def compare(name, want, computed):
+        checks.append(Check(name, want == computed, f"expected={want} computed={computed}"))
+
     if exp.codim is not None:
-        rows.append(VerifyRow("codim", exp.codim, model.codim))
+        compare("codim", exp.codim, model.codim)
 
     pair = entry.cr_pair
     t = cr_type(pair)
     if exp.cr_type is not None:
-        rows.append(VerifyRow("cr_type", exp.cr_type, (t.n, t.l, t.k)))
-    rows.append(VerifyRow("cr_type_codim_consistent", model.codim, t.k))
-    rows.append(VerifyRow("cr_axioms", True, check_cr_pair(pair).ok))
+        compare("cr_type", exp.cr_type, (t.n, t.l, t.k))
+    compare("cr_type_codim_consistent", model.codim, t.k)
+    compare("cr_axioms", True, check_cr_pair(pair).ok)
 
     if exp.m_dim is not None:
-        rows.append(VerifyRow("m_dim", exp.m_dim, model.m.dim))
+        compare("m_dim", exp.m_dim, model.m.dim)
 
     levi = levi_form(pair)
     if exp.levi_degenerate_domain is not None:
-        rows.append(
-            VerifyRow("levi_degenerate_domain", exp.levi_degenerate_domain, levi.degenerate_domain)
-        )
+        compare("levi_degenerate_domain", exp.levi_degenerate_domain, levi.degenerate_domain)
     if exp.levi_signature_unordered is not None:
         if levi.degenerate_domain:
             computed = frozenset({0})
         else:
-            codir = [F(0)] * levi.value_dim
-            codir[0] = F(1)
-            sig = levi_signature(pair, tuple(codir), report=levi)
+            sig = levi_signature(pair, report=levi)
             computed = frozenset({sig.normalized[0], sig.normalized[1]})
-        rows.append(
-            VerifyRow("levi_signature_unordered", exp.levi_signature_unordered, computed)
-        )
+        compare("levi_signature_unordered", exp.levi_signature_unordered, computed)
 
     fib = entry.fibration
     if exp.degenerate_fibration is not None:
-        rows.append(VerifyRow("degenerate_fibration", exp.degenerate_fibration, fib.degenerate))
+        compare("degenerate_fibration", exp.degenerate_fibration, fib.degenerate)
     if exp.fiber_dim is not None:
-        rows.append(VerifyRow("fiber_dim", exp.fiber_dim, fib.fiber_dim))
+        compare("fiber_dim", exp.fiber_dim, fib.fiber_dim)
     if exp.fiber_tag is not None:
-        rows.append(VerifyRow("fiber_tag", exp.fiber_tag, entry.taxon.tag))
+        compare("fiber_tag", exp.fiber_tag, entry.taxon.tag)
 
     if exp.orbit_dim is not None:
-        rows.append(VerifyRow("orbit_dim", exp.orbit_dim, model.real_sub.dim - model.h.dim))
+        compare("orbit_dim", exp.orbit_dim, model.real_sub.dim - model.h.dim)
 
     if entry.compact_group:
         g = model.real_algebra
         r = radical(g)
-        r_abelian = product_space(g, r, r).dim == 0
-        r_central = product_space(g, full_space(g), r).dim == 0
-        rows.append(VerifyRow("radical_abelian", True, r_abelian))
-        rows.append(VerifyRow("radical_central", True, r_central))
+        compare("radical_abelian", True, product_space(g, r, r).dim == 0)
+        compare("radical_central", True, product_space(g, full_space(g), r).dim == 0)
 
-    return VerificationReport(entry.name, rows)
+    return Report(tuple(checks))
 
 
 def is_noncompact_simple_entry(entry: CatalogEntry) -> bool:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .algebra import (
     derived_series,
@@ -30,7 +29,7 @@ from .algebra import (
 from .catalog import ROSTER, CatalogEntry, Expected, get_entry, verify_entry
 from .cr import check_cr_pair, cr_type, levi_form, levi_signature
 from .errors import InputError, InternalError, StructureError
-from .fileio import SCHEMA, load_file, orbit_payload
+from .fileio import SCHEMA, load_file, load_pi1, orbit_payload
 from .globalize import fine_classification_checks, verdict
 from .scalars import QQ
 
@@ -157,29 +156,17 @@ def _structure_records(rep, target, L, label):
                  status=str(value))
 
 
-def _validate_records(rep, target, L):
-    report = validate(L)
-    rep.emit(
-        target=target, analysis="validate", check="antisymmetry",
-        status="pass" if report.antisymmetry_ok else "fail",
-        detail="" if report.antisymmetry_ok else str(report.antisymmetry_witness),
-    )
-    rep.emit(
-        target=target, analysis="validate", check="jacobi",
-        status="pass" if report.jacobi_ok else "fail",
-        detail="" if report.jacobi_ok else str(report.jacobi_witness),
-    )
-    return report.ok
+PASS_FAIL = {True: "pass", False: "fail", None: "not-checkable"}
+MATCH = {True: "match", False: "MISMATCH"}
 
 
-def _axiom_records(rep, target, pair, connected=True):
-    report = check_cr_pair(pair, connected_isotropy=connected)
-    for row in report.results:
-        rep.emit(
-            target=target, analysis="cr-axioms", check=row.name, status=row.status,
-            detail="" if row.witness is None else "witness " + str(row.witness),
-        )
-    return report.ok
+def _report_records(rep, target, analysis, report, words=PASS_FAIL):
+    """One record per check; a report with no checks means not applicable."""
+    if not report.checks:
+        rep.emit(target=target, analysis=analysis, check="applicable", status="no")
+    for c in report.checks:
+        rep.emit(target=target, analysis=analysis, check=c.name,
+                 status=words[c.ok], detail=c.detail)
 
 
 def _levi_records(rep, target, pair):
@@ -193,9 +180,7 @@ def _levi_records(rep, target, pair):
              status=str(report.kernel.dim),
              detail="nondegenerate" if report.nondegenerate else "degenerate")
     if report.value_dim >= 1 and not report.degenerate_domain:
-        codir = [Fraction(0)] * report.value_dim
-        codir[0] = Fraction(1)
-        sig = levi_signature(pair, tuple(codir), report=report)
+        sig = levi_signature(pair, report=report)
         rep.emit(target=target, analysis="levi", check="levi-signature",
                  status=str(sig.normalized), detail=f"orderings {sig.orderings}")
 
@@ -219,32 +204,14 @@ def _globalize_records(rep, target, entry):
         rep.emit(target=target, analysis="globalize", check="note", status=note)
 
 
-def _fineclass_records(rep, target, entry):
-    report = fine_classification_checks(entry)
-    if not report.rows:
-        rep.emit(target=target, analysis="fine-class", check="applicable", status="no")
-    for row in report.rows:
-        rep.emit(target=target, analysis="fine-class", check=row.name,
-                 status="pass" if row.ok else "fail", detail=row.detail)
-
-
 def _entry_from_payload(model, payload):
-    pi1 = None
-    raw = payload.get("pi1")
-    if raw is not None:
-        try:
-            real = (raw["real"][0], tuple(raw["real"][1]))
-            cplx = (raw["complex"][0], tuple(raw["complex"][1]))
-            pi1 = (real, cplx, bool(raw.get("surjective", False)))
-        except (KeyError, TypeError, IndexError) as exc:
-            raise InputError(f"bad pi1 data: {raw!r}") from exc
     return CatalogEntry(
         name=model.name or "orbit",
         family="file",
         params=(),
         model=model,
         expected=Expected(),
-        pi1=pi1,
+        pi1=load_pi1(payload.get("pi1")),
         kahler=bool(payload.get("kahler", False)),
     )
 
@@ -269,10 +236,16 @@ def cmd_analyze(args, rep):
             L = entry.model.ambient
             pair = None
         todo = [a for a in ANALYSES if a in selected and a in applicable]
+        jacobi_ok = True
         axioms_ok = True
         for analysis in todo:
             if analysis == "validate":
-                _validate_records(rep, target, L)
+                report = validate(L)
+                _report_records(rep, target, analysis, report)
+                jacobi_ok = report.by_name("jacobi").ok
+            elif not jacobi_ok:
+                rep.emit(target=target, analysis=analysis, status="skipped",
+                         detail="jacobi failed")
             elif analysis == "structure":
                 if kind == "orbit":
                     _structure_records(rep, target, entry.model.real_algebra, "real")
@@ -286,8 +259,9 @@ def cmd_analyze(args, rep):
                     _structure_records(rep, target, L, "algebra")
             elif analysis == "cr-axioms":
                 p = pair if pair is not None else entry.cr_pair
-                axioms_ok = _axiom_records(rep, target, p,
-                                           connected=not args.disconnected_isotropy)
+                report = check_cr_pair(p, connected_isotropy=not args.disconnected_isotropy)
+                _report_records(rep, target, analysis, report)
+                axioms_ok = report.ok
             elif analysis == "levi":
                 p = pair if pair is not None else entry.cr_pair
                 if axioms_ok:
@@ -300,7 +274,7 @@ def cmd_analyze(args, rep):
             elif analysis == "globalize":
                 _globalize_records(rep, target, entry)
             elif analysis == "fine-class":
-                _fineclass_records(rep, target, entry)
+                _report_records(rep, target, analysis, fine_classification_checks(entry))
     return 0
 
 
@@ -329,14 +303,10 @@ def cmd_catalog(args, rep):
             payload["verdict"] = verdict(entry).overall
             rep.stream.write(json.dumps(payload, sort_keys=True) + "\n")
             return 0
-        report = verify_entry(entry)
-        for row in report.rows:
-            rep.emit(target=entry.name, analysis="verify", check=row.name,
-                     status="match" if row.match else "MISMATCH",
-                     detail=f"expected={row.expected} computed={row.computed}")
+        _report_records(rep, entry.name, "verify", verify_entry(entry), MATCH)
         _fibration_records(rep, entry.name, entry.fibration)
         _globalize_records(rep, entry.name, entry)
-        _fineclass_records(rep, entry.name, entry)
+        _report_records(rep, entry.name, "fine-class", fine_classification_checks(entry))
         for note in entry.notes:
             rep.emit(target=entry.name, analysis="catalog", check="note", status=note)
         return 0
@@ -346,10 +316,7 @@ def cmd_catalog(args, rep):
         for name in sorted(names) if args.name == "all" else names:
             entry = get_entry(name)
             report = verify_entry(entry)
-            for row in report.rows:
-                rep.emit(target=entry.name, analysis="verify", check=row.name,
-                         status="match" if row.match else "MISMATCH",
-                         detail=f"expected={row.expected} computed={row.computed}")
+            _report_records(rep, entry.name, "verify", report, MATCH)
             all_ok = all_ok and report.ok
         rep.emit(target="catalog", analysis="verify", check="summary",
                  status="all-match" if all_ok else "mismatches")

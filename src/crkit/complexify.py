@@ -35,6 +35,7 @@ from .linalg import (
     solve_condition_coefficients,
     sparse_echelon,
 )
+from .report import Check, Report
 from .scalars import QI, QQ, GaussianRational, compact, is_zero, to_gaussian
 
 F = Fraction
@@ -122,8 +123,9 @@ def complex_rows_realified(rows):
     """Realified spanning rows of a complex row space: v and iv per row."""
     out = []
     for z in rows:
-        out.append(complex_to_real(z))
-        out.append(complex_to_real(tuple(to_gaussian(c) * GaussianRational(0, 1) for c in z)))
+        v = complex_to_real(z)
+        out.append(v)
+        out.append(j_apply(v))
     return out
 
 
@@ -377,29 +379,7 @@ def anticanonical_fibration(model: OrbitModel) -> FibrationReport:
     )
 
 
-@dataclass
-class FactRow:
-    name: str
-    ok: bool
-    detail: str = ""
-
-
-@dataclass
-class FiberGlobalizationReport:
-    rows: list
-
-    @property
-    def ok(self):
-        return all(r.ok for r in self.rows)
-
-    def by_name(self, name):
-        for r in self.rows:
-            if r.name == name:
-                return r
-        raise KeyError(name)
-
-
-def fiber_globalization_check(model: OrbitModel) -> FiberGlobalizationReport:
+def fiber_globalization_check(model: OrbitModel) -> Report:
     """Check the algebra facts behind globalizing a parallelizable orbit.
 
     Requires a degenerate fibration with h = 0.  Facts checked:
@@ -415,16 +395,15 @@ def fiber_globalization_check(model: OrbitModel) -> FiberGlobalizationReport:
         raise StructureError(
             "fiber globalization facts apply to degenerate fibrations with h = 0"
         )
-    rows = []
-    rows.append(FactRow("codim-at-most-2", model.codim <= 2, f"codim = {model.codim}"))
+    checks = [Check("codim-at-most-2", model.codim <= 2, f"codim = {model.codim}")]
 
     m_complex = complex_span_of_real_rows(model.m.rows)
     dim_m = len(m_complex)
     if model.m.dim != 2 * dim_m:
         raise InternalError("m is not a complex subspace")
     bound_ok = model.ambient.dim <= dim_m + 2
-    rows.append(
-        FactRow(
+    checks.append(
+        Check(
             "ambient-dim-bound",
             bound_ok,
             f"dim_C ambient = {model.ambient.dim}, dim_C m = {dim_m}",
@@ -434,8 +413,8 @@ def fiber_globalization_check(model: OrbitModel) -> FiberGlobalizationReport:
     r_hat = radical(model.ambient)
     stacked = list(r_hat.rows) + list(m_complex)
     spans = len(rref(stacked)[0]) == model.ambient.dim
-    rows.append(
-        FactRow(
+    checks.append(
+        Check(
             "semisimple-part-in-m",
             spans,
             "radical(ambient) + m spans the ambient" if spans else "proper span",
@@ -449,14 +428,14 @@ def fiber_globalization_check(model: OrbitModel) -> FiberGlobalizationReport:
         model.ambient_real,
         [model.algebra_to_ambient(c) for c in r_abstract.rows],
     )
-    rows.append(
-        FactRow(
+    checks.append(
+        Check(
             "radical-alignment",
             r_from_ambient == r_mapped,
             f"dim radical = {r_abstract.dim}",
         )
     )
-    return FiberGlobalizationReport(rows)
+    return Report(tuple(checks))
 
 
 # ---------------------------------------------------------------------------

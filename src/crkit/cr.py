@@ -19,6 +19,7 @@ from fractions import Fraction
 from .algebra import LieAlgebra, Subspace, span
 from .errors import InputError, InternalError, StructureError
 from .linalg import combine_rows, left_nullspace, rref, signature_of_symmetric
+from .report import Check, Report, witness_check
 from .scalars import QQ, is_zero
 
 
@@ -114,33 +115,10 @@ def cr_type(pair: CRPair) -> CRType:
     return CRType(n, l, n - 2 * l)
 
 
-@dataclass
-class ConditionResult:
-    name: str
-    status: str  # pass | fail | not-checkable
-    witness: tuple | None = None
-    note: str = ""
-
-
-@dataclass
-class AxiomReport:
-    results: list
-
-    @property
-    def ok(self):
-        return all(r.status == "pass" for r in self.results)
-
-    def by_name(self, name):
-        for r in self.results:
-            if r.name == name:
-                return r
-        raise KeyError(name)
-
-
-def check_cr_pair(pair: CRPair, connected_isotropy: bool = True) -> AxiomReport:
+def check_cr_pair(pair: CRPair, connected_isotropy: bool = True) -> Report:
     """Evaluate the four defining conditions of an invariant CR pair.
 
-    Condition names in the report:
+    Check names in the report (a failing check carries a witness vector):
       kernel-exactness        J vanishes mod h exactly on h
       square-minus-identity   J^2 = -id mod h on R
       isotropy-compatibility  [h, R] <= R and J[xi, zeta] = [xi, J zeta] mod h
@@ -151,7 +129,7 @@ def check_cr_pair(pair: CRPair, connected_isotropy: bool = True) -> AxiomReport:
     components, and the row is reported as not checkable.
     """
     g, h, r = pair.g, pair.h, pair.r
-    results = []
+    checks = []
 
     # kernel exactness: J(h) <= h, and ker(J mod h) restricted to R equals h
     witness = None
@@ -167,9 +145,7 @@ def check_cr_pair(pair: CRPair, connected_isotropy: bool = True) -> AxiomReport:
                 if not h.contains(vec):
                     witness = vec
                     break
-    results.append(
-        ConditionResult("kernel-exactness", "fail" if witness else "pass", witness)
-    )
+    checks.append(witness_check("kernel-exactness", witness, "witness "))
 
     # J^2 + id = 0 mod h on R
     witness = None
@@ -179,9 +155,7 @@ def check_cr_pair(pair: CRPair, connected_isotropy: bool = True) -> AxiomReport:
         if not h.contains(total):
             witness = v
             break
-    results.append(
-        ConditionResult("square-minus-identity", "fail" if witness else "pass", witness)
-    )
+    checks.append(witness_check("square-minus-identity", witness, "witness "))
 
     # isotropy compatibility (connected form)
     j_of_r = [apply_endo(pair.j_raw, zeta) for zeta in r.rows]
@@ -201,20 +175,10 @@ def check_cr_pair(pair: CRPair, connected_isotropy: bool = True) -> AxiomReport:
                     break
             if witness is not None:
                 break
-        results.append(
-            ConditionResult(
-                "isotropy-compatibility", "fail" if witness else "pass", witness
-            )
-        )
+        checks.append(witness_check("isotropy-compatibility", witness, "witness "))
     else:
-        results.append(
-            ConditionResult(
-                "isotropy-compatibility",
-                "not-checkable",
-                None,
-                "disconnected isotropy is invisible at the algebra level",
-            )
-        )
+        # disconnected isotropy is invisible at the algebra level
+        checks.append(Check("isotropy-compatibility", None))
 
     # integrability: [xi,zeta] - [Jxi,Jzeta] in R, and the torsion lands in h
     witness = None
@@ -239,11 +203,8 @@ def check_cr_pair(pair: CRPair, connected_isotropy: bool = True) -> AxiomReport:
                 break
         if witness is not None:
             break
-    results.append(
-        ConditionResult("integrability", "fail" if witness else "pass", witness)
-    )
-
-    return AxiomReport(results)
+    checks.append(witness_check("integrability", witness, "witness "))
+    return Report(tuple(checks))
 
 
 @dataclass
@@ -348,7 +309,7 @@ class SignatureResult:
         return frozenset({p, q}), z
 
 
-def levi_signature(pair: CRPair, codirection, *, report=None) -> SignatureResult:
+def levi_signature(pair: CRPair, codirection=None, *, report=None) -> SignatureResult:
     """Inertia of the Levi form paired with a covector on g/R.
 
     The scalar form on R/h is J-invariant, so its inertia counts are even
@@ -357,11 +318,14 @@ def levi_signature(pair: CRPair, codirection, *, report=None) -> SignatureResult
     multiple is invisible; negating it swaps pos and neg, hence the
     normalized ordering plus both orderings in the result.
 
+    codirection defaults to the first value coordinate, (1, 0, ..., 0).
     report, if given, is levi_form(pair), reused instead of rebuilding it.
     """
     if report is None:
         report = levi_form(pair)
     k = report.value_dim
+    if codirection is None:
+        codirection = tuple(int(c == 0) for c in range(k))
     if len(codirection) != k:
         raise InputError(f"codirection must have length {k}")
     if all(is_zero(x) for x in codirection):

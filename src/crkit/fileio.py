@@ -10,6 +10,8 @@ Three payload kinds, detected by their fields:
   orbit       ambient (an algebra payload over Q_i), real_basis (rational
               rows in realified coordinates), isotropy_hat_basis (rows
               over Q_i), optional kahler tag and pi1 data
+              ({"real": [rank, [torsion...]], "complex": [...],
+              "surjective": bool})
 
 Scalars are exact strings "num/den"; Q(i) scalars are ["re", "im"] pairs
 of such strings (a bare string means a real value).
@@ -156,6 +158,26 @@ def load_orbit_model(payload) -> OrbitModel:
     if not isinstance(name, str):
         raise InputError(f"orbit name must be a string, got {name!r}")
     return OrbitModel(ambient, real_rows, iso_rows, name=name)
+
+
+def load_pi1(raw):
+    """((rank, torsion), (rank, torsion), surjective) from orbit pi1 data, or None.
+
+    The two groups are the fundamental groups of the real stabilizer and of
+    its complexification, each a free rank plus a torsion list.
+    """
+    if raw is None:
+        return None
+    try:
+        real = (raw["real"][0], tuple(raw["real"][1]))
+        cplx = (raw["complex"][0], tuple(raw["complex"][1]))
+        surjective = bool(raw.get("surjective", False))
+    except (KeyError, TypeError, IndexError) as exc:
+        raise InputError(f"bad pi1 data: {raw!r}") from exc
+    for rank, torsion in (real, cplx):
+        if not (_is_int(rank) and all(_is_int(t) for t in torsion)):
+            raise InputError(f"pi1 ranks and torsion orders must be integers: {raw!r}")
+    return real, cplx, surjective
 
 
 def orbit_payload(model: OrbitModel) -> dict:

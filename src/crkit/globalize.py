@@ -28,6 +28,7 @@ from .algebra import (
 from .complexify import complex_span_of_real_rows
 from .errors import InputError
 from .linalg import rref
+from .report import Check, Report
 
 
 # ---------------------------------------------------------------------------
@@ -236,30 +237,7 @@ def verdict(entry) -> GlobalizationVerdict:
 # fine classification conclusions
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CheckRow:
-    name: str
-    ok: bool
-    detail: str = ""
-
-
-@dataclass
-class FineClassReport:
-    entry_name: str
-    rows: list
-
-    @property
-    def ok(self):
-        return all(r.ok for r in self.rows)
-
-    def by_name(self, name):
-        for r in self.rows:
-            if r.name == name:
-                return r
-        raise KeyError(name)
-
-
-def fine_classification_checks(entry) -> FineClassReport:
+def fine_classification_checks(entry) -> Report:
     """Conclusion checks for the fine classification.
 
     Levi-nondegenerate instances must have an abelian fibration fiber of
@@ -269,20 +247,20 @@ def fine_classification_checks(entry) -> FineClassReport:
     """
     from .cr import levi_form
 
-    rows = []
+    checks = []
     model = entry.model
     levi = levi_form(entry.cr_pair)
     if not levi.degenerate_domain and levi.nondegenerate:
         fiber = entry.fibration.fiber_algebra
-        rows.append(
-            CheckRow(
+        checks.append(
+            Check(
                 "nondegenerate-fiber-abelian",
                 is_abelian(fiber),
                 f"fiber dim {fiber.dim}",
             )
         )
-        rows.append(
-            CheckRow(
+        checks.append(
+            Check(
                 "nondegenerate-fiber-dim-bound",
                 entry.fibration.fiber_dim <= model.codim,
                 f"fiber {entry.fibration.fiber_dim} <= codim {model.codim}",
@@ -295,13 +273,13 @@ def fine_classification_checks(entry) -> FineClassReport:
             m_solv = is_solvable(m_sub)
         else:
             m_solv = True
-        rows.append(CheckRow("kahler-m-solvable", m_solv, f"dim m = {model.m.dim}"))
+        checks.append(Check("kahler-m-solvable", m_solv, f"dim m = {model.m.dim}"))
         if model.codim <= 2:
-            rows.append(
-                CheckRow(
+            checks.append(
+                Check(
                     "kahler-g-solvable",
                     is_solvable(model.real_algebra),
                     f"codim {model.codim}",
                 )
             )
-    return FineClassReport(entry.name, rows)
+    return Report(tuple(checks))

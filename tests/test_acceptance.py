@@ -188,7 +188,7 @@ def test_criterion_fiber_globalization_facts():
         fib = e.fibration
         if fib.degenerate and e.model.h.dim == 0 and e.model.codim <= 2:
             rep = fiber_globalization_check(e.model)
-            assert rep.ok, (e.name, [(r.name, r.ok) for r in rep.rows])
+            assert rep.ok, (e.name, [(r.name, r.ok) for r in rep.checks])
             assert rep.by_name("semisimple-part-in-m").ok
             assert rep.by_name("ambient-dim-bound").ok
             checked.append(e.name)
@@ -266,7 +266,7 @@ def test_criterion_fine_classification():
                 assert is_solvable(e.model.real_algebra), e.name
             parallel.append(e.name)
         rep = fine_classification_checks(e)
-        assert rep.ok, (e.name, [(r.name, r.ok) for r in rep.rows])
+        assert rep.ok, (e.name, [(r.name, r.ok) for r in rep.checks])
     report(
         "fine-classification",
         len(nondeg) >= 3 and len(parallel) >= 2,

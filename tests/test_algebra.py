@@ -98,8 +98,8 @@ def test_validate_constructors_pass():
 def test_validate_tensor_antisymmetry_witness():
     t = dense_tensor({(0, 1, 0): 1, (1, 0, 0): 1}, 3)
     rep = validate_tensor(3, QQ, t)
-    assert not rep.antisymmetry_ok
-    assert rep.antisymmetry_witness == (0, 1, 0)
+    assert not rep.by_name("antisymmetry").ok
+    assert rep.by_name("antisymmetry").witness == (0, 1, 0)
 
 
 def test_validate_tensor_jacobi_witness():
@@ -111,9 +111,9 @@ def test_validate_tensor_jacobi_witness():
         3,
     )
     rep = validate_tensor(3, QQ, t)
-    assert rep.antisymmetry_ok
-    assert not rep.jacobi_ok
-    assert rep.jacobi_witness == (0, 1, 2)
+    assert rep.by_name("antisymmetry").ok
+    assert not rep.by_name("jacobi").ok
+    assert rep.by_name("jacobi").witness == (0, 1, 2)
 
 
 def test_cross_product_table_is_a_lie_algebra():

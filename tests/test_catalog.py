@@ -316,8 +316,8 @@ def test_corrupted_expected_gives_exactly_one_mismatch():
     )
     rep = verify_entry(e, expected=bad)
     assert not rep.ok
-    assert len(rep.mismatches()) == 1
-    assert rep.mismatches()[0].name == "codim"
+    assert len(rep.failures()) == 1
+    assert rep.failures()[0].name == "codim"
 
 
 def test_compact_entries_radical_structure():
@@ -325,7 +325,7 @@ def test_compact_entries_radical_structure():
         e = get_entry(name)
         assert e.compact_group
         rep = verify_entry(e)
-        assert rep.ok, rep.mismatches()
+        assert rep.ok, rep.failures()
 
 
 def test_heis_solv_entry():

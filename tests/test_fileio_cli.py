@@ -145,6 +145,40 @@ def test_analyze_jacobi_failure_is_data_not_error(tmp_path, capsys):
     assert "(0, 1, 2)" in out
 
 
+def jacobi_failing_payload():
+    # [x,y] = z, [y,z] = y: the Jacobi sum on (x, y, z) is [[x,y],z] = -y != 0
+    return {
+        "dimension": 3,
+        "field": "Q",
+        "basis": ["x", "y", "z"],
+        "brackets": [[0, 1, [[2, "1"]]], [1, 2, [[1, "1"]]]],
+    }
+
+
+def test_analyses_after_failed_jacobi_are_skipped(tmp_path, capsys):
+    good_pair = heisenberg_pair_payload()
+    pair = dict(jacobi_failing_payload(), **{k: good_pair[k] for k in ("h_basis", "R_basis", "J")})
+    for name, payload, later in (
+        ("broken.lie", jacobi_failing_payload(), ["structure"]),
+        ("broken.pair", pair, ["structure", "cr-axioms", "levi"]),
+    ):
+        path = write(tmp_path, name, payload)
+        code = main(["analyze", path, "--format", "json"])
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert code == 0
+        assert [(r["check"], r["status"]) for r in records[:2]] == [
+            ("antisymmetry", "pass"), ("jacobi", "fail")]
+        assert records[1]["detail"] == "(0, 1, 2)"
+        assert [(r["analysis"], r["status"], r["detail"]) for r in records[2:]] == [
+            (a, "skipped", "jacobi failed") for a in later]
+
+
+def test_analyses_run_when_validate_not_selected(tmp_path, capsys):
+    path = write(tmp_path, "broken.lie", jacobi_failing_payload())
+    assert main(["analyze", path, "--set", "structure"]) == 0
+    assert "algebra.dimension: 3" in capsys.readouterr().out
+
+
 def test_analyze_missing_file_exits_2(capsys):
     assert main(["analyze", "/nonexistent/missing.lie"]) == 2
 
@@ -248,6 +282,7 @@ def malformed_payloads():
     orbit = orbit_payload(get_entry("c2_torus").model)
     real_basis_number = dict(orbit, real_basis=4)
     iso_row_number = dict(orbit, isotropy_hat_basis=[7])
+    pi1_rank_null = dict(orbit, pi1={"real": [None, []], "complex": [0, []]})
     return [
         ("terms-not-list", terms_not_list),
         ("string-target-index", string_target),
@@ -255,6 +290,7 @@ def malformed_payloads():
         ("real-basis-number", real_basis_number),
         ("isotropy-row-number", iso_row_number),
         ("dimension-true", bool_dimension),
+        ("pi1-rank-null", pi1_rank_null),
     ]
 
 

@@ -1,0 +1,66 @@
+"""CLI output pinned byte for byte against checked-in golden files.
+
+Each case runs ``crkit`` in-process from ``tests/golden`` (so file targets
+are the bare input names) and compares stdout and the exit code with
+``tests/golden/<case>.out``.  Together the cases reach every record
+emitter: catalog verification, ``catalog show`` and every ``analyze``
+analysis on an algebra, a CR-pair and an orbit file.
+
+To re-record after an intended output change, run this module as a script:
+``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+import contextlib
+import io
+import os
+import sys
+
+import pytest
+
+from crkit.cli import main
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+CASES = {
+    "verify_all_json": ["catalog", "verify", "all", "--format", "json"],
+    "show_quadric_2_1": ["catalog", "show", "quadric(2,1)"],
+    "show_heis_solv": ["catalog", "show", "heis_solv"],
+    "show_c2_torus": ["catalog", "show", "c2_torus"],
+    "show_p2r": ["catalog", "show", "p2r"],
+    "analyze_algebra": ["analyze", "sl2.json", "--format", "json", "--explain"],
+    "analyze_pair": ["analyze", "heisenberg_pair.json", "--format", "json", "--explain"],
+    "analyze_orbit": ["analyze", "heis_solv_orbit.json", "--format", "json", "--explain"],
+    "analyze_orbit_disconnected": [
+        "analyze", "heis_solv_orbit.json", "--format", "json", "--explain",
+        "--disconnected-isotropy",
+    ],
+    "analyze_jacobi_failure": ["analyze", "jacobi_failure.json", "--set", "validate"],
+    "analyze_pair_bad_square": ["analyze", "heisenberg_pair_bad_square.json"],
+}
+
+
+def run(argv):
+    """Exit code and stdout of one in-process CLI run, inside tests/golden."""
+    buf = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(GOLDEN)
+    try:
+        with contextlib.redirect_stdout(buf):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    return f"exit {code}\n" + buf.getvalue()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cli_output_matches_golden(case):
+    with open(os.path.join(GOLDEN, case + ".out"), encoding="utf-8") as fh:
+        expected = fh.read()
+    assert run(CASES[case]) == expected
+
+
+if __name__ == "__main__":
+    for case, argv in CASES.items():
+        with open(os.path.join(GOLDEN, case + ".out"), "w", encoding="utf-8") as fh:
+            fh.write(run(argv))
+    sys.exit(0)
