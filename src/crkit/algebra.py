@@ -18,6 +18,8 @@ from .linalg import (
     in_span,
     intersect_spaces,
     is_zero_vec,
+    left_nullspace,
+    matvec,
     rank,
     reduce_mod,
     rref,
@@ -26,7 +28,7 @@ from .linalg import (
     sparse_echelon,
 )
 from .report import Check, Report, witness_check
-from .scalars import QI, QQ, compact, field_one, field_zero, is_zero
+from .scalars import QI, QQ, compact, is_zero
 
 
 class LieAlgebra:
@@ -55,9 +57,9 @@ class LieAlgebra:
             if cleaned:
                 table[(i, j)] = cleaned
         self.brackets = table
-        # plain ints are exact and fast over Q; Q(i) keeps boxed scalars
-        self.zero = 0 if field == QQ else field_zero(field)
-        self.one = 1 if field == QQ else field_one(field)
+        # plain ints are exact, fast and mix with Fraction and GaussianRational
+        self.zero = 0
+        self.one = 1
 
     def __repr__(self):
         return f"LieAlgebra(dim={self.dim}, field={self.field!r})"
@@ -399,21 +401,11 @@ def radical(L):
     """Maximal solvable ideal, by the Cartan criterion.
 
     r = {x : kappa(x, y) = 0 for every y in [g, g]} over a field of
-    characteristic zero.
+    characteristic zero; with [g, g] = 0 there is no condition and r = g.
     """
-    kappa = killing_form(L)
     derived = derived_subalgebra(L)
-    if derived.dim == 0:
-        return full_space(L)
-
-    def residual(v):
-        out = []
-        for d in derived.rows:
-            out.append((kappa.evaluate(v, d),))
-        return out
-
-    rows = solve_linear_conditions(list(full_space(L).rows), residual)
-    return Subspace.from_rows(L, rows)
+    conditions = [matvec(derived.rows, row) for row in killing_form(L).matrix]
+    return span(L, left_nullspace(conditions))
 
 
 # ---------------------------------------------------------------------------
@@ -582,19 +574,16 @@ def abelian(n, field=QQ):
 
 def heisenberg(field=QQ):
     """3-dimensional Heisenberg algebra: [x, y] = z."""
-    one = field_one(field)
-    return LieAlgebra(3, field, ("x", "y", "z"), {(0, 1): {2: one}})
+    return LieAlgebra(3, field, ("x", "y", "z"), {(0, 1): {2: 1}})
 
 
 def sl2(field=QQ):
     """sl_2 with basis (h, e, f): [h,e] = 2e, [h,f] = -2f, [e,f] = h."""
-    one = field_one(field)
-    two = one + one
     return LieAlgebra(
         3,
         field,
         ("h", "e", "f"),
-        {(0, 1): {1: two}, (0, 2): {2: -two}, (1, 2): {0: one}},
+        {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}},
     )
 
 

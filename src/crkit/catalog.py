@@ -947,6 +947,19 @@ ROSTER = (
 )
 
 
+# Parametrized entries are built on demand only up to this complex ambient
+# dimension, that of quadric(5,4)'s sl(9, C): construction and verification
+# cost grows quickly with it.
+MAX_AMBIENT_DIM = 80
+
+# (name prefix, builder, arity, complex ambient dimension)
+_FAMILIES = (
+    ("sp_quadric", sp_quadric_orbit, 2, lambda p, q: (p + q) * (2 * (p + q) + 1)),
+    ("quadric", quadric_orbit, 2, lambda p, q: (p + q) ** 2 - 1),
+    ("twisted", twisted_diagonal_orbit, 1, lambda n: 2 * ((n + 1) ** 2 - 1)),
+)
+
+
 def _parse_params(text, arity, name):
     inner = text.strip()
     if not (inner.startswith("(") and inner.endswith(")")):
@@ -973,13 +986,15 @@ def get_entry(name: str) -> CatalogEntry:
     key = name.strip()
     if key in plain:
         return plain[key]()
-    for prefix, builder in (("sp_quadric", sp_quadric_orbit), ("quadric", quadric_orbit)):
+    for prefix, builder, arity, ambient_dim in _FAMILIES:
         if key.startswith(prefix):
-            p, q = _parse_params(key[len(prefix):], 2, prefix)
-            return builder(p, q)
-    if key.startswith("twisted"):
-        (n,) = _parse_params(key[len("twisted"):], 1, "twisted")
-        return twisted_diagonal_orbit(n)
+            params = _parse_params(key[len(prefix):], arity, prefix)
+            if min(params) >= 1 and ambient_dim(*params) > MAX_AMBIENT_DIM:
+                raise InputError(
+                    f"{key} is too large: its complex ambient dimension "
+                    f"{ambient_dim(*params)} exceeds the limit of {MAX_AMBIENT_DIM}"
+                )
+            return builder(*params)
     raise InputError(f"unknown catalog entry {name!r}")
 
 

@@ -5,12 +5,17 @@ its realification and a complex isotropy subalgebra: the infinitesimal
 data of a real-group orbit inside a complex homogeneous space.  All of
 the derived geometry here (maximal complex ideal, CR-normalizer,
 anticanonical fibration, globalization preconditions) reduces to exact
-subspace computations against that data.
+subspace computations over Q in the realified ambient, where a complex
+subspace is a J-stable real one.  Q(i) appears only where complex data
+enters or leaves: the ambient's structure constants and the canonical
+complex isotropy rows (as files and the catalog supply them and
+orbit_payload writes them), and the transports product_model and
+apply_complex_matrix_to_model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
@@ -19,6 +24,7 @@ from .algebra import (
     add_spaces,
     direct_sum,
     intersect,
+    is_subalgebra,
     quotient_algebra,
     radical,
     span,
@@ -29,11 +35,9 @@ from .errors import InputError, InternalError, StructureError
 from .linalg import (
     Solver,
     combine_rows,
-    in_span,
     independent_rows,
     rref,
     solve_condition_coefficients,
-    sparse_echelon,
 )
 from .report import Check, Report
 from .scalars import QI, QQ, GaussianRational, compact, is_zero, to_gaussian
@@ -129,11 +133,6 @@ def complex_rows_realified(rows):
     return out
 
 
-def complex_span_of_real_rows(rows):
-    """Canonical complex rows spanning the same space over Q(i)."""
-    return rref([real_to_complex(v) for v in rows])[0]
-
-
 @dataclass(frozen=True)
 class Complexification:
     """A real algebra together with its scalar extension and realified model."""
@@ -141,17 +140,6 @@ class Complexification:
     g_real: LieAlgebra
     g_hat: LieAlgebra
     realified: LieAlgebra
-
-    @property
-    def embedding_rows(self):
-        """g_real basis vectors inside the realified model (identity block)."""
-        n = self.g_real.dim
-        rows = []
-        for a in range(n):
-            v = [F(0)] * (2 * n)
-            v[a] = F(1)
-            rows.append(tuple(v))
-        return tuple(rows)
 
 
 def complexify(L: LieAlgebra) -> Complexification:
@@ -167,13 +155,18 @@ class OrbitModel:
     """Infinitesimal model of a real orbit in a complex homogeneous space.
 
     ambient        complex algebra of the big group
+    ambient_real   its realification, where all derived geometry lives
     real_rows      basis of the real subalgebra in realified coordinates,
                    aligned with real_algebra's basis when one is supplied
-    isotropy_rows  complex basis of the isotropy subalgebra (canonical)
+    isotropy_rows  complex basis of the isotropy subalgebra (canonical),
+                   kept for output; isotropy_real is its realified span
 
-    Derived on construction: h = g ∩ ĥ, the maximal complex ideal
-    m = g ∩ Jg (verified to be a J-stable ideal), the codimension, and
-    the genericity property g + Jg = ambient (a structural requirement).
+    Derived on construction, as subspaces of ambient_real over Q:
+    h = g ∩ ĥ, the maximal complex ideal m = g ∩ Jg (verified to be a
+    J-stable ideal), the codimension, and the genericity property
+    g + Jg = ambient (a structural requirement).  A complex subspace is
+    represented by its J-stable realification, so closure under the
+    complex bracket is checked as closure under the realified one.
     """
 
     def __init__(self, ambient, real_rows, isotropy_rows, real_algebra=None, name=""):
@@ -193,12 +186,14 @@ class OrbitModel:
         if self.real_sub.dim != len(real_rows):
             raise InputError("real basis rows are linearly dependent")
 
-        iso, iso_pivots = rref([tuple(to_gaussian(x) for x in row) for row in isotropy_rows])
-        self.isotropy_rows = iso
-        self.isotropy_real = span(self.ambient_real, complex_rows_realified(iso))
-
-        self._validate_isotropy_subalgebra(iso_pivots)
-        self._validate_real_subalgebra()
+        self.isotropy_rows = rref(isotropy_rows)[0]
+        self.isotropy_real = span(
+            self.ambient_real, complex_rows_realified(self.isotropy_rows)
+        )
+        if not is_subalgebra(self.ambient_real, self.isotropy_real):
+            raise StructureError("isotropy rows are not a complex subalgebra")
+        if not is_subalgebra(self.ambient_real, self.real_sub):
+            raise StructureError("real rows are not a subalgebra")
 
         if real_algebra is None:
             real_algebra, self._solver = subalgebra_structure(self.ambient_real, self.real_sub)
@@ -228,22 +223,6 @@ class OrbitModel:
         )
 
     # -- validation ---------------------------------------------------------
-
-    def _validate_isotropy_subalgebra(self, pivots):
-        rows = self.isotropy_rows
-        echelon = sparse_echelon(rows, pivots)
-        for a in range(len(rows)):
-            for b in range(a + 1, len(rows)):
-                v = self.ambient.bracket(rows[a], rows[b])
-                if not in_span(v, echelon, pivots):
-                    raise StructureError("isotropy rows are not a complex subalgebra")
-
-    def _validate_real_subalgebra(self):
-        s = self.real_sub
-        for a in range(s.dim):
-            for b in range(a + 1, s.dim):
-                if not s.contains(self.ambient_real.bracket(s.rows[a], s.rows[b])):
-                    raise StructureError("real rows are not a subalgebra")
 
     def _validate_alignment(self, real_algebra):
         # brackets of the aligned rows must reproduce real_algebra's constants,
@@ -397,10 +376,7 @@ def fiber_globalization_check(model: OrbitModel) -> Report:
         )
     checks = [Check("codim-at-most-2", model.codim <= 2, f"codim = {model.codim}")]
 
-    m_complex = complex_span_of_real_rows(model.m.rows)
-    dim_m = len(m_complex)
-    if model.m.dim != 2 * dim_m:
-        raise InternalError("m is not a complex subspace")
+    dim_m = model.m.dim // 2  # m is J-stable: checked on construction
     bound_ok = model.ambient.dim <= dim_m + 2
     checks.append(
         Check(
@@ -410,9 +386,10 @@ def fiber_globalization_check(model: OrbitModel) -> Report:
         )
     )
 
-    r_hat = radical(model.ambient)
-    stacked = list(r_hat.rows) + list(m_complex)
-    spans = len(rref(stacked)[0]) == model.ambient.dim
+    # the realification of a complex semisimple algebra is semisimple, so
+    # the realified radical is the radical of the realification
+    r_hat = radical(model.ambient_real)
+    spans = add_spaces(r_hat, model.m).dim == model.ambient_real.dim
     checks.append(
         Check(
             "semisimple-part-in-m",
@@ -421,8 +398,7 @@ def fiber_globalization_check(model: OrbitModel) -> Report:
         )
     )
 
-    r_hat_real = span(model.ambient_real, complex_rows_realified(r_hat.rows))
-    r_from_ambient = intersect(r_hat_real, model.real_sub)
+    r_from_ambient = intersect(r_hat, model.real_sub)
     r_abstract = radical(model.real_algebra)
     r_mapped = span(
         model.ambient_real,

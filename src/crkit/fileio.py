@@ -2,7 +2,8 @@
 
 Three payload kinds, detected by their fields:
 
-  algebra     dimension, field ("Q" | "Q_i"), basis, brackets
+  algebra     dimension (at most MAX_DIMENSION), field ("Q" | "Q_i"),
+              basis, brackets
               brackets is a sparse list of [i, j, [[k, scalar], ...]] with
               i < j only; antisymmetry is filled in by the loader.
   cr-pair     an algebra payload plus h_basis, R_basis (rational rows) and
@@ -28,6 +29,10 @@ from .errors import InputError
 from .scalars import QI, QQ, format_scalar, parse_rational, parse_scalar
 
 SCHEMA = "crkit/1"
+
+# largest algebra dimension accepted from a file: validation checks the
+# Jacobi identity on every triple, about a second at this size
+MAX_DIMENSION = 128
 
 
 def _require(payload, key, kind):
@@ -56,6 +61,8 @@ def load_algebra(payload) -> LieAlgebra:
         raise InputError(f"unknown field tag {field!r}")
     if not _is_int(dim) or dim < 0:
         raise InputError("dimension must be a nonnegative integer")
+    if dim > MAX_DIMENSION:
+        raise InputError(f"dimension {dim} exceeds the limit of {MAX_DIMENSION}")
     basis = payload.get("basis")
     if basis is None:
         basis = [f"e{k}" for k in range(dim)]
@@ -225,9 +232,3 @@ def load_file(path):
     if kind == "cr-pair":
         return kind, load_cr_pair(payload), payload
     return kind, load_orbit_model(payload), payload
-
-
-def dump_payload(payload, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")

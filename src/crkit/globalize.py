@@ -15,6 +15,7 @@ flag recorded on catalog entries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .algebra import (
     Subspace,
@@ -25,9 +26,8 @@ from .algebra import (
     span,
     subalgebra_structure,
 )
-from .complexify import complex_span_of_real_rows
+from .complexify import j_apply
 from .errors import InputError
-from .linalg import rref
 from .report import Check, Report
 
 
@@ -35,38 +35,23 @@ from .report import Check, Report
 # fundamental group descriptors
 # ---------------------------------------------------------------------------
 
-def _prime_factors(n):
-    out = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def invariant_factors(torsion):
-    """Canonical divisor-chain form of a finite abelian torsion list."""
-    by_prime = {}
-    for t in torsion:
-        if t <= 1:
-            raise InputError("torsion orders must exceed 1")
-        for p, e in _prime_factors(t).items():
-            by_prime.setdefault(p, []).append(e)
-    slots = max((len(v) for v in by_prime.values()), default=0)
-    factors = []
-    for k in range(slots):
-        f = 1
-        for p, exps in by_prime.items():
-            exps_sorted = sorted(exps, reverse=True)
-            if k < len(exps_sorted):
-                f *= p ** exps_sorted[k]
-        factors.append(f)
-    # largest first per prime; report smallest-to-largest so each divides the next
-    return tuple(sorted(factors))
+    """Canonical divisor-chain form of a finite abelian torsion list.
+
+    Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b), so replacing each pair in
+    turn by its gcd and lcm keeps the group; after one pass over all
+    pairs every order divides the ones after it.  The 1s this leaves in
+    front are trivial summands and are dropped.  No order is factored.
+    """
+    factors = list(torsion)
+    if any(t <= 1 for t in factors):
+        raise InputError("torsion orders must exceed 1")
+    for i in range(len(factors)):
+        for j in range(i + 1, len(factors)):
+            a, b = factors[i], factors[j]
+            g = gcd(a, b)
+            factors[i], factors[j] = g, a // g * b
+    return tuple(t for t in factors if t > 1)
 
 
 @dataclass(frozen=True)
@@ -124,11 +109,14 @@ def radical_abelian_check(ambient, j_hat: Subspace) -> bool:
 
 
 def entry_j_hat(entry) -> Subspace:
-    """Complex stabilizer subalgebra of the fibration base point: hat-h + C . j."""
+    """Complex stabilizer subalgebra of the fibration base point: hat-h + C . j.
+
+    Realified, as the J-stable subspace hat-h + j + J j of the realified ambient.
+    """
     model = entry.model
-    rows = list(model.isotropy_real.rows) + list(entry.fibration.normalizer.rows)
-    complex_rows = complex_span_of_real_rows(rows)
-    return span(model.ambient, complex_rows)
+    j = entry.fibration.normalizer.rows
+    rows = list(model.isotropy_real.rows) + list(j) + [j_apply(v) for v in j]
+    return span(model.ambient_real, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +173,7 @@ def verdict(entry) -> GlobalizationVerdict:
     radical action plus the homotopy comparison decide, with a trivial
     fiber short-circuiting to the base's own projective globalization.
     """
-    radical_ok = radical_abelian_check(entry.model.ambient, entry_j_hat(entry))
+    radical_ok = radical_abelian_check(entry.model.ambient_real, entry_j_hat(entry))
     cc = "unknown"
     if entry.pi1 is not None:
         real, cplx, flag = entry.pi1

@@ -156,11 +156,6 @@ def span_rows(rows):
     return rref(rows)[0]
 
 
-def sum_spaces(*row_groups):
-    stacked = [r for g in row_groups for r in g]
-    return rref(stacked)[0]
-
-
 def left_nullspace(rows):
     """Basis of {x : x . rows = 0}, i.e. linear relations among the rows."""
     rows = [tuple(r) for r in rows]
@@ -344,22 +339,6 @@ def signature_of_symmetric(matrix):
 
 def matvec(rows, v):
     return tuple(sum((a * b for a, b in zip(row, v)), row[0] - row[0]) for row in rows)
-
-
-def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c, v):
-    return tuple(c * x for x in v)
-
-
-def zero_vec(n, zero=Fraction(0)):
-    return (zero,) * n
 
 
 def is_zero_vec(v):

@@ -15,7 +15,6 @@ QQ = "Q"
 QI = "Q_i"
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class GaussianRational:
@@ -161,14 +160,6 @@ def real_part(x):
 
 def imag_part(x):
     return x.im if isinstance(x, GaussianRational) else ZERO
-
-
-def field_zero(field):
-    return GaussianRational() if field == QI else ZERO
-
-
-def field_one(field):
-    return GaussianRational(1) if field == QI else ONE
 
 
 def to_gaussian(x):

@@ -3,7 +3,8 @@
 from fractions import Fraction
 
 from crkit.algebra import LieAlgebra
-from crkit.linalg import Solver
+from crkit.complexify import real_to_complex
+from crkit.linalg import Solver, rref
 from crkit.scalars import QQ, GaussianRational
 
 
@@ -233,3 +234,57 @@ def oracle_structure_constants(mats, size, field_is_complex):
             if row:
                 table[(a, b)] = row
     return table
+
+
+# ---------------------------------------------------------------------------
+# invariant factors by prime factorization
+# ---------------------------------------------------------------------------
+
+def _prime_factors(n):
+    out = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def factored_invariant_factors(torsion):
+    """Divisor chain of a torsion list from its primary decomposition.
+
+    Trial division, then the k-th factor is the product over primes of
+    their k-th largest exponent: a reference for small orders only.
+    """
+    by_prime = {}
+    for t in torsion:
+        for p, e in _prime_factors(t).items():
+            by_prime.setdefault(p, []).append(e)
+    slots = max((len(v) for v in by_prime.values()), default=0)
+    factors = []
+    for k in range(slots):
+        f = 1
+        for p, exps in by_prime.items():
+            exps_sorted = sorted(exps, reverse=True)
+            if k < len(exps_sorted):
+                f *= p ** exps_sorted[k]
+        factors.append(f)
+    return tuple(sorted(factors))
+
+
+# ---------------------------------------------------------------------------
+# the base stabilizer over Q(i)
+# ---------------------------------------------------------------------------
+
+def complex_j_hat_rows(entry):
+    """Complex rows of hat-h + C . j: a Q(i) rref of the realified rows read as complex.
+
+    The realified rows r = (re, im) stand for the complex vectors re + i im,
+    whose complex span is the stabilizer of the fibration base point.
+    """
+    model = entry.model
+    rows = list(model.isotropy_real.rows) + list(entry.fibration.normalizer.rows)
+    return rref([real_to_complex(v) for v in rows])[0]

@@ -12,6 +12,8 @@ from crkit.algebra import (
     validate,
 )
 from crkit.catalog import (
+    MAX_AMBIENT_DIM,
+    _FAMILIES,
     Expected,
     TaxonContext,
     TAXONOMY_TAGS,
@@ -204,6 +206,22 @@ def test_parametrized_builders_have_bounded_caches():
                build_u, build_so, build_sp_complex, build_sp, quadric_orbit,
                sp_quadric_orbit, twisted_diagonal_orbit):
         assert fn.cache_info().maxsize is not None, fn.__name__
+
+
+def test_size_cap_formulas_and_allowed_entries():
+    # the cap's dimension formulas agree with the built ambients
+    dims = {prefix: fn for prefix, _, _, fn in _FAMILIES}
+    for name, params in (("quadric", (1, 1)), ("quadric", (3, 1)),
+                         ("sp_quadric", (1, 1)), ("sp_quadric", (2, 1)),
+                         ("twisted", (1,)), ("twisted", (2,))):
+        entry = get_entry(f"{name}({','.join(map(str, params))})")
+        assert entry.model.ambient.dim == dims[name](*params)
+    # quadric(5,4) and every benchmark sweep entry stay allowed
+    allowed = [("quadric", (5, 4)), ("quadric", (4, 3)), ("quadric", (4, 2)),
+               ("sp_quadric", (2, 1)), ("twisted", (4,))]
+    for name, params in allowed:
+        assert dims[name](*params) <= MAX_AMBIENT_DIM
+        assert dims[name](*params[::-1]) <= MAX_AMBIENT_DIM
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from crkit.cli import main
 from crkit.cr import CRPair
 from crkit.errors import InputError
 from crkit.fileio import (
+    MAX_DIMENSION,
     algebra_payload,
     cr_pair_payload,
     detect_kind,
@@ -213,6 +214,17 @@ def test_analyze_orbit_file_full_pipeline(tmp_path, capsys):
     assert by_check[("fine-class", "kahler-g-solvable")]["status"] == "pass"
 
 
+def test_analyze_large_prime_torsion_order(tmp_path, capsys):
+    # torsion orders are never factored, so a large prime costs nothing
+    payload = orbit_payload(get_entry("heis_solv").model)
+    payload["pi1"] = {"real": [0, [1000000000000000003]], "complex": [0, []]}
+    path = write(tmp_path, "big_torsion.orbit", payload)
+    code = main(["analyze", path, "--set", "globalize"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "condition-c: weak-pass" in out
+
+
 def test_analyze_structured_output_deterministic(tmp_path, capsys):
     path = write(tmp_path, "heis.lie", heisenberg_payload())
     main(["analyze", path, "--format", "json"])
@@ -231,6 +243,24 @@ def test_catalog_verify_single(capsys):
 
 def test_catalog_verify_unknown_exits_2(capsys):
     assert main(["catalog", "verify", "nope(1,2)"]) == 2
+
+
+def test_algebra_dimension_cap_exits_2(tmp_path, capsys):
+    at_cap = {"dimension": MAX_DIMENSION, "field": "Q", "brackets": []}
+    assert load_algebra(at_cap).dim == MAX_DIMENSION
+    over = dict(at_cap, dimension=MAX_DIMENSION + 1)
+    path = write(tmp_path, "too_big.lie", over)
+    assert main(["analyze", path, "--set", "validate"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: dimension 129 exceeds the limit of 128")
+
+
+@pytest.mark.parametrize("name", ["quadric(5,5)", "sp_quadric(4,3)", "twisted(6)"])
+def test_catalog_parameter_cap_exits_2(capsys, name):
+    assert main(["catalog", "verify", name]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name} is too large")
+    assert "exceeds the limit of 80" in err
 
 
 def test_catalog_show_p2r(capsys):

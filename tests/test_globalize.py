@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from crkit.algebra import LieAlgebra, direct_sum, full_space, span
+from crkit.algebra import LieAlgebra, direct_sum, full_space, heisenberg, radical, sl2, span
 from crkit.catalog import (
     build_sl_complex,
     catalog_entries,
@@ -11,6 +13,7 @@ from crkit.catalog import (
     quadric_orbit,
     sp_quadric_orbit,
 )
+from crkit.complexify import complex_rows_realified, j_apply, realify
 from crkit.errors import InputError
 from crkit.globalize import (
     GLOBALIZABLE,
@@ -26,6 +29,8 @@ from crkit.globalize import (
     verdict,
 )
 from crkit.scalars import QI, GaussianRational
+
+from .support import complex_j_hat_rows, factored_invariant_factors
 
 F = Fraction
 G = GaussianRational
@@ -43,6 +48,18 @@ def test_invariant_factors_canonical():
     chain = invariant_factors((8, 12, 10, 9))
     for a, b in zip(chain, chain[1:]):
         assert b % a == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(2, 10**4), max_size=6))
+def test_invariant_factors_match_factored_oracle(torsion):
+    assert invariant_factors(torsion) == factored_invariant_factors(torsion)
+
+
+def test_invariant_factors_need_no_factoring():
+    big = 1000000000000000003  # prime
+    assert invariant_factors((big,)) == (big,)
+    assert invariant_factors((big * 4, 6)) == (2, big * 12)
 
 
 def test_descriptor_validation():
@@ -85,6 +102,32 @@ def test_radical_abelian_check_failure():
     assert not radical_abelian_check(ambient, j)
     j_full = full_space(ambient)
     assert radical_abelian_check(ambient, j_full)
+
+
+@pytest.mark.parametrize(
+    "complex_algebra",
+    [
+        sl2(QI),
+        direct_sum(solvable2_complex(), build_sl_complex(2)),
+        direct_sum(heisenberg(QI), sl2(QI)),
+    ],
+    ids=["sl2", "solvable2+sl2", "heisenberg+sl2"],
+)
+def test_radical_of_realification_is_realified_radical(complex_algebra):
+    real = realify(complex_algebra)
+    realified = complex_rows_realified(radical(complex_algebra).rows)
+    assert radical(real) == span(real, realified)
+
+
+def test_entry_j_hat_matches_complex_construction():
+    for e in catalog_entries():
+        amb, amb_real = e.model.ambient, e.model.ambient_real
+        reference = complex_j_hat_rows(e)
+        assert entry_j_hat(e) == span(amb_real, complex_rows_realified(reference))
+        # the verdict's radical test agrees with the one run over Q(i)
+        assert radical_abelian_check(amb, span(amb, reference)) == radical_abelian_check(
+            amb_real, entry_j_hat(e)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +260,11 @@ def test_entry_j_hat_is_complex_subalgebra():
     for name in ("quadric(2,1)", "sl2_uz", "heis_solv"):
         e = get_entry(name)
         j = entry_j_hat(e)
-        # closed under the ambient bracket
+        # a J-stable real subalgebra of the realification is a complex subalgebra
+        assert j.parent == e.model.ambient_real
+        for v in j.rows:
+            assert j.contains(j_apply(v))
         for a in range(j.dim):
             for b in range(a + 1, j.dim):
-                v = e.model.ambient.bracket(j.rows[a], j.rows[b])
+                v = e.model.ambient_real.bracket(j.rows[a], j.rows[b])
                 assert j.contains(v)

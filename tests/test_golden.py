@@ -23,6 +23,8 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 CASES = {
     "verify_all_json": ["catalog", "verify", "all", "--format", "json"],
+    "list_json": ["catalog", "list", "--format", "json"],
+    "show_quadric_2_1_json": ["catalog", "show", "quadric(2,1)", "--format", "json"],
     "show_quadric_2_1": ["catalog", "show", "quadric(2,1)"],
     "show_heis_solv": ["catalog", "show", "heis_solv"],
     "show_c2_torus": ["catalog", "show", "c2_torus"],
@@ -34,6 +36,7 @@ CASES = {
         "analyze", "heis_solv_orbit.json", "--format", "json", "--explain",
         "--disconnected-isotropy",
     ],
+    "analyze_quadric_orbit": ["analyze", "quadric_2_1_orbit.json", "--format", "json"],
     "analyze_jacobi_failure": ["analyze", "jacobi_failure.json", "--set", "validate"],
     "analyze_pair_bad_square": ["analyze", "heisenberg_pair_bad_square.json"],
 }
