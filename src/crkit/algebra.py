@@ -4,6 +4,12 @@ An algebra is a sparse rank-3 tensor: brackets[(i, j)][k] holds the
 coefficient of e_k in [e_i, e_j] for i < j; antisymmetry supplies the
 rest.  Derived objects (series, radical, normalizers, quotients) all come
 back as canonical echelon subspaces so results compare syntactically.
+
+A complex (Q_i) algebra only stores its constants, GaussianRational where
+a file gave a nonreal one: realify splits them into a real algebra of
+twice the dimension, and validate, the CLI's structure analysis and the
+orbit models work on that realification over Q.  The generic routines
+here still accept a complex algebra directly.
 """
 
 from __future__ import annotations
@@ -17,7 +23,6 @@ from .linalg import (
     coefficients_in_span,
     in_span,
     intersect_spaces,
-    is_zero_vec,
     left_nullspace,
     matvec,
     rank,
@@ -28,7 +33,7 @@ from .linalg import (
     sparse_echelon,
 )
 from .report import Check, Report, witness_check
-from .scalars import QI, QQ, compact, is_zero
+from .scalars import QI, QQ, compact, imag_part, real_part
 
 
 class LieAlgebra:
@@ -50,14 +55,14 @@ class LieAlgebra:
         for (i, j), row in brackets.items():
             if not (0 <= i < j < dim):
                 raise InputError(f"bracket key ({i}, {j}) must satisfy 0 <= i < j < dim")
-            cleaned = {k: compact(v) for k, v in row.items() if not is_zero(v)}
+            cleaned = {k: compact(v) for k, v in row.items() if v}
             for k in cleaned:
                 if not 0 <= k < dim:
                     raise InputError(f"bracket target index {k} out of range")
             if cleaned:
                 table[(i, j)] = cleaned
         self.brackets = table
-        # plain ints are exact, fast and mix with Fraction and GaussianRational
+        # plain ints are exact, fast and mix with any exact scalar
         self.zero = 0
         self.one = 1
 
@@ -224,23 +229,81 @@ def _same_parent(a, b):
 
 
 # ---------------------------------------------------------------------------
+# realification
+# ---------------------------------------------------------------------------
+
+def realify(L: LieAlgebra) -> LieAlgebra:
+    """Realification of a complex algebra on the basis (e_1..e_N, i e_1..i e_N).
+
+    The rational real and imaginary parts of the constants are the only
+    thing read from Q(i).  Kept on L once built, so it lives exactly as
+    long as L does.
+    """
+    if L.field != QI:
+        raise InputError("realify expects a complex (Q_i) algebra")
+    cached = getattr(L, "_realified", None)
+    if cached is not None:
+        return cached
+    n = L.dim
+    brackets = {}
+
+    def put(i, j, row):
+        if i == j:
+            return
+        if i > j:
+            i, j = j, i
+            row = {k: -v for k, v in row.items()}
+        if row:
+            merged = brackets.setdefault((i, j), {})
+            merged.update(row)
+
+    for (a, b), row in L.brackets.items():
+        re_row, im_row = {}, {}
+        for k, c in row.items():
+            re, im = real_part(c), imag_part(c)
+            if re:
+                re_row[k] = re
+                im_row[n + k] = re
+            if im:
+                re_row[n + k] = im
+                im_row[k] = -im
+        # [e_a, e_b]
+        put(a, b, dict(re_row))
+        # [f_a, f_b] = -[e_a, e_b]
+        put(n + a, n + b, {k: -v for k, v in re_row.items()})
+        # [e_a, f_b] = i [e_a, e_b] and [e_b, f_a] = -i [e_a, e_b]
+        put(a, n + b, dict(im_row))
+        put(b, n + a, {k: -v for k, v in im_row.items()})
+    names = list(L.names) + [f"i*{x}" for x in L.names]
+    out = LieAlgebra(2 * n, QQ, names, brackets)
+    L._realified = out
+    return out
+
+
+# ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
 
 def validate(L):
     """Check antisymmetry and the Jacobi identity on all i < j < k triples.
 
+    A complex algebra is checked on its realification, on the triples of
+    its first L.dim basis vectors: those are its complex basis, and the
+    realification is the same algebra over Q, so every triple holds or
+    fails as it does over Q(i) and the first witness is the same.
+
     The stored i < j table is antisymmetric by construction, so the
     antisymmetry row always passes here; only validate_tensor, which reads
     fully explicit c[i][j][k] data, can report an antisymmetry witness.
     """
+    R = realify(L) if L.field == QI else L
     witness = next(
         (
             (i, j, k)
             for i in range(L.dim)
             for j in range(i + 1, L.dim)
             for k in range(j + 1, L.dim)
-            if not _jacobi_holds(L, i, j, k)
+            if not _jacobi_holds(R, i, j, k)
         ),
         None,
     )
@@ -254,7 +317,7 @@ def _jacobi_holds(L, i, j, k):
         for l, coeff in L.basis_bracket(a, b).items():
             for m, d in L.basis_bracket(l, c).items():
                 acc[m] = acc.get(m, L.zero) + coeff * d
-    return all(is_zero(v) for v in acc.values())
+    return not any(acc.values())
 
 
 def validate_tensor(dim, field, tensor):
@@ -274,7 +337,7 @@ def validate_tensor(dim, field, tensor):
     brackets = {}
     for i in range(dim):
         for j in range(i + 1, dim):
-            row = {k: tensor[i][j][k] for k in range(dim) if not is_zero(tensor[i][j][k])}
+            row = {k: tensor[i][j][k] for k in range(dim) if tensor[i][j][k]}
             if row:
                 brackets[(i, j)] = row
     return validate(LieAlgebra(dim, field, [f"e{t}" for t in range(dim)], brackets))
@@ -290,7 +353,7 @@ def product_space(L, a, b):
     for x in a.rows:
         for y in b.rows:
             v = L.bracket(x, y)
-            if not is_zero_vec(v):
+            if any(v):
                 vecs.append(v)
     return Subspace.from_rows(L, vecs)
 
@@ -340,11 +403,11 @@ def is_abelian(L):
 
 @dataclass(frozen=True)
 class BilinearForm:
-    """A bilinear (or sesquilinear) form on an algebra, stored densely."""
+    """A bilinear form on an algebra, stored densely."""
 
     parent: LieAlgebra
     matrix: tuple
-    symmetry: str  # symmetric | antisymmetric | hermitian
+    symmetry: str  # symmetric | antisymmetric
 
     def __post_init__(self):
         n = self.parent.dim
@@ -357,22 +420,6 @@ class BilinearForm:
                     raise InputError(f"form not symmetric at ({i}, {j})")
                 if self.symmetry == "antisymmetric" and a != -b:
                     raise InputError(f"form not antisymmetric at ({i}, {j})")
-                if self.symmetry == "hermitian":
-                    from .scalars import conj
-
-                    if a != conj(b):
-                        raise InputError(f"form not hermitian at ({i}, {j})")
-
-    def evaluate(self, x, y):
-        acc = self.parent.zero
-        for i, xi in enumerate(x):
-            if is_zero(xi):
-                continue
-            row = self.matrix[i]
-            for j, yj in enumerate(y):
-                if not is_zero(yj):
-                    acc = acc + xi * row[j] * yj
-        return acc
 
 
 def killing_form(L):
@@ -480,7 +527,7 @@ def subalgebra_structure(L, s, names=None):
             coeffs = solver.solve(v)
             if coeffs is None:
                 raise StructureError("subspace is not closed under the bracket")
-            row = {k: c for k, c in enumerate(coeffs) if not is_zero(c)}
+            row = {k: c for k, c in enumerate(coeffs) if c}
             if row:
                 brackets[(a, b)] = row
     if names is None:
@@ -510,7 +557,7 @@ def quotient_algebra(L, ideal, names=None):
         for b in range(a + 1, k):
             v = L.bracket(L.basis_vector(comp[a]), L.basis_vector(comp[b]))
             red = project(v)
-            row = {t: c for t, c in enumerate(red) if not is_zero(c)}
+            row = {t: c for t, c in enumerate(red) if c}
             if row:
                 brackets[(a, b)] = row
     if names is None:

@@ -4,14 +4,15 @@ Builders produce structure constants over Q or Q(i) from sparse matrix
 models with coordinate read-off (no generic solving in construction).
 The matrix models are sparse with Gaussian-integer entries held as
 (re, im) pairs of Python ints, so commutators and read-offs run in
-integer arithmetic; Q(i) appears only in the stored constants, and a
-GaussianRational only for a constant whose imaginary part is nonzero.
-Each read-off returns {coordinate: value} in ascending coordinate order
-and keeps its exactness check (an imaginary anti-hermitian diagonal, real
-so coordinates, rational sl constants).  Each catalog entry packages an
-orbit model with the invariants the classification asserts for it;
-verify_entry recomputes everything derivable and diffs it against that
-record.
+integer arithmetic.  Every constant and isotropy entry the catalog
+produces is real, even for a complex algebra, and is stored as an int:
+no catalog value is a GaussianRational.  Each read-off returns
+{coordinate: value} in ascending coordinate order and keeps its
+exactness check (an imaginary anti-hermitian diagonal, real so
+coordinates, real constants and line stabilizers of complex algebras).
+Each catalog entry packages an orbit model with the invariants the
+classification asserts for it; verify_entry recomputes everything
+derivable and diffs it against that record.
 """
 
 from __future__ import annotations
@@ -43,10 +44,9 @@ from .cr import check_cr_pair, cr_type, levi_form, levi_signature
 from .errors import InputError, InternalError
 from .linalg import left_nullspace, rref
 from .report import Check, Report
-from .scalars import QI, QQ, GaussianRational, imag_part, real_part
+from .scalars import QI, QQ
 
 F = Fraction
-G = GaussianRational
 _CACHE_SIZE = 16  # per parametrized builder; names reach them from user input
 
 
@@ -54,9 +54,12 @@ _CACHE_SIZE = 16  # per parametrized builder; names reach them from user input
 # sparse Gaussian-integer matrices: {(row, col): (re, im)} with int parts
 # ---------------------------------------------------------------------------
 
-def _scalar(re, im):
-    """A Gaussian integer as a stored scalar: boxed only if it is not real."""
-    return G(re, im) if im else re
+def _real(value):
+    """The real part of a Gaussian-integer pair whose imaginary part must vanish."""
+    re, im = value
+    if im:
+        raise InternalError("complex catalog data must be real")
+    return re
 
 
 def _ascending(coords):
@@ -113,7 +116,8 @@ def mat_apply(mat, vec):
 def _algebra_from_matrices(mats, coords, names, field):
     """Structure constants from basis matrices plus a sparse coordinate read-off.
 
-    Over Q(i) the read-off gives Gaussian-integer pairs, over Q integers.
+    Over Q(i) the read-off gives Gaussian-integer pairs, whose imaginary
+    parts must vanish; over Q integers.
     """
     dim = len(mats)
     brackets = {}
@@ -122,7 +126,7 @@ def _algebra_from_matrices(mats, coords, names, field):
             row = coords(mat_commutator(mats[a], mats[b]))
             if row:
                 if field == QI:
-                    row = {k: _scalar(*v) for k, v in row.items()}
+                    row = {k: _real(v) for k, v in row.items()}
                 brackets[(a, b)] = row
     return LieAlgebra(dim, field, names, brackets)
 
@@ -192,15 +196,7 @@ def build_sl_complex(n):
 def build_sl_real(n):
     """sl(n, R): same structure constants over Q."""
     c = build_sl_complex(n)
-    brackets = {}
-    for key, row in c.brackets.items():
-        out = {}
-        for k, v in row.items():
-            if imag_part(v) != 0:
-                raise InternalError("sl structure constants must be rational")
-            out[k] = real_part(v)
-        brackets[key] = out
-    return LieAlgebra(c.dim, QQ, c.names, brackets)
+    return LieAlgebra(c.dim, QQ, c.names, c.brackets)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -450,10 +446,13 @@ def _unit_pairs(n, *indices):
 
 
 def line_stabilizer_rows(basis_mats, v):
-    """Complex rows (in algebra coordinates) of {xi : xi . v in C v}; v holds (re, im) pairs."""
+    """Complex rows (in algebra coordinates) of {xi : xi . v in C v}; v holds (re, im) pairs.
+
+    The matrices and v must be real, so the rows are rational.
+    """
     dim = len(basis_mats)
-    rows = [tuple(_scalar(*x) for x in mat_apply(m, v)) for m in basis_mats]
-    rows.append(tuple(_scalar(-re, -im) for re, im in v))
+    rows = [tuple(_real(x) for x in mat_apply(m, v)) for m in basis_mats]
+    rows.append(tuple(-_real(x) for x in v))
     relations = left_nullspace(rows)
     sol = [rel[:dim] for rel in relations]
     return rref(sol)[0]

@@ -24,14 +24,15 @@ from .algebra import (
     killing_signature,
     lower_central_series,
     radical,
+    realify,
     validate,
 )
 from .catalog import ROSTER, CatalogEntry, Expected, get_entry, verify_entry
 from .cr import check_cr_pair, cr_type, levi_form, levi_signature
 from .errors import InputError, InternalError, StructureError
-from .fileio import SCHEMA, load_file, load_pi1, orbit_payload
+from .fileio import SCHEMA, load_file, load_flag, load_pi1, orbit_payload
 from .globalize import fine_classification_checks, verdict
-from .scalars import QQ
+from .scalars import QI, QQ
 
 ANALYSES = (
     "validate",
@@ -139,15 +140,18 @@ class Reporter:
 # ---------------------------------------------------------------------------
 
 def _structure_records(rep, target, L, label):
+    # a complex algebra is analysed on its realification, where the series
+    # terms and the radical are the realified ones, of twice the dimension
+    R, scale = (realify(L), 2) if L.field == QI else (L, 1)
     rows = [
         ("dimension", L.dim),
         ("field", L.field),
-        ("abelian", is_abelian(L)),
-        ("solvable", is_solvable(L)),
-        ("nilpotent", is_nilpotent(L)),
-        ("derived-series-dims", [s.dim for s in derived_series(L)]),
-        ("lower-central-dims", [s.dim for s in lower_central_series(L)]),
-        ("radical-dim", radical(L).dim),
+        ("abelian", is_abelian(R)),
+        ("solvable", is_solvable(R)),
+        ("nilpotent", is_nilpotent(R)),
+        ("derived-series-dims", [s.dim // scale for s in derived_series(R)]),
+        ("lower-central-dims", [s.dim // scale for s in lower_central_series(R)]),
+        ("radical-dim", radical(R).dim // scale),
     ]
     if L.field == QQ:
         rows.append(("killing-signature", list(killing_signature(L))))
@@ -212,7 +216,7 @@ def _entry_from_payload(model, payload):
         model=model,
         expected=Expected(),
         pi1=load_pi1(payload.get("pi1")),
-        kahler=bool(payload.get("kahler", False)),
+        kahler=load_flag(payload, "kahler"),
     )
 
 

@@ -4,19 +4,21 @@ An orbit model packages a complex ambient algebra, a real subalgebra of
 its realification and a complex isotropy subalgebra: the infinitesimal
 data of a real-group orbit inside a complex homogeneous space.  All of
 the derived geometry here (maximal complex ideal, CR-normalizer,
-anticanonical fibration, globalization preconditions) reduces to exact
-subspace computations over Q in the realified ambient, where a complex
-subspace is a J-stable real one.  Q(i) appears only where complex data
-enters or leaves: the ambient's structure constants and the canonical
-complex isotropy rows (as files and the catalog supply them and
-orbit_payload writes them), and the transports product_model and
-apply_complex_matrix_to_model.
+anticanonical fibration, globalization preconditions) and the
+transports product_model and apply_complex_matrix_to_model reduce to
+exact computations over Q in the realified ambient, where a complex
+subspace is a J-stable real one and a complex matrix acts as
+[[Re, -Im], [Im, Re]].  Q(i) values are only read at the input edge
+(complex_rows_realified splits isotropy rows into real and imaginary
+parts, realify does the same for constants) and made at the output edge
+(canonical_complex_rows, for the isotropy rows orbit_payload writes).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .algebra import (
     LieAlgebra,
@@ -27,6 +29,7 @@ from .algebra import (
     is_subalgebra,
     quotient_algebra,
     radical,
+    realify,
     span,
     subalgebra_structure,
 )
@@ -36,11 +39,12 @@ from .linalg import (
     Solver,
     combine_rows,
     independent_rows,
+    matvec,
     rref,
     solve_condition_coefficients,
 )
 from .report import Check, Report
-from .scalars import QI, QQ, GaussianRational, compact, is_zero, to_gaussian
+from .scalars import QI, QQ, GaussianRational, compact, imag_part, real_part
 
 F = Fraction
 
@@ -50,60 +54,10 @@ F = Fraction
 # ---------------------------------------------------------------------------
 
 def complexify_algebra(L: LieAlgebra) -> LieAlgebra:
-    """Scalar extension Q -> Q(i) with the same structure constants."""
+    """Scalar extension Q -> Q(i) with the same (rational) structure constants."""
     if L.field != QQ:
         raise InputError("complexify_algebra expects a real (Q) algebra")
-    brackets = {
-        key: {k: to_gaussian(v) for k, v in row.items()}
-        for key, row in L.brackets.items()
-    }
-    return LieAlgebra(L.dim, QI, L.names, brackets)
-
-
-def realify(L: LieAlgebra) -> LieAlgebra:
-    """Realification of a complex algebra on the basis (e_1..e_N, i e_1..i e_N).
-
-    Kept on L once built, so it lives exactly as long as L does.
-    """
-    if L.field != QI:
-        raise InputError("realify expects a complex (Q_i) algebra")
-    cached = getattr(L, "_realified", None)
-    if cached is not None:
-        return cached
-    n = L.dim
-    brackets = {}
-
-    def put(i, j, row):
-        if i == j:
-            return
-        if i > j:
-            i, j = j, i
-            row = {k: -v for k, v in row.items()}
-        if row:
-            merged = brackets.setdefault((i, j), {})
-            merged.update(row)
-
-    for (a, b), row in L.brackets.items():
-        re_row, im_row = {}, {}
-        for k, c in row.items():
-            g = to_gaussian(c)
-            if g.re:
-                re_row[k] = g.re
-                im_row[n + k] = g.re
-            if g.im:
-                re_row[n + k] = g.im
-                im_row[k] = -g.im
-        # [e_a, e_b]
-        put(a, b, dict(re_row))
-        # [f_a, f_b] = -[e_a, e_b]
-        put(n + a, n + b, {k: -v for k, v in re_row.items()})
-        # [e_a, f_b] = i [e_a, e_b] and [e_b, f_a] = -i [e_a, e_b]
-        put(a, n + b, dict(im_row))
-        put(b, n + a, {k: -v for k, v in im_row.items()})
-    names = list(L.names) + [f"i*{x}" for x in L.names]
-    out = LieAlgebra(2 * n, QQ, names, brackets)
-    L._realified = out
-    return out
+    return LieAlgebra(L.dim, QI, L.names, L.brackets)
 
 
 def j_apply(v):
@@ -112,25 +66,35 @@ def j_apply(v):
     return tuple(-v[n + k] for k in range(n)) + tuple(v[k] for k in range(n))
 
 
-def real_to_complex(v):
-    n = len(v) // 2
-    return tuple(GaussianRational(v[k], v[n + k]) for k in range(n))
-
-
 def complex_to_real(z):
-    re = tuple(to_gaussian(c).re for c in z)
-    im = tuple(to_gaussian(c).im for c in z)
-    return re + im
+    """Realified coordinates (real parts, then imaginary parts) of a complex vector."""
+    return tuple(real_part(c) for c in z) + tuple(imag_part(c) for c in z)
 
 
 def complex_rows_realified(rows):
     """Realified spanning rows of a complex row space: v and iv per row."""
-    out = []
-    for z in rows:
-        v = complex_to_real(z)
-        out.append(v)
-        out.append(j_apply(v))
-    return out
+    real = [complex_to_real(z) for z in rows]
+    return [w for v in real for w in (v, j_apply(v))]
+
+
+def canonical_complex_rows(sub: Subspace):
+    """The reduced echelon rows over Q(i) of a J-stable realified subspace.
+
+    With the columns interleaved as (re_0, im_0, re_1, im_1, ...), the
+    rational echelon form of the realified span consists of the complex
+    echelon rows w (pivot 2p where w has its pivot p) and the rows i w
+    (pivot 2p + 1), so one elimination over Q yields the complex rows.
+    Values with a nonzero imaginary part come back as GaussianRational,
+    for output only.
+    """
+    n = sub.parent.dim // 2
+    order = [k + half * n for k in range(n) for half in (0, 1)]
+    rows, pivots = rref([tuple(v[c] for c in order) for v in sub.rows])
+    return tuple(
+        tuple(GaussianRational(re, im) if im else re for re, im in zip(w[::2], w[1::2]))
+        for w, p in zip(rows, pivots)
+        if p % 2 == 0
+    )
 
 
 @dataclass(frozen=True)
@@ -158,8 +122,9 @@ class OrbitModel:
     ambient_real   its realification, where all derived geometry lives
     real_rows      basis of the real subalgebra in realified coordinates,
                    aligned with real_algebra's basis when one is supplied
-    isotropy_rows  complex basis of the isotropy subalgebra (canonical),
-                   kept for output; isotropy_real is its realified span
+    isotropy_real  realified span of the complex isotropy rows given
+    isotropy_rows  their canonical complex basis, derived from
+                   isotropy_real on first use (orbit_payload writes it)
 
     Derived on construction, as subspaces of ambient_real over Q:
     h = g ∩ ĥ, the maximal complex ideal m = g ∩ Jg (verified to be a
@@ -186,10 +151,7 @@ class OrbitModel:
         if self.real_sub.dim != len(real_rows):
             raise InputError("real basis rows are linearly dependent")
 
-        self.isotropy_rows = rref(isotropy_rows)[0]
-        self.isotropy_real = span(
-            self.ambient_real, complex_rows_realified(self.isotropy_rows)
-        )
+        self.isotropy_real = span(self.ambient_real, complex_rows_realified(isotropy_rows))
         if not is_subalgebra(self.ambient_real, self.isotropy_real):
             raise StructureError("isotropy rows are not a complex subalgebra")
         if not is_subalgebra(self.ambient_real, self.real_sub):
@@ -212,10 +174,7 @@ class OrbitModel:
 
         self.h = intersect(self.real_sub, self.isotropy_real)
         self.m = self._maximal_complex_ideal(jg)
-        self.codim = (
-            2 * (self.ambient.dim - len(self.isotropy_rows))
-            - (self.real_sub.dim - self.h.dim)
-        )
+        self.codim = (n2 - self.isotropy_real.dim) - (self.real_sub.dim - self.h.dim)
         if self.codim < 0:
             raise InternalError("negative codimension from orbit data")
         self.caveats = (
@@ -235,7 +194,7 @@ class OrbitModel:
                 coeffs = solver.solve(v)
                 if coeffs is None:
                     raise InternalError("aligned rows do not close under the bracket")
-                expect = {k: c for k, c in enumerate(coeffs) if not is_zero(c)}
+                expect = {k: c for k, c in enumerate(coeffs) if c}
                 if expect != real_algebra.basis_bracket(i, j):
                     raise InternalError("real_algebra is not aligned with its rows")
 
@@ -250,6 +209,10 @@ class OrbitModel:
                     raise InternalError("g ∩ Jg is not an ideal of g")
         return m
 
+    @cached_property
+    def isotropy_rows(self):
+        return canonical_complex_rows(self.isotropy_real)
+
     # -- conversions --------------------------------------------------------
 
     def to_algebra_coords(self, ambient_vector):
@@ -261,15 +224,6 @@ class OrbitModel:
     def subspace_in_algebra_coords(self, sub: Subspace):
         rows = [self.to_algebra_coords(v) for v in sub.rows]
         return span(self.real_algebra, rows)
-
-    def algebra_to_ambient(self, coeffs):
-        v = [F(0)] * self.ambient_real.dim
-        for c, row in zip(coeffs, self.real_rows):
-            if not is_zero(c):
-                for t, x in enumerate(row):
-                    if not is_zero(x):
-                        v[t] += c * x
-        return tuple(v)
 
 
 def max_complex_ideal(model: OrbitModel) -> Subspace:
@@ -400,10 +354,7 @@ def fiber_globalization_check(model: OrbitModel) -> Report:
 
     r_from_ambient = intersect(r_hat, model.real_sub)
     r_abstract = radical(model.real_algebra)
-    r_mapped = span(
-        model.ambient_real,
-        [model.algebra_to_ambient(c) for c in r_abstract.rows],
-    )
+    r_mapped = span(model.ambient_real, combine_rows(r_abstract.rows, model.real_rows))
     checks.append(
         Check(
             "radical-alignment",
@@ -445,14 +396,6 @@ def induced_cr_pair(model: OrbitModel) -> CRPair:
     h_sub = model.subspace_in_algebra_coords(model.h)
 
     solver = Solver(_extended_real_basis(model))
-    ng = len(model.real_rows)
-
-    def j_image(coeffs_in_g):
-        v = model.algebra_to_ambient(coeffs_in_g)
-        sol = solver.solve(j_apply(v))
-        if sol is None:
-            raise InternalError("J image escaped g + isotropy on R")
-        return sol[:ng]
 
     n = g.dim
     jmat = [[F(0)] * n for _ in range(n)]
@@ -460,9 +403,12 @@ def induced_cr_pair(model: OrbitModel) -> CRPair:
         e = g.basis_vector(a)
         residual_e = r_sub.reduce(e)
         proj = tuple(p - q for p, q in zip(e, residual_e))
-        if all(is_zero(x) for x in proj):
+        if not any(proj):
             continue
-        img = j_image(proj)
+        (v,) = combine_rows([proj], model.real_rows)
+        img = solver.solve(j_apply(v))
+        if img is None:
+            raise InternalError("J image escaped g + isotropy on R")
         for k in range(n):
             jmat[k][a] = img[k]
     return CRPair(g, h_sub, r_sub, tuple(tuple(r) for r in jmat))
@@ -490,10 +436,9 @@ def product_model(a: OrbitModel, b: OrbitModel, name="") -> OrbitModel:
     na, nb = a.ambient.dim, b.ambient.dim
     real_rows = [_pad_real_row(r, na, nb, "left") for r in a.real_rows]
     real_rows += [_pad_real_row(r, na, nb, "right") for r in b.real_rows]
-    zero_b = (GaussianRational(0),) * nb
-    zero_a = (GaussianRational(0),) * na
-    iso = [tuple(z) + zero_b for z in a.isotropy_rows]
-    iso += [zero_a + tuple(z) for z in b.isotropy_rows]
+    iso = [_pad_real_row(r, na, nb, "left") for r in a.isotropy_real.rows]
+    iso += [_pad_real_row(r, na, nb, "right") for r in b.isotropy_real.rows]
+    iso = canonical_complex_rows(span(realify(ambient), iso))
     real_algebra = direct_sum(a.real_algebra, b.real_algebra)
     return OrbitModel(ambient, real_rows, iso, real_algebra=real_algebra, name=name)
 
@@ -511,7 +456,7 @@ def nilpotent_automorphism(L: LieAlgebra, x):
         k += 1
         factorial *= k
         term = [list(L.bracket(x, tuple(col))) for col in term]
-        if all(all(is_zero(c) for c in col) for col in term):
+        if not any(any(col) for col in term):
             break
         if k > n:
             raise InputError("exp(ad x) requires an ad-nilpotent element")
@@ -523,23 +468,19 @@ def nilpotent_automorphism(L: LieAlgebra, x):
 
 
 def apply_complex_matrix_to_model(model: OrbitModel, matrix, name="") -> OrbitModel:
-    """Transport an orbit model by a complex-linear ambient automorphism."""
-    n = model.ambient.dim
+    """Transport an orbit model by a complex-linear ambient automorphism.
 
-    def act_complex(z):
-        return tuple(
-            sum((matrix[i][j] * z[j] for j in range(n)), GaussianRational(0))
-            for i in range(n)
-        )
-
-    iso = [act_complex(z) for z in model.isotropy_rows]
-    real_rows = [
-        complex_to_real(act_complex(real_to_complex(v))) for v in model.real_rows
-    ]
+    The matrix acts on realified rows as [[Re, -Im], [Im, Re]], over Q.
+    """
+    re = [[real_part(x) for x in row] for row in matrix]
+    im = [[imag_part(x) for x in row] for row in matrix]
+    act = [a + [-x for x in b] for a, b in zip(re, im)] + [b + a for a, b in zip(re, im)]
+    real_rows = [matvec(act, v) for v in model.real_rows]
+    iso = span(model.ambient_real, [matvec(act, v) for v in model.isotropy_real.rows])
     return OrbitModel(
         model.ambient,
         real_rows,
-        iso,
+        canonical_complex_rows(iso),
         real_algebra=model.real_algebra,
         name=name or model.name,
     )

@@ -20,7 +20,7 @@ from .algebra import LieAlgebra, Subspace, span
 from .errors import InputError, InternalError, StructureError
 from .linalg import combine_rows, left_nullspace, rref, signature_of_symmetric
 from .report import Check, Report, witness_check
-from .scalars import QQ, is_zero
+from .scalars import QQ
 
 
 def apply_endo(matrix, v):
@@ -63,7 +63,7 @@ class CRPair:
         reduced = []
         for v in self.r.rows:
             w = self.h.reduce(v)
-            if any(not is_zero(x) for x in w):
+            if any(w):
                 reduced.append(w)
         rows, _ = rref(reduced)
         return rows
@@ -328,7 +328,7 @@ def levi_signature(pair: CRPair, codirection=None, *, report=None) -> SignatureR
         codirection = tuple(int(c == 0) for c in range(k))
     if len(codirection) != k:
         raise InputError(f"codirection must have length {k}")
-    if all(is_zero(x) for x in codirection):
+    if not any(codirection):
         raise InputError("codirection must be nonzero")
     m = len(report.complement_rows)
     s = [[Fraction(0)] * m for _ in range(m)]

@@ -10,12 +10,17 @@ Three payload kinds, detected by their fields:
               J (dense rational matrix)
   orbit       ambient (an algebra payload over Q_i), real_basis (rational
               rows in realified coordinates), isotropy_hat_basis (rows
-              over Q_i), optional kahler tag and pi1 data
+              over Q_i), optional kahler flag and pi1 data
               ({"real": [rank, [torsion...]], "complex": [...],
-              "surjective": bool})
+              "surjective": flag}, at most MAX_TORSION orders per list);
+              a flag is JSON true or false, nothing else
 
 Scalars are exact strings "num/den"; Q(i) scalars are ["re", "im"] pairs
-of such strings (a bare string means a real value).
+of such strings (a bare string means a real value).  These are the
+edges where Q(i) values exist: parse_scalar turns a nonreal scalar into a
+GaussianRational, which its algebra stores until realify splits it into
+rational parts, and orbit_payload formats the complex isotropy rows that
+canonical_complex_rows reads off the realified isotropy.
 """
 
 from __future__ import annotations
@@ -34,6 +39,10 @@ SCHEMA = "crkit/1"
 # Jacobi identity on every triple, about a second at this size
 MAX_DIMENSION = 128
 
+# longest pi1 torsion list accepted from a file: the invariant factors
+# take time quadratic in its length
+MAX_TORSION = 256
+
 
 def _require(payload, key, kind):
     if key not in payload:
@@ -44,6 +53,14 @@ def _require(payload, key, kind):
 def _is_int(x):
     # JSON true/false load as bools, which Python counts as ints
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def load_flag(payload, key):
+    """An optional boolean field, false when absent; only JSON true and false are accepted."""
+    value = payload.get(key, False)
+    if not isinstance(value, bool):
+        raise InputError(f"{key} must be true or false, got {value!r}")
+    return value
 
 
 def _list(value, what):
@@ -178,12 +195,16 @@ def load_pi1(raw):
     try:
         real = (raw["real"][0], tuple(raw["real"][1]))
         cplx = (raw["complex"][0], tuple(raw["complex"][1]))
-        surjective = bool(raw.get("surjective", False))
     except (KeyError, TypeError, IndexError) as exc:
         raise InputError(f"bad pi1 data: {raw!r}") from exc
     for rank, torsion in (real, cplx):
         if not (_is_int(rank) and all(_is_int(t) for t in torsion)):
             raise InputError(f"pi1 ranks and torsion orders must be integers: {raw!r}")
+        if len(torsion) > MAX_TORSION:
+            raise InputError(
+                f"pi1 torsion list of length {len(torsion)} exceeds the limit of {MAX_TORSION}"
+            )
+    surjective = load_flag(raw, "surjective")
     return real, cplx, surjective
 
 

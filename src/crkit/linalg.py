@@ -1,4 +1,8 @@
-"""Exact linear algebra over Q and Q(i).
+"""Exact linear algebra over Q.
+
+The library calls these routines on rational data only: a complex
+subspace is handled as its J-stable realification.  They use nothing but
+field operations, so entries of another exact field still work.
 
 At the interface, vectors are tuples of scalars and matrices are tuples
 of row tuples; results come back dense, with entries compacted (integral
@@ -20,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InputError
-from .scalars import compact, exact_div, is_zero
+from .scalars import compact, exact_div
 
 
 def _sparse(row):
@@ -338,8 +342,5 @@ def signature_of_symmetric(matrix):
 
 
 def matvec(rows, v):
-    return tuple(sum((a * b for a, b in zip(row, v)), row[0] - row[0]) for row in rows)
-
-
-def is_zero_vec(v):
-    return all(is_zero(x) for x in v)
+    # zero terms are skipped: the Killing rows and derived rows of radical are sparse
+    return tuple(sum((a * b for a, b in zip(row, v) if a and b), row[0] - row[0]) for row in rows)

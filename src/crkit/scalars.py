@@ -1,8 +1,16 @@
-"""Exact scalar arithmetic: rationals and Gaussian rationals.
+"""Exact scalars: rationals inside, Gaussian rationals only at the edges.
 
-Every computation in the toolkit runs over Q or Q(i) with arbitrary
-precision integers underneath.  There is deliberately no floating-point
-fallback anywhere: signatures, ranks and kernels are tolerance-free.
+Every computation in the toolkit runs over Q with arbitrary precision
+integers underneath, a complex one on the realification.  There is
+deliberately no floating-point fallback anywhere: signatures, ranks and
+kernels are tolerance-free.
+
+A GaussianRational exists only at the edges: parse_scalar returns one
+for a nonreal Q(i) file scalar, which its algebra stores until realify
+splits it into rational parts, and format_scalar reads one from a
+nonreal output entry.  The class keeps its field arithmetic because the
+benchmark's per-layer trace counts calls of its operators
+(scalars.gaussian_ops).
 """
 
 from __future__ import annotations
@@ -105,9 +113,6 @@ class GaussianRational:
         return GaussianRational(self.re, -self.im)
 
 
-I = GaussianRational(0, 1)
-
-
 def _coerce(x):
     if isinstance(x, GaussianRational):
         return x
@@ -116,19 +121,12 @@ def _coerce(x):
     return None
 
 
-def conj(x):
-    """Complex conjugate; the identity on rationals."""
-    if isinstance(x, GaussianRational):
-        return x.conjugate()
-    return x
-
-
 def compact(x):
     """Collapse integral values to plain ints; exact and much cheaper.
 
-    Mixed int / Fraction / GaussianRational arithmetic coerces correctly
-    everywhere in this package, so integer-valued entries may always be
-    stored unboxed.
+    Mixed int / Fraction arithmetic coerces correctly, so integer-valued
+    entries may always be stored unboxed; an integral GaussianRational from
+    the parser collapses too.
     """
     if isinstance(x, int):
         return x
@@ -145,13 +143,7 @@ def exact_div(a, b):
     """a / b staying in exact arithmetic (never float) for int operands."""
     if isinstance(a, int) and isinstance(b, int):
         return compact(Fraction(a, b))
-    if isinstance(a, GaussianRational) or isinstance(b, GaussianRational):
-        return to_gaussian(a) / to_gaussian(b)
     return compact(a / b)
-
-
-def is_zero(x):
-    return not x if isinstance(x, GaussianRational) else x == 0
 
 
 def real_part(x):
@@ -160,13 +152,6 @@ def real_part(x):
 
 def imag_part(x):
     return x.im if isinstance(x, GaussianRational) else ZERO
-
-
-def to_gaussian(x):
-    """Promote a rational (or Gaussian rational) into Q(i)."""
-    if isinstance(x, GaussianRational):
-        return x
-    return GaussianRational(x)
 
 
 def parse_rational(text):
@@ -202,7 +187,7 @@ def format_rational(x):
 def format_scalar(x, field):
     if field == QQ:
         return format_rational(x)
-    g = to_gaussian(x)
-    if g.im == 0:
-        return format_rational(g.re)
-    return [format_rational(g.re), format_rational(g.im)]
+    im = imag_part(x)
+    if im == 0:
+        return format_rational(real_part(x))
+    return [format_rational(real_part(x)), format_rational(im)]

@@ -3,7 +3,8 @@
 from fractions import Fraction
 
 from crkit.algebra import LieAlgebra
-from crkit.complexify import real_to_complex
+from crkit.complexify import OrbitModel, nilpotent_automorphism
+from crkit.errors import InputError
 from crkit.linalg import Solver, rref
 from crkit.scalars import QQ, GaussianRational
 
@@ -33,6 +34,11 @@ def oracle_ad_matrix(L, x):
 def oracle_trace_product(a, b):
     n = len(a)
     return sum(a[i][j] * b[j][i] for i in range(n) for j in range(n))
+
+
+def form_value(form, x, y):
+    """x . M . y for the dense matrix M of a bilinear form."""
+    return sum(xi * m * yj for xi, row in zip(x, form.matrix) for m, yj in zip(row, y))
 
 
 def random_vector(rng, L, bound=5):
@@ -279,6 +285,12 @@ def factored_invariant_factors(torsion):
 # the base stabilizer over Q(i)
 # ---------------------------------------------------------------------------
 
+def complex_vector(v):
+    """The complex vector re + i im of realified coordinates (re, im)."""
+    n = len(v) // 2
+    return tuple(GaussianRational(v[k], v[n + k]) for k in range(n))
+
+
 def complex_j_hat_rows(entry):
     """Complex rows of hat-h + C . j: a Q(i) rref of the realified rows read as complex.
 
@@ -287,4 +299,55 @@ def complex_j_hat_rows(entry):
     """
     model = entry.model
     rows = list(model.isotropy_real.rows) + list(entry.fibration.normalizer.rows)
-    return rref([real_to_complex(v) for v in rows])[0]
+    return rref([complex_vector(v) for v in rows])[0]
+
+
+# ---------------------------------------------------------------------------
+# transports of orbit models
+# ---------------------------------------------------------------------------
+
+def nonreal_exp_ad(ambient):
+    """exp(ad x) for the first ad-nilpotent x = i e_a + (1 - i) e_b, a < b, else (1 - i) e_b."""
+    n = ambient.dim
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)] + [(None, b) for b in range(n)]
+    for a, b in pairs:
+        x = [0] * n
+        x[b] = GaussianRational(1, -1)
+        if a is not None:
+            x[a] = GaussianRational(0, 1)
+        try:
+            return nilpotent_automorphism(ambient, tuple(x))
+        except InputError:
+            continue
+    raise AssertionError("no ad-nilpotent basis combination")
+
+
+def permute_model(model, perm):
+    """The orbit model on the permuted complex ambient basis: e_k becomes e'_{perm[k]}.
+
+    Structure constants, names, realified real rows (both blocks) and
+    complex isotropy rows are all re-indexed; the real algebra is kept, so
+    its basis stays aligned with the permuted real rows.
+    """
+    amb = model.ambient
+    n = amb.dim
+    brackets = {}
+    for (i, j), row in amb.brackets.items():
+        a, b, sign = perm[i], perm[j], 1
+        if a > b:
+            a, b, sign = b, a, -1
+        brackets[(a, b)] = {perm[k]: sign * c for k, c in row.items()}
+    names = [None] * n
+    for k, x in enumerate(amb.names):
+        names[perm[k]] = x
+    ambient = LieAlgebra(n, amb.field, names, brackets)
+
+    def move(v, width):
+        out = [0] * len(v)
+        for k, x in enumerate(v):
+            out[perm[k % width] + (k // width) * width] = x
+        return tuple(out)
+
+    real_rows = [move(v, n) for v in model.real_rows]
+    iso = [move(z, n) for z in model.isotropy_rows]
+    return OrbitModel(ambient, real_rows, iso, real_algebra=model.real_algebra, name=model.name)

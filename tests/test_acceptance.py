@@ -278,7 +278,7 @@ def test_criterion_randomized_kernel_suite():
     from crkit.algebra import heisenberg, killing_form, sl2, validate
     from crkit.catalog import build_sl_real, build_su
 
-    from .support import random_solvable, random_vector
+    from .support import form_value, random_solvable, random_vector
 
     t0 = time.time()
     rng = random.Random(1953)
@@ -315,7 +315,7 @@ def test_criterion_randomized_kernel_suite():
     for i in range(2500):
         L, k = kforms[i % len(kforms)]
         x, y, z = (random_vector(rng, L) for _ in range(3))
-        assert k.evaluate(L.bracket(z, x), y) + k.evaluate(x, L.bracket(z, y)) == 0
+        assert form_value(k, L.bracket(z, x), y) + form_value(k, x, L.bracket(z, y)) == 0
         checks += 1
 
     # radical solvability: 500 random solvable algebras, 3 checks each

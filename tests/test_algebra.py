@@ -38,7 +38,14 @@ from crkit.algebra import (
 from crkit.errors import InputError, StructureError
 from crkit.scalars import QQ
 
-from .support import oracle_ad_matrix, oracle_bracket, oracle_trace_product, random_solvable, random_vector
+from .support import (
+    form_value,
+    oracle_ad_matrix,
+    oracle_bracket,
+    oracle_trace_product,
+    random_solvable,
+    random_vector,
+)
 
 F = Fraction
 
@@ -175,10 +182,10 @@ def test_killing_form_sl2_frozen_values():
     ad_f = oracle_ad_matrix(L, f)
     assert oracle_trace_product(ad_h, ad_h) == 8
     assert oracle_trace_product(ad_e, ad_f) == 4
-    assert k.evaluate(h, h) == 8
-    assert k.evaluate(e, f) == 4
-    assert k.evaluate(h, e) == 0
-    assert k.evaluate(h, f) == 0
+    assert form_value(k, h, h) == 8
+    assert form_value(k, e, f) == 4
+    assert form_value(k, h, e) == 0
+    assert form_value(k, h, f) == 0
 
 
 def test_killing_invariance_random_triples():
@@ -187,7 +194,7 @@ def test_killing_invariance_random_triples():
         k = killing_form(L)
         for _ in range(200):
             x, y, z = (random_vector(rng, L) for _ in range(3))
-            lhs = k.evaluate(L.bracket(z, x), y) + k.evaluate(x, L.bracket(z, y))
+            lhs = form_value(k, L.bracket(z, x), y) + form_value(k, x, L.bracket(z, y))
             assert lhs == 0
 
 

@@ -15,6 +15,7 @@ from crkit.catalog import (
     MAX_AMBIENT_DIM,
     _FAMILIES,
     Expected,
+    _algebra_from_matrices,
     TaxonContext,
     TAXONOMY_TAGS,
     build_sl_complex,
@@ -29,9 +30,11 @@ from crkit.catalog import (
     classify_fiber,
     get_entry,
     is_noncompact_simple_entry,
+    line_stabilizer_rows,
     quadric_orbit,
     real_projective_orbit,
     sl_basis_matrices,
+    sl_coords,
     so_basis_matrices,
     so_coords,
     sp_complex_basis_matrices,
@@ -44,7 +47,7 @@ from crkit.catalog import (
     verify_entry,
 )
 from crkit.errors import InputError, InternalError
-from crkit.scalars import GaussianRational
+from crkit.scalars import QI, GaussianRational
 
 from .support import oracle_structure_constants
 
@@ -199,6 +202,19 @@ def test_read_offs_keep_their_exactness_checks():
         so_coords({(0, 1): (0, 1), (1, 0): (0, -1)}, 3)
     # the imaginary diagonal itself reads off
     assert su_coords({(0, 0): (0, 2), (1, 1): (0, -2)}, 2) == {0: 2}
+
+
+def test_complex_catalog_data_must_be_real():
+    # [E01, i E10] = i H0: a nonreal constant is an internal error
+    with pytest.raises(InternalError):
+        _algebra_from_matrices(
+            [{(0, 1): (1, 0)}, {(1, 0): (0, 1)}], lambda m: sl_coords(m, 2), ("a", "b"), QI
+        )
+    # so is the stabilizer of a nonreal line
+    with pytest.raises(InternalError):
+        line_stabilizer_rows(sl_basis_matrices(2), ((1, 0), (0, 1)))
+    for L in (build_sl_complex(4), build_sp_complex(2)):
+        assert all(type(c) is int for row in L.brackets.values() for c in row.values())
 
 
 def test_parametrized_builders_have_bounded_caches():

@@ -3,6 +3,8 @@ import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crkit.algebra import (
     LieAlgebra,
@@ -10,6 +12,7 @@ from crkit.algebra import (
     derived_series,
     heisenberg,
     killing_form,
+    lower_central_series,
     radical,
     sl2,
     span,
@@ -21,6 +24,8 @@ from crkit.complexify import (
     _extended_real_basis,
     anticanonical_fibration,
     apply_complex_matrix_to_model,
+    canonical_complex_rows,
+    complex_rows_realified,
     complex_to_real,
     complexify,
     complexify_algebra,
@@ -32,14 +37,13 @@ from crkit.complexify import (
     nilpotent_automorphism,
     product_model,
     realify,
-    real_to_complex,
 )
 from crkit.cr import check_cr_pair
 from crkit.errors import InputError, InternalError, StructureError
 from crkit.linalg import rank
-from crkit.scalars import QI, GaussianRational, I
+from crkit.scalars import QI, GaussianRational
 
-from .support import dense_rank
+from .support import complex_vector, dense_rank, dense_rref, nonreal_exp_ad, oracle_bracket
 
 F = Fraction
 G = GaussianRational
@@ -95,10 +99,13 @@ def test_realified_brackets():
 
 
 def test_realify_roundtrip_coordinates():
-    z = gz(1, 0) + (G(2, -3),)
-    v = complex_to_real((z[0], z[2]))
-    assert real_to_complex(v) == (G(1), G(2, -3))
-    assert j_apply(v) == complex_to_real((I * G(1), I * G(2, -3)))
+    z = (G(1), G(2, -3))
+    v = complex_to_real(z)
+    assert v == (1, 2, 0, -3)
+    assert j_apply(v) == complex_to_real(tuple(G(0, 1) * c for c in z))
+    # the output edge reads the complex row back off its realified span
+    amb = realify(complexify_algebra(abelian(2)))
+    assert canonical_complex_rows(span(amb, complex_rows_realified([z]))) == (z,)
 
 
 def test_realify_does_not_keep_its_argument_alive():
@@ -119,6 +126,68 @@ def test_double_complexification_doubles_radical_dimension():
         again = complexify_algebra(re)
         assert again.dim == 2 * L.dim
         assert radical(again).dim == 2 * radical(L).dim
+
+
+small_gaussians = st.builds(G, st.integers(-2, 2), st.integers(-2, 2))
+
+
+@st.composite
+def complex_tensors(draw):
+    """Q(i) algebras of dimension 2..4 with sparse random (mostly nonreal) constants.
+
+    Most fail Jacobi, which is what the witness comparison needs; a
+    diagonal action with Gaussian weights (always a Lie algebra) is mixed in.
+    """
+    n = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        weights = [draw(small_gaussians) for _ in range(n - 1)]
+        brackets = {(0, k): {k: w} for k, w in enumerate(weights, 1)}
+    else:
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        brackets = {
+            key: draw(st.dictionaries(st.integers(0, n - 1), small_gaussians, max_size=2))
+            for key in draw(st.lists(st.sampled_from(pairs), unique=True))
+        }
+    return LieAlgebra(n, QI, [f"e{k}" for k in range(n)], brackets)
+
+
+def complex_jacobi_witness(L):
+    """First basis triple failing Jacobi, by dense brackets over Q(i)."""
+    e = L.basis_vectors()
+
+    def br(x, y):
+        return oracle_bracket(L, x, y)
+
+    for i in range(L.dim):
+        for j in range(i + 1, L.dim):
+            for k in range(j + 1, L.dim):
+                a, b, c = e[i], e[j], e[k]
+                terms = (br(br(a, b), c), br(br(b, c), a), br(br(c, a), b))
+                if any(x + y + z for x, y, z in zip(*terms)):
+                    return (i, j, k)
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(complex_tensors())
+def test_complex_analyses_run_on_the_realification(L):
+    # validate reads the realification; the series and the radical over Q(i)
+    # are the reference for the realified ones, which have twice the dimension
+    assert validate(L).by_name("jacobi").witness == complex_jacobi_witness(L)
+    R = realify(L)
+    for series in (derived_series, lower_central_series):
+        assert [s.dim for s in series(R)] == [2 * s.dim for s in series(L)]
+    assert radical(R).dim == 2 * radical(L).dim
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_canonical_complex_rows_match_complex_rref(data):
+    n = data.draw(st.integers(1, 4))
+    rows = data.draw(st.lists(st.tuples(*[small_gaussians] * n), max_size=4))
+    ambient = realify(complexify_algebra(abelian(n)))
+    sub = span(ambient, complex_rows_realified(rows))
+    assert canonical_complex_rows(sub) == tuple(tuple(r) for r in dense_rref(rows)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +421,43 @@ def test_nilpotent_automorphism_preserves_model():
     moved = apply_complex_matrix_to_model(model, mat)
     assert moved.codim == model.codim
     assert moved.m.dim == model.m.dim
+
+
+def complex_echelon(rows):
+    return tuple(tuple(r) for r in dense_rref(rows)[0])
+
+
+@pytest.mark.parametrize("name", ["quadric(2,1)", "sp_quadric(1,1)", "twisted(1)"])
+def test_transport_matches_complex_matrix_action(name):
+    # reference: the matrix applied to complex vectors over Q(i)
+    model = get_entry(name).model
+    mat = nonreal_exp_ad(model.ambient)
+    moved = apply_complex_matrix_to_model(model, mat)
+
+    def act(z):
+        return [sum((m * c for m, c in zip(row, z)), G(0)) for row in mat]
+
+    assert moved.isotropy_rows == complex_echelon([act(z) for z in model.isotropy_rows])
+    assert any(isinstance(x, G) for row in moved.isotropy_rows for x in row)
+    assert list(moved.real_rows) == [
+        complex_to_real(act(complex_vector(v))) for v in model.real_rows
+    ]
+
+
+def test_product_model_isotropy_is_block_diagonal():
+    a = get_entry("quadric(1,1)").model
+    a = apply_complex_matrix_to_model(a, nonreal_exp_ad(a.ambient))
+    b = get_entry("sl2_uz").model
+    na, nb = a.ambient.dim, b.ambient.dim
+    prod = product_model(a, b)
+    blocks = [tuple(z) + (0,) * nb for z in a.isotropy_rows]
+    blocks += [(0,) * na + tuple(z) for z in b.isotropy_rows]
+    assert prod.isotropy_rows == complex_echelon(blocks)
+    assert dims_of(prod) == tuple(x + y for x, y in zip(dims_of(a), dims_of(b)))
+
+
+def dims_of(model):
+    return model.codim, model.h.dim, model.m.dim
 
 
 def test_nilpotent_automorphism_rejects_semisimple():

@@ -86,16 +86,3 @@ def test_catalog_verify_all(capsys):
     assert code == 0
     assert "all-match" in out
 
-
-def test_hermitian_form_validation():
-    import pytest
-
-    from crkit.algebra import BilinearForm
-    from crkit.catalog import complex_abelian
-    from crkit.errors import InputError
-    from crkit.scalars import GaussianRational as G
-
-    L = complex_abelian(2)
-    BilinearForm(L, ((G(1), G(0, 2)), (G(0, -2), G(3))), "hermitian")
-    with pytest.raises(InputError):
-        BilinearForm(L, ((G(1), G(0, 2)), (G(0, 2), G(3))), "hermitian")

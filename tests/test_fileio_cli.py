@@ -10,6 +10,7 @@ from crkit.cr import CRPair
 from crkit.errors import InputError
 from crkit.fileio import (
     MAX_DIMENSION,
+    MAX_TORSION,
     algebra_payload,
     cr_pair_payload,
     detect_kind,
@@ -225,6 +226,19 @@ def test_analyze_large_prime_torsion_order(tmp_path, capsys):
     assert "condition-c: weak-pass" in out
 
 
+def test_pi1_torsion_list_is_capped(tmp_path, capsys):
+    # the invariant factors are quadratic in the list length
+    payload = orbit_payload(get_entry("heis_solv").model)
+    payload["pi1"] = {"real": [0, [2] * 4000], "complex": [0, []]}
+    path = write(tmp_path, "long_torsion.orbit", payload)
+    assert main(["analyze", path, "--set", "globalize"]) == 2
+    assert "torsion list" in capsys.readouterr().err
+    payload["pi1"]["real"][1] = [2] * MAX_TORSION
+    path = write(tmp_path, "longest_torsion.orbit", payload)
+    assert main(["analyze", path, "--set", "globalize"]) == 0
+    assert "condition-c: weak-pass" in capsys.readouterr().out
+
+
 def test_analyze_structured_output_deterministic(tmp_path, capsys):
     path = write(tmp_path, "heis.lie", heisenberg_payload())
     main(["analyze", path, "--format", "json"])
@@ -313,6 +327,11 @@ def malformed_payloads():
     real_basis_number = dict(orbit, real_basis=4)
     iso_row_number = dict(orbit, isotropy_hat_basis=[7])
     pi1_rank_null = dict(orbit, pi1={"real": [None, []], "complex": [0, []]})
+    # bool("false") is True: flags must be JSON booleans
+    surjective_string = dict(
+        orbit, pi1={"real": [0, []], "complex": [0, []], "surjective": "false"}
+    )
+    kahler_string = dict(orbit, kahler="false")
     return [
         ("terms-not-list", terms_not_list),
         ("string-target-index", string_target),
@@ -321,6 +340,8 @@ def malformed_payloads():
         ("isotropy-row-number", iso_row_number),
         ("dimension-true", bool_dimension),
         ("pi1-rank-null", pi1_rank_null),
+        ("surjective-string", surjective_string),
+        ("kahler-string", kahler_string),
     ]
 
 

@@ -13,10 +13,12 @@ To re-record after an intended output change, run this module as a script:
 import contextlib
 import io
 import os
+import re
 import sys
 
 import pytest
 
+from crkit.catalog import ROSTER
 from crkit.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -24,7 +26,6 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 CASES = {
     "verify_all_json": ["catalog", "verify", "all", "--format", "json"],
     "list_json": ["catalog", "list", "--format", "json"],
-    "show_quadric_2_1_json": ["catalog", "show", "quadric(2,1)", "--format", "json"],
     "show_quadric_2_1": ["catalog", "show", "quadric(2,1)"],
     "show_heis_solv": ["catalog", "show", "heis_solv"],
     "show_c2_torus": ["catalog", "show", "c2_torus"],
@@ -39,7 +40,19 @@ CASES = {
     "analyze_quadric_orbit": ["analyze", "quadric_2_1_orbit.json", "--format", "json"],
     "analyze_jacobi_failure": ["analyze", "jacobi_failure.json", "--set", "validate"],
     "analyze_pair_bad_square": ["analyze", "heisenberg_pair_bad_square.json"],
+    # Q(i) inputs with nonzero imaginary parts: constants, witness, isotropy rows
+    "analyze_nonreal_algebra": ["analyze", "nonreal_algebra.json", "--format", "json"],
+    "analyze_nonreal_jacobi_failure": [
+        "analyze", "nonreal_jacobi_failure.json", "--set", "validate",
+    ],
+    "analyze_nonreal_orbit": ["analyze", "nonreal_orbit.json", "--format", "json"],
 }
+# the orbit payload of every roster entry, isotropy rows included
+CASES.update(
+    ("show_" + re.sub(r"\W+", "_", name).strip("_") + "_json",
+     ["catalog", "show", name, "--format", "json"])
+    for name in ROSTER
+)
 
 
 def run(argv):

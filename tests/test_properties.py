@@ -23,7 +23,7 @@ from crkit.cr import CRPair, apply_endo, check_cr_pair, cr_type, levi_form, levi
 from crkit.globalize import condition_c_check, invariant_factors
 from crkit.linalg import Solver
 
-from .support import random_solvable, rebase
+from .support import form_value, random_solvable, rebase
 
 ALGEBRAS = [sl2(), heisenberg(), build_su(2, 1), build_sl_real(3)]
 
@@ -63,7 +63,7 @@ def test_killing_invariance_property(data):
     L = data.draw(st.sampled_from(ALGEBRAS))
     k = killing_form(L)
     x, y, z = (tuple(data.draw(coeffs) for _ in range(L.dim)) for _ in range(3))
-    assert k.evaluate(L.bracket(z, x), y) + k.evaluate(x, L.bracket(z, y)) == 0
+    assert form_value(k, L.bracket(z, x), y) + form_value(k, x, L.bracket(z, y)) == 0
 
 
 @settings(max_examples=25, deadline=None)
