@@ -29,10 +29,8 @@ from .algebra import (
     verify_levi_complement,
 )
 from .complexify import (
-    Complexification,
     OrbitModel,
     anticanonical_fibration,
-    complexify,
     cr_normalizer_algebra,
     fiber_globalization_check,
     induced_cr_pair,

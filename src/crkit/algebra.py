@@ -20,16 +20,14 @@ from functools import cached_property
 from .errors import InputError, StructureError
 from .linalg import (
     Solver,
-    coefficients_in_span,
     in_span,
     intersect_spaces,
-    left_nullspace,
+    kernel_rows,
     matvec,
     rank,
     reduce_mod,
     rref,
     signature_of_symmetric,
-    solve_linear_conditions,
     sparse_echelon,
 )
 from .report import Check, Report, witness_check
@@ -155,19 +153,15 @@ class LieAlgebra:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A linear subspace of a LieAlgebra, canonically in reduced echelon form."""
+    """A linear subspace of a LieAlgebra, canonically in reduced echelon form.
+
+    span builds one from arbitrary rows; the constructor takes rows and
+    pivots that are already in reduced echelon form.
+    """
 
     parent: LieAlgebra
     rows: tuple
     pivots: tuple
-
-    @staticmethod
-    def from_rows(parent, rows):
-        for r in rows:
-            if len(r) != parent.dim:
-                raise InputError("subspace row length does not match algebra dimension")
-        reduced, pivots = rref(rows)
-        return Subspace(parent, reduced, pivots)
 
     @property
     def dim(self):
@@ -187,9 +181,6 @@ class Subspace:
     def reduce(self, v):
         return reduce_mod(v, self._echelon, self.pivots)
 
-    def coefficients(self, v):
-        return coefficients_in_span(v, self._echelon, self.pivots)
-
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
@@ -208,13 +199,16 @@ def zero_space(L):
 
 
 def span(L, vectors):
-    return Subspace.from_rows(L, vectors)
+    """The subspace spanned by arbitrary rows, by one elimination."""
+    for r in vectors:
+        if len(r) != L.dim:
+            raise InputError("subspace row length does not match algebra dimension")
+    return Subspace(L, *rref(vectors))
 
 
 def intersect(a, b):
     _same_parent(a, b)
-    rows = intersect_spaces(a.rows, b.rows)
-    return Subspace(a.parent, rows, rref(rows)[1])
+    return Subspace(a.parent, *intersect_spaces(a.rows, b.rows))
 
 
 def add_spaces(a, b):
@@ -355,7 +349,7 @@ def product_space(L, a, b):
             v = L.bracket(x, y)
             if any(v):
                 vecs.append(v)
-    return Subspace.from_rows(L, vecs)
+    return span(L, vecs)
 
 
 def derived_subalgebra(L):
@@ -365,7 +359,7 @@ def derived_subalgebra(L):
         for k, c in row.items():
             v[k] = c
         rows.append(tuple(v))
-    return Subspace.from_rows(L, rows)
+    return span(L, rows)
 
 
 def derived_series(L):
@@ -451,8 +445,8 @@ def radical(L):
     characteristic zero; with [g, g] = 0 there is no condition and r = g.
     """
     derived = derived_subalgebra(L)
-    conditions = [matvec(derived.rows, row) for row in killing_form(L).matrix]
-    return span(L, left_nullspace(conditions))
+    images = [(matvec(derived.rows, row),) for row in killing_form(L).matrix]
+    return Subspace(L, *kernel_rows(L.basis_vectors(), images))
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +472,7 @@ def is_ideal(L, s):
 
 def subalgebra_closure(L, s):
     """Smallest subalgebra containing s: iterate span-and-bracket to a fixed point."""
-    current = Subspace.from_rows(L, s.rows)
+    current = span(L, s.rows)
     while True:
         new_rows = list(current.rows)
         for a in range(current.dim):
@@ -486,7 +480,7 @@ def subalgebra_closure(L, s):
                 v = L.bracket(current.rows[a], current.rows[b])
                 if not current.contains(v):
                     new_rows.append(v)
-        nxt = Subspace.from_rows(L, new_rows)
+        nxt = span(L, new_rows)
         if nxt.dim == current.dim:
             return current
         current = nxt
@@ -494,25 +488,19 @@ def subalgebra_closure(L, s):
 
 def centralizer(L, s):
     """{x : [x, s] = 0 for all s in S}."""
-
-    def residual(v):
-        return [L.bracket(v, w) for w in s.rows]
-
-    rows = solve_linear_conditions(list(full_space(L).rows), residual)
-    return Subspace.from_rows(L, rows)
+    basis = L.basis_vectors()
+    images = [[L.bracket(v, w) for w in s.rows] for v in basis]
+    return Subspace(L, *kernel_rows(basis, images))
 
 
 def normalizer_subalgebra(L, s):
     """{x : [x, S] inside S}; the infinitesimal stabilizer of the subspace."""
-
-    def residual(v):
-        return [s.reduce(L.bracket(v, w)) for w in s.rows]
-
-    rows = solve_linear_conditions(list(full_space(L).rows), residual)
-    return Subspace.from_rows(L, rows)
+    basis = L.basis_vectors()
+    images = [[s.reduce(L.bracket(v, w)) for w in s.rows] for v in basis]
+    return Subspace(L, *kernel_rows(basis, images))
 
 
-def subalgebra_structure(L, s, names=None):
+def subalgebra_structure(L, s):
     """Abstract algebra on the basis rows of a subalgebra s, plus its Solver.
 
     Raises StructureError if s is not closed under the bracket.
@@ -530,12 +518,11 @@ def subalgebra_structure(L, s, names=None):
             row = {k: c for k, c in enumerate(coeffs) if c}
             if row:
                 brackets[(a, b)] = row
-    if names is None:
-        names = tuple(f"s{k}" for k in range(s.dim))
+    names = tuple(f"s{k}" for k in range(s.dim))
     return LieAlgebra(s.dim, L.field, names, brackets), solver
 
 
-def quotient_algebra(L, ideal, names=None):
+def quotient_algebra(L, ideal):
     """Quotient by an ideal, on the explicit pivot-free complement basis.
 
     Returns (algebra, complement_indices).  Coordinates of the quotient are
@@ -560,8 +547,7 @@ def quotient_algebra(L, ideal, names=None):
             row = {t: c for t, c in enumerate(red) if c}
             if row:
                 brackets[(a, b)] = row
-    if names is None:
-        names = tuple(L.names[i] for i in comp)
+    names = tuple(L.names[i] for i in comp)
     return LieAlgebra(k, L.field, names, brackets), tuple(comp)
 
 

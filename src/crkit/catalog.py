@@ -42,7 +42,7 @@ from .complexify import (
 )
 from .cr import check_cr_pair, cr_type, levi_form, levi_signature
 from .errors import InputError, InternalError
-from .linalg import left_nullspace, rref
+from .linalg import kernel_rows
 from .report import Check, Report
 from .scalars import QI, QQ
 
@@ -448,14 +448,14 @@ def _unit_pairs(n, *indices):
 def line_stabilizer_rows(basis_mats, v):
     """Complex rows (in algebra coordinates) of {xi : xi . v in C v}; v holds (re, im) pairs.
 
-    The matrices and v must be real, so the rows are rational.
+    The matrices and v must be real, so the rows are rational.  The unknown
+    eigenvalue is one more domain coordinate, with a zero domain row.
     """
     dim = len(basis_mats)
-    rows = [tuple(_real(x) for x in mat_apply(m, v)) for m in basis_mats]
-    rows.append(tuple(-_real(x) for x in v))
-    relations = left_nullspace(rows)
-    sol = [rel[:dim] for rel in relations]
-    return rref(sol)[0]
+    unit = [tuple(int(a == b) for b in range(dim)) for a in range(dim)]
+    images = [(tuple(_real(x) for x in mat_apply(m, v)),) for m in basis_mats]
+    images.append((tuple(-_real(x) for x in v),))
+    return kernel_rows(unit + [(0,) * dim], images)[0]
 
 
 def _realified(coords, dim, offset=0):

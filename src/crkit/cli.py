@@ -19,8 +19,6 @@ import sys
 from .algebra import (
     derived_series,
     is_abelian,
-    is_nilpotent,
-    is_solvable,
     killing_signature,
     lower_central_series,
     radical,
@@ -143,14 +141,15 @@ def _structure_records(rep, target, L, label):
     # a complex algebra is analysed on its realification, where the series
     # terms and the radical are the realified ones, of twice the dimension
     R, scale = (realify(L), 2) if L.field == QI else (L, 1)
+    derived, lower = derived_series(R), lower_central_series(R)
     rows = [
         ("dimension", L.dim),
         ("field", L.field),
         ("abelian", is_abelian(R)),
-        ("solvable", is_solvable(R)),
-        ("nilpotent", is_nilpotent(R)),
-        ("derived-series-dims", [s.dim // scale for s in derived_series(R)]),
-        ("lower-central-dims", [s.dim // scale for s in lower_central_series(R)]),
+        ("solvable", derived[-1].dim == 0),
+        ("nilpotent", lower[-1].dim == 0),
+        ("derived-series-dims", [s.dim // scale for s in derived]),
+        ("lower-central-dims", [s.dim // scale for s in lower]),
         ("radical-dim", radical(R).dim // scale),
     ]
     if L.field == QQ:

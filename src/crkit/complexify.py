@@ -35,14 +35,7 @@ from .algebra import (
 )
 from .cr import CRPair
 from .errors import InputError, InternalError, StructureError
-from .linalg import (
-    Solver,
-    combine_rows,
-    independent_rows,
-    matvec,
-    rref,
-    solve_condition_coefficients,
-)
+from .linalg import Solver, combine_rows, independent_rows, kernel_rows, matvec, rref
 from .report import Check, Report
 from .scalars import QI, QQ, GaussianRational, compact, imag_part, real_part
 
@@ -95,20 +88,6 @@ def canonical_complex_rows(sub: Subspace):
         for w, p in zip(rows, pivots)
         if p % 2 == 0
     )
-
-
-@dataclass(frozen=True)
-class Complexification:
-    """A real algebra together with its scalar extension and realified model."""
-
-    g_real: LieAlgebra
-    g_hat: LieAlgebra
-    realified: LieAlgebra
-
-
-def complexify(L: LieAlgebra) -> Complexification:
-    g_hat = complexify_algebra(L)
-    return Complexification(L, g_hat, realify(g_hat))
 
 
 # ---------------------------------------------------------------------------
@@ -213,18 +192,6 @@ class OrbitModel:
     def isotropy_rows(self):
         return canonical_complex_rows(self.isotropy_real)
 
-    # -- conversions --------------------------------------------------------
-
-    def to_algebra_coords(self, ambient_vector):
-        coeffs = self._solver.solve(ambient_vector)
-        if coeffs is None:
-            raise InternalError("vector is not in the real subalgebra")
-        return coeffs
-
-    def subspace_in_algebra_coords(self, sub: Subspace):
-        rows = [self.to_algebra_coords(v) for v in sub.rows]
-        return span(self.real_algebra, rows)
-
 
 def max_complex_ideal(model: OrbitModel) -> Subspace:
     """m = g ∩ Jg, the largest complex (J-stable) ideal of the real subalgebra."""
@@ -239,24 +206,16 @@ def cr_normalizer_algebra(model: OrbitModel) -> Subspace:
     h and sits inside the infinitesimal normalizer of h; both containments
     are rechecked here.
     """
-    iso = model.isotropy_real
+    L, g, h = model.ambient_real, model.real_rows, model.h
 
-    def residual(v):
-        return [iso.reduce(model.ambient_real.bracket(v, u)) for u in iso.rows]
+    def normalizer_in_g(s):
+        images = [[s.reduce(L.bracket(v, u)) for u in s.rows] for v in g]
+        return Subspace(L, *kernel_rows(g, images))
 
-    coeffs = solve_condition_coefficients(list(model.real_rows), residual)
-    ncr = span(model.ambient_real, combine_rows(coeffs, list(model.real_rows)))
-
-    if not ncr.contains_space(model.h):
+    ncr = normalizer_in_g(model.isotropy_real)
+    if not ncr.contains_space(h):
         raise InternalError("CR-normalizer does not contain h")
-    h = model.h
-
-    def h_residual(v):
-        return [h.reduce(model.ambient_real.bracket(v, u)) for u in h.rows]
-
-    ncoeffs = solve_condition_coefficients(list(model.real_rows), h_residual)
-    nh = span(model.ambient_real, combine_rows(ncoeffs, list(model.real_rows)))
-    if not nh.contains_space(ncr):
+    if not normalizer_in_g(h).contains_space(ncr):
         raise InternalError("CR-normalizer exceeds the normalizer of h")
     return ncr
 
@@ -386,14 +345,9 @@ def induced_cr_pair(model: OrbitModel) -> CRPair:
     big = span(
         model.ambient_real, list(model.real_rows) + list(model.isotropy_real.rows)
     )
-
-    def residual(v):
-        return [big.reduce(j_apply(v))]
-
-    r_coeffs = solve_condition_coefficients(list(model.real_rows), residual)
-    r_rows = rref(r_coeffs)[0]
-    r_sub = span(g, r_rows)
-    h_sub = model.subspace_in_algebra_coords(model.h)
+    images = [(big.reduce(j_apply(v)),) for v in model.real_rows]
+    r_sub = Subspace(g, *kernel_rows(g.basis_vectors(), images))
+    h_sub = span(g, [model._solver.solve(v) for v in model.h.rows])
 
     solver = Solver(_extended_real_basis(model))
 

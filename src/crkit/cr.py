@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import LieAlgebra, Subspace, span
+from .algebra import LieAlgebra, Subspace
 from .errors import InputError, InternalError, StructureError
-from .linalg import combine_rows, left_nullspace, rref, signature_of_symmetric
+from .linalg import combine_rows, kernel_rows, left_nullspace, rref, signature_of_symmetric
 from .report import Check, Report, witness_check
 from .scalars import QQ
 
@@ -214,7 +214,6 @@ class LeviReport:
     form_matrices[c][i][j] is the value-coordinate c of the raw form on
     the complement basis pair (i, j); completed_matrices hold the
     J-symmetrized scalar forms whose joint radical is the Levi kernel.
-    signature is populated only when a codirection was supplied.
     """
 
     complement_rows: tuple
@@ -224,7 +223,6 @@ class LeviReport:
     kernel: Subspace
     nondegenerate: bool
     degenerate_domain: bool
-    signature: tuple | None = None
 
     @property
     def cr_rank(self):
@@ -235,17 +233,17 @@ class LeviReport:
         return len(self.value_indices)
 
 
-def levi_form(pair: CRPair, codirection=None) -> LeviReport:
+def levi_form(pair: CRPair) -> LeviReport:
     """Compute the quotient-valued Levi form of a checked pair.
 
     The raw form is psi([xi, zeta]) with psi the projection onto the
     pivot-free complement of R in g.  Its J-compatible symmetrization
     S_c(xi, zeta) = (1/2) (lambda_c[xi, J zeta] + lambda_c[zeta, J xi])
     carries the kernel: a complement vector is in the Levi kernel iff it
-    is in the radical of every S_c.  Supplying a codirection additionally
-    records the normalized scalar signature.
+    is in the radical of every S_c.  levi_signature pairs the completed
+    forms with a codirection.
     """
-    g, h, r = pair.g, pair.h, pair.r
+    g, r = pair.g, pair.r
     comp = pair.complement_rows
     m = len(comp)
     value_idx = tuple(i for i in range(g.dim) if i not in set(r.pivots))
@@ -254,49 +252,23 @@ def levi_form(pair: CRPair, codirection=None) -> LeviReport:
         red = r.reduce(v)
         return tuple(red[i] for i in value_idx)
 
-    form = [[[Fraction(0)] * m for _ in range(m)] for _ in value_idx]
-    completed = [[[Fraction(0)] * m for _ in range(m)] for _ in value_idx]
     jimg = [pair.apply_j(v) for v in comp]
+    raw = [[lam(g.bracket(x, y)) for y in comp] for x in comp]
+    # mixed[i][j] = lambda[comp_i, J comp_j], each bracket taken once
+    mixed = [[lam(g.bracket(x, jy)) for jy in jimg] for x in comp]
     half = Fraction(1, 2)
-    for i in range(m):
-        for j in range(m):
-            raw = lam(g.bracket(comp[i], comp[j]))
-            mixed_ij = lam(g.bracket(comp[i], jimg[j]))
-            mixed_ji = lam(g.bracket(comp[j], jimg[i]))
-            for c in range(len(value_idx)):
-                form[c][i][j] = raw[c]
-                completed[c][i][j] = half * (mixed_ij[c] + mixed_ji[c])
-
-    if m == 0:
-        kernel = span(g, [])
-        return LeviReport(
-            comp,
-            value_idx,
-            tuple(tuple(tuple(row) for row in mat) for mat in form),
-            tuple(tuple(tuple(row) for row in mat) for mat in completed),
-            kernel,
-            True,
-            True,
-        )
-
-    # an empty value space (k = 0) leaves no conditions: the kernel is all of R/h
-    stacked = [
-        tuple(x for c in range(len(value_idx)) for x in completed[c][i])
-        for i in range(m)
-    ]
-    kernel = span(g, combine_rows(left_nullspace(stacked), comp))
-    report = LeviReport(
-        comp,
-        value_idx,
-        tuple(tuple(tuple(row) for row in mat) for mat in form),
-        tuple(tuple(tuple(row) for row in mat) for mat in completed),
-        kernel,
-        kernel.dim == 0,
-        False,
+    form = tuple(
+        tuple(tuple(raw[i][j][c] for j in range(m)) for i in range(m))
+        for c in range(len(value_idx))
     )
-    if codirection is not None:
-        report.signature = levi_signature(pair, codirection, report=report).normalized
-    return report
+    completed = tuple(
+        tuple(tuple(half * (mixed[i][j][c] + mixed[j][i][c]) for j in range(m)) for i in range(m))
+        for c in range(len(value_idx))
+    )
+    # an empty value space (k = 0) leaves no conditions: the kernel is all of R/h
+    images = [[completed[c][i] for c in range(len(value_idx))] for i in range(m)]
+    kernel = Subspace(g, *kernel_rows(comp, images))
+    return LeviReport(comp, value_idx, form, completed, kernel, kernel.dim == 0, m == 0)
 
 
 @dataclass(frozen=True)

@@ -17,11 +17,18 @@ matrices are equal.  The reduction routines take those echelon rows
 either dense or as their sparse_echelon view, which a caller reducing
 against one basis many times builds once.  All routines are pure; nothing
 here mutates its arguments.
+
+Every subspace the library solves for (centralizers, normalizers, the
+radical, intersections, the CR-normalizer, the CR subspace R, the Levi
+kernel, line stabilizers) is the set of combinations of some domain rows
+cut out by linear conditions on their images, and kernel_rows is the one
+route that computes it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 
 from .errors import InputError
 from .scalars import compact, exact_div
@@ -104,9 +111,8 @@ def rank(rows):
 def sparse_echelon(basis, pivots):
     """Sparse view {pivot: {column: value}} of reduced echelon rows.
 
-    reduce_mod, in_span and coefficients_in_span accept it in place of the
-    dense rows; callers that reduce against one basis many times build it
-    once.
+    reduce_mod and in_span accept it in place of the dense rows; callers
+    that reduce against one basis many times build it once.
     """
     return {p: _sparse(row) for row, p in zip(basis, pivots)}
 
@@ -133,14 +139,6 @@ def in_span(v, basis, pivots):
     return not _residual(v, basis, pivots)
 
 
-def coefficients_in_span(v, basis, pivots):
-    """Coefficients of v over reduced echelon rows, or None if v is outside the span."""
-    if _residual(v, basis, pivots):
-        return None
-    # each echelon row is the only one nonzero on its pivot
-    return tuple(compact(v[p]) if v[p] else 0 for p in pivots)
-
-
 def independent_rows(rows):
     """Indices of the rows outside the span of the rows before them, ascending.
 
@@ -153,11 +151,6 @@ def independent_rows(rows):
             if x:
                 columns.setdefault(c, {})[i] = x
     return tuple(sorted(_echelon(list(columns.values()))))
-
-
-def span_rows(rows):
-    """Canonical (rref) basis of the row space."""
-    return rref(rows)[0]
 
 
 def left_nullspace(rows):
@@ -182,33 +175,6 @@ def left_nullspace(rows):
     )
 
 
-def intersect_spaces(a_rows, b_rows):
-    """Canonical basis of rowspace(a) ∩ rowspace(b)."""
-    a_rows = list(a_rows)
-    b_rows = list(b_rows)
-    if not a_rows or not b_rows:
-        return ()
-    na = len(a_rows)
-    relations = left_nullspace(a_rows + b_rows)
-    return rref(combine_rows([rel[:na] for rel in relations], a_rows))[0]
-
-
-def solve_condition_coefficients(domain_rows, residual_fn):
-    """Coefficient vectors x with sum x_a * residual(domain[a]) = 0.
-
-    residual_fn maps each domain basis vector to a list of residual
-    vectors (same shapes across calls).  Returns canonical rows in the
-    coefficient space of the domain basis.
-    """
-    cond_rows = []
-    for d in domain_rows:
-        flat = []
-        for res in residual_fn(d):
-            flat.extend(res)
-        cond_rows.append(flat)
-    return left_nullspace(cond_rows)
-
-
 def combine_rows(coeff_rows, domain_rows):
     """Nonzero combinations sum c_a * domain[a], one per coefficient vector."""
     domain = [_sparse(r) for r in domain_rows]
@@ -226,17 +192,27 @@ def combine_rows(coeff_rows, domain_rows):
     return out
 
 
-def solve_linear_conditions(domain_rows, residual_fn):
-    """Subspace of the span of domain_rows cut out by linear conditions.
+def kernel_rows(domain_rows, images):
+    """Reduced echelon basis of {sum c_a domain[a] : sum c_a images[a] = 0}.
 
-    residual_fn maps each domain basis vector to a list of residual
-    vectors (all the same shapes across calls); a combination
-    sum x_a * domain[a] satisfies the conditions iff the same combination
-    of residuals vanishes.  Returns canonical rows of the solution space.
+    images[a] lists the vectors domain[a] maps to, with the same shapes
+    for every a; a combination satisfies the conditions iff the same
+    combination of each of its image vectors vanishes.  A zero domain row
+    contributes only its conditions.  Returns (rows, pivots) as rref does.
     """
-    domain_rows = list(domain_rows)
-    coeffs = solve_condition_coefficients(domain_rows, residual_fn)
-    return rref(combine_rows(coeffs, domain_rows))[0]
+    relations = left_nullspace([tuple(chain.from_iterable(img)) for img in images])
+    return rref(combine_rows(relations, domain_rows))
+
+
+def intersect_spaces(a_rows, b_rows):
+    """rowspace(a) ∩ rowspace(b), as (rows, pivots) in reduced echelon form."""
+    a_rows = list(a_rows)
+    b_rows = list(b_rows)
+    if not a_rows or not b_rows:
+        return (), ()
+    # a relation between the a and b rows is a vector of the intersection
+    zero = (0,) * len(a_rows[0])
+    return kernel_rows(a_rows + [zero] * len(b_rows), [(r,) for r in a_rows + b_rows])
 
 
 class Solver:

@@ -351,3 +351,85 @@ def permute_model(model, perm):
     real_rows = [move(v, n) for v in model.real_rows]
     iso = [move(z, n) for z in model.isotropy_rows]
     return OrbitModel(ambient, real_rows, iso, real_algebra=model.real_algebra, name=model.name)
+
+
+# ---------------------------------------------------------------------------
+# subspaces cut out by linear conditions, by dense solves
+# ---------------------------------------------------------------------------
+
+def dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def annihilator(rows, n):
+    """Basis of the functionals on Q^n that vanish on every row."""
+    return dense_left_nullspace([[r[c] for r in rows] for c in range(n)])
+
+
+def dense_solution_span(domain, conditions, one=Fraction(1)):
+    """dense_rref of {sum c_a domain[a] : sum_a c_a conditions[a] = 0}."""
+    coeffs = dense_left_nullspace(conditions, one)
+    return dense_rref([combination(c, domain) for c in coeffs])
+
+
+def dense_coordinates(rows, vectors):
+    """For each v, the unique x with x . rows = v; rows independent, one elimination."""
+    r = len(rows)
+    augmented = [[row[c] for row in rows] + [v[c] for v in vectors] for c in range(len(rows[0]))]
+    reduced, pivots = dense_rref(augmented)
+    assert pivots == list(range(r)), "a vector lies outside the span"
+    return [[reduced[i][r + t] for i in range(r)] for t in range(len(vectors))]
+
+
+def realified_j(v):
+    """Multiplication by i on realified coordinates (re, im) -> (-im, re)."""
+    n = len(v) // 2
+    return [-x for x in v[n:]] + list(v[:n])
+
+
+def oracle_cr_normalizer(model):
+    """{xi in g : [xi, isotropy] <= isotropy} by a dense solve over the full bracket table.
+
+    A combination of the real rows qualifies iff every functional that
+    vanishes on the isotropy kills its bracket with each isotropy row; the
+    brackets are dense tensor evaluations (oracle_bracket).
+    """
+    L = model.ambient_real
+    iso = model.isotropy_real.rows
+    ann = annihilator(iso, L.dim)
+    conditions = [
+        [dot(phi, b) for b in (oracle_bracket(L, x, u) for u in iso) for phi in ann]
+        for x in model.real_rows
+    ]
+    return dense_solution_span(model.real_rows, conditions)[0]
+
+
+def oracle_cr_subspace(model):
+    """R = {xi in g : J xi in g + isotropy}, in the real algebra's coordinates."""
+    ann = annihilator(list(model.real_rows) + list(model.isotropy_real.rows),
+                      model.ambient_real.dim)
+    n = len(model.real_rows)
+    identity = [[int(a == b) for b in range(n)] for a in range(n)]
+    conditions = [[dot(phi, realified_j(x)) for phi in ann] for x in model.real_rows]
+    return dense_solution_span(identity, conditions)[0]
+
+
+def oracle_quotient(L, ideal):
+    """L / ideal by brackets of coset representatives.
+
+    The representatives are the basis vectors off the ideal's pivots.  Their
+    brackets are written over representatives plus ideal rows by one dense
+    solve, and the representative parts give the constants.
+    """
+    comp = [i for i in range(L.dim) if i not in ideal.pivots]
+    reps = [L.basis_vector(i) for i in comp]
+    k = len(reps)
+    pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
+    values = [oracle_bracket(L, reps[a], reps[b]) for a, b in pairs]
+    coords = dense_coordinates(reps + list(ideal.rows), values) if pairs else []
+    brackets = {}
+    for pair, x in zip(pairs, coords):
+        row = {t: x[t] for t in range(k) if x[t]}
+        if row:
+            brackets[pair] = row
+    return LieAlgebra(k, L.field, [f"q{t}" for t in range(k)], brackets)

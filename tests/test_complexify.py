@@ -27,7 +27,6 @@ from crkit.complexify import (
     canonical_complex_rows,
     complex_rows_realified,
     complex_to_real,
-    complexify,
     complexify_algebra,
     cr_normalizer_algebra,
     fiber_globalization_check,
@@ -58,10 +57,10 @@ def gz(*vals):
 # ---------------------------------------------------------------------------
 
 def test_complexify_abelian():
-    c = complexify(abelian(2))
-    assert c.g_hat.dim == 2 and c.g_hat.field == QI
-    assert not c.g_hat.brackets
-    assert c.realified.dim == 4
+    g_hat = complexify_algebra(abelian(2))
+    assert g_hat.dim == 2 and g_hat.field == QI
+    assert not g_hat.brackets
+    assert realify(g_hat).dim == 4
 
 
 def test_complexify_rejects_complex_input():
@@ -71,9 +70,8 @@ def test_complexify_rejects_complex_input():
 
 def test_complexify_sl2_killing_scales_consistently():
     L = sl2()
-    c = complexify(L)
     k_real = killing_form(L)
-    k_cplx = killing_form(c.g_hat)
+    k_cplx = killing_form(complexify_algebra(L))
     for i in range(3):
         for j in range(3):
             assert k_cplx.matrix[i][j] == G(k_real.matrix[i][j])
@@ -81,13 +79,11 @@ def test_complexify_sl2_killing_scales_consistently():
 
 def test_complexify_heisenberg_preserves_series_lengths():
     L = heisenberg()
-    c = complexify(L)
-    assert len(derived_series(L)) == len(derived_series(c.g_hat))
+    assert len(derived_series(L)) == len(derived_series(complexify_algebra(L)))
 
 
 def test_realified_brackets():
-    c = complexify(sl2())
-    r = c.realified
+    r = realify(complexify_algebra(sl2()))
     assert validate(r).ok
     # [e_h, i e_e] = i [h, e] = 2 i e
     h = r.basis_vector(0)

@@ -10,12 +10,11 @@ from crkit.linalg import (
     congruence_diagonalize,
     in_span,
     intersect_spaces,
+    kernel_rows,
     left_nullspace,
     rank,
     rref,
     signature_of_symmetric,
-    solve_linear_conditions,
-    span_rows,
 )
 from crkit.scalars import GaussianRational
 
@@ -75,15 +74,15 @@ def test_left_nullspace_relations():
 def test_intersection():
     a = rows((1, 0, 0), (0, 1, 0))
     b = rows((0, 1, 0), (0, 0, 1))
-    inter = intersect_spaces(a, b)
-    assert inter == rows((0, 1, 0))
-    assert intersect_spaces(rows((1, 0)), rows((0, 1))) == ()
+    assert intersect_spaces(a, b) == (rows((0, 1, 0)), (1,))
+    assert intersect_spaces(rows((1, 0)), rows((0, 1))) == ((), ())
 
 
 @settings(max_examples=40)
 @given(matrix_strategy(2, 4), matrix_strategy(2, 4))
 def test_intersection_is_contained_in_both(a, b):
-    inter = intersect_spaces(a, b)
+    inter, pivots = intersect_spaces(a, b)
+    assert (inter, pivots) == rref(inter)
     ra, pa = rref(a)
     rb, pb = rref(b)
     for v in inter:
@@ -106,14 +105,11 @@ def test_solver_rejects_dependent_rows():
         Solver(rows((1, 1), (2, 2)))
 
 
-def test_solve_linear_conditions():
-    # inside Q^3, the plane x0 = x2 cut out by a residual
+def test_kernel_rows_cuts_plane():
+    # inside Q^3, the plane x0 = x2 cut out by the image v0 - v2
     domain = rows((1, 0, 0), (0, 1, 0), (0, 0, 1))
-
-    def residual(v):
-        return [(v[0] - v[2],)]
-
-    sol = solve_linear_conditions(domain, residual)
+    sol, _ = kernel_rows(domain, [[(v[0] - v[2],)] for v in domain])
+    assert kernel_rows([], []) == ((), ())
     assert len(sol) == 2
     for v in sol:
         assert v[0] == v[2]
@@ -149,6 +145,3 @@ def test_signature_congruence_invariant(sym_seed, a):
     ]
     assert signature_of_symmetric(s) == signature_of_symmetric(transformed)
 
-
-def test_span_rows_canonical():
-    assert span_rows(rows((2, 4), (1, 2))) == rows((1, 2))

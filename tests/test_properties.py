@@ -184,7 +184,7 @@ def test_levi_kernel_equals_joint_codirection_radical():
         radicals = None
         for mat in rep.completed_matrices:
             rad = left_nullspace(mat)
-            radicals = rad if radicals is None else intersect_spaces(radicals, rad)
+            radicals = rad if radicals is None else intersect_spaces(radicals, rad)[0]
         dim = len(radicals) if radicals else 0
         assert rep.kernel.dim == dim
 

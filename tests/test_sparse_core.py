@@ -8,6 +8,7 @@ Gauss-Jordan reference in tests/support.py.
 
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -18,9 +19,9 @@ from crkit.catalog import build_sl_real, build_su
 from crkit.errors import InputError
 from crkit.linalg import (
     Solver,
-    coefficients_in_span,
     congruence_diagonalize,
     in_span,
+    kernel_rows,
     left_nullspace,
     reduce_mod,
     rref,
@@ -34,6 +35,7 @@ from .support import (
     dense_left_nullspace,
     dense_rank,
     dense_rref,
+    dense_solution_span,
     descartes_inertia,
     rebase,
 )
@@ -128,16 +130,6 @@ def test_reduction_matches_dense_reference(field, data):
             assert (not any(residual)) == member
             assert is_compacted(residual)
             assert dense_rank(list(basis) + [residual]) == dense_rank(list(basis) + [v])
-            found = coefficients_in_span(v, rows, pivots)
-            if not member:
-                assert found is None
-            elif basis:
-                assert tuple(combination(found, basis)) == tuple(v)
-                assert is_compacted(found)
-            else:
-                assert found == ()
-    if basis:
-        assert coefficients_in_span(inside, view, pivots) == tuple(coeffs)
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -151,6 +143,35 @@ def test_left_nullspace_matches_dense_reference(field, data):
     assert all(is_compacted(r) for r in ns)
     # at least the forced zero row is a relation
     assert len(ns) == len(m) - dense_rank(m) >= 1
+
+
+@st.composite
+def kernel_problems(draw, field):
+    """Domain rows (a zero row among them) with images of one fixed shape per row.
+
+    An image list may be empty (no conditions) or hold zero-width vectors.
+    """
+    domain = draw(sparse_matrices(field))
+    widths = draw(st.lists(st.integers(0, 4), max_size=3))
+    images = [
+        [draw(sparse_vectors(field, w)) if w else () for w in widths]
+        for _ in domain
+    ]
+    return domain, images
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_kernel_rows_matches_dense_reference(field, data):
+    domain, images = data.draw(kernel_problems(field))
+    one = F(1) if field == "Q" else GaussianRational(1)
+    flat = [list(chain.from_iterable(img)) for img in images]
+    ref_rows, ref_pivots = dense_solution_span(domain, flat, one)
+    rows, pivots = kernel_rows(domain, images)
+    assert rows == tuple(tuple(r) for r in ref_rows)
+    assert pivots == tuple(ref_pivots)
+    assert all(is_compacted(r) for r in rows)
 
 
 @pytest.mark.parametrize("field", FIELDS)
