@@ -53,6 +53,17 @@ CASES.update(
      ["catalog", "show", name, "--format", "json"])
     for name in ROSTER
 )
+# the family-sweep benchmark entries, in both orientations
+FAMILY_SWEEP = (
+    "quadric(2,1)", "quadric(1,2)", "quadric(2,2)", "quadric(3,2)", "quadric(2,3)",
+    "quadric(4,2)", "quadric(2,4)", "quadric(3,3)", "quadric(4,3)", "quadric(3,4)",
+    "sp_quadric(2,1)", "sp_quadric(1,2)", "twisted(3)", "twisted(4)",
+)
+CASES.update(
+    ("verify_" + re.sub(r"\W+", "_", name).strip("_") + "_json",
+     ["catalog", "verify", name, "--format", "json"])
+    for name in FAMILY_SWEEP
+)
 
 
 def run(argv):
