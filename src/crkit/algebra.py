@@ -5,6 +5,12 @@ coefficient of e_k in [e_i, e_j] for i < j; antisymmetry supplies the
 rest.  Derived objects (series, radical, normalizers, quotients) all come
 back as canonical echelon subspaces so results compare syntactically.
 
+Vectors are sparse {index: coefficient} dicts: bracket takes and returns
+them, and a Subspace computes on its rows as a sparse echelon form built
+once.  Dense tuples are the edge form only: basis_vector, span's input
+rows (files, user data) and Subspace.rows, which records and payloads
+show.
+
 A complex (Q_i) algebra only stores its constants, GaussianRational where
 a file gave a nonreal one: realify splits them into a real algebra of
 twice the dimension, and validate, the CLI's structure analysis and the
@@ -20,10 +26,11 @@ from functools import cached_property
 from .errors import InputError, StructureError
 from .linalg import (
     Solver,
+    echelon,
+    echelon_rows,
     in_span,
     intersect_spaces,
     kernel_rows,
-    matvec,
     rank,
     reduce_mod,
     rref,
@@ -94,52 +101,56 @@ class LieAlgebra:
             return dict(self.brackets.get((i, j), {}))
         return {k: -v for k, v in self.brackets.get((j, i), {}).items()}
 
-    @property
+    @cached_property
     def _adjacency(self):
-        # per-index view of the tensor: adj[i] lists (j, sign, row) with
-        # [e_i, e_j] = sign * row; built lazily, never mutated afterwards
-        adj = getattr(self, "_adj_cache", None)
-        if adj is None:
-            adj = {}
-            for (i, j), row in self.brackets.items():
-                adj.setdefault(i, []).append((j, 1, row))
-                adj.setdefault(j, []).append((i, -1, row))
-            self._adj_cache = adj
+        # per-index view of the tensor: adj[i] maps j to the sparse row of
+        # [e_i, e_j], for both orders of every stored pair; built on first
+        # use, never mutated afterwards
+        adj = {i: {} for i in range(self.dim)}
+        for (i, j), row in self.brackets.items():
+            adj[i][j] = row
+            adj[j][i] = {k: -v for k, v in row.items()}
         return adj
 
     def bracket(self, x, y):
-        """[x, y] for dense coordinate vectors."""
-        if len(x) != self.dim or len(y) != self.dim:
-            raise InputError("bracket: vector length does not match dimension")
+        """[x, y] of sparse vectors {index: coefficient}, as a sparse vector.
+
+        An index of x outside the basis raises InputError; y is read only
+        at the bracket partners of x's indices.
+        """
         adj = self._adjacency
         acc = {}
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, sign, row in adj.get(i, ()):
-                yj = y[j]
-                if not yj:
-                    continue
-                c = xi * yj if sign > 0 else -(xi * yj)
-                for k, v in row.items():
-                    acc[k] = acc.get(k, self.zero) + c * v
-        out = [self.zero] * self.dim
-        for k, v in acc.items():
-            out[k] = v
-        return tuple(out)
+        try:
+            for i, xi in x.items():
+                nbrs = adj[i]
+                # walk whichever of e_i's bracket partners and y's support is shorter
+                if len(nbrs) <= len(y):
+                    for j, row in nbrs.items():
+                        yj = y.get(j)
+                        if yj is not None:
+                            c = xi * yj
+                            for k, v in row.items():
+                                acc[k] = acc.get(k, 0) + c * v
+                else:
+                    for j, yj in y.items():
+                        row = nbrs.get(j)
+                        if row is not None:
+                            c = xi * yj
+                            for k, v in row.items():
+                                acc[k] = acc.get(k, 0) + c * v
+        except KeyError:
+            raise InputError("bracket: vector index outside the basis") from None
+        return {k: v for k, v in acc.items() if v}
 
     def ad(self, x):
-        """ad_x as a sparse column map {j: {k: coeff}} with ad_x(e_j) = sum coeff e_k."""
+        """ad_x of a sparse x as a column map {j: {k: coeff}} with ad_x(e_j) = sum coeff e_k."""
         cols = {}
-        for (i, j), row in self.brackets.items():
-            if x[i]:
+        adj = self._adjacency
+        for i, xi in x.items():
+            for j, row in adj[i].items():
                 col = cols.setdefault(j, {})
                 for k, v in row.items():
-                    col[k] = col.get(k, self.zero) + x[i] * v
-            if x[j]:
-                col = cols.setdefault(i, {})
-                for k, v in row.items():
-                    col[k] = col.get(k, self.zero) - x[j] * v
+                    col[k] = col.get(k, self.zero) + xi * v
         return cols
 
     def basis_vector(self, i):
@@ -155,31 +166,45 @@ class LieAlgebra:
 class Subspace:
     """A linear subspace of a LieAlgebra, canonically in reduced echelon form.
 
-    span builds one from arbitrary rows; the constructor takes rows and
-    pivots that are already in reduced echelon form.
+    span and sparse_span build one from arbitrary dense or sparse rows; the
+    constructor takes dense rows and pivots that are already in reduced
+    echelon form, from_echelon a sparse echelon form.
     """
 
     parent: LieAlgebra
     rows: tuple
     pivots: tuple
 
+    @classmethod
+    def from_echelon(cls, parent, basis):
+        """The subspace of a sparse echelon form {pivot: row}, which it keeps."""
+        sub = cls(parent, *echelon_rows(basis, parent.dim))
+        sub.__dict__["echelon"] = basis
+        return sub
+
     @property
     def dim(self):
         return len(self.rows)
 
     @cached_property
-    def _echelon(self):
-        # sparse view of the rows, built on the first reduction against them
+    def echelon(self):
+        """The rows as a sparse echelon form {pivot: row}, built once.
+
+        Its values are the sparse rows, in order; every computation on the
+        subspace uses them, and rows stays the dense form shown outside.
+        """
         return sparse_echelon(self.rows, self.pivots)
 
     def contains(self, v):
-        return in_span(v, self._echelon, self.pivots)
+        """Is the sparse vector v in the subspace?"""
+        return in_span(v, self.echelon)
 
     def contains_space(self, other):
-        return all(self.contains(r) for r in other.rows)
+        return all(self.contains(r) for r in other.echelon.values())
 
     def reduce(self, v):
-        return reduce_mod(v, self._echelon, self.pivots)
+        """Sparse residual of the sparse vector v; empty iff v is inside."""
+        return reduce_mod(v, self.echelon)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -199,22 +224,33 @@ def zero_space(L):
 
 
 def span(L, vectors):
-    """The subspace spanned by arbitrary rows, by one elimination."""
+    """The subspace spanned by arbitrary dense rows, by one elimination."""
     for r in vectors:
         if len(r) != L.dim:
             raise InputError("subspace row length does not match algebra dimension")
     return Subspace(L, *rref(vectors))
 
 
+def sparse_span(L, vectors):
+    """The subspace spanned by arbitrary sparse rows, by one elimination."""
+    return Subspace.from_echelon(L, echelon(vectors))
+
+
 def intersect(a, b):
     _same_parent(a, b)
-    return Subspace(a.parent, *intersect_spaces(a.rows, b.rows))
+    return Subspace.from_echelon(
+        a.parent, intersect_spaces(a.echelon.values(), b.echelon.values())
+    )
 
 
 def add_spaces(a, b):
     _same_parent(a, b)
-    rows, pivots = rref(list(a.rows) + list(b.rows))
-    return Subspace(a.parent, rows, pivots)
+    return sparse_span(a.parent, [*a.echelon.values(), *b.echelon.values()])
+
+
+def _units(L):
+    """The basis vectors e_0 .. e_{dim-1}, sparse."""
+    return [{i: 1} for i in range(L.dim)]
 
 
 def _same_parent(a, b):
@@ -343,23 +379,14 @@ def validate_tensor(dim, field, tensor):
 
 def product_space(L, a, b):
     """Span of [A, B] for subspaces A, B."""
-    vecs = []
-    for x in a.rows:
-        for y in b.rows:
-            v = L.bracket(x, y)
-            if any(v):
-                vecs.append(v)
-    return span(L, vecs)
+    return sparse_span(
+        L, [L.bracket(x, y) for x in a.echelon.values() for y in b.echelon.values()]
+    )
 
 
 def derived_subalgebra(L):
-    rows = []
-    for (i, j), row in L.brackets.items():
-        v = [L.zero] * L.dim
-        for k, c in row.items():
-            v[k] = c
-        rows.append(tuple(v))
-    return span(L, rows)
+    """[g, g]: the span of the stored brackets of basis pairs."""
+    return sparse_span(L, L.brackets.values())
 
 
 def derived_series(L):
@@ -418,7 +445,7 @@ class BilinearForm:
 
 def killing_form(L):
     """kappa(x, y) = trace(ad x . ad y) on basis pairs."""
-    ads = [L.ad(L.basis_vector(i)) for i in range(L.dim)]
+    ads = [L.ad(e) for e in _units(L)]
     n = L.dim
     mat = [[L.zero] * n for _ in range(n)]
     for i in range(n):
@@ -444,43 +471,58 @@ def radical(L):
     r = {x : kappa(x, y) = 0 for every y in [g, g]} over a field of
     characteristic zero; with [g, g] = 0 there is no condition and r = g.
     """
-    derived = derived_subalgebra(L)
-    images = [(matvec(derived.rows, row),) for row in killing_form(L).matrix]
-    return Subspace(L, *kernel_rows(L.basis_vectors(), images))
+    derived = list(derived_subalgebra(L).echelon.values())
+    images = []
+    for row in killing_form(L).matrix:
+        img = {}
+        for t, d in enumerate(derived):
+            x = sum(row[c] * v for c, v in d.items())
+            if x:
+                img[t] = x
+        images.append((img,))
+    return Subspace.from_echelon(L, kernel_rows(_units(L), images))
 
 
 # ---------------------------------------------------------------------------
 # subalgebra / ideal machinery
 # ---------------------------------------------------------------------------
 
-def is_subalgebra(L, s):
-    for a in range(s.dim):
-        for b in range(a + 1, s.dim):
-            if not s.contains(L.bracket(s.rows[a], s.rows[b])):
-                return False
-    return True
+def is_subalgebra(L, s, generators=None):
+    """[S, S] inside S, checked on the brackets of pairs of generators.
+
+    generators default to s's rows.  A caller may pass fewer rows whose
+    pairwise brackets already decide closure: complexify passes the
+    complex generators of a J-stable span, since [Jx, y] = J[x, y].
+    """
+    rows = list(s.echelon.values() if generators is None else generators)
+    return all(
+        s.contains(L.bracket(rows[a], rows[b]))
+        for a in range(len(rows))
+        for b in range(a + 1, len(rows))
+    )
 
 
 def is_ideal(L, s):
     """[g, S] inside S."""
-    for e in L.basis_vectors():
-        for v in s.rows:
-            if not s.contains(L.bracket(e, v)):
-                return False
-    return True
+    return all(
+        s.contains(L.bracket({i: 1}, v))
+        for i in range(L.dim)
+        for v in s.echelon.values()
+    )
 
 
 def subalgebra_closure(L, s):
     """Smallest subalgebra containing s: iterate span-and-bracket to a fixed point."""
-    current = span(L, s.rows)
+    current = sparse_span(L, s.echelon.values())
     while True:
-        new_rows = list(current.rows)
-        for a in range(current.dim):
-            for b in range(a + 1, current.dim):
-                v = L.bracket(current.rows[a], current.rows[b])
+        rows = list(current.echelon.values())
+        new_rows = list(rows)
+        for a in range(len(rows)):
+            for b in range(a + 1, len(rows)):
+                v = L.bracket(rows[a], rows[b])
                 if not current.contains(v):
                     new_rows.append(v)
-        nxt = span(L, new_rows)
+        nxt = sparse_span(L, new_rows)
         if nxt.dim == current.dim:
             return current
         current = nxt
@@ -488,16 +530,16 @@ def subalgebra_closure(L, s):
 
 def centralizer(L, s):
     """{x : [x, s] = 0 for all s in S}."""
-    basis = L.basis_vectors()
-    images = [[L.bracket(v, w) for w in s.rows] for v in basis]
-    return Subspace(L, *kernel_rows(basis, images))
+    basis = _units(L)
+    images = [[L.bracket(v, w) for w in s.echelon.values()] for v in basis]
+    return Subspace.from_echelon(L, kernel_rows(basis, images))
 
 
 def normalizer_subalgebra(L, s):
     """{x : [x, S] inside S}; the infinitesimal stabilizer of the subspace."""
-    basis = L.basis_vectors()
-    images = [[s.reduce(L.bracket(v, w)) for w in s.rows] for v in basis]
-    return Subspace(L, *kernel_rows(basis, images))
+    basis = _units(L)
+    images = [[s.reduce(L.bracket(v, w)) for w in s.echelon.values()] for v in basis]
+    return Subspace.from_echelon(L, kernel_rows(basis, images))
 
 
 def subalgebra_structure(L, s):
@@ -507,17 +549,16 @@ def subalgebra_structure(L, s):
     """
     if s.dim == 0:
         return LieAlgebra(0, L.field, (), {}), None
-    solver = Solver(s.rows)
+    rows = list(s.echelon.values())
+    solver = Solver(rows)
     brackets = {}
     for a in range(s.dim):
         for b in range(a + 1, s.dim):
-            v = L.bracket(s.rows[a], s.rows[b])
-            coeffs = solver.solve(v)
+            coeffs = solver.solve(L.bracket(rows[a], rows[b]))
             if coeffs is None:
                 raise StructureError("subspace is not closed under the bracket")
-            row = {k: c for k, c in enumerate(coeffs) if c}
-            if row:
-                brackets[(a, b)] = row
+            if coeffs:
+                brackets[(a, b)] = coeffs
     names = tuple(f"s{k}" for k in range(s.dim))
     return LieAlgebra(s.dim, L.field, names, brackets), solver
 
@@ -534,19 +575,15 @@ def quotient_algebra(L, ideal):
     pivots = set(ideal.pivots)
     comp = [i for i in range(L.dim) if i not in pivots]
     k = len(comp)
-
-    def project(v):
-        red = ideal.reduce(v)
-        return tuple(red[i] for i in comp)
+    # a residual vanishes on the pivots, so its support lies in comp
+    position = {c: t for t, c in enumerate(comp)}
 
     brackets = {}
     for a in range(k):
         for b in range(a + 1, k):
-            v = L.bracket(L.basis_vector(comp[a]), L.basis_vector(comp[b]))
-            red = project(v)
-            row = {t: c for t, c in enumerate(red) if c}
-            if row:
-                brackets[(a, b)] = row
+            red = ideal.reduce(L.basis_bracket(comp[a], comp[b]))
+            if red:
+                brackets[(a, b)] = {position[c]: red[c] for c in sorted(red)}
     names = tuple(L.names[i] for i in comp)
     return LieAlgebra(k, L.field, names, brackets), tuple(comp)
 

@@ -42,7 +42,7 @@ from .complexify import (
 )
 from .cr import check_cr_pair, cr_type, levi_form, levi_signature
 from .errors import InputError, InternalError
-from .linalg import kernel_rows
+from .linalg import echelon_rows, kernel_rows, sparse
 from .report import Check, Report
 from .scalars import QI, QQ
 
@@ -452,10 +452,10 @@ def line_stabilizer_rows(basis_mats, v):
     eigenvalue is one more domain coordinate, with a zero domain row.
     """
     dim = len(basis_mats)
-    unit = [tuple(int(a == b) for b in range(dim)) for a in range(dim)]
-    images = [(tuple(_real(x) for x in mat_apply(m, v)),) for m in basis_mats]
-    images.append((tuple(-_real(x) for x in v),))
-    return kernel_rows(unit + [(0,) * dim], images)[0]
+    unit = [{a: 1} for a in range(dim)]
+    images = [(sparse([_real(x) for x in mat_apply(m, v)]),) for m in basis_mats]
+    images.append((sparse([-_real(x) for x in v]),))
+    return echelon_rows(kernel_rows(unit + [{}], images), dim)[0]
 
 
 def _realified(coords, dim, offset=0):
@@ -947,9 +947,10 @@ ROSTER = (
 
 
 # Parametrized entries are built on demand only up to this complex ambient
-# dimension, that of quadric(5,4)'s sl(9, C): construction and verification
-# cost grows quickly with it.
-MAX_AMBIENT_DIM = 80
+# dimension, that of sl(13, C) for the quadrics with p + q = 13: construction
+# and verification cost grows quickly with it, and the costliest entry
+# admitted takes about 1.4 CPU s on a 2-vCPU x86-64 VM.
+MAX_AMBIENT_DIM = 168
 
 # (name prefix, builder, arity, complex ambient dimension)
 _FAMILIES = (

@@ -31,11 +31,21 @@ from .algebra import (
     radical,
     realify,
     span,
+    sparse_span,
     subalgebra_structure,
 )
 from .cr import CRPair
 from .errors import InputError, InternalError, StructureError
-from .linalg import Solver, combine_rows, independent_rows, kernel_rows, matvec, rref
+from .linalg import (
+    Solver,
+    combine_rows,
+    independent_rows,
+    kernel_rows,
+    matvec,
+    rref,
+    sparse,
+    vec_sub,
+)
 from .report import Check, Report
 from .scalars import QI, QQ, GaussianRational, compact, imag_part, real_part
 
@@ -53,10 +63,9 @@ def complexify_algebra(L: LieAlgebra) -> LieAlgebra:
     return LieAlgebra(L.dim, QI, L.names, L.brackets)
 
 
-def j_apply(v):
-    """Multiplication by i in realified coordinates."""
-    n = len(v) // 2
-    return tuple(-v[n + k] for k in range(n)) + tuple(v[k] for k in range(n))
+def j_apply(v, n):
+    """Multiplication by i on a sparse realified vector of a complex dimension-n space."""
+    return {(c + n if c < n else c - n): (x if c < n else -x) for c, x in v.items()}
 
 
 def complex_to_real(z):
@@ -65,9 +74,29 @@ def complex_to_real(z):
 
 
 def complex_rows_realified(rows):
-    """Realified spanning rows of a complex row space: v and iv per row."""
-    real = [complex_to_real(z) for z in rows]
-    return [w for v in real for w in (v, j_apply(v))]
+    """Realified spanning rows (dense) of a complex row space: v and iv per row."""
+    out = []
+    for z in rows:
+        v = complex_to_real(z)
+        n = len(z)
+        out += [v, tuple(-x for x in v[n:]) + v[:n]]
+    return out
+
+
+def complex_generators(sub: Subspace):
+    """Rows of a J-stable realified subspace that span it over C.
+
+    They are its echelon rows with a pivot in the real block: a row u
+    with its pivot in the imaginary block has no real part, so J u has no
+    imaginary part, hence is a combination of those rows, and u = -J(J u).
+    There are dim_C of them when the subspace
+    has a basis of real vectors (every catalog isotropy does), at most
+    twice that in general.  The bracket of a complex algebra is
+    C-bilinear, [x, J y] = J [x, y], so a condition "[x, u] lies in a
+    J-stable space" holds on all of sub once it holds on these rows.
+    """
+    n = sub.parent.dim // 2
+    return [row for p, row in sub.echelon.items() if p < n]
 
 
 def canonical_complex_rows(sub: Subspace):
@@ -101,7 +130,11 @@ class OrbitModel:
     ambient_real   its realification, where all derived geometry lives
     real_rows      basis of the real subalgebra in realified coordinates,
                    aligned with real_algebra's basis when one is supplied
+    real_vectors   the same rows as sparse vectors
     isotropy_real  realified span of the complex isotropy rows given
+    isotropy_generators
+                   rows of isotropy_real spanning it over C
+                   (complex_generators)
     isotropy_rows  their canonical complex basis, derived from
                    isotropy_real on first use (orbit_payload writes it)
 
@@ -110,7 +143,8 @@ class OrbitModel:
     J-stable ideal), the codimension, and the genericity property
     g + Jg = ambient (a structural requirement).  A complex subspace is
     represented by its J-stable realification, so closure under the
-    complex bracket is checked as closure under the realified one.
+    complex bracket is checked as closure under the realified one, on the
+    complex generators only.
     """
 
     def __init__(self, ambient, real_rows, isotropy_rows, real_algebra=None, name=""):
@@ -131,7 +165,8 @@ class OrbitModel:
             raise InputError("real basis rows are linearly dependent")
 
         self.isotropy_real = span(self.ambient_real, complex_rows_realified(isotropy_rows))
-        if not is_subalgebra(self.ambient_real, self.isotropy_real):
+        self.isotropy_generators = complex_generators(self.isotropy_real)
+        if not is_subalgebra(self.ambient_real, self.isotropy_real, self.isotropy_generators):
             raise StructureError("isotropy rows are not a complex subalgebra")
         if not is_subalgebra(self.ambient_real, self.real_sub):
             raise StructureError("real rows are not a subalgebra")
@@ -139,15 +174,18 @@ class OrbitModel:
         if real_algebra is None:
             real_algebra, self._solver = subalgebra_structure(self.ambient_real, self.real_sub)
             self.real_rows = self.real_sub.rows
+            self.real_vectors = list(self.real_sub.echelon.values())
         else:
             if real_algebra.dim != len(self.real_rows):
                 raise InputError("real_algebra dimension does not match basis rows")
-            self._solver = Solver(self.real_rows)
+            self.real_vectors = [sparse(r) for r in self.real_rows]
+            self._solver = Solver(self.real_vectors)
             self._validate_alignment(real_algebra)
         self.real_algebra = real_algebra
 
         # genericity: g + Jg must span the realified ambient
-        jg = span(self.ambient_real, [j_apply(v) for v in self.real_rows])
+        n = ambient.dim
+        jg = sparse_span(self.ambient_real, [j_apply(v, n) for v in self.real_vectors])
         if add_spaces(self.real_sub, jg).dim != n2:
             raise StructureError("real subalgebra is not generic: g + Jg is proper")
 
@@ -166,24 +204,24 @@ class OrbitModel:
         # brackets of the aligned rows must reproduce real_algebra's constants,
         # checked on every pair
         solver = self._solver
-        n = real_algebra.dim
-        for i in range(n):
-            for j in range(i + 1, n):
-                v = self.ambient_real.bracket(self.real_rows[i], self.real_rows[j])
-                coeffs = solver.solve(v)
+        rows = self.real_vectors
+        for i in range(real_algebra.dim):
+            for j in range(i + 1, real_algebra.dim):
+                coeffs = solver.solve(self.ambient_real.bracket(rows[i], rows[j]))
                 if coeffs is None:
                     raise InternalError("aligned rows do not close under the bracket")
-                expect = {k: c for k, c in enumerate(coeffs) if c}
-                if expect != real_algebra.basis_bracket(i, j):
+                if coeffs != real_algebra.basis_bracket(i, j):
                     raise InternalError("real_algebra is not aligned with its rows")
 
     def _maximal_complex_ideal(self, jg):
         m = intersect(self.real_sub, jg)
-        for v in m.rows:
-            if not m.contains(j_apply(v)):
+        n = self.ambient.dim
+        for v in m.echelon.values():
+            if not m.contains(j_apply(v, n)):
                 raise InternalError("g ∩ Jg is not J-stable")
-        for x in self.real_sub.rows:
-            for v in m.rows:
+        # m is J-stable, so [x, J v] = J [x, v] needs no separate check
+        for x in self.real_sub.echelon.values():
+            for v in complex_generators(m):
                 if not m.contains(self.ambient_real.bracket(x, v)):
                     raise InternalError("g ∩ Jg is not an ideal of g")
         return m
@@ -204,18 +242,19 @@ def cr_normalizer_algebra(model: OrbitModel) -> Subspace:
     This is the infinitesimal stabilizer of the complex isotropy algebra,
     the identity-component data of the fibration base group.  It contains
     h and sits inside the infinitesimal normalizer of h; both containments
-    are rechecked here.
+    are rechecked here.  The isotropy condition is imposed on its complex
+    generators only: [xi, J u] = J [xi, u] and the isotropy is J-stable.
     """
-    L, g, h = model.ambient_real, model.real_rows, model.h
+    L, g, h = model.ambient_real, model.real_vectors, model.h
 
-    def normalizer_in_g(s):
-        images = [[s.reduce(L.bracket(v, u)) for u in s.rows] for v in g]
-        return Subspace(L, *kernel_rows(g, images))
+    def normalizer_in_g(s, rows):
+        images = [[s.reduce(L.bracket(v, u)) for u in rows] for v in g]
+        return Subspace.from_echelon(L, kernel_rows(g, images))
 
-    ncr = normalizer_in_g(model.isotropy_real)
+    ncr = normalizer_in_g(model.isotropy_real, model.isotropy_generators)
     if not ncr.contains_space(h):
         raise InternalError("CR-normalizer does not contain h")
-    if not normalizer_in_g(h).contains_space(ncr):
+    if not normalizer_in_g(h, h.echelon.values()).contains_space(ncr):
         raise InternalError("CR-normalizer exceeds the normalizer of h")
     return ncr
 
@@ -254,7 +293,7 @@ def anticanonical_fibration(model: OrbitModel) -> FibrationReport:
     degenerate = j.dim == model.real_sub.dim
     j_sub, j_solver = subalgebra_structure(model.ambient_real, j)
     if j.dim:
-        h_in_j = span(j_sub, [j_solver.solve(v) for v in model.h.rows])
+        h_in_j = sparse_span(j_sub, [j_solver.solve(v) for v in model.h.echelon.values()])
         fiber, _ = quotient_algebra(j_sub, h_in_j)
     else:
         fiber = j_sub
@@ -313,7 +352,9 @@ def fiber_globalization_check(model: OrbitModel) -> Report:
 
     r_from_ambient = intersect(r_hat, model.real_sub)
     r_abstract = radical(model.real_algebra)
-    r_mapped = span(model.ambient_real, combine_rows(r_abstract.rows, model.real_rows))
+    r_mapped = sparse_span(
+        model.ambient_real, combine_rows(r_abstract.echelon.values(), model.real_vectors)
+    )
     checks.append(
         Check(
             "radical-alignment",
@@ -330,7 +371,7 @@ def fiber_globalization_check(model: OrbitModel) -> Report:
 
 def _extended_real_basis(model: OrbitModel):
     """The aligned real basis, then each isotropy row outside the span of the rows before it."""
-    rows = list(model.real_rows) + list(model.isotropy_real.rows)
+    rows = [*model.real_vectors, *model.isotropy_real.echelon.values()]
     return [rows[k] for k in independent_rows(rows)]
 
 
@@ -342,29 +383,31 @@ def induced_cr_pair(model: OrbitModel) -> CRPair:
     the isotropy algebra.
     """
     g = model.real_algebra
-    big = span(
-        model.ambient_real, list(model.real_rows) + list(model.isotropy_real.rows)
-    )
-    images = [(big.reduce(j_apply(v)),) for v in model.real_rows]
-    r_sub = Subspace(g, *kernel_rows(g.basis_vectors(), images))
-    h_sub = span(g, [model._solver.solve(v) for v in model.h.rows])
+    nc = model.ambient.dim
+    extended = _extended_real_basis(model)
+    big = sparse_span(model.ambient_real, extended)
+    images = [(big.reduce(j_apply(v, nc)),) for v in model.real_vectors]
+    units = [{a: 1} for a in range(g.dim)]
+    r_sub = Subspace.from_echelon(g, kernel_rows(units, images))
+    h_sub = sparse_span(g, [model._solver.solve(v) for v in model.h.echelon.values()])
 
-    solver = Solver(_extended_real_basis(model))
+    solver = Solver(extended)
 
     n = g.dim
-    jmat = [[F(0)] * n for _ in range(n)]
-    for a in range(n):
-        e = g.basis_vector(a)
-        residual_e = r_sub.reduce(e)
-        proj = tuple(p - q for p, q in zip(e, residual_e))
-        if not any(proj):
+    jmat = [[0] * n for _ in range(n)]
+    for a, e in enumerate(units):
+        # project e_a onto R along the pivot-free complement
+        proj = vec_sub(e, r_sub.reduce(e))
+        if not proj:
             continue
-        (v,) = combine_rows([proj], model.real_rows)
-        img = solver.solve(j_apply(v))
+        (v,) = combine_rows([proj], model.real_vectors)
+        img = solver.solve(j_apply(v, nc))
         if img is None:
             raise InternalError("J image escaped g + isotropy on R")
-        for k in range(n):
-            jmat[k][a] = img[k]
+        # the coefficients past n belong to isotropy rows: J is taken mod isotropy
+        for k, x in img.items():
+            if k < n:
+                jmat[k][a] = x
     return CRPair(g, h_sub, r_sub, tuple(tuple(r) for r in jmat))
 
 
@@ -403,21 +446,22 @@ def nilpotent_automorphism(L: LieAlgebra, x):
     one = L.one
     zero = L.zero
     mat = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    term = [list(L.basis_vector(j)) for j in range(n)]  # columns as vectors
+    x = sparse(x)
+    term = [{j: one} for j in range(n)]  # columns (ad x)^k e_j, sparse
     k = 0
     factorial = 1
     while True:
         k += 1
         factorial *= k
-        term = [list(L.bracket(x, tuple(col))) for col in term]
-        if not any(any(col) for col in term):
+        term = [L.bracket(x, col) for col in term]
+        if not any(term):
             break
         if k > n:
             raise InputError("exp(ad x) requires an ad-nilpotent element")
         inv = F(1, factorial)
-        for j in range(n):
-            for i in range(n):
-                mat[i][j] = mat[i][j] + term[j][i] * inv
+        for j, col in enumerate(term):
+            for i, c in col.items():
+                mat[i][j] = mat[i][j] + c * inv
     return tuple(tuple(r) for r in mat)
 
 

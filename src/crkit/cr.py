@@ -9,6 +9,12 @@ the homogeneous space of g modulo h.
 J is canonicalized by projecting its values onto the pivot-free
 complement of h inside R, so equivalent pairs (J differing by an h-valued
 map) compare equal.
+
+Inside, vectors are sparse {index: coefficient} dicts and J is a sparse
+column map {j: {k: coeff}} with J e_j = sum coeff e_k; the axiom loops and
+the Levi form run on those.  A pair is built from a dense J matrix (the
+file format), and dense tuples come back out only as witnesses, the Levi
+form matrices and j_matrix.
 """
 
 from __future__ import annotations
@@ -18,27 +24,50 @@ from fractions import Fraction
 
 from .algebra import LieAlgebra, Subspace
 from .errors import InputError, InternalError, StructureError
-from .linalg import combine_rows, kernel_rows, left_nullspace, rref, signature_of_symmetric
+from .linalg import (
+    combine_rows,
+    dense,
+    echelon,
+    echelon_rows,
+    kernel_rows,
+    left_nullspace,
+    signature_of_symmetric,
+    sparse,
+    vec_add,
+    vec_sub,
+)
 from .report import Check, Report, witness_check
-from .scalars import QQ
+from .scalars import QQ, compact
 
 
-def apply_endo(matrix, v):
-    """Matrix action on a coordinate vector (column convention)."""
-    nz = [(j, vj) for j, vj in enumerate(v) if vj]
-    out = []
-    for row in matrix:
-        acc = 0
-        for j, vj in nz:
-            t = row[j]
-            if t:
-                acc = acc + t * vj
-        out.append(acc)
-    return tuple(out)
+def apply_endo(columns, v):
+    """The image of a sparse vector under a sparse column map {j: {k: coeff}}."""
+    acc = {}
+    for j, vj in v.items():
+        col = columns.get(j)
+        if col:
+            for k, t in col.items():
+                acc[k] = acc.get(k, 0) + t * vj
+    return {k: x for k, x in acc.items() if x}
+
+
+def matrix_columns(matrix):
+    """Sparse column map {j: {k: coeff}} of a dense matrix (column convention)."""
+    columns = {}
+    for k, row in enumerate(matrix):
+        for j, x in enumerate(row):
+            if x:
+                columns.setdefault(j, {})[k] = x
+    return columns
 
 
 class CRPair:
-    """(R, J) with h <= R <= g and J an endomorphism of R, stored mod h."""
+    """(R, J) with h <= R <= g and J an endomorphism of R, stored mod h.
+
+    j_matrix is dense, dim(g) x dim(g), in the column convention.  j_raw
+    keeps it as a sparse column map, j the canonical one, complement the
+    sparse echelon form of the pivot-free complement of h in R.
+    """
 
     def __init__(self, g: LieAlgebra, h: Subspace, r: Subspace, j_matrix):
         if g.field != QQ:
@@ -52,36 +81,39 @@ class CRPair:
         self.g = g
         self.h = h
         self.r = r
-        self.j_raw = tuple(tuple(x for x in row) for row in j_matrix)
-        for v in r.rows:
+        self.j_raw = matrix_columns(j_matrix)
+        for v in r.echelon.values():
             if not r.contains(apply_endo(self.j_raw, v)):
                 raise StructureError("J does not preserve R")
         self.j = self._canonical_j()
-        self.complement_rows = self._complement_of_h_in_r()
+        self.complement = echelon([self.h.reduce(v) for v in self.r.echelon.values()])
 
-    def _complement_of_h_in_r(self):
-        reduced = []
-        for v in self.r.rows:
-            w = self.h.reduce(v)
-            if any(w):
-                reduced.append(w)
-        rows, _ = rref(reduced)
-        return rows
+    @property
+    def complement_rows(self):
+        """The complement of h in R as dense echelon rows."""
+        return echelon_rows(self.complement, self.g.dim)[0]
 
     def _canonical_j(self):
         # v -> reduce_h(J(project_R(v))), with project_R along the pivot complement
-        n = self.g.dim
-        cols = []
-        for j in range(n):
-            v = self.g.basis_vector(j)
-            residual = self.r.reduce(v)
-            proj = tuple(a - b for a, b in zip(v, residual))
+        columns = {}
+        for j in range(self.g.dim):
+            e = {j: 1}
+            proj = vec_sub(e, self.r.reduce(e))
             img = self.h.reduce(apply_endo(self.j_raw, proj))
-            cols.append(img)
-        return tuple(tuple(cols[j][k] for j in range(n)) for k in range(n))
+            if img:
+                columns[j] = img
+        return columns
 
     def apply_j(self, v):
+        """The canonical J of a sparse vector."""
         return apply_endo(self.j, v)
+
+    def j_matrix(self):
+        """The canonical J as a dense matrix (column convention)."""
+        n = self.g.dim
+        return tuple(
+            tuple(compact(self.j.get(j, {}).get(k, 0)) for j in range(n)) for k in range(n)
+        )
 
     def __eq__(self, other):
         if not isinstance(other, CRPair):
@@ -129,81 +161,80 @@ def check_cr_pair(pair: CRPair, connected_isotropy: bool = True) -> Report:
     components, and the row is reported as not checkable.
     """
     g, h, r = pair.g, pair.h, pair.r
+    j = pair.j_raw
     checks = []
+
+    def found(name, witness):
+        # a witness leaves as a dense tuple
+        checks.append(
+            witness_check(name, None if witness is None else dense(witness, g.dim), "witness ")
+        )
 
     # kernel exactness: J(h) <= h, and ker(J mod h) restricted to R equals h
     witness = None
-    for v in h.rows:
-        if not h.contains(apply_endo(pair.j_raw, v)):
+    for v in h.echelon.values():
+        if not h.contains(apply_endo(j, v)):
             witness = v
             break
     if witness is None:
-        comp = pair.complement_rows
-        images = [h.reduce(apply_endo(pair.j_raw, v)) for v in comp]
+        comp = list(pair.complement.values())
+        images = [h.reduce(apply_endo(j, v)) for v in comp]
         if images:
             for vec in combine_rows(left_nullspace(images), comp):
                 if not h.contains(vec):
                     witness = vec
                     break
-    checks.append(witness_check("kernel-exactness", witness, "witness "))
+    found("kernel-exactness", witness)
 
     # J^2 + id = 0 mod h on R
     witness = None
-    for v in r.rows:
-        w = apply_endo(pair.j_raw, apply_endo(pair.j_raw, v))
-        total = tuple(a + b for a, b in zip(w, v))
-        if not h.contains(total):
+    rows = list(r.echelon.values())
+    for v in rows:
+        if not h.contains(vec_add(apply_endo(j, apply_endo(j, v)), v)):
             witness = v
             break
-    checks.append(witness_check("square-minus-identity", witness, "witness "))
+    found("square-minus-identity", witness)
 
     # isotropy compatibility (connected form)
-    j_of_r = [apply_endo(pair.j_raw, zeta) for zeta in r.rows]
+    j_of_r = [apply_endo(j, zeta) for zeta in rows]
     if connected_isotropy:
         witness = None
-        for xi in h.rows:
-            for zeta, jzeta in zip(r.rows, j_of_r):
+        for xi in h.echelon.values():
+            for zeta, jzeta in zip(rows, j_of_r):
                 b = g.bracket(xi, zeta)
                 if not r.contains(b):
                     witness = b
                     break
-                lhs = apply_endo(pair.j_raw, b)
-                rhs = g.bracket(xi, jzeta)
-                diff = tuple(a - c for a, c in zip(lhs, rhs))
+                diff = vec_sub(apply_endo(j, b), g.bracket(xi, jzeta))
                 if not h.contains(diff):
                     witness = diff
                     break
             if witness is not None:
                 break
-        checks.append(witness_check("isotropy-compatibility", witness, "witness "))
+        found("isotropy-compatibility", witness)
     else:
         # disconnected isotropy is invisible at the algebra level
         checks.append(Check("isotropy-compatibility", None))
 
     # integrability: [xi,zeta] - [Jxi,Jzeta] in R, and the torsion lands in h
     witness = None
-    rows = r.rows
     for a in range(len(rows)):
         xi, jxi = rows[a], j_of_r[a]
         for b in range(a + 1, len(rows)):
             zeta, jzeta = rows[b], j_of_r[b]
-            first = tuple(
-                p - q for p, q in zip(g.bracket(xi, zeta), g.bracket(jxi, jzeta))
-            )
+            first = vec_sub(g.bracket(xi, zeta), g.bracket(jxi, jzeta))
             if not r.contains(first):
                 witness = first
                 break
-            torsion = apply_endo(pair.j_raw, first)
-            torsion = tuple(
-                t - u - v
-                for t, u, v in zip(torsion, g.bracket(jxi, zeta), g.bracket(xi, jzeta))
+            torsion = vec_sub(
+                vec_sub(apply_endo(j, first), g.bracket(jxi, zeta)), g.bracket(xi, jzeta)
             )
             if not h.contains(torsion):
                 witness = torsion
                 break
         if witness is not None:
             break
-    checks.append(witness_check("integrability", witness, "witness "))
+    found("integrability", witness)
     return Report(tuple(checks))
 
 
@@ -244,13 +275,16 @@ def levi_form(pair: CRPair) -> LeviReport:
     forms with a codirection.
     """
     g, r = pair.g, pair.r
-    comp = pair.complement_rows
+    comp = list(pair.complement.values())
     m = len(comp)
-    value_idx = tuple(i for i in range(g.dim) if i not in set(r.pivots))
+    pivots = set(r.pivots)
+    value_idx = tuple(i for i in range(g.dim) if i not in pivots)
+    k = len(value_idx)
+    # a residual vanishes on R's pivots: its support lies in value_idx
+    position = {c: t for t, c in enumerate(value_idx)}
 
     def lam(v):
-        red = r.reduce(v)
-        return tuple(red[i] for i in value_idx)
+        return {position[c]: x for c, x in r.reduce(v).items()}
 
     jimg = [pair.apply_j(v) for v in comp]
     raw = [[lam(g.bracket(x, y)) for y in comp] for x in comp]
@@ -258,17 +292,22 @@ def levi_form(pair: CRPair) -> LeviReport:
     mixed = [[lam(g.bracket(x, jy)) for jy in jimg] for x in comp]
     half = Fraction(1, 2)
     form = tuple(
-        tuple(tuple(raw[i][j][c] for j in range(m)) for i in range(m))
-        for c in range(len(value_idx))
+        tuple(tuple(compact(raw[i][j].get(c, 0)) for j in range(m)) for i in range(m))
+        for c in range(k)
     )
     completed = tuple(
-        tuple(tuple(half * (mixed[i][j][c] + mixed[j][i][c]) for j in range(m)) for i in range(m))
-        for c in range(len(value_idx))
+        tuple(
+            tuple(half * (mixed[i][j].get(c, 0) + mixed[j][i].get(c, 0)) for j in range(m))
+            for i in range(m)
+        )
+        for c in range(k)
     )
     # an empty value space (k = 0) leaves no conditions: the kernel is all of R/h
-    images = [[completed[c][i] for c in range(len(value_idx))] for i in range(m)]
-    kernel = Subspace(g, *kernel_rows(comp, images))
-    return LeviReport(comp, value_idx, form, completed, kernel, kernel.dim == 0, m == 0)
+    images = [[sparse(completed[c][i]) for c in range(k)] for i in range(m)]
+    kernel = Subspace.from_echelon(g, kernel_rows(comp, images))
+    return LeviReport(
+        pair.complement_rows, value_idx, form, completed, kernel, kernel.dim == 0, m == 0
+    )
 
 
 @dataclass(frozen=True)

@@ -163,7 +163,7 @@ def cr_pair_payload(pair: CRPair) -> dict:
     payload["kind"] = "cr-pair"
     payload["h_basis"] = [[format_scalar(x, QQ) for x in row] for row in pair.h.rows]
     payload["R_basis"] = [[format_scalar(x, QQ) for x in row] for row in pair.r.rows]
-    payload["J"] = [[format_scalar(x, QQ) for x in row] for row in pair.j]
+    payload["J"] = [[format_scalar(x, QQ) for x in row] for row in pair.j_matrix()]
     return payload
 
 

@@ -23,7 +23,7 @@ from .algebra import (
     is_solvable,
     product_space,
     radical,
-    span,
+    sparse_span,
     subalgebra_structure,
 )
 from .complexify import j_apply
@@ -105,7 +105,7 @@ def radical_abelian_check(ambient, j_hat: Subspace) -> bool:
         raise InputError("j_hat must be a subspace of the ambient algebra")
     r = radical(ambient)
     derived = product_space(ambient, r, r)
-    return all(j_hat.contains(v) for v in derived.rows)
+    return all(j_hat.contains(v) for v in derived.echelon.values())
 
 
 def entry_j_hat(entry) -> Subspace:
@@ -114,9 +114,10 @@ def entry_j_hat(entry) -> Subspace:
     Realified, as the J-stable subspace hat-h + j + J j of the realified ambient.
     """
     model = entry.model
-    j = entry.fibration.normalizer.rows
-    rows = list(model.isotropy_real.rows) + list(j) + [j_apply(v) for v in j]
-    return span(model.ambient_real, rows)
+    j = list(entry.fibration.normalizer.echelon.values())
+    n = model.ambient.dim
+    rows = [*model.isotropy_real.echelon.values(), *j, *(j_apply(v, n) for v in j)]
+    return sparse_span(model.ambient_real, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -4,18 +4,20 @@ The library calls these routines on rational data only: a complex
 subspace is handled as its J-stable realification.  They use nothing but
 field operations, so entries of another exact field still work.
 
-At the interface, vectors are tuples of scalars and matrices are tuples
-of row tuples; results come back dense, with entries compacted (integral
-values as plain ints) and zeros as int 0.  Inside, rows are sparse
-{column: value} dicts holding only the nonzero entries, so elimination,
-reduction and nullspaces touch nonzeros only: the catalog's realified
-rows are a few percent nonzero.
+Vectors are sparse {column: value} dicts holding only the nonzero
+entries, so elimination, reduction, nullspaces and solves touch nonzeros
+only: the catalog's realified rows are a few percent nonzero.  Dense
+tuples appear at the edges only: rref, rank and the congruence routines
+take and return dense matrices, echelon_rows turns a sparse echelon form
+into the dense (rows, pivots) a Subspace shows, and sparse/dense convert
+a single vector.  Dense results have their entries compacted (integral
+values as plain ints) and zeros as int 0.
 
 A subspace is always represented by its reduced row echelon form with the
 zero rows dropped, so two subspaces are equal iff the representing
-matrices are equal.  The reduction routines take those echelon rows
-either dense or as their sparse_echelon view, which a caller reducing
-against one basis many times builds once.  All routines are pure; nothing
+matrices are equal.  Sparse, that form is a {pivot: row} dict in
+ascending pivot order (echelon, kernel_rows, intersect_spaces), and the
+reduction routines take it as the basis.  All routines are pure; nothing
 here mutates its arguments.
 
 Every subspace the library solves for (centralizers, normalizers, the
@@ -28,18 +30,17 @@ route that computes it.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 
 from .errors import InputError
 from .scalars import compact, exact_div
 
 
-def _sparse(row):
+def sparse(row):
     """{column: value} map of the nonzero entries of a dense row."""
     return {c: x for c, x in enumerate(row) if x}
 
 
-def _dense(row, ncols):
+def dense(row, ncols):
     """Dense tuple of a sparse row: entries compacted, zeros as int 0."""
     out = [0] * ncols
     for c, x in row.items():
@@ -59,6 +60,20 @@ def _axpy(dst, a, src):
                 dst[c] = y
             else:
                 del dst[c]
+
+
+def vec_add(a, b):
+    """a + b on sparse vectors."""
+    out = dict(a)
+    _axpy(out, 1, b)
+    return out
+
+
+def vec_sub(a, b):
+    """a - b on sparse vectors."""
+    out = dict(a)
+    _axpy(out, -1, b)
+    return out
 
 
 def _echelon(rows):
@@ -86,11 +101,21 @@ def _echelon(rows):
             if f is not None:
                 _axpy(other, -f, row)
         basis[q] = row
-    return basis
+    return {p: basis[p] for p in sorted(basis)}
+
+
+def echelon(rows):
+    """Reduced echelon form {pivot: row} of sparse rows, in ascending pivot order."""
+    return _echelon([dict(r) for r in rows])
+
+
+def echelon_rows(basis, ncols):
+    """The dense (rows, pivots) of a sparse echelon form, as rref returns them."""
+    return tuple(dense(row, ncols) for row in basis.values()), tuple(basis)
 
 
 def rref(rows):
-    """Reduced row echelon form.
+    """Reduced row echelon form of a dense matrix.
 
     Returns (rows, pivots): the nonzero echelon rows as tuples and the
     pivot column of each row.
@@ -98,10 +123,7 @@ def rref(rows):
     rows = [tuple(r) for r in rows]
     if not rows:
         return (), ()
-    ncols = len(rows[0])
-    basis = _echelon([_sparse(r) for r in rows])
-    pivots = tuple(sorted(basis))
-    return tuple(_dense(basis[p], ncols) for p in pivots), pivots
+    return echelon_rows(_echelon([sparse(r) for r in rows]), len(rows[0]))
 
 
 def rank(rows):
@@ -109,34 +131,29 @@ def rank(rows):
 
 
 def sparse_echelon(basis, pivots):
-    """Sparse view {pivot: {column: value}} of reduced echelon rows.
-
-    reduce_mod and in_span accept it in place of the dense rows; callers
-    that reduce against one basis many times build it once.
-    """
-    return {p: _sparse(row) for row, p in zip(basis, pivots)}
+    """Sparse echelon form {pivot: row} of dense reduced echelon rows."""
+    return {p: sparse(row) for row, p in zip(basis, pivots)}
 
 
-def _residual(v, basis, pivots):
+def _residual(v, basis):
     # reduced echelon rows vanish on each other's pivots, so only the
     # pivots in v's own support need clearing, in any order
-    view = basis if isinstance(basis, dict) else sparse_echelon(basis, pivots)
-    w = _sparse(v)
-    for p in [c for c in w if c in view]:
-        _axpy(w, -w[p], view[p])
+    w = dict(v)
+    for p in [c for c in w if c in basis]:
+        _axpy(w, -w[p], basis[p])
     return w
 
 
-def reduce_mod(v, basis, pivots):
-    """Reduce v against reduced echelon rows (dense, or their sparse_echelon view).
+def reduce_mod(v, basis):
+    """Residual of sparse v against a sparse echelon form {pivot: row}.
 
-    The residual is zero iff v is in the span.
+    The residual is empty iff v is in the span.
     """
-    return _dense(_residual(v, basis, pivots), len(v))
+    return _residual(v, basis)
 
 
-def in_span(v, basis, pivots):
-    return not _residual(v, basis, pivots)
+def in_span(v, basis):
+    return not _residual(v, basis)
 
 
 def independent_rows(rows):
@@ -147,96 +164,97 @@ def independent_rows(rows):
     """
     columns = {}
     for i, row in enumerate(rows):
-        for c, x in enumerate(row):
-            if x:
-                columns.setdefault(c, {})[i] = x
-    return tuple(sorted(_echelon(list(columns.values()))))
+        for c, x in row.items():
+            columns.setdefault(c, {})[i] = x
+    return tuple(_echelon(list(columns.values())))
 
 
 def left_nullspace(rows):
-    """Basis of {x : x . rows = 0}, i.e. linear relations among the rows."""
-    rows = [tuple(r) for r in rows]
-    n = len(rows)
-    if n == 0:
+    """Basis of {x : x . rows = 0}, i.e. linear relations among the rows.
+
+    Relations are sparse {row index: coefficient} dicts in reduced echelon
+    form.
+    """
+    if not rows:
         return ()
-    ncols = len(rows[0])
+    # tag row i with column offset + i, past every column the rows use
+    offset = 1 + max((max(r) for r in rows if r), default=-1)
     aug = []
     for i, r in enumerate(rows):
-        row = _sparse(r)
-        row[ncols + i] = 1
+        row = dict(r)
+        row[offset + i] = 1
         aug.append(row)
     basis = _echelon(aug)
     # rows pivoting in the tag block vanish on the original columns; their
     # tags are already in reduced echelon form
     return tuple(
-        _dense({c - ncols: x for c, x in basis[p].items()}, n)
-        for p in sorted(basis)
-        if p >= ncols
+        {c - offset: x for c, x in row.items()}
+        for p, row in basis.items()
+        if p >= offset
     )
 
 
 def combine_rows(coeff_rows, domain_rows):
-    """Nonzero combinations sum c_a * domain[a], one per coefficient vector."""
-    domain = [_sparse(r) for r in domain_rows]
-    if not domain:
-        return []
-    ncols = len(domain_rows[0])
+    """Nonzero combinations sum c_a * domain[a], one per {a: c_a} coefficient dict."""
     out = []
     for cvec in coeff_rows:
         acc = {}
-        for c, row in zip(cvec, domain):
-            if c:
-                _axpy(acc, c, row)
+        for a, c in cvec.items():
+            _axpy(acc, c, domain_rows[a])
         if acc:
-            out.append(_dense(acc, ncols))
+            out.append(acc)
     return out
 
 
 def kernel_rows(domain_rows, images):
-    """Reduced echelon basis of {sum c_a domain[a] : sum c_a images[a] = 0}.
+    """Sparse echelon form of {sum c_a domain[a] : sum c_a images[a] = 0}.
 
-    images[a] lists the vectors domain[a] maps to, with the same shapes
-    for every a; a combination satisfies the conditions iff the same
+    images[a] lists the sparse vectors domain[a] maps to, equally many for
+    every a; a combination satisfies the conditions iff the same
     combination of each of its image vectors vanishes.  A zero domain row
-    contributes only its conditions.  Returns (rows, pivots) as rref does.
+    contributes only its conditions.
     """
-    relations = left_nullspace([tuple(chain.from_iterable(img)) for img in images])
-    return rref(combine_rows(relations, domain_rows))
+    # image vector s of a row sits at columns c * width + s: the relations
+    # do not depend on how the image columns are laid out side by side
+    width = len(images[0]) if images else 0
+    stacked = [
+        {c * width + s: x for s, vec in enumerate(img) for c, x in vec.items()}
+        for img in images
+    ]
+    return _echelon(combine_rows(left_nullspace(stacked), domain_rows))
 
 
 def intersect_spaces(a_rows, b_rows):
-    """rowspace(a) ∩ rowspace(b), as (rows, pivots) in reduced echelon form."""
+    """rowspace(a) ∩ rowspace(b) of sparse rows, as a sparse echelon form."""
     a_rows = list(a_rows)
     b_rows = list(b_rows)
     if not a_rows or not b_rows:
-        return (), ()
+        return {}
     # a relation between the a and b rows is a vector of the intersection
-    zero = (0,) * len(a_rows[0])
-    return kernel_rows(a_rows + [zero] * len(b_rows), [(r,) for r in a_rows + b_rows])
+    return kernel_rows(a_rows + [{}] * len(b_rows), [(r,) for r in a_rows + b_rows])
 
 
 class Solver:
-    """Repeated exact solves of x . rows = v for a fixed row matrix.
+    """Repeated exact solves of x . rows = v for a fixed list of sparse rows.
 
     The elimination of the transposed system is done once; each solve is
     a sparse matrix-vector product plus a consistency check.
     """
 
     def __init__(self, rows):
-        rows = [tuple(r) for r in rows]
+        rows = list(rows)
         if not rows:
             raise InputError("Solver needs at least one row")
-        self.rows = rows
-        self.nrows = len(rows)
-        self.ncols = len(rows[0])
-        n = self.nrows
+        self.nrows = n = len(rows)
         # eliminate [rows^T | I] so solving becomes reading transformed entries
-        aug = [{n + c: 1} for c in range(self.ncols)]
+        aug = {}
         for r, row in enumerate(rows):
-            for c, x in enumerate(row):
-                if x:
-                    aug[c][r] = x
-        reduced = _echelon(aug)
+            for c, x in row.items():
+                col = aug.get(c)
+                if col is None:
+                    col = aug[c] = {n + c: 1}
+                col[r] = x
+        reduced = _echelon(list(aug.values()))
         if sum(1 for p in reduced if p < n) < n:
             raise InputError("Solver rows are linearly dependent")
         # x[p] (p < nrows) or a consistency check (p >= nrows) is the pivot-p
@@ -248,21 +266,22 @@ class Solver:
                     self._by_column.setdefault(c - n, []).append((p, t))
 
     def solve(self, v):
-        """Coefficients x with x . rows = v, or None if v is not in the span."""
-        if len(v) != self.ncols:
-            raise InputError("dimension mismatch in Solver.solve")
+        """Coefficients {row index: x} with x . rows = v, or None if v is not in the span."""
         acc = {}
-        for c, vc in enumerate(v):
-            if vc:
-                for p, t in self._by_column.get(c, ()):
-                    acc[p] = acc.get(p, 0) + t * vc
-        x = [0] * self.nrows
-        for p, a in acc.items():
+        for c, vc in v.items():
+            entries = self._by_column.get(c)
+            if entries is None:
+                return None  # a column no row uses
+            for p, t in entries:
+                acc[p] = acc.get(p, 0) + t * vc
+        x = {}
+        for p in sorted(acc):
+            a = acc[p]
             if a:
                 if p >= self.nrows:
                     return None
                 x[p] = compact(a)
-        return tuple(x)
+        return x
 
 
 def congruence_diagonalize(matrix):

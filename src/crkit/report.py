@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .scalars import format_rational
+
 
 @dataclass(frozen=True)
 class Check:
@@ -26,10 +28,20 @@ class Check:
 
 
 def witness_check(name, witness, prefix=""):
-    """A check that holds exactly when no witness was found."""
+    """A check that holds exactly when no witness was found.
+
+    The witness is a tuple of rationals (a vector or an index triple),
+    shown with tuple punctuation and each entry as format_rational writes
+    it: (0, 0, 2), (1, -1/2).
+    """
     if witness is None:
         return Check(name, True)
-    return Check(name, False, prefix + str(witness), witness)
+    return Check(name, False, prefix + _format_tuple(witness), witness)
+
+
+def _format_tuple(values):
+    parts = [format_rational(x) for x in values]
+    return "(" + ", ".join(parts) + ("," if len(parts) == 1 else "") + ")"
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ from fractions import Fraction
 from crkit.algebra import LieAlgebra
 from crkit.complexify import OrbitModel, nilpotent_automorphism
 from crkit.errors import InputError
-from crkit.linalg import Solver, rref
+from crkit.linalg import Solver, dense, rref, sparse
 from crkit.scalars import QQ, GaussianRational
 
 
@@ -25,9 +25,20 @@ def oracle_bracket(L, x, y):
     return tuple(out)
 
 
+def dense_bracket(L, x, y):
+    """L.bracket on dense vectors: the sparse bracket, converted at the edge."""
+    return dense(L.bracket(sparse(x), sparse(y)), L.dim)
+
+
+def dense_solve(solver, v):
+    """Solver.solve on a dense vector, as a dense coefficient tuple (or None)."""
+    x = solver.solve(sparse(v))
+    return None if x is None else dense(x, solver.nrows)
+
+
 def oracle_ad_matrix(L, x):
     """Dense ad_x matrix, column j = [x, e_j], built entrywise."""
-    cols = [L.bracket(x, L.basis_vector(j)) for j in range(L.dim)]
+    cols = [dense_bracket(L, x, L.basis_vector(j)) for j in range(L.dim)]
     return [[cols[j][k] for j in range(L.dim)] for k in range(L.dim)]
 
 
@@ -173,12 +184,12 @@ def descartes_inertia(m):
 
 def rebase(L, rows):
     """L on the basis b_a = sum_i rows[a][i] e_i (rows must be invertible)."""
+    rows = [sparse(r) for r in rows]
     solver = Solver(rows)
     brackets = {}
     for a in range(L.dim):
         for b in range(a + 1, L.dim):
-            coeffs = solver.solve(L.bracket(rows[a], rows[b]))
-            row = {k: c for k, c in enumerate(coeffs) if c != 0}
+            row = solver.solve(L.bracket(rows[a], rows[b]))
             if row:
                 brackets[(a, b)] = row
     return LieAlgebra(L.dim, L.field, [f"b{a}" for a in range(L.dim)], brackets)
@@ -229,14 +240,13 @@ def oracle_structure_constants(mats, size, field_is_complex):
             return tuple(flat)
         return tuple(g.re for g in flat) + tuple(g.im for g in flat)
 
-    dense = [dense_gaussian(m, size) for m in mats]
-    solver = Solver([vec(m) for m in dense])
+    full = [dense_gaussian(m, size) for m in mats]
+    solver = Solver([sparse(vec(m)) for m in full])
     table = {}
     for a in range(len(mats)):
         for b in range(a + 1, len(mats)):
-            coeffs = solver.solve(vec(dense_commutator(dense[a], dense[b])))
-            assert coeffs is not None
-            row = {k: c for k, c in enumerate(coeffs) if c != 0}
+            row = solver.solve(sparse(vec(dense_commutator(full[a], full[b]))))
+            assert row is not None
             if row:
                 table[(a, b)] = row
     return table

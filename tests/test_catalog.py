@@ -49,7 +49,7 @@ from crkit.catalog import (
 from crkit.errors import InputError, InternalError
 from crkit.scalars import QI, GaussianRational
 
-from .support import oracle_structure_constants
+from .support import dense_bracket, oracle_structure_constants
 
 F = Fraction
 G = GaussianRational
@@ -124,7 +124,7 @@ def test_sl_complex_defining_bracket():
     L = build_sl_complex(3)
     # basis order: offdiagonal pairs lexicographic, then coroots
     # [E01, E10] = H0
-    out = L.bracket(L.basis_vector(0), L.basis_vector(2))
+    out = dense_bracket(L, L.basis_vector(0), L.basis_vector(2))
     expect = [G(0)] * 8
     expect[6] = G(1)
     assert list(out) == expect
@@ -232,12 +232,16 @@ def test_size_cap_formulas_and_allowed_entries():
                          ("twisted", (1,)), ("twisted", (2,))):
         entry = get_entry(f"{name}({','.join(map(str, params))})")
         assert entry.model.ambient.dim == dims[name](*params)
-    # quadric(5,4) and every benchmark sweep entry stay allowed
-    allowed = [("quadric", (5, 4)), ("quadric", (4, 3)), ("quadric", (4, 2)),
+    # the largest admitted size of each family and every benchmark sweep entry
+    # stay allowed; the next size up is refused
+    allowed = [("quadric", (7, 6)), ("quadric", (12, 1)), ("sp_quadric", (4, 4)),
+               ("twisted", (8,)), ("quadric", (4, 3)), ("quadric", (4, 2)),
                ("sp_quadric", (2, 1)), ("twisted", (4,))]
     for name, params in allowed:
         assert dims[name](*params) <= MAX_AMBIENT_DIM
         assert dims[name](*params[::-1]) <= MAX_AMBIENT_DIM
+    for name, params in (("quadric", (7, 7)), ("sp_quadric", (5, 4)), ("twisted", (9,))):
+        assert dims[name](*params) > MAX_AMBIENT_DIM
 
 
 # ---------------------------------------------------------------------------

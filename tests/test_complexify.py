@@ -39,10 +39,17 @@ from crkit.complexify import (
 )
 from crkit.cr import check_cr_pair
 from crkit.errors import InputError, InternalError, StructureError
-from crkit.linalg import rank
+from crkit.linalg import rank, sparse
 from crkit.scalars import QI, GaussianRational
 
-from .support import complex_vector, dense_rank, dense_rref, nonreal_exp_ad, oracle_bracket
+from .support import (
+    complex_vector,
+    dense_bracket,
+    dense_rank,
+    dense_rref,
+    nonreal_exp_ad,
+    oracle_bracket,
+)
 
 F = Fraction
 G = GaussianRational
@@ -88,17 +95,17 @@ def test_realified_brackets():
     # [e_h, i e_e] = i [h, e] = 2 i e
     h = r.basis_vector(0)
     ie = r.basis_vector(4)
-    out = r.bracket(h, ie)
+    out = dense_bracket(r, h, ie)
     assert out == (F(0), F(0), F(0), F(0), F(2), F(0))
     # [i e_e, i e_f] = -[e, f] = -h
-    assert r.bracket(r.basis_vector(4), r.basis_vector(5))[0] == F(-1)
+    assert dense_bracket(r, r.basis_vector(4), r.basis_vector(5))[0] == F(-1)
 
 
 def test_realify_roundtrip_coordinates():
     z = (G(1), G(2, -3))
     v = complex_to_real(z)
     assert v == (1, 2, 0, -3)
-    assert j_apply(v) == complex_to_real(tuple(G(0, 1) * c for c in z))
+    assert j_apply(sparse(v), 2) == sparse(complex_to_real(tuple(G(0, 1) * c for c in z)))
     # the output edge reads the complex row back off its realified span
     amb = realify(complexify_algebra(abelian(2)))
     assert canonical_complex_rows(span(amb, complex_rows_realified([z]))) == (z,)
@@ -253,8 +260,8 @@ def test_m_mixed_case_is_sl2_summand():
     m = max_complex_ideal(model)
     assert m.dim == 6
     # the C-factor directions are not in m
-    assert not m.contains(model.ambient_real.basis_vector(3))
-    assert not m.contains(model.ambient_real.basis_vector(7))
+    assert not m.contains({3: 1})
+    assert not m.contains({7: 1})
 
 
 def test_genericity_violation_rejected():
@@ -397,7 +404,7 @@ def test_real_basis_extension_is_the_greedy_choice(name):
         if dense_rank(greedy + [row]) > len(greedy):
             greedy.append(row)
     ext = _extended_real_basis(model)
-    assert ext == greedy
+    assert ext == [sparse(row) for row in greedy]
     assert len(ext) > len(model.real_rows)
 
 

@@ -147,17 +147,15 @@ def test_levi_form_totally_real_flagged():
 
 def test_levi_kernel_matches_per_codirection_radicals():
     # kernel = intersection over a codirection basis of the scalar radicals
-    from crkit.linalg import left_nullspace, intersect_spaces
+    from crkit.linalg import intersect_spaces, left_nullspace, sparse
 
     pair = heisenberg_pair()
     rep = levi_form(pair)
     m = len(rep.complement_rows)
     radicals = None
     for mat in rep.completed_matrices:
-        rad = left_nullspace(mat)
-        if not rad:
-            rad = ()
-        radicals = rad if radicals is None else intersect_spaces(radicals, rad)[0]
+        rad = left_nullspace([sparse(row) for row in mat])
+        radicals = rad if radicals is None else tuple(intersect_spaces(radicals, rad).values())
     expect_dim = len(radicals) if radicals else 0
     assert rep.kernel.dim == expect_dim
 
@@ -201,3 +199,21 @@ def test_pair_equality_mod_h():
     p1 = CRPair(g, h, r, j1)
     p2 = CRPair(g, h, r, j2)
     assert p1 == p2
+
+
+def test_witness_entries_are_formatted_as_rationals():
+    # entries print as format_rational does, with the tuple punctuation kept
+    from crkit.report import witness_check
+
+    check = witness_check("integrability", (0, F(-1, 2), F(2, 1), F(3, 4)), "witness ")
+    assert check.detail == "witness (0, -1/2, 2, 3/4)"
+    assert check.witness == (0, F(-1, 2), 2, F(3, 4))
+    assert witness_check("x", (F(5, 1),)).detail == "(5,)"
+    assert witness_check("x", None).detail == ""
+
+
+def test_failing_axiom_witness_is_a_dense_tuple():
+    rep = check_cr_pair(heisenberg_pair(sign=1))
+    failed = rep.by_name("square-minus-identity")
+    assert failed.witness == (1, 0, 0)
+    assert failed.detail == "witness (1, 0, 0)"

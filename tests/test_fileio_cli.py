@@ -269,12 +269,13 @@ def test_algebra_dimension_cap_exits_2(tmp_path, capsys):
     assert err.startswith("error: dimension 129 exceeds the limit of 128")
 
 
-@pytest.mark.parametrize("name", ["quadric(5,5)", "sp_quadric(4,3)", "twisted(6)"])
+@pytest.mark.parametrize("name", ["quadric(7,7)", "sp_quadric(5,4)", "twisted(9)"])
 def test_catalog_parameter_cap_exits_2(capsys, name):
+    # the first refused size of each family
     assert main(["catalog", "verify", name]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {name} is too large")
-    assert "exceeds the limit of 80" in err
+    assert "exceeds the limit of 168" in err
 
 
 def test_catalog_show_p2r(capsys):

@@ -262,9 +262,9 @@ def test_entry_j_hat_is_complex_subalgebra():
         j = entry_j_hat(e)
         # a J-stable real subalgebra of the realification is a complex subalgebra
         assert j.parent == e.model.ambient_real
-        for v in j.rows:
-            assert j.contains(j_apply(v))
+        rows = list(j.echelon.values())
+        for v in rows:
+            assert j.contains(j_apply(v, e.model.ambient.dim))
         for a in range(j.dim):
             for b in range(a + 1, j.dim):
-                v = e.model.ambient_real.bracket(j.rows[a], j.rows[b])
-                assert j.contains(v)
+                assert j.contains(e.model.ambient_real.bracket(rows[a], rows[b]))

@@ -9,11 +9,17 @@ share no code path with crkit.linalg's sparse core.
 
 import pytest
 
-from crkit.algebra import derived_subalgebra, quotient_algebra, radical, span, subalgebra_structure
+from crkit.algebra import (
+    derived_subalgebra,
+    quotient_algebra,
+    radical,
+    sparse_span,
+    subalgebra_structure,
+)
 from crkit.catalog import ROSTER, get_entry
 from crkit.complexify import cr_normalizer_algebra, induced_cr_pair
 from crkit.cr import levi_form
-from crkit.linalg import Solver
+from crkit.linalg import Solver, dense, sparse
 
 from .support import (
     oracle_bracket,
@@ -48,8 +54,8 @@ def rebased(L, ideal):
     """
     rows = [tuple(int(i in (a, a + 1)) for i in range(L.dim)) for a in range(L.dim)]
     moved = rebase(L, rows)
-    solver = Solver(rows)
-    return moved, span(moved, [solver.solve(v) for v in ideal.rows])
+    solver = Solver([sparse(r) for r in rows])
+    return moved, sparse_span(moved, [solver.solve(v) for v in ideal.echelon.values()])
 
 
 def ideals(entry):
@@ -62,10 +68,10 @@ def ideals(entry):
     j = entry.fibration.normalizer
     j_sub, j_solver = subalgebra_structure(model.ambient_real, j)
     g = model.real_algebra
-    g_solver = Solver(model.real_rows)
+    g_solver = Solver(model.real_vectors)
     out = [
-        (j_sub, span(j_sub, [j_solver.solve(v) for v in model.h.rows])),
-        (g, span(g, [g_solver.solve(v) for v in model.m.rows])),
+        (j_sub, sparse_span(j_sub, [j_solver.solve(v) for v in model.h.echelon.values()])),
+        (g, sparse_span(g, [g_solver.solve(v) for v in model.m.echelon.values()])),
     ]
     iso, _ = subalgebra_structure(model.ambient_real, model.isotropy_real)
     for L in (g, iso) if iso.dim else (g,):
@@ -91,14 +97,17 @@ def test_levi_form_matrices_match_definition(name):
     comp = report.complement_rows
 
     def lam(v):
-        red = pair.r.reduce(v)
-        return [red[c] for c in report.value_indices]
+        red = pair.r.reduce(sparse(v))
+        return [red.get(c, 0) for c in report.value_indices]
+
+    def apply_j(v):
+        return dense(pair.apply_j(sparse(v)), pair.g.dim)
 
     for i, x in enumerate(comp):
         for j, y in enumerate(comp):
             raw = lam(oracle_bracket(pair.g, x, y))
-            ij = lam(oracle_bracket(pair.g, x, pair.apply_j(y)))
-            ji = lam(oracle_bracket(pair.g, y, pair.apply_j(x)))
+            ij = lam(oracle_bracket(pair.g, x, apply_j(y)))
+            ji = lam(oracle_bracket(pair.g, y, apply_j(x)))
             for c in range(report.value_dim):
                 assert report.form_matrices[c][i][j] == raw[c]
                 assert report.completed_matrices[c][i][j] == (ij[c] + ji[c]) / 2

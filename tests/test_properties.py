@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crkit.algebra import (
+    LieAlgebra,
     derived_series,
     heisenberg,
     is_subalgebra,
@@ -15,15 +16,30 @@ from crkit.algebra import (
     radical,
     sl2,
     span,
+    sparse_span,
     validate,
 )
-from crkit.catalog import build_sl_real, build_su, catalog_entries, get_entry
-from crkit.complexify import j_apply
+from crkit.catalog import build_sl_complex, build_sl_real, build_su, catalog_entries, get_entry
+from crkit.complexify import (
+    complex_generators,
+    complex_rows_realified,
+    complexify_algebra,
+    j_apply,
+    realify,
+)
 from crkit.cr import CRPair, apply_endo, check_cr_pair, cr_type, levi_form, levi_signature
 from crkit.globalize import condition_c_check, invariant_factors
-from crkit.linalg import Solver
+from crkit.linalg import Solver, dense, sparse
+from crkit.scalars import QQ, GaussianRational as G
 
-from .support import form_value, random_solvable, rebase
+from .support import (
+    dense_bracket,
+    dense_solve,
+    form_value,
+    oracle_bracket,
+    random_solvable,
+    rebase,
+)
 
 ALGEBRAS = [sl2(), heisenberg(), build_su(2, 1), build_sl_real(3)]
 
@@ -38,10 +54,10 @@ def test_bracket_bilinear_and_antisymmetric(data):
     y = tuple(data.draw(coeffs) for _ in range(L.dim))
     z = tuple(data.draw(coeffs) for _ in range(L.dim))
     a = data.draw(coeffs)
-    xy = L.bracket(x, y)
-    assert xy == tuple(-v for v in L.bracket(y, x))
-    lin = L.bracket(tuple(a * xi + zi for xi, zi in zip(x, z)), y)
-    expect = tuple(a * u + w for u, w in zip(xy, L.bracket(z, y)))
+    xy = dense_bracket(L, x, y)
+    assert xy == tuple(-v for v in dense_bracket(L, y, x))
+    lin = dense_bracket(L, tuple(a * xi + zi for xi, zi in zip(x, z)), y)
+    expect = tuple(a * u + w for u, w in zip(xy, dense_bracket(L, z, y)))
     assert lin == expect
 
 
@@ -52,7 +68,7 @@ def test_jacobi_on_random_vectors(data):
     x, y, z = (tuple(data.draw(coeffs) for _ in range(L.dim)) for _ in range(3))
     total = [0] * L.dim
     for (a, b, c) in ((x, y, z), (y, z, x), (z, x, y)):
-        v = L.bracket(L.bracket(a, b), c)
+        v = dense_bracket(L, dense_bracket(L, a, b), c)
         total = [t + w for t, w in zip(total, v)]
     assert not any(total)
 
@@ -63,7 +79,7 @@ def test_killing_invariance_property(data):
     L = data.draw(st.sampled_from(ALGEBRAS))
     k = killing_form(L)
     x, y, z = (tuple(data.draw(coeffs) for _ in range(L.dim)) for _ in range(3))
-    assert form_value(k, L.bracket(z, x), y) + form_value(k, x, L.bracket(z, y)) == 0
+    assert form_value(k, dense_bracket(L, z, x), y) + form_value(k, x, dense_bracket(L, z, y)) == 0
 
 
 @settings(max_examples=25, deadline=None)
@@ -138,10 +154,10 @@ def test_catalog_models_m_is_ideal_and_j_stable():
     for e in catalog_entries():
         model = e.model
         m = model.m
-        for v in m.rows:
-            assert m.contains(j_apply(v))
-        for x in model.real_sub.rows:
-            for v in m.rows:
+        for v in m.echelon.values():
+            assert m.contains(j_apply(v, model.ambient.dim))
+        for x in model.real_sub.echelon.values():
+            for v in m.echelon.values():
                 assert m.contains(model.ambient_real.bracket(x, v))
 
 
@@ -176,15 +192,15 @@ def test_catalog_cr_type_matches_codim():
 
 
 def test_levi_kernel_equals_joint_codirection_radical():
-    from crkit.linalg import left_nullspace, intersect_spaces
+    from crkit.linalg import intersect_spaces, left_nullspace, sparse
 
     for name in ("quadric(2,2)", "su2xsu2_torus"):
         e = get_entry(name)
         rep = levi_form(e.cr_pair)
         radicals = None
         for mat in rep.completed_matrices:
-            rad = left_nullspace(mat)
-            radicals = rad if radicals is None else intersect_spaces(radicals, rad)[0]
+            rad = left_nullspace([sparse(row) for row in mat])
+            radicals = rad if radicals is None else tuple(intersect_spaces(radicals, rad).values())
         dim = len(radicals) if radicals else 0
         assert rep.kernel.dim == dim
 
@@ -196,11 +212,11 @@ def test_levi_kernel_equals_joint_codirection_radical():
 def rebase_pair(pair, rows):
     """The pair on the basis b_a = sum_i rows[a][i] e_i, with h, R and J carried along."""
     g = rebase(pair.g, rows)
-    solver = Solver(rows)  # old coordinates x = y . rows -> new coordinates y
-    h = span(g, [solver.solve(v) for v in pair.h.rows])
-    r = span(g, [solver.solve(v) for v in pair.r.rows])
-    images = [solver.solve(apply_endo(pair.j_raw, row)) for row in rows]
-    j = tuple(tuple(img[k] for img in images) for k in range(g.dim))
+    solver = Solver([sparse(row) for row in rows])  # old coordinates x = y . rows -> new y
+    h = span(g, [dense_solve(solver, v) for v in pair.h.rows])
+    r = span(g, [dense_solve(solver, v) for v in pair.r.rows])
+    images = [solver.solve(apply_endo(pair.j_raw, sparse(row))) for row in rows]
+    j = tuple(tuple(img.get(k, 0) for img in images) for k in range(g.dim))
     return CRPair(g, h, r, j)
 
 
@@ -229,3 +245,79 @@ def test_levi_signature_invariant_under_unimodular_rebase(data):
         rows[i] = [a + sgn * b for a, b in zip(rows[i], rows[j])]
     moved = rebase_pair(pair, [tuple(r) for r in rows])
     assert levi_invariants(moved) == levi_invariants(pair)
+
+
+# ---------------------------------------------------------------------------
+# the sparse bracket and closure on complex generators
+# ---------------------------------------------------------------------------
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+
+
+@st.composite
+def bilinear_tables(draw):
+    """A random antisymmetric bracket table; Jacobi is not needed to test evaluation."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    brackets = {}
+    for key in draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []:
+        brackets[key] = {k: draw(small) for k in draw(st.sets(st.integers(0, n - 1)))}
+    return LieAlgebra(n, QQ, [f"e{k}" for k in range(n)], brackets)
+
+
+@st.composite
+def sparse_with_zeros(draw, n):
+    """A vector with zero entries, as a dense tuple and as a dict that may keep some zeros."""
+    dense_v = tuple(draw(st.sampled_from([0, 0, 1, -2])) * draw(small) for _ in range(n))
+    kept = {c: x for c, x in enumerate(dense_v) if x or draw(st.booleans())}
+    return dense_v, kept
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_sparse_bracket_matches_dense_oracle(data):
+    L = data.draw(bilinear_tables())
+    x, xs = data.draw(sparse_with_zeros(L.dim))
+    y, ys = data.draw(sparse_with_zeros(L.dim))
+    out = L.bracket(xs, ys)
+    assert all(out.values()), "the result holds nonzero entries only"
+    assert dense(out, L.dim) == oracle_bracket(L, x, y)
+    assert L.bracket(ys, xs) == {k: -v for k, v in out.items()}
+    assert L.bracket({}, ys) == L.bracket(xs, {}) == {}
+
+
+def _closed_both_ways(L, sub):
+    full = is_subalgebra(L, sub)
+    assert is_subalgebra(L, sub, complex_generators(sub)) == full
+    return full
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_closure_on_complex_generators_matches_full_check(data):
+    # J-stable spans in realified sl(3, C): coordinate spans (some closed,
+    # e.g. Borel subalgebras) and random complex rows with nonreal entries
+    ambient = build_sl_complex(3)
+    L = realify(ambient)
+    n = ambient.dim
+    basis = data.draw(st.sets(st.integers(0, n - 1), max_size=n))
+    rows = [tuple(G(int(k == b)) for k in range(n)) for b in sorted(basis)]
+    for _ in range(data.draw(st.integers(0, 2))):
+        rows.append(tuple(G(data.draw(small), data.draw(small)) for _ in range(n)))
+    sub = span(L, complex_rows_realified(rows))
+    gens = complex_generators(sub)
+    # the generators span the subspace over C, with at most two per complex dimension
+    assert sparse_span(L, [*gens, *(j_apply(v, n) for v in gens)]) == sub
+    assert sub.dim // 2 <= len(gens) <= sub.dim
+    _closed_both_ways(L, sub)
+
+
+def test_closure_on_complex_generators_known_cases():
+    L = realify(complexify_algebra(sl2()))
+    borel = span(L, complex_rows_realified([(G(1), G(0), G(0)), (G(0), G(1), G(0))]))
+    assert _closed_both_ways(L, borel)
+    ef = span(L, complex_rows_realified([(G(0), G(1), G(0)), (G(0), G(0), G(1))]))
+    assert not _closed_both_ways(L, ef)
+    # a nonreal line: e + i f spans a non-closed complex plane with h
+    twisted = span(L, complex_rows_realified([(G(1), G(0), G(0)), (G(0), G(1), G(0, 1))]))
+    assert not _closed_both_ways(L, twisted)

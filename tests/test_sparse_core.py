@@ -20,12 +20,15 @@ from crkit.errors import InputError
 from crkit.linalg import (
     Solver,
     congruence_diagonalize,
+    dense,
+    echelon_rows,
     in_span,
     kernel_rows,
     left_nullspace,
     reduce_mod,
     rref,
     signature_of_symmetric,
+    sparse,
     sparse_echelon,
 )
 from crkit.scalars import GaussianRational, compact
@@ -124,12 +127,11 @@ def test_reduction_matches_dense_reference(field, data):
     outside = data.draw(sparse_vectors(field, ncols))
     for v in (inside, outside):
         member = dense_rank(list(basis) + [v]) == len(basis)
-        for rows in (basis, view):
-            assert in_span(v, rows, pivots) == member
-            residual = reduce_mod(v, rows, pivots)
-            assert (not any(residual)) == member
-            assert is_compacted(residual)
-            assert dense_rank(list(basis) + [residual]) == dense_rank(list(basis) + [v])
+        assert in_span(sparse(v), view) == member
+        residual = reduce_mod(sparse(v), view)
+        assert (not residual) == member
+        residual = dense(residual, ncols)
+        assert dense_rank(list(basis) + [residual]) == dense_rank(list(basis) + [v])
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -138,7 +140,7 @@ def test_reduction_matches_dense_reference(field, data):
 def test_left_nullspace_matches_dense_reference(field, data):
     m = data.draw(sparse_matrices(field))
     one = F(1) if field == "Q" else GaussianRational(1)
-    ns = left_nullspace(m)
+    ns = tuple(dense(r, len(m)) for r in left_nullspace([sparse(r) for r in m]))
     assert ns == tuple(tuple(r) for r in dense_left_nullspace(m, one))
     assert all(is_compacted(r) for r in ns)
     # at least the forced zero row is a relation
@@ -168,7 +170,8 @@ def test_kernel_rows_matches_dense_reference(field, data):
     one = F(1) if field == "Q" else GaussianRational(1)
     flat = [list(chain.from_iterable(img)) for img in images]
     ref_rows, ref_pivots = dense_solution_span(domain, flat, one)
-    rows, pivots = kernel_rows(domain, images)
+    basis = kernel_rows([sparse(r) for r in domain], [[sparse(v) for v in img] for img in images])
+    rows, pivots = echelon_rows(basis, len(domain[0]))
     assert rows == tuple(tuple(r) for r in ref_rows)
     assert pivots == tuple(ref_pivots)
     assert all(is_compacted(r) for r in rows)
@@ -189,20 +192,21 @@ def test_solver_matches_dense_reference(field, data):
     rows = [tuple(r) for r in rows]
     mixed = [tuple(a + b for a, b in zip(rows[k], rows[k + 1])) for k in range(len(rows) - 1)]
     rows = mixed + [rows[-1]]
-    solver = Solver(rows)
+    solver = Solver([sparse(r) for r in rows])
     coeffs = data.draw(st.lists(scalars(field), min_size=len(rows), max_size=len(rows)))
     v = combination(coeffs, rows)
-    assert solver.solve(v) == tuple(coeffs)
-    assert is_compacted(solver.solve(v))
+    solved = solver.solve(sparse(v))
+    assert dense(solved, len(rows)) == tuple(coeffs)
+    assert is_compacted(solved.values())
     outside = data.draw(sparse_vectors(field, ncols))
     member = dense_rank(rows + [outside]) == len(rows)
-    solved = solver.solve(outside)
+    solved = solver.solve(sparse(outside))
     if member:
-        assert tuple(combination(solved, rows)) == outside
+        assert tuple(combination(dense(solved, len(rows)), rows)) == outside
     else:
         assert solved is None
     with pytest.raises(InputError):
-        Solver(rows + [rows[0]])
+        Solver([sparse(r) for r in rows + [rows[0]]])
 
 
 # ---------------------------------------------------------------------------
