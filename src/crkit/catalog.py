@@ -1,15 +1,15 @@
 """Classical matrix algebras and the shipped classification instances.
 
 Builders produce structure constants over Q or Q(i) from sparse matrix
-models with coordinate read-off (no generic solving in construction).
-The matrix models are sparse with Gaussian-integer entries held as
-(re, im) pairs of Python ints, so commutators and read-offs run in
-integer arithmetic.  Every constant and isotropy entry the catalog
+models.  The matrix models are sparse with Gaussian-integer entries held
+as (re, im) pairs of Python ints, so commutators run in integer
+arithmetic.  Coordinates are read off by one exact solve against the
+family's basis matrices (coordinate_read_off), which rejects any matrix
+outside their span; it returns {coordinate: value} in ascending
+coordinate order.  Every constant and isotropy entry the catalog
 produces is real, even for a complex algebra, and is stored as an int:
-no catalog value is a GaussianRational.  Each read-off returns
-{coordinate: value} in ascending coordinate order and keeps its
-exactness check (an imaginary anti-hermitian diagonal, real so
-coordinates, real constants and line stabilizers of complex algebras).
+no catalog value is a GaussianRational, and a nonreal constant or line
+stabilizer of a complex algebra is an internal error.
 Each catalog entry packages an orbit model with the invariants the
 classification asserts for it; verify_entry recomputes everything
 derivable and diffs it against that record.
@@ -42,7 +42,7 @@ from .complexify import (
 )
 from .cr import check_cr_pair, cr_type, levi_form, levi_signature
 from .errors import InputError, InternalError
-from .linalg import echelon_rows, kernel_rows, sparse
+from .linalg import Solver, echelon_rows, kernel_rows, sparse
 from .report import Check, Report
 from .scalars import QI, QQ
 
@@ -60,29 +60,6 @@ def _real(value):
     if im:
         raise InternalError("complex catalog data must be real")
     return re
-
-
-def _ascending(coords):
-    return dict(sorted(coords.items()))
-
-
-def _put_parts(out, k, value):
-    """Real part at coordinate k and imaginary part at k + 1, nonzero only."""
-    re, im = value
-    if re:
-        out[k] = re
-    if im:
-        out[k + 1] = im
-
-
-def _pair_index(a, b, n):
-    """Position of a < b among the pairs of range(n) in lexicographic order."""
-    return a * (2 * n - a - 1) // 2 + b - a - 1
-
-
-def _tri_index(a, b, n):
-    """Position of a <= b among the such pairs of range(n) in lexicographic order."""
-    return a * (2 * n - a + 1) // 2 + b - a
 
 
 def mat_commutator(a, b):
@@ -113,13 +90,64 @@ def mat_apply(mat, vec):
     return tuple(out)
 
 
-def _algebra_from_matrices(mats, coords, names, field):
-    """Structure constants from basis matrices plus a sparse coordinate read-off.
+def _flatten(mat, n):
+    """Sparse rational vector of an n x n Gaussian-integer matrix.
 
-    Over Q(i) the read-off gives Gaussian-integer pairs, whose imaginary
-    parts must vanish; over Q integers.
+    The real and imaginary parts of entry (r, c) go to columns 2(r n + c)
+    and 2(r n + c) + 1.
+    """
+    out = {}
+    for (r, c), (re, im) in mat.items():
+        if not (0 <= r < n and 0 <= c < n):
+            raise InternalError("matrix lies outside the span of the basis matrices")
+        k = 2 * (r * n + c)
+        if re:
+            out[k] = re
+        if im:
+            out[k + 1] = im
+    return out
+
+
+def coordinate_read_off(mats, field):
+    """Exact coordinates of a matrix in the span of basis matrices, as a function.
+
+    Over Q the coordinates are {k: x} with mat = sum x_k b_k.  Over Q(i)
+    the solve runs against b_0 .. b_{N-1}, i b_0 .. i b_{N-1}, and
+    coordinate k is the pair (x_k, x_{N+k}).  Either way they come in
+    ascending k, and a matrix outside the span raises InternalError.
+    """
+    n = 1 + max(max(key) for m in mats for key in m)
+    dim = len(mats)
+    rows = [_flatten(m, n) for m in mats]
+    if field == QI:
+        rows += [_flatten({k: (-im, re) for k, (re, im) in m.items()}, n) for m in mats]
+    solver = Solver(rows)
+
+    def coords(mat):
+        x = solver.solve(_flatten(mat, n))
+        if x is None:
+            raise InternalError("matrix lies outside the span of the basis matrices")
+        if field != QI:
+            return x
+        out = {}
+        for p, v in x.items():
+            if p < dim:
+                out[p] = (v, 0)
+            else:
+                out[p - dim] = (out.get(p - dim, (0, 0))[0], v)
+        return dict(sorted(out.items()))
+
+    return coords
+
+
+def _algebra_from_matrices(mats, names, field):
+    """Structure constants from basis matrices, read off their commutators.
+
+    Over Q(i) the coordinates are Gaussian-integer pairs, whose imaginary
+    parts must vanish.
     """
     dim = len(mats)
+    coords = coordinate_read_off(mats, field)
     brackets = {}
     for a in range(dim):
         for b in range(a + 1, dim):
@@ -129,23 +157,6 @@ def _algebra_from_matrices(mats, coords, names, field):
                     row = {k: _real(v) for k, v in row.items()}
                 brackets[(a, b)] = row
     return LieAlgebra(dim, field, names, brackets)
-
-
-def _coroot_coords(mat, n):
-    """[(k, d_0 + ... + d_k)] for the nonzero partial sums of the diagonal, k < n - 1.
-
-    These are the coefficients of H_k = E_kk - E_{k+1,k+1} in a traceless
-    matrix; a sum only changes at a nonzero diagonal entry.
-    """
-    diag = sorted(a for (a, b) in mat if a == b)
-    out = []
-    re = im = 0
-    for a, nxt in zip(diag, diag[1:] + [n - 1]):
-        dr, di = mat[(a, a)]
-        re, im = re + dr, im + di
-        if re or im:
-            out.extend((k, (re, im)) for k in range(a, min(nxt, n - 1)))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -170,26 +181,12 @@ def sl_basis_matrices(n):
     return mats
 
 
-def sl_coords(mat, n):
-    """Sparse coordinates {index: (re, im)} of a traceless matrix in the E/H basis of sl(n)."""
-    out = {}
-    for (a, b), v in mat.items():
-        if a != b:
-            out[a * (n - 1) + b - (b > a)] = v
-    base = n * (n - 1)
-    for k, v in _coroot_coords(mat, n):
-        out[base + k] = v
-    return _ascending(out)
-
-
 @lru_cache(maxsize=_CACHE_SIZE)
 def build_sl_complex(n):
     """sl(n, C) over Q(i), on the elementary/coroot basis."""
     if n < 2:
         raise InputError("sl needs n >= 2")
-    return _algebra_from_matrices(
-        sl_basis_matrices(n), lambda m: sl_coords(m, n), sl_basis_names(n), QI
-    )
+    return _algebra_from_matrices(sl_basis_matrices(n), sl_basis_names(n), QI)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -239,28 +236,12 @@ def su_names(p, q):
     return tuple(names)
 
 
-def su_coords(mat, n):
-    """Sparse su(p, q) coordinates {index: int}; imaginary parts must cancel exactly."""
-    out = {}
-    for k, (re, im) in _coroot_coords(mat, n):
-        if re:
-            raise InternalError("diagonal of an anti-hermitian matrix must be imaginary")
-        out[k] = im
-    for (b, a), v in mat.items():
-        if b > a:
-            _put_parts(out, n - 1 + 2 * _pair_index(a, b, n), v)
-    return _ascending(out)
-
-
 @lru_cache(maxsize=_CACHE_SIZE)
 def build_su(p, q=0):
     """su(p, q) over Q, in the standard anti-hermitian matrix model."""
-    n = p + q
-    if n < 2 or p < 0 or q < 0:
+    if p + q < 2 or p < 0 or q < 0:
         raise InputError("su needs p, q >= 0 and p + q >= 2")
-    return _algebra_from_matrices(
-        su_basis_matrices(p, q), lambda m: su_coords(m, n), su_names(p, q), QQ
-    )
+    return _algebra_from_matrices(su_basis_matrices(p, q), su_names(p, q), QQ)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -283,27 +264,13 @@ def so_basis_matrices(n):
     ]
 
 
-def so_coords(mat, n):
-    """Sparse so(n) coordinates {index: int} read from the upper triangle."""
-    out = {}
-    for (a, b), (re, im) in mat.items():
-        if a < b:
-            if im:
-                raise InternalError("so coordinates must be real")
-            if re:
-                out[_pair_index(a, b, n)] = re
-    return _ascending(out)
-
-
 @lru_cache(maxsize=_CACHE_SIZE)
 def build_so(n):
     """so(n) over Q on the elementary antisymmetric basis."""
     if n < 2:
         raise InputError("so needs n >= 2")
     names = tuple(f"R{a}{b}" for a in range(n) for b in range(a + 1, n))
-    return _algebra_from_matrices(
-        so_basis_matrices(n), lambda m: so_coords(m, n), names, QQ
-    )
+    return _algebra_from_matrices(so_basis_matrices(n), names, QQ)
 
 
 # ---------------------------------------------------------------------------
@@ -331,20 +298,6 @@ def sp_complex_basis_matrices(m):
     return mats
 
 
-def sp_complex_coords(mat, m):
-    """Sparse coordinates {index: (re, im)} of the A, B and C blocks of sp(2m, C)."""
-    out = {}
-    sym = m * (m + 1) // 2
-    for (r, c), v in mat.items():
-        if r < m and c < m:
-            out[r * m + c] = v
-        elif r < m <= c and r <= c - m:
-            out[m * m + _tri_index(r, c - m, m)] = v
-        elif c < m <= r and r - m <= c:
-            out[m * m + sym + _tri_index(r - m, c, m)] = v
-    return _ascending(out)
-
-
 def sp_names(m):
     names = [f"A{a}{b}" for a in range(m) for b in range(m)]
     names += [f"B{a}{b}" for a in range(m) for b in range(a, m)]
@@ -357,9 +310,7 @@ def build_sp_complex(m):
     """sp(2m, C) over Q(i), dimension m(2m + 1)."""
     if m < 1:
         raise InputError("sp needs m >= 1")
-    return _algebra_from_matrices(
-        sp_complex_basis_matrices(m), lambda x: sp_complex_coords(x, m), sp_names(m), QI
-    )
+    return _algebra_from_matrices(sp_complex_basis_matrices(m), sp_names(m), QI)
 
 
 def sp_real_basis_matrices(p, q):
@@ -408,22 +359,6 @@ def sp_real_basis_matrices(p, q):
     return mats
 
 
-def sp_real_coords(mat, p, q):
-    """Sparse (A diag, A offdiag, B) coordinates {index: int} of a sp(p, q) matrix."""
-    m = p + q
-    out = {}
-    for (r, c), v in mat.items():
-        if r == c < m:
-            if v[0]:
-                raise InternalError("sp diagonal must be imaginary")
-            out[r] = v[1]
-        elif c < r < m:
-            _put_parts(out, m + 2 * _pair_index(c, r, m), v)
-        elif r < m <= c and r <= c - m:
-            _put_parts(out, m * m + 2 * _tri_index(r, c - m, m), v)
-    return _ascending(out)
-
-
 @lru_cache(maxsize=_CACHE_SIZE)
 def build_sp(p, q):
     """sp(p, q) over Q: the quaternionic unitary algebra, dim (p+q)(2(p+q)+1)."""
@@ -431,9 +366,7 @@ def build_sp(p, q):
         raise InputError("sp needs p, q >= 0 with p + q >= 1")
     m = p + q
     names = tuple(f"sp{k}" for k in range(m * (2 * m + 1)))
-    return _algebra_from_matrices(
-        sp_real_basis_matrices(p, q), lambda x: sp_real_coords(x, p, q), names, QQ
-    )
+    return _algebra_from_matrices(sp_real_basis_matrices(p, q), names, QQ)
 
 
 # ---------------------------------------------------------------------------
@@ -467,9 +400,10 @@ def _realified(coords, dim, offset=0):
     return tuple(row)
 
 
-def matrices_to_realified_rows(mats, coords_fn, dim):
-    """Realified ambient coordinates of matrices via a sparse complex read-off."""
-    return [_realified(coords_fn(m), dim) for m in mats]
+def matrices_to_realified_rows(mats, ambient_mats):
+    """Realified coordinates of matrices in the complex span of the ambient's basis matrices."""
+    coords = coordinate_read_off(ambient_mats, QI)
+    return [_realified(coords(m), len(ambient_mats)) for m in mats]
 
 
 # ---------------------------------------------------------------------------
@@ -589,11 +523,10 @@ def quadric_orbit(p, q):
         raise InputError("quadric needs p, q >= 1")
     n1 = p + q
     ambient = build_sl_complex(n1)
-    real_rows = matrices_to_realified_rows(
-        su_basis_matrices(p, q), lambda m: sl_coords(m, n1), ambient.dim
-    )
+    sl_mats = sl_basis_matrices(n1)
+    real_rows = matrices_to_realified_rows(su_basis_matrices(p, q), sl_mats)
     v = _unit_pairs(n1, 0, p)  # isotropic: +1 - 1 = 0
-    iso = line_stabilizer_rows(sl_basis_matrices(n1), v)
+    iso = line_stabilizer_rows(sl_mats, v)
     model = OrbitModel(
         ambient, real_rows, iso, real_algebra=build_su(p, q), name=f"quadric({p},{q})"
     )
@@ -627,10 +560,9 @@ def sp_quadric_orbit(p, q):
         raise InputError("sp quadric needs p, q >= 1")
     m = p + q
     ambient = build_sp_complex(m)
-    real_rows = matrices_to_realified_rows(
-        sp_real_basis_matrices(p, q), lambda x: sp_complex_coords(x, m), ambient.dim
-    )
-    iso = line_stabilizer_rows(sp_complex_basis_matrices(m), _unit_pairs(2 * m, 0, p))
+    sp_mats = sp_complex_basis_matrices(m)
+    real_rows = matrices_to_realified_rows(sp_real_basis_matrices(p, q), sp_mats)
+    iso = line_stabilizer_rows(sp_mats, _unit_pairs(2 * m, 0, p))
     model = OrbitModel(
         ambient, real_rows, iso, real_algebra=build_sp(p, q), name=f"sp_quadric({p},{q})"
     )
@@ -696,10 +628,9 @@ def real_projective_orbit():
 
 def _conjugate_transpose_coords(n1):
     """Sparse complex coordinates of xi -> -conj(xi)^T on the sl basis, as columns."""
-    return [
-        sl_coords({(c, r): (-re, im) for (r, c), (re, im) in m.items()}, n1)
-        for m in sl_basis_matrices(n1)
-    ]
+    mats = sl_basis_matrices(n1)
+    coords = coordinate_read_off(mats, QI)
+    return [coords({(c, r): (-re, im) for (r, c), (re, im) in m.items()}) for m in mats]
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -759,9 +690,8 @@ def twisted_diagonal_orbit(n):
 
 def _su2_block_rows(total_cplx, offset):
     """Realified rows of su(2) placed in an sl2 block of a product ambient."""
-    return [
-        _realified(sl_coords(m, 2), total_cplx, offset) for m in su_basis_matrices(2, 0)
-    ]
+    coords = coordinate_read_off(sl_basis_matrices(2), QI)
+    return [_realified(coords(m), total_cplx, offset) for m in su_basis_matrices(2, 0)]
 
 
 def _unit_real_row(total_cplx, index, imaginary=False):

@@ -394,7 +394,7 @@ def induced_cr_pair(model: OrbitModel) -> CRPair:
     solver = Solver(extended)
 
     n = g.dim
-    jmat = [[0] * n for _ in range(n)]
+    j_columns = {}
     for a, e in enumerate(units):
         # project e_a onto R along the pivot-free complement
         proj = vec_sub(e, r_sub.reduce(e))
@@ -405,10 +405,10 @@ def induced_cr_pair(model: OrbitModel) -> CRPair:
         if img is None:
             raise InternalError("J image escaped g + isotropy on R")
         # the coefficients past n belong to isotropy rows: J is taken mod isotropy
-        for k, x in img.items():
-            if k < n:
-                jmat[k][a] = x
-    return CRPair(g, h_sub, r_sub, tuple(tuple(r) for r in jmat))
+        col = {k: x for k, x in img.items() if k < n}
+        if col:
+            j_columns[a] = col
+    return CRPair(g, h_sub, r_sub, j_columns)
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,10 @@ map) compare equal.
 
 Inside, vectors are sparse {index: coefficient} dicts and J is a sparse
 column map {j: {k: coeff}} with J e_j = sum coeff e_k; the axiom loops and
-the Levi form run on those.  A pair is built from a dense J matrix (the
-file format), and dense tuples come back out only as witnesses, the Levi
-form matrices and j_matrix.
+the Levi form run on those.  A pair is built from that column map; the
+file format's dense J matrix is converted at the edge (matrix_columns),
+and dense tuples come back out only as witnesses, the Levi form matrices
+and j_matrix.
 """
 
 from __future__ import annotations
@@ -64,24 +65,27 @@ def matrix_columns(matrix):
 class CRPair:
     """(R, J) with h <= R <= g and J an endomorphism of R, stored mod h.
 
-    j_matrix is dense, dim(g) x dim(g), in the column convention.  j_raw
-    keeps it as a sparse column map, j the canonical one, complement the
-    sparse echelon form of the pivot-free complement of h in R.
+    j_columns is J as a sparse column map {j: {k: coeff}} with every index
+    in range(dim g).  j_raw keeps a copy of it, j the canonical one,
+    complement the sparse echelon form of the pivot-free complement of h
+    in R.
     """
 
-    def __init__(self, g: LieAlgebra, h: Subspace, r: Subspace, j_matrix):
+    def __init__(self, g: LieAlgebra, h: Subspace, r: Subspace, j_columns):
         if g.field != QQ:
             raise StructureError("CR pairs live on real (Q) algebras")
         if h.parent != g or r.parent != g:
             raise InputError("h and R must be subspaces of g")
-        if len(j_matrix) != g.dim or any(len(row) != g.dim for row in j_matrix):
-            raise InputError("J must be a dim(g) x dim(g) matrix")
+        indices = range(g.dim)
+        for j, col in j_columns.items():
+            if j not in indices or any(k not in indices for k in col):
+                raise InputError("J indices must lie in range(dim g)")
         if not r.contains_space(h):
             raise StructureError("isotropy algebra h is not contained in R")
         self.g = g
         self.h = h
         self.r = r
-        self.j_raw = matrix_columns(j_matrix)
+        self.j_raw = {j: dict(col) for j, col in j_columns.items()}
         for v in r.echelon.values():
             if not r.contains(apply_endo(self.j_raw, v)):
                 raise StructureError("J does not preserve R")

@@ -29,7 +29,7 @@ import json
 
 from .algebra import LieAlgebra, span
 from .complexify import OrbitModel
-from .cr import CRPair
+from .cr import CRPair, matrix_columns
 from .errors import InputError
 from .scalars import QI, QQ, format_scalar, parse_rational, parse_scalar
 
@@ -154,7 +154,7 @@ def load_cr_pair(payload):
     for row in j:
         if len(row) != g.dim:
             raise InputError("J must be a dim x dim matrix")
-    pair = CRPair(g, span(g, h_rows), span(g, r_rows), j)
+    pair = CRPair(g, span(g, h_rows), span(g, r_rows), matrix_columns(j))
     return g, pair
 
 

@@ -28,26 +28,23 @@ from crkit.catalog import (
     build_u,
     catalog_entries,
     classify_fiber,
+    coordinate_read_off,
     get_entry,
     is_noncompact_simple_entry,
     line_stabilizer_rows,
     quadric_orbit,
     real_projective_orbit,
     sl_basis_matrices,
-    sl_coords,
     so_basis_matrices,
-    so_coords,
     sp_complex_basis_matrices,
     sp_quadric_orbit,
     sp_real_basis_matrices,
-    sp_real_coords,
     su_basis_matrices,
-    su_coords,
     twisted_diagonal_orbit,
     verify_entry,
 )
 from crkit.errors import InputError, InternalError
-from crkit.scalars import QI, GaussianRational
+from crkit.scalars import QI, QQ, GaussianRational
 
 from .support import dense_bracket, oracle_structure_constants
 
@@ -191,24 +188,46 @@ def test_builder_constants_match_solver_oracle(family, arg):
         assert all(got[k] == row[k] for k in row), key
 
 
-def test_read_offs_keep_their_exactness_checks():
+READ_OFF_CASES = {
     # a real part on an anti-hermitian diagonal
-    with pytest.raises(InternalError):
-        su_coords({(0, 0): (1, 1), (1, 1): (-1, -1)}, 2)
-    with pytest.raises(InternalError):
-        sp_real_coords({(0, 0): (1, 1), (2, 2): (-1, -1)}, 1, 1)
-    # a non-real so coordinate
-    with pytest.raises(InternalError):
-        so_coords({(0, 1): (0, 1), (1, 0): (0, -1)}, 3)
+    "su2-real-diagonal": (su_basis_matrices(2, 0), QQ, {(0, 0): (1, 1), (1, 1): (-1, -1)}, None),
+    "sp11-real-diagonal": (
+        sp_real_basis_matrices(1, 1), QQ, {(0, 0): (1, 1), (2, 2): (-1, -1)}, None,
+    ),
+    # a nonreal so coordinate
+    "so3-nonreal": (so_basis_matrices(3), QQ, {(0, 1): (0, 1), (1, 0): (0, -1)}, None),
+    # not antisymmetric, and not traceless: an entry-wise read-off takes
+    # these for {0: 1} and {}
+    "so3-not-antisymmetric": (so_basis_matrices(3), QQ, {(0, 1): (1, 0)}, None),
+    "sl3-trace-one": (sl_basis_matrices(3), QI, {(2, 2): (1, 0)}, None),
+    # an index past the basis matrices' size, whose flattened column would
+    # be that of entry (1, 0)
+    "sl2-index-out-of-range": (sl_basis_matrices(2), QI, {(0, 2): (1, 0)}, None),
     # the imaginary diagonal itself reads off
-    assert su_coords({(0, 0): (0, 2), (1, 1): (0, -2)}, 2) == {0: 2}
+    "su2-imaginary-diagonal": (
+        su_basis_matrices(2, 0), QQ, {(0, 0): (0, 2), (1, 1): (0, -2)}, {0: 2},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(READ_OFF_CASES))
+def test_read_off_rejects_matrices_outside_the_algebra(case):
+    mats, field, mat, expected = READ_OFF_CASES[case]
+    coords = coordinate_read_off(mats, field)
+    if expected is None:
+        with pytest.raises(InternalError, match="outside the span"):
+            coords(mat)
+    else:
+        assert coords(mat) == expected
 
 
 def test_complex_catalog_data_must_be_real():
     # [E01, i E10] = i H0: a nonreal constant is an internal error
-    with pytest.raises(InternalError):
+    with pytest.raises(InternalError, match="must be real"):
         _algebra_from_matrices(
-            [{(0, 1): (1, 0)}, {(1, 0): (0, 1)}], lambda m: sl_coords(m, 2), ("a", "b"), QI
+            [{(0, 1): (1, 0)}, {(1, 0): (0, 1)}, {(0, 0): (1, 0), (1, 1): (-1, 0)}],
+            ("a", "b", "c"),
+            QI,
         )
     # so is the stabilizer of a nonreal line
     with pytest.raises(InternalError):

@@ -3,20 +3,30 @@ from fractions import Fraction
 import pytest
 
 from crkit.algebra import abelian, full_space, heisenberg, span, zero_space
-from crkit.cr import CRPair, check_cr_pair, cr_type, levi_form, levi_signature
+from crkit.cr import (
+    CRPair,
+    check_cr_pair,
+    cr_type,
+    levi_form,
+    levi_signature,
+    matrix_columns,
+)
 from crkit.errors import InputError, StructureError
 
 F = Fraction
 
 
 def jmat(g, pairs):
-    """Endomorphism matrix from {source_index: dense image vector}."""
+    """Sparse column map of the endomorphism {source_index: dense image vector}.
+
+    The dense matrix is converted at this edge, as the file loader does.
+    """
     n = g.dim
     m = [[F(0)] * n for _ in range(n)]
     for j, img in pairs.items():
         for k, v in enumerate(img):
             m[k][j] = F(v)
-    return tuple(tuple(r) for r in m)
+    return matrix_columns(m)
 
 
 def heisenberg_pair(sign=-1):
@@ -89,6 +99,13 @@ def test_malformed_pair_j_leaves_r():
     j = jmat(g, {0: (0, 0, 1), 1: (-1, 0, 0)})
     with pytest.raises(StructureError):
         CRPair(g, h, r, j)
+
+
+@pytest.mark.parametrize("columns", [{3: {0: 1}}, {0: {3: 1}}, {-1: {0: 1}}, {0: {-1: 1}}])
+def test_malformed_pair_j_index_out_of_range(columns):
+    g = heisenberg()
+    with pytest.raises(InputError):
+        CRPair(g, zero_space(g), full_space(g), columns)
 
 
 def test_cr_type_heisenberg():

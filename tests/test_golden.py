@@ -64,6 +64,12 @@ CASES.update(
      ["catalog", "verify", name, "--format", "json"])
     for name in FAMILY_SWEEP
 )
+# one mid-size orbit payload per family: ambient brackets and realified real rows
+CASES.update(
+    ("show_" + re.sub(r"\W+", "_", name).strip("_") + "_json",
+     ["catalog", "show", name, "--format", "json"])
+    for name in ("quadric(3,2)", "sp_quadric(2,1)", "twisted(3)")
+)
 
 
 def run(argv):

@@ -215,8 +215,7 @@ def rebase_pair(pair, rows):
     solver = Solver([sparse(row) for row in rows])  # old coordinates x = y . rows -> new y
     h = span(g, [dense_solve(solver, v) for v in pair.h.rows])
     r = span(g, [dense_solve(solver, v) for v in pair.r.rows])
-    images = [solver.solve(apply_endo(pair.j_raw, sparse(row))) for row in rows]
-    j = tuple(tuple(img.get(k, 0) for img in images) for k in range(g.dim))
+    j = {a: solver.solve(apply_endo(pair.j_raw, sparse(row))) for a, row in enumerate(rows)}
     return CRPair(g, h, r, j)
 
 
