@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import lcm
 
 from .errors import InputError, StructureError
 from .linalg import (
@@ -111,6 +112,18 @@ class LieAlgebra:
             adj[i][j] = row
             adj[j][i] = {k: -v for k, v in row.items()}
         return adj
+
+    # [g, g] and the Killing form are each read by several structure
+    # analyses (both series and the radical; the radical and the
+    # signature), so like _adjacency they are built once, on first use
+
+    @cached_property
+    def _derived(self):
+        return sparse_span(self, self.brackets.values())
+
+    @cached_property
+    def _killing(self):
+        return _killing_form(self)
 
     def bracket(self, x, y):
         """[x, y] of sparse vectors {index: coefficient}, as a sparse vector.
@@ -327,27 +340,54 @@ def validate(L):
     fully explicit c[i][j][k] data, can report an antisymmetry witness.
     """
     R = realify(L) if L.field == QI else L
-    witness = next(
-        (
-            (i, j, k)
-            for i in range(L.dim)
-            for j in range(i + 1, L.dim)
-            for k in range(j + 1, L.dim)
-            if not _jacobi_holds(R, i, j, k)
-        ),
-        None,
-    )
+    witness = _jacobi_witness(R, L.dim)
     return Report((Check("antisymmetry", True), witness_check("jacobi", witness)))
 
 
-def _jacobi_holds(L, i, j, k):
-    # [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] = 0
-    acc = {}
-    for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-        for l, coeff in L.basis_bracket(a, b).items():
-            for m, d in L.basis_bracket(l, c).items():
-                acc[m] = acc.get(m, L.zero) + coeff * d
-    return not any(acc.values())
+def _jacobi_witness(L, n):
+    """First i < j < k < n with [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] != 0.
+
+    The constants are scaled to integers by the lcm D of their
+    denominators, which scales every Jacobi sum by D^2.  Each bracket
+    [e_l, e_c] is then packed into one integer, coordinate m as the digit
+    of 2^(w m), so a triple's sum is a handful of integer products.  No
+    coordinate of a sum exceeds 3 dim C^2 < 2^(w - 1) in absolute value
+    (C the largest scaled constant), and an expansion in base 2^w with
+    digits that small is unique: the packed sum is 0 iff the Jacobi sum is.
+    """
+    den = lcm(*(v.denominator for row in L.brackets.values() for v in row.values()))
+    scaled = {
+        key: {k: v.numerator * (den // v.denominator) for k, v in row.items()}
+        for key, row in L.brackets.items()
+    }
+    big = max((abs(v) for row in scaled.values() for v in row.values()), default=0)
+    w = (3 * L.dim * big * big).bit_length() + 2
+    # terms[a][b]: the (index, constant) pairs of [e_a, e_b] for a, b < n;
+    # packed[l][c]: [e_l, e_c] as one integer, for c < n
+    terms = [[()] * n for _ in range(n)]
+    packed = [[0] * n for _ in range(L.dim)]
+    for (a, b), row in scaled.items():
+        digits = sum(v << (w * k) for k, v in row.items())
+        if b < n:
+            terms[a][b] = tuple(row.items())
+            terms[b][a] = tuple((k, -v) for k, v in row.items())
+            packed[a][b] = digits
+        if a < n:
+            packed[b][a] = -digits
+    for i in range(n):
+        for j in range(i + 1, n):
+            ij = terms[i][j]
+            for k in range(j + 1, n):
+                acc = 0
+                for l, c in ij:
+                    acc += c * packed[l][k]
+                for l, c in terms[j][k]:
+                    acc += c * packed[l][i]
+                for l, c in terms[k][i]:
+                    acc += c * packed[l][j]
+                if acc:
+                    return (i, j, k)
+    return None
 
 
 def validate_tensor(dim, field, tensor):
@@ -385,8 +425,8 @@ def product_space(L, a, b):
 
 
 def derived_subalgebra(L):
-    """[g, g]: the span of the stored brackets of basis pairs."""
-    return sparse_span(L, L.brackets.values())
+    """[g, g]: the span of the stored brackets of basis pairs, built once per algebra."""
+    return L._derived
 
 
 def derived_series(L):
@@ -444,7 +484,11 @@ class BilinearForm:
 
 
 def killing_form(L):
-    """kappa(x, y) = trace(ad x . ad y) on basis pairs."""
+    """kappa(x, y) = trace(ad x . ad y) on basis pairs, built once per algebra."""
+    return L._killing
+
+
+def _killing_form(L):
     ads = [L.ad(e) for e in _units(L)]
     n = L.dim
     mat = [[L.zero] * n for _ in range(n)]

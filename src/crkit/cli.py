@@ -25,12 +25,12 @@ from .algebra import (
     realify,
     validate,
 )
-from .catalog import ROSTER, CatalogEntry, Expected, get_entry, verify_entry
-from .cr import check_cr_pair, cr_type, levi_form, levi_signature
 from .errors import InputError, InternalError, StructureError
 from .fileio import SCHEMA, load_file, load_flag, load_pi1, orbit_payload
-from .globalize import fine_classification_checks, verdict
 from .scalars import QI, QQ
+
+# catalog, cr and globalize (and complexify behind them) are imported by
+# the functions that use them, so analysing an algebra file loads none
 
 ANALYSES = (
     "validate",
@@ -173,6 +173,8 @@ def _report_records(rep, target, analysis, report, words=PASS_FAIL):
 
 
 def _levi_records(rep, target, pair):
+    from .cr import cr_type, levi_form, levi_signature
+
     t = cr_type(pair)
     rep.emit(target=target, analysis="levi", check="cr-type",
              status=f"(n={t.n}, l={t.l}, k={t.k})")
@@ -200,6 +202,8 @@ def _fibration_records(rep, target, fib):
 
 
 def _globalize_records(rep, target, entry):
+    from .globalize import verdict
+
     v = verdict(entry)
     for name, value in v.rows():
         rep.emit(target=target, analysis="globalize", check=name, status=value)
@@ -208,6 +212,8 @@ def _globalize_records(rep, target, entry):
 
 
 def _entry_from_payload(model, payload):
+    from .catalog import CatalogEntry, Expected
+
     return CatalogEntry(
         name=model.name or "orbit",
         family="file",
@@ -261,6 +267,8 @@ def cmd_analyze(args, rep):
                 else:
                     _structure_records(rep, target, L, "algebra")
             elif analysis == "cr-axioms":
+                from .cr import check_cr_pair
+
                 p = pair if pair is not None else entry.cr_pair
                 report = check_cr_pair(p, connected_isotropy=not args.disconnected_isotropy)
                 _report_records(rep, target, analysis, report)
@@ -277,6 +285,8 @@ def cmd_analyze(args, rep):
             elif analysis == "globalize":
                 _globalize_records(rep, target, entry)
             elif analysis == "fine-class":
+                from .globalize import fine_classification_checks
+
                 _report_records(rep, target, analysis, fine_classification_checks(entry))
     return 0
 
@@ -286,6 +296,9 @@ def cmd_analyze(args, rep):
 # ---------------------------------------------------------------------------
 
 def cmd_catalog(args, rep):
+    from .catalog import ROSTER, get_entry, verify_entry
+    from .globalize import fine_classification_checks, verdict
+
     action = args.action
     if action == "list":
         for name in ROSTER:

@@ -7,11 +7,11 @@ field operations, so entries of another exact field still work.
 Vectors are sparse {column: value} dicts holding only the nonzero
 entries, so elimination, reduction, nullspaces and solves touch nonzeros
 only: the catalog's realified rows are a few percent nonzero.  Dense
-tuples appear at the edges only: rref, rank and the congruence routines
-take and return dense matrices, echelon_rows turns a sparse echelon form
-into the dense (rows, pivots) a Subspace shows, and sparse/dense convert
-a single vector.  Dense results have their entries compacted (integral
-values as plain ints) and zeros as int 0.
+tuples appear at the edges only: rref, rank and signature_of_symmetric
+take dense matrices, echelon_rows turns a sparse echelon form into the
+dense (rows, pivots) a Subspace shows, and sparse/dense convert a single
+vector.  Dense results have their entries compacted (integral values as
+plain ints) and zeros as int 0.
 
 A subspace is always represented by its reduced row echelon form with the
 zero rows dropped, so two subspaces are equal iff the representing
@@ -25,11 +25,15 @@ radical, intersections, the CR-normalizer, the CR subspace R, the Levi
 kernel, line stabilizers) is the set of combinations of some domain rows
 cut out by linear conditions on their images, and kernel_rows is the one
 route that computes it.
+
+Inertia (signature_of_symmetric) comes from fraction-free congruence
+elimination: the matrix is scaled to integers once and every division is
+exact, so no Fraction is built however large the entries.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import lcm
 
 from .errors import InputError
 from .scalars import compact, exact_div
@@ -284,56 +288,55 @@ class Solver:
         return x
 
 
-def congruence_diagonalize(matrix):
-    """Lagrange diagonalization of a symmetric matrix over Q.
+def signature_of_symmetric(matrix):
+    """(positive, negative, zero) inertia of a symmetric rational matrix.
 
-    Returns (diagonal entries, transform P) with P . M . P^T diagonal.
+    Fraction-free symmetric elimination (Bareiss): the matrix is scaled to
+    integers, and pivot a turns each trailing entry into
+    (a m[j][l] - m[j][k] m[k][l]) // prev, a division by the previous
+    pivot that is exact.  Pivot k is then a leading principal minor of a
+    matrix congruent to the input, so the sign of pivot k times the sign of
+    pivot k - 1 is the sign of the k-th diagonal entry of its LDL^T.  A
+    zero pivot is replaced by a later nonzero diagonal entry (swapping rows
+    and columns) or, failing that, by adding a row and column j with
+    m[j][k] != 0: the pivot 2 m[j][k] cannot cancel once the remaining
+    diagonal is zero.  A zero trailing row counts as one zero and is
+    skipped.
     """
-    m = [list(r) for r in matrix]
-    n = len(m)
-    for row in m:
-        if len(row) != n:
-            raise InputError("congruence_diagonalize needs a square matrix")
-    p = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-
-    def add_row_col(dst, src, factor):
-        m[dst] = [a + factor * b for a, b in zip(m[dst], m[src])]
-        for row in m:
-            row[dst] = row[dst] + factor * row[src]
-        p[dst] = [a + factor * b for a, b in zip(p[dst], p[src])]
-
-    def swap(a, b):
-        m[a], m[b] = m[b], m[a]
-        for row in m:
-            row[a], row[b] = row[b], row[a]
-        p[a], p[b] = p[b], p[a]
-
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise InputError("signature_of_symmetric needs a square matrix")
+    den = lcm(*(x.denominator for row in matrix for x in row))
+    m = [[x.numerator * (den // x.denominator) for x in row] for row in matrix]
+    pos = neg = 0
+    prev, prev_sign = 1, 1
     for k in range(n):
         if m[k][k] == 0:
-            # swap in a later nonzero diagonal entry; failing that, add a
-            # row/column j with m[j][k] != 0: the pivot m[j][j] + 2 m[j][k]
-            # cannot cancel once the remaining diagonal is zero
             j = next((j for j in range(k + 1, n) if m[j][j] != 0), None)
             if j is not None:
-                swap(k, j)
+                m[k], m[j] = m[j], m[k]
+                for row in m:
+                    row[k], row[j] = row[j], row[k]
             else:
                 j = next((j for j in range(k + 1, n) if m[j][k] != 0), None)
                 if j is None:
                     continue
-                add_row_col(k, j, Fraction(1))
+                m[k] = [a + b for a, b in zip(m[k], m[j])]
+                for row in m:
+                    row[k] += row[j]
+        pivot, top = m[k][k], m[k]
         for j in range(k + 1, n):
-            if m[j][k] != 0:
-                add_row_col(j, k, -exact_div(m[j][k], m[k][k]))
-    diag = tuple(m[i][i] for i in range(n))
-    return diag, tuple(tuple(r) for r in p)
-
-
-def signature_of_symmetric(matrix):
-    """(positive, negative, zero) inertia of a symmetric rational matrix."""
-    diag, _ = congruence_diagonalize(matrix)
-    pos = sum(1 for d in diag if d > 0)
-    neg = sum(1 for d in diag if d < 0)
-    return pos, neg, len(diag) - pos - neg
+            row, f = m[j], m[j][k]
+            row[k + 1:] = [
+                (pivot * a - f * b) // prev for a, b in zip(row[k + 1:], top[k + 1:])
+            ]
+        sign = 1 if pivot > 0 else -1
+        if sign == prev_sign:
+            pos += 1
+        else:
+            neg += 1
+        prev, prev_sign = pivot, sign
+    return pos, neg, n - pos - neg
 
 
 def matvec(rows, v):

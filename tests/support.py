@@ -6,7 +6,7 @@ from crkit.algebra import LieAlgebra
 from crkit.complexify import OrbitModel, nilpotent_automorphism
 from crkit.errors import InputError
 from crkit.linalg import Solver, dense, rref, sparse
-from crkit.scalars import QQ, GaussianRational
+from crkit.scalars import QQ, GaussianRational, exact_div
 
 
 def oracle_bracket(L, x, y):
@@ -133,7 +133,8 @@ def combination(coeffs, rows):
 
 
 # ---------------------------------------------------------------------------
-# inertia reference: Berkowitz characteristic polynomial + Descartes
+# inertia references: Berkowitz characteristic polynomial + Descartes, and
+# Lagrange congruence diagonalization over Q
 # ---------------------------------------------------------------------------
 
 def berkowitz_charpoly(m):
@@ -180,6 +181,80 @@ def descartes_inertia(m):
     pos = _sign_changes(poly)
     neg = _sign_changes([c * (-1) ** (n - k) for k, c in enumerate(poly)])
     return pos, neg, zero
+
+
+def congruence_diagonalize(matrix):
+    """Lagrange diagonalization of a symmetric matrix over Q.
+
+    Returns (diagonal entries, transform P) with P . M . P^T diagonal.  A
+    zero pivot is replaced by a later nonzero diagonal entry or, failing
+    that, by adding a row and column j with m[j][k] != 0.
+    """
+    m = [list(r) for r in matrix]
+    n = len(m)
+    for row in m:
+        if len(row) != n:
+            raise InputError("congruence_diagonalize needs a square matrix")
+    p = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+
+    def add_row_col(dst, src, factor):
+        m[dst] = [a + factor * b for a, b in zip(m[dst], m[src])]
+        for row in m:
+            row[dst] = row[dst] + factor * row[src]
+        p[dst] = [a + factor * b for a, b in zip(p[dst], p[src])]
+
+    def swap(a, b):
+        m[a], m[b] = m[b], m[a]
+        for row in m:
+            row[a], row[b] = row[b], row[a]
+        p[a], p[b] = p[b], p[a]
+
+    for k in range(n):
+        if m[k][k] == 0:
+            j = next((j for j in range(k + 1, n) if m[j][j] != 0), None)
+            if j is not None:
+                swap(k, j)
+            else:
+                j = next((j for j in range(k + 1, n) if m[j][k] != 0), None)
+                if j is None:
+                    continue
+                add_row_col(k, j, Fraction(1))
+        for j in range(k + 1, n):
+            if m[j][k] != 0:
+                add_row_col(j, k, -exact_div(m[j][k], m[k][k]))
+    diag = tuple(m[i][i] for i in range(n))
+    return diag, tuple(tuple(r) for r in p)
+
+
+def lagrange_inertia(m):
+    """(positive, negative, zero) counts of the Lagrange diagonal of m."""
+    diag, _ = congruence_diagonalize(m)
+    pos = sum(1 for d in diag if d > 0)
+    neg = sum(1 for d in diag if d < 0)
+    return pos, neg, len(diag) - pos - neg
+
+
+# ---------------------------------------------------------------------------
+# Jacobi reference: the naive triple loop over basis brackets
+# ---------------------------------------------------------------------------
+
+def oracle_jacobi_witness(L):
+    """First i < j < k whose cyclic Jacobi sum of basis brackets is nonzero, or None.
+
+    A complex algebra is read directly over Q(i), through its
+    GaussianRational constants, not through its realification.
+    """
+    for i in range(L.dim):
+        for j in range(i + 1, L.dim):
+            for k in range(j + 1, L.dim):
+                acc = {}
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    for l, coeff in L.basis_bracket(a, b).items():
+                        for m, d in L.basis_bracket(l, c).items():
+                            acc[m] = acc.get(m, 0) + coeff * d
+                if any(acc.values()):
+                    return (i, j, k)
+    return None
 
 
 def rebase(L, rows):

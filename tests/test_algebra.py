@@ -2,8 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crkit.algebra import (
+    LieAlgebra,
     BilinearForm,
     abelian,
     add_spaces,
@@ -35,17 +38,20 @@ from crkit.algebra import (
     verify_levi_complement,
     zero_space,
 )
+from crkit.catalog import build_sl_complex, build_sl_real, build_so, build_su
 from crkit.errors import InputError, StructureError
-from crkit.scalars import QQ
+from crkit.scalars import QI, QQ, GaussianRational
 
 from .support import (
     dense_bracket,
     form_value,
     oracle_ad_matrix,
     oracle_bracket,
+    oracle_jacobi_witness,
     oracle_trace_product,
     random_solvable,
     random_vector,
+    rebase,
 )
 
 F = Fraction
@@ -125,6 +131,90 @@ def test_validate_tensor_jacobi_witness():
     assert rep.by_name("antisymmetry").ok
     assert not rep.by_name("jacobi").ok
     assert rep.by_name("jacobi").witness == (0, 1, 2)
+
+
+# ---------------------------------------------------------------------------
+# the packed Jacobi check against the naive triple loop
+# ---------------------------------------------------------------------------
+
+# corpus-style algebras: real forms in their sparse bases and in a dense
+# unimodular basis, a solvable R x| R^4, and complex sl(n, C) read over Q(i)
+JACOBI_REAL = (
+    sl2(),
+    build_sl_real(3),
+    build_su(2, 1),
+    build_so(4),
+    random_solvable(random.Random(4), 4),
+    rebase(build_sl_real(3), [
+        [1 if c == r else (r + 2 * c) % 3 - 1 if c > r else 0 for c in range(8)]
+        for r in range(8)
+    ]),
+    rebase(build_su(2, 1), [
+        [1 if c == r else (2 * r + c) % 3 - 1 if c < r else 0 for c in range(8)]
+        for r in range(8)
+    ]),
+)
+JACOBI_COMPLEX = (build_sl_complex(2), build_sl_complex(3))
+G = GaussianRational
+JACOBI_SCALES = (1, F(1, 3), 10**15, F(-5, 10**12))
+JACOBI_COMPLEX_SCALES = (G(1), G(1, 1), G(F(1, 3), -2), G(0, 10**15), G(F(-5, 10**12), 7))
+JACOBI_DELTAS = (0, 1, -2, F(1, 7), 10**20)
+JACOBI_COMPLEX_DELTAS = (0, 1, G(0, 1), G(F(-1, 3), 2))
+
+
+def scaled_and_perturbed(L, field, scale, key, k, delta):
+    """L over field with every constant times scale, then delta added at [e_i, e_j]_k."""
+    brackets = {ij: {t: v * scale for t, v in row.items()} for ij, row in L.brackets.items()}
+    row = brackets.setdefault(key, {})
+    row[k] = row.get(k, 0) + delta
+    return LieAlgebra(L.dim, field, L.names, brackets)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_packed_jacobi_witness_matches_naive_loop(data):
+    if data.draw(st.booleans()):
+        L = data.draw(st.sampled_from(JACOBI_COMPLEX))
+        field = QI
+        scale = data.draw(st.sampled_from(JACOBI_COMPLEX_SCALES))
+        delta = data.draw(st.sampled_from(JACOBI_COMPLEX_DELTAS))
+    else:
+        L = data.draw(st.sampled_from(JACOBI_REAL))
+        field = QQ
+        scale = data.draw(st.sampled_from(JACOBI_SCALES))
+        delta = data.draw(st.sampled_from(JACOBI_DELTAS))
+    i = data.draw(st.integers(0, L.dim - 2))
+    j = data.draw(st.integers(i + 1, L.dim - 1))
+    k = data.draw(st.integers(0, L.dim - 1))
+    M = scaled_and_perturbed(L, field, scale, (i, j), k, delta)
+    witness = validate(M).by_name("jacobi").witness
+    assert witness == oracle_jacobi_witness(M)
+    if not delta:
+        assert witness is None
+
+
+@pytest.mark.parametrize("bits", [1, 2, 3, 7, 30, 63, 64, 65, 129])
+def test_packed_jacobi_sum_cannot_cancel_across_digits(bits):
+    # the Jacobi sum of (2, 3, 4) is 2^bits e_0 - e_1: packed with digits of
+    # only `bits` bits it would read as zero
+    L = LieAlgebra(6, QQ, [f"e{t}" for t in range(6)], {
+        (2, 3): {5: 1},
+        (4, 5): {0: -(2**bits), 1: 1},
+    })
+    assert validate(L).by_name("jacobi").witness == (2, 3, 4) == oracle_jacobi_witness(L)
+
+
+def test_packed_jacobi_witness_known_cases():
+    # one perturbed constant of sl(3, R): the first failing triple is
+    # the same at every scale, including constants far above 2^64
+    L = build_sl_real(3)
+    witnesses = {
+        validate(scaled_and_perturbed(L, QQ, s, (0, 1), 5, 1)).by_name("jacobi").witness
+        for s in JACOBI_SCALES
+    }
+    assert len(witnesses) == 1 and None not in witnesses
+    assert validate(abelian(0)).by_name("jacobi").witness is None
+    assert validate(abelian(3, QI)).ok
 
 
 def test_cross_product_table_is_a_lie_algebra():

@@ -56,7 +56,7 @@ def test_radical_abelian_check_basis_invariant():
 
 
 def test_catalog_verify_mismatch_exits_1(monkeypatch, capsys):
-    import crkit.cli as cli_mod
+    import crkit.catalog as catalog_mod
     from crkit.catalog import Expected, verify_entry
 
     real_verify = verify_entry
@@ -65,7 +65,8 @@ def test_catalog_verify_mismatch_exits_1(monkeypatch, capsys):
         bad = Expected(codim=(entry.expected.codim or 0) + 1)
         return real_verify(entry, expected=bad)
 
-    monkeypatch.setattr(cli_mod, "verify_entry", corrupted_verify)
+    # the CLI imports verify_entry from crkit.catalog when the command runs
+    monkeypatch.setattr(catalog_mod, "verify_entry", corrupted_verify)
     code = main(["catalog", "verify", "c2_torus"])
     out = capsys.readouterr().out
     assert code == 1

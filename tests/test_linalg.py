@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from crkit.errors import InputError
 from crkit.linalg import (
     Solver,
-    congruence_diagonalize,
     dense,
     echelon_rows,
     in_span,
@@ -21,6 +20,8 @@ from crkit.linalg import (
     sparse_echelon,
 )
 from crkit.scalars import GaussianRational
+
+from .support import congruence_diagonalize
 
 F = Fraction
 

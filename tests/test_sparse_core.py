@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import chain
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crkit.algebra import killing_signature, sl2
@@ -19,7 +19,6 @@ from crkit.catalog import build_sl_real, build_su
 from crkit.errors import InputError
 from crkit.linalg import (
     Solver,
-    congruence_diagonalize,
     dense,
     echelon_rows,
     in_span,
@@ -35,11 +34,13 @@ from crkit.scalars import GaussianRational, compact
 
 from .support import (
     combination,
+    congruence_diagonalize,
     dense_left_nullspace,
     dense_rank,
     dense_rref,
     dense_solution_span,
     descartes_inertia,
+    lagrange_inertia,
     rebase,
 )
 
@@ -251,6 +252,53 @@ def test_congruence_diagonalizes_with_zero_diagonal(seed):
             assert prod[i][j] == (diag[i] if i == j else 0)
     assert dense_rank(p) == n
     assert signature_of_symmetric(m) == descartes_inertia(m)
+
+
+inertia_entries = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    st.integers(2**64, 2**70).map(lambda x: x if x % 2 else -x),
+)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric rational matrices up to 6 x 6: dense, zero-diagonal or rank-deficient."""
+    n = draw(st.integers(0, 6))
+    shape = draw(st.sampled_from(("dense", "zero-diagonal", "rank-deficient")))
+    if shape == "rank-deficient" and n:
+        # C^T S C with C of rank at most r < n
+        r = draw(st.integers(0, n - 1))
+        c = [[draw(inertia_entries) for _ in range(n)] for _ in range(r)]
+        diag = [draw(inertia_entries) for _ in range(r)]
+        return [
+            [sum(c[t][i] * diag[t] * c[t][j] for t in range(r)) for j in range(n)]
+            for i in range(n)
+        ]
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = draw(inertia_entries)
+    if shape == "zero-diagonal":
+        for i in draw(st.lists(st.integers(0, n - 1), max_size=n)) if n else ():
+            m[i][i] = 0
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_matrices())
+@example([])
+@example([[0]])
+@example([[F(-2, 3)]])
+@example([[0, 0], [0, 0]])
+@example([[0, 2**65], [2**65, 0]])
+def test_fraction_free_inertia_matches_both_oracles(m):
+    assert signature_of_symmetric(m) == descartes_inertia(m) == lagrange_inertia(m)
+
+
+def test_inertia_rejects_a_non_square_matrix():
+    with pytest.raises(InputError):
+        signature_of_symmetric([[1, 0], [0]])
 
 
 def test_killing_signature_zero_diagonal_bases():
