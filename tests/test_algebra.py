@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crkit.algebra import (
-    LieAlgebra,
     BilinearForm,
+    LieAlgebra,
     abelian,
     add_spaces,
     centralizer,
