@@ -128,10 +128,11 @@ class LieAlgebra:
     def bracket(self, x, y):
         """[x, y] of sparse vectors {index: coefficient}, as a sparse vector.
 
-        An index of x outside the basis raises InputError; y is read only
-        at the bracket partners of x's indices.
+        An index of x or y outside the basis raises InputError.
         """
         adj = self._adjacency
+        if not adj.keys() >= y.keys():
+            raise InputError("bracket: vector index outside the basis")
         acc = {}
         try:
             for i, xi in x.items():
@@ -586,25 +587,39 @@ def normalizer_subalgebra(L, s):
     return Subspace.from_echelon(L, kernel_rows(basis, images))
 
 
+def read_off_structure(L, rows, modulo=None, names=None):
+    """The algebra L's bracket induces on independent sparse rows, and its Solver.
+
+    Each pair of rows is bracketed once and the bracket is solved in the
+    rows.  With modulo, a subspace, rows and brackets are first reduced
+    against it, so the constants are those of (span(rows) + modulo) /
+    modulo on the rows' cosets.  Raises StructureError when a bracket
+    leaves the span.  No rows give the zero algebra and no Solver.
+    """
+    rows = list(rows)
+    k = len(rows)
+    names = tuple(f"s{t}" for t in range(k)) if names is None else tuple(names)
+    if not k:
+        return LieAlgebra(0, L.field, names, {}), None
+    reduce = (lambda v: v) if modulo is None else modulo.reduce
+    solver = Solver([reduce(r) for r in rows])
+    brackets = {}
+    for a in range(k):
+        for b in range(a + 1, k):
+            coeffs = solver.solve(reduce(L.bracket(rows[a], rows[b])))
+            if coeffs is None:
+                raise StructureError("subspace is not closed under the bracket")
+            if coeffs:
+                brackets[(a, b)] = coeffs
+    return LieAlgebra(k, L.field, names, brackets), solver
+
+
 def subalgebra_structure(L, s):
     """Abstract algebra on the basis rows of a subalgebra s, plus its Solver.
 
     Raises StructureError if s is not closed under the bracket.
     """
-    if s.dim == 0:
-        return LieAlgebra(0, L.field, (), {}), None
-    rows = list(s.echelon.values())
-    solver = Solver(rows)
-    brackets = {}
-    for a in range(s.dim):
-        for b in range(a + 1, s.dim):
-            coeffs = solver.solve(L.bracket(rows[a], rows[b]))
-            if coeffs is None:
-                raise StructureError("subspace is not closed under the bracket")
-            if coeffs:
-                brackets[(a, b)] = coeffs
-    names = tuple(f"s{k}" for k in range(s.dim))
-    return LieAlgebra(s.dim, L.field, names, brackets), solver
+    return read_off_structure(L, s.echelon.values())
 
 
 def quotient_algebra(L, ideal):
@@ -616,20 +631,10 @@ def quotient_algebra(L, ideal):
     """
     if not is_ideal(L, ideal):
         raise StructureError("quotient requires an ideal")
-    pivots = set(ideal.pivots)
-    comp = [i for i in range(L.dim) if i not in pivots]
-    k = len(comp)
-    # a residual vanishes on the pivots, so its support lies in comp
-    position = {c: t for t, c in enumerate(comp)}
-
-    brackets = {}
-    for a in range(k):
-        for b in range(a + 1, k):
-            red = ideal.reduce(L.basis_bracket(comp[a], comp[b]))
-            if red:
-                brackets[(a, b)] = {position[c]: red[c] for c in sorted(red)}
-    names = tuple(L.names[i] for i in comp)
-    return LieAlgebra(k, L.field, names, brackets), tuple(comp)
+    comp = tuple(i for i in range(L.dim) if i not in ideal.echelon)
+    # a unit vector off the pivots is its own residual
+    q, _ = read_off_structure(L, [{i: 1} for i in comp], ideal, (L.names[i] for i in comp))
+    return q, comp
 
 
 def verify_levi_complement(L, s):
@@ -638,18 +643,14 @@ def verify_levi_complement(L, s):
     Checks: subalgebra, trivial intersection with the radical, spanning
     together with the radical, and nondegenerate restricted Killing form.
     """
-    if not is_subalgebra(L, s):
+    try:
+        sub, _ = subalgebra_structure(L, s)
+    except StructureError:
         return False
     r = radical(L)
-    if intersect(s, r).dim != 0:
+    if intersect(s, r).dim != 0 or add_spaces(s, r).dim != L.dim:
         return False
-    if add_spaces(s, r).dim != L.dim:
-        return False
-    if s.dim == 0:
-        return True
-    sub, _ = subalgebra_structure(L, s)
-    kappa = killing_form(sub)
-    return rank(kappa.matrix) == sub.dim
+    return rank(killing_form(sub).matrix) == sub.dim
 
 
 def killing_signature(L):
@@ -670,10 +671,7 @@ def is_compact_type(L):
     r = radical(L)
     if product_space(L, full_space(L), r).dim != 0:
         return False
-    d = derived_subalgebra(L)
-    if d.dim == 0:
-        return True
-    sub, _ = subalgebra_structure(L, d)
+    sub, _ = subalgebra_structure(L, derived_subalgebra(L))
     pos, neg, zero = killing_signature(sub)
     return pos == 0 and zero == 0
 

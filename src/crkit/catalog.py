@@ -969,7 +969,7 @@ def verify_entry(entry: CatalogEntry, expected: Expected | None = None) -> Repor
         if levi.degenerate_domain:
             computed = frozenset({0})
         else:
-            sig = levi_signature(pair, report=levi)
+            sig = levi_signature(pair)
             computed = frozenset({sig.normalized[0], sig.normalized[1]})
         compare("levi_signature_unordered", exp.levi_signature_unordered, computed)
 

@@ -185,7 +185,7 @@ def _levi_records(rep, target, pair):
              status=str(report.kernel.dim),
              detail="nondegenerate" if report.nondegenerate else "degenerate")
     if report.value_dim >= 1 and not report.degenerate_domain:
-        sig = levi_signature(pair, report=report)
+        sig = levi_signature(pair)
         rep.emit(target=target, analysis="levi", check="levi-signature",
                  status=str(sig.normalized), detail=f"orderings {sig.orderings}")
 

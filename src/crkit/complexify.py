@@ -27,12 +27,11 @@ from .algebra import (
     direct_sum,
     intersect,
     is_subalgebra,
-    quotient_algebra,
     radical,
+    read_off_structure,
     realify,
     span,
     sparse_span,
-    subalgebra_structure,
 )
 from .cr import CRPair
 from .errors import InputError, InternalError, StructureError
@@ -168,20 +167,25 @@ class OrbitModel:
         self.isotropy_generators = complex_generators(self.isotropy_real)
         if not is_subalgebra(self.ambient_real, self.isotropy_real, self.isotropy_generators):
             raise StructureError("isotropy rows are not a complex subalgebra")
-        if not is_subalgebra(self.ambient_real, self.real_sub):
-            raise StructureError("real rows are not a subalgebra")
 
         if real_algebra is None:
-            real_algebra, self._solver = subalgebra_structure(self.ambient_real, self.real_sub)
             self.real_rows = self.real_sub.rows
             self.real_vectors = list(self.real_sub.echelon.values())
+        elif real_algebra.dim != len(real_rows):
+            raise InputError("real_algebra dimension does not match basis rows")
         else:
-            if real_algebra.dim != len(self.real_rows):
-                raise InputError("real_algebra dimension does not match basis rows")
-            self.real_vectors = [sparse(r) for r in self.real_rows]
-            self._solver = Solver(self.real_vectors)
-            self._validate_alignment(real_algebra)
-        self.real_algebra = real_algebra
+            self.real_vectors = [sparse(r) for r in real_rows]
+        # one read-off decides closure of the rows and, given real_algebra,
+        # its alignment with them, on every pair
+        try:
+            read, self._solver = read_off_structure(self.ambient_real, self.real_vectors)
+        except StructureError:
+            if real_algebra is None:
+                raise StructureError("real rows are not a subalgebra") from None
+            raise InternalError("aligned rows do not close under the bracket") from None
+        if real_algebra is not None and read != real_algebra:
+            raise InternalError("real_algebra is not aligned with its rows")
+        self.real_algebra = read if real_algebra is None else real_algebra
 
         # genericity: g + Jg must span the realified ambient
         n = ambient.dim
@@ -199,19 +203,6 @@ class OrbitModel:
         )
 
     # -- validation ---------------------------------------------------------
-
-    def _validate_alignment(self, real_algebra):
-        # brackets of the aligned rows must reproduce real_algebra's constants,
-        # checked on every pair
-        solver = self._solver
-        rows = self.real_vectors
-        for i in range(real_algebra.dim):
-            for j in range(i + 1, real_algebra.dim):
-                coeffs = solver.solve(self.ambient_real.bracket(rows[i], rows[j]))
-                if coeffs is None:
-                    raise InternalError("aligned rows do not close under the bracket")
-                if coeffs != real_algebra.basis_bracket(i, j):
-                    raise InternalError("real_algebra is not aligned with its rows")
 
     def _maximal_complex_ideal(self, jg):
         m = intersect(self.real_sub, jg)
@@ -236,6 +227,16 @@ def max_complex_ideal(model: OrbitModel) -> Subspace:
     return model.m
 
 
+def _complement_rows(big: Subspace, small: Subspace):
+    """The echelon rows of big off small's pivots, for small inside big.
+
+    Every pivot of small is one of big's, since a vector of big starts at
+    a pivot of big, and these rows are independent modulo small: with
+    small's rows they are a basis of big.
+    """
+    return [row for p, row in big.echelon.items() if p not in small.echelon]
+
+
 def cr_normalizer_algebra(model: OrbitModel) -> Subspace:
     """{xi in g : [xi, isotropy] <= isotropy}, as a subspace of the realification.
 
@@ -244,18 +245,18 @@ def cr_normalizer_algebra(model: OrbitModel) -> Subspace:
     h and sits inside the infinitesimal normalizer of h; both containments
     are rechecked here.  The isotropy condition is imposed on its complex
     generators only: [xi, J u] = J [xi, u] and the isotropy is J-stable.
+    h = g ∩ ĥ is a subalgebra, so the normalizer check brackets h with the
+    complement rows of h only.
     """
-    L, g, h = model.ambient_real, model.real_vectors, model.h
-
-    def normalizer_in_g(s, rows):
-        images = [[s.reduce(L.bracket(v, u)) for u in rows] for v in g]
-        return Subspace.from_echelon(L, kernel_rows(g, images))
-
-    ncr = normalizer_in_g(model.isotropy_real, model.isotropy_generators)
+    L, g, h, iso = model.ambient_real, model.real_vectors, model.h, model.isotropy_real
+    images = [[iso.reduce(L.bracket(v, u)) for u in model.isotropy_generators] for v in g]
+    ncr = Subspace.from_echelon(L, kernel_rows(g, images))
     if not ncr.contains_space(h):
         raise InternalError("CR-normalizer does not contain h")
-    if not normalizer_in_g(h, h.echelon.values()).contains_space(ncr):
-        raise InternalError("CR-normalizer exceeds the normalizer of h")
+    for x in _complement_rows(ncr, h):
+        for u in h.echelon.values():
+            if not h.contains(L.bracket(x, u)):
+                raise InternalError("CR-normalizer exceeds the normalizer of h")
     return ncr
 
 
@@ -291,12 +292,8 @@ def anticanonical_fibration(model: OrbitModel) -> FibrationReport:
     """
     j = cr_normalizer_algebra(model)
     degenerate = j.dim == model.real_sub.dim
-    j_sub, j_solver = subalgebra_structure(model.ambient_real, j)
-    if j.dim:
-        h_in_j = sparse_span(j_sub, [j_solver.solve(v) for v in model.h.echelon.values()])
-        fiber, _ = quotient_algebra(j_sub, h_in_j)
-    else:
-        fiber = j_sub
+    # j/h on the cosets of the complement rows of h in j
+    fiber, _ = read_off_structure(model.ambient_real, _complement_rows(j, model.h), model.h)
     proxy = (model.h.dim == 0) if degenerate else None
     return FibrationReport(
         normalizer=j,

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .algebra import LieAlgebra, Subspace
 from .errors import InputError, InternalError, StructureError
@@ -91,6 +92,12 @@ class CRPair:
                 raise StructureError("J does not preserve R")
         self.j = self._canonical_j()
         self.complement = echelon([self.h.reduce(v) for v in self.r.echelon.values()])
+
+    @cached_property
+    def _levi(self):
+        # read by the levi analysis, catalog verification and the fine
+        # classification alike, so like a Killing form it is built once
+        return _levi_form(self)
 
     @property
     def complement_rows(self):
@@ -269,7 +276,7 @@ class LeviReport:
 
 
 def levi_form(pair: CRPair) -> LeviReport:
-    """Compute the quotient-valued Levi form of a checked pair.
+    """The quotient-valued Levi form of a checked pair, built once per pair.
 
     The raw form is psi([xi, zeta]) with psi the projection onto the
     pivot-free complement of R in g.  Its J-compatible symmetrization
@@ -278,6 +285,10 @@ def levi_form(pair: CRPair) -> LeviReport:
     is in the radical of every S_c.  levi_signature pairs the completed
     forms with a codirection.
     """
+    return pair._levi
+
+
+def _levi_form(pair):
     g, r = pair.g, pair.r
     comp = list(pair.complement.values())
     m = len(comp)
@@ -324,7 +335,7 @@ class SignatureResult:
         return frozenset({p, q}), z
 
 
-def levi_signature(pair: CRPair, codirection=None, *, report=None) -> SignatureResult:
+def levi_signature(pair: CRPair, codirection=None) -> SignatureResult:
     """Inertia of the Levi form paired with a covector on g/R.
 
     The scalar form on R/h is J-invariant, so its inertia counts are even
@@ -334,10 +345,8 @@ def levi_signature(pair: CRPair, codirection=None, *, report=None) -> SignatureR
     normalized ordering plus both orderings in the result.
 
     codirection defaults to the first value coordinate, (1, 0, ..., 0).
-    report, if given, is levi_form(pair), reused instead of rebuilding it.
     """
-    if report is None:
-        report = levi_form(pair)
+    report = pair._levi
     k = report.value_dim
     if codirection is None:
         codirection = tuple(int(c == 0) for c in range(k))

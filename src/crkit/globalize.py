@@ -257,11 +257,7 @@ def fine_classification_checks(entry) -> Report:
         )
     parallelizable = model.h.dim == 0 and entry.fibration.degenerate
     if parallelizable and entry.kahler:
-        if model.m.dim:
-            m_sub, _ = subalgebra_structure(model.ambient_real, model.m)
-            m_solv = is_solvable(m_sub)
-        else:
-            m_solv = True
+        m_solv = is_solvable(subalgebra_structure(model.ambient_real, model.m)[0])
         checks.append(Check("kahler-m-solvable", m_solv, f"dim m = {model.m.dim}"))
         if model.codim <= 2:
             checks.append(

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from crkit.algebra import LieAlgebra
+from crkit.algebra import LieAlgebra, quotient_algebra, sparse_span, subalgebra_structure
 from crkit.complexify import OrbitModel, nilpotent_automorphism
 from crkit.errors import InputError
 from crkit.linalg import Solver, dense, rref, sparse
@@ -518,3 +518,17 @@ def oracle_quotient(L, ideal):
         if row:
             brackets[pair] = row
     return LieAlgebra(k, L.field, [f"q{t}" for t in range(k)], brackets)
+
+
+def oracle_fiber(model, j):
+    """j/h through the abstract algebra on j, for the normalizer j of a model.
+
+    j's structure on its echelon rows, the coordinates of h's rows there by
+    solves, then the quotient by h in those coordinates: no step reads h's
+    complement in the ambient.
+    """
+    j_sub, j_solver = subalgebra_structure(model.ambient_real, j)
+    if not j.dim:
+        return j_sub
+    h_in_j = sparse_span(j_sub, [j_solver.solve(v) for v in model.h.echelon.values()])
+    return quotient_algebra(j_sub, h_in_j)[0]

@@ -105,6 +105,10 @@ def test_bracket_dimension_mismatch():
         L.bracket({3: F(1)}, {1: F(1)})
     with pytest.raises(InputError):
         L.bracket({-1: F(1)}, {1: F(1)})
+    # e's partners are h and f, so only a check on y itself sees its index
+    for y in ({7: 1}, {-1: 1}, {0: 1, 3: 1}):
+        with pytest.raises(InputError):
+            L.bracket({1: 1}, y)
 
 
 def test_validate_constructors_pass():

@@ -278,6 +278,28 @@ def test_non_subalgebra_isotropy_rejected():
         OrbitModel(ambient, rows, [gz(0, 1, 0), gz(0, 0, 1)])  # span(e, f) not closed
 
 
+def non_closed_generic_rows():
+    """h, e and f + i h in realified sl2(C): g + Jg is everything, [h, f + i h] = -2f is not in g."""
+    return [
+        (F(1), F(0), F(0), F(0), F(0), F(0)),
+        (F(0), F(1), F(0), F(0), F(0), F(0)),
+        (F(0), F(0), F(1), F(1), F(0), F(0)),
+    ]
+
+
+def test_non_closed_real_rows_rejected():
+    ambient = complexify_algebra(sl2())
+    with pytest.raises(StructureError, match="real rows are not a subalgebra"):
+        OrbitModel(ambient, non_closed_generic_rows(), [])
+
+
+def test_non_closed_aligned_rows_are_internal():
+    # aligned rows come from a builder: a non-closed span is a builder defect
+    ambient = complexify_algebra(sl2())
+    with pytest.raises(InternalError, match="do not close"):
+        OrbitModel(ambient, non_closed_generic_rows(), [], real_algebra=sl2())
+
+
 def test_alignment_checked_on_every_pair():
     # su(2,2) has dimension 15: one wrong constant on a pair (i, j) with
     # i >= 1 and j >= i + 3 lies outside the adjacent and first-row pairs

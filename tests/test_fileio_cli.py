@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from crkit.algebra import heisenberg, validate
+from crkit.algebra import heisenberg, sl2, validate
 from crkit.catalog import get_entry, quadric_orbit
 from crkit.cli import main
+from crkit.complexify import complexify_algebra
 from crkit.cr import CRPair
 from crkit.errors import InputError
 from crkit.fileio import (
@@ -215,6 +216,19 @@ def test_analyze_orbit_file_full_pipeline(tmp_path, capsys):
     assert by_check[("fine-class", "kahler-g-solvable")]["status"] == "pass"
 
 
+def test_analyze_orbit_file_builds_levi_form_once(tmp_path, capsys, monkeypatch):
+    # the levi analysis and the fine classification share the pair's form
+    import crkit.cr
+
+    calls = []
+    build = crkit.cr._levi_form
+    monkeypatch.setattr(crkit.cr, "_levi_form", lambda pair: calls.append(1) or build(pair))
+    path = write(tmp_path, "quadric.orbit", orbit_payload(quadric_orbit(2, 1).model))
+    assert main(["analyze", path, "--format", "json"]) == 0
+    assert "levi-signature" in capsys.readouterr().out
+    assert len(calls) == 1
+
+
 def test_analyze_large_prime_torsion_order(tmp_path, capsys):
     # torsion orders are never factored, so a large prime costs nothing
     payload = orbit_payload(get_entry("heis_solv").model)
@@ -315,6 +329,25 @@ def test_malformed_pair_exits_2(tmp_path, capsys):
     payload["h_basis"] = [["0", "0", "1"]]  # h not inside R
     path = write(tmp_path, "bad.pair", payload)
     assert main(["analyze", path]) == 2
+
+
+def test_non_closed_real_rows_exit_2(tmp_path, capsys):
+    payload = {
+        "kind": "orbit",
+        "ambient": algebra_payload(complexify_algebra(sl2())),
+        # h, e and f + i h: generic, but [h, f + i h] = -2f leaves their span
+        "real_basis": [
+            ["1", "0", "0", "0", "0", "0"],
+            ["0", "1", "0", "0", "0", "0"],
+            ["0", "0", "1", "1", "0", "0"],
+        ],
+        "isotropy_hat_basis": [],
+    }
+    path = write(tmp_path, "non_closed.orbit", payload)
+    assert main(["analyze", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: real rows are not a subalgebra\n"
 
 
 def malformed_payloads():

@@ -4,12 +4,15 @@ For every roster entry: the CR-normalizer and the CR subspace R of the
 induced pair by dense solves over the full bracket table, quotient
 algebras by brackets of coset representatives, and the Levi form
 matrices from their definition.  The oracles live in tests/support.py and
-share no code path with crkit.linalg's sparse core.
+share no code path with crkit.linalg's sparse core.  The fibration's
+fiber is also compared with a second route through the library, the
+quotient of the abstract algebra on j (support.oracle_fiber).
 """
 
 import pytest
 
 from crkit.algebra import (
+    derived_series,
     derived_subalgebra,
     quotient_algebra,
     radical,
@@ -17,7 +20,12 @@ from crkit.algebra import (
     subalgebra_structure,
 )
 from crkit.catalog import ROSTER, get_entry
-from crkit.complexify import cr_normalizer_algebra, induced_cr_pair
+from crkit.complexify import (
+    anticanonical_fibration,
+    cr_normalizer_algebra,
+    induced_cr_pair,
+    product_model,
+)
 from crkit.cr import levi_form
 from crkit.linalg import Solver, dense, sparse
 
@@ -25,9 +33,11 @@ from .support import (
     oracle_bracket,
     oracle_cr_normalizer,
     oracle_cr_subspace,
+    oracle_fiber,
     oracle_quotient,
     rebase,
 )
+from .test_golden import FAMILY_SWEEP
 
 
 def rows_equal(rows, reference):
@@ -87,6 +97,22 @@ def test_quotient_algebra_matches_coset_oracle(name):
     assert fiber == oracle_quotient(j_sub, h_in_j) == entry.fibration.fiber_algebra
     for L, ideal in rest:
         assert quotient_algebra(L, ideal)[0] == oracle_quotient(L, ideal)
+
+
+@pytest.mark.parametrize("name", ROSTER + FAMILY_SWEEP)
+def test_fiber_matches_route_through_j(name):
+    entry = get_entry(name)
+    fib = entry.fibration
+    assert fib.fiber_algebra == oracle_fiber(entry.model, fib.normalizer)
+
+
+def test_nonabelian_fiber_over_nonzero_h_matches_route_through_j():
+    # a quadric's h times heis_solv's fiber: h != 0 and j/h is not abelian
+    model = product_model(get_entry("quadric(2,1)").model, get_entry("heis_solv").model)
+    fib = anticanonical_fibration(model)
+    assert model.h.dim == 5 and fib.normalizer.dim == 13
+    assert [s.dim for s in derived_series(fib.fiber_algebra)] == [8, 2, 0]
+    assert fib.fiber_algebra == oracle_fiber(model, fib.normalizer)
 
 
 @pytest.mark.parametrize("name", ROSTER)
