@@ -55,7 +55,6 @@ _EXPORTS = {
         "levi_signature",
     ),
     "catalog": (
-        "CatalogEntry",
         "build_sl_complex",
         "build_sl_complex_as_real",
         "build_sl_real",
@@ -64,7 +63,6 @@ _EXPORTS = {
         "build_su",
         "build_u",
         "catalog_entries",
-        "classify_fiber",
         "get_entry",
         "quadric_orbit",
         "real_projective_orbit",
@@ -72,6 +70,7 @@ _EXPORTS = {
         "twisted_diagonal_orbit",
         "verify_entry",
     ),
+    "entries": ("CatalogEntry", "classify_fiber"),
     "errors": ("CrkitError", "InputError", "InternalError", "StructureError"),
     "globalize": (
         "GlobalizationVerdict",

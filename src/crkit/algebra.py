@@ -20,7 +20,7 @@ here still accept a complex algebra directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from math import lcm
 
@@ -176,7 +176,6 @@ class LieAlgebra:
         return tuple(self.basis_vector(i) for i in range(self.dim))
 
 
-@dataclass(frozen=True)
 class Subspace:
     """A linear subspace of a LieAlgebra, canonically in reduced echelon form.
 
@@ -185,15 +184,17 @@ class Subspace:
     echelon form, from_echelon a sparse echelon form.
     """
 
-    parent: LieAlgebra
-    rows: tuple
-    pivots: tuple
+    def __init__(self, parent, rows, pivots):
+        self.parent, self.rows, self.pivots = parent, rows, pivots
+
+    def __repr__(self):
+        return f"Subspace(dim={self.dim} of {self.parent!r})"
 
     @classmethod
     def from_echelon(cls, parent, basis):
         """The subspace of a sparse echelon form {pivot: row}, which it keeps."""
         sub = cls(parent, *echelon_rows(basis, parent.dim))
-        sub.__dict__["echelon"] = basis
+        sub.echelon = basis
         return sub
 
     @property
@@ -463,15 +464,12 @@ def is_abelian(L):
     return not L.brackets
 
 
-@dataclass(frozen=True)
-class BilinearForm:
-    """A bilinear form on an algebra, stored densely."""
+class BilinearForm(namedtuple("BilinearForm", "parent matrix symmetry")):
+    """A bilinear form on an algebra, stored densely; symmetry is symmetric | antisymmetric."""
 
-    parent: LieAlgebra
-    matrix: tuple
-    symmetry: str  # symmetric | antisymmetric
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __init__(self, parent, matrix, symmetry):
         n = self.parent.dim
         if len(self.matrix) != n or any(len(r) != n for r in self.matrix):
             raise InputError("form matrix shape does not match algebra dimension")

@@ -17,30 +17,29 @@ derivable and diffs it against that record.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .algebra import (
     LieAlgebra,
     abelian as real_abelian,
-    derived_subalgebra,
     direct_sum,
     full_space,
     heisenberg,
-    is_abelian,
-    is_nilpotent,
     killing_signature,
     product_space,
     radical,
 )
-from .complexify import (
-    OrbitModel,
-    anticanonical_fibration,
-    induced_cr_pair,
-    realify,
-)
+from .complexify import OrbitModel, realify
 from .cr import check_cr_pair, cr_type, levi_form, levi_signature
+from .entries import (  # the entry types, re-exported
+    TAXONOMY_TAGS,
+    CatalogEntry,
+    Expected,
+    FiberTaxon,
+    TaxonContext,
+    classify_fiber,
+)
 from .errors import InputError, InternalError
 from .linalg import Solver, echelon_rows, kernel_rows, sparse
 from .report import Check, Report
@@ -407,114 +406,8 @@ def matrices_to_realified_rows(mats, ambient_mats):
 
 
 # ---------------------------------------------------------------------------
-# taxonomy of fibration fibers
+# builders
 # ---------------------------------------------------------------------------
-
-TAXONOMY_TAGS = (
-    "torus-principal",
-    "linear-C*",
-    "root-removed",
-    "rank1-symmetric",
-    "rank2-symmetric",
-    "SL_m-series",
-    "Sp-series",
-    "SO9-Spin7",
-)
-
-
-@dataclass(frozen=True)
-class TaxonContext:
-    center_acts: bool = False
-    unipotent_radical_acts: bool = False
-    series_tag: str | None = None
-    sphere_base: bool = False
-    c_fiber_rule: bool = False
-
-
-@dataclass(frozen=True)
-class FiberTaxon:
-    tag: str
-    fiber_dim: int
-    base_dim: int
-    context: TaxonContext
-
-
-def classify_fiber(fiber: LieAlgebra, context: TaxonContext, base_dim=0) -> FiberTaxon:
-    """Coarse-invariant match of a fibration fiber against the taxonomy rows.
-
-    Computable rows are decided by exact invariants (dimension, abelian /
-    nilpotent / perfect, radical dimension); the symmetric-space and series
-    rows need a supplied series tag since the shipped instances never
-    produce them and algebra isomorphism testing is out of scope.
-    """
-    if context.series_tag is not None:
-        if context.series_tag not in TAXONOMY_TAGS:
-            raise InputError(f"unknown taxonomy tag {context.series_tag!r}")
-        return FiberTaxon(context.series_tag, fiber.dim, base_dim, context)
-    if fiber.dim == 0:
-        return FiberTaxon("point", 0, base_dim, context)
-    if context.unipotent_radical_acts and is_nilpotent(fiber):
-        return FiberTaxon("root-removed", fiber.dim, base_dim, context)
-    if is_abelian(fiber):
-        if fiber.dim == 2:
-            return FiberTaxon("torus-principal", 2, base_dim, context)
-        if fiber.dim == 1:
-            return FiberTaxon("linear-C*", 1, base_dim, context)
-        return FiberTaxon("outside-taxonomy", fiber.dim, base_dim, context)
-    perfect = derived_subalgebra(fiber).dim == fiber.dim
-    if perfect and fiber.dim == 3 and radical(fiber).dim == 0:
-        return FiberTaxon("Sp-series", 3, base_dim, context)
-    return FiberTaxon("outside-taxonomy", fiber.dim, base_dim, context)
-
-
-# ---------------------------------------------------------------------------
-# catalog entries
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Expected:
-    """Classification-asserted invariants; None means "not asserted"."""
-
-    codim: int | None = None
-    cr_type: tuple | None = None
-    m_dim: int | None = None
-    levi_signature_unordered: frozenset | None = None
-    levi_degenerate_domain: bool | None = None
-    fiber_dim: int | None = None
-    fiber_tag: str | None = None
-    degenerate_fibration: bool | None = None
-    orbit_dim: int | None = None
-
-
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    family: str
-    params: tuple
-    model: OrbitModel
-    expected: Expected
-    pi1: tuple | None = None  # ((rank, torsion), (rank, torsion), known_surjective)
-    compact_group: bool = False
-    kahler: bool = False
-    taxon_context: TaxonContext = field(default_factory=TaxonContext)
-    notes: tuple = ()
-
-    @cached_property
-    def fibration(self):
-        return anticanonical_fibration(self.model)
-
-    @cached_property
-    def cr_pair(self):
-        return induced_cr_pair(self.model)
-
-    @cached_property
-    def taxon(self):
-        return classify_fiber(
-            self.fibration.fiber_algebra, self.taxon_context, self.fibration.base_dim
-        )
-
-
-# -- builders ---------------------------------------------------------------
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def quadric_orbit(p, q):

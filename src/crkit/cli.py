@@ -212,7 +212,7 @@ def _globalize_records(rep, target, entry):
 
 
 def _entry_from_payload(model, payload):
-    from .catalog import CatalogEntry, Expected
+    from .entries import CatalogEntry, Expected
 
     return CatalogEntry(
         name=model.name or "orbit",
@@ -342,7 +342,7 @@ def cmd_catalog(args, rep):
 
 def _expected_payload(expected):
     out = {}
-    for key, value in vars(expected).items():
+    for key, value in expected._asdict().items():
         if value is None:
             continue
         if isinstance(value, frozenset):

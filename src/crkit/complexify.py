@@ -16,7 +16,7 @@ parts, realify does the same for constants) and made at the output edge
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 
@@ -241,37 +241,32 @@ def cr_normalizer_algebra(model: OrbitModel) -> Subspace:
     """{xi in g : [xi, isotropy] <= isotropy}, as a subspace of the realification.
 
     This is the infinitesimal stabilizer of the complex isotropy algebra,
-    the identity-component data of the fibration base group.  It contains
-    h and sits inside the infinitesimal normalizer of h; both containments
-    are rechecked here.  The isotropy condition is imposed on its complex
-    generators only: [xi, J u] = J [xi, u] and the isotropy is J-stable.
-    h = g ∩ ĥ is a subalgebra, so the normalizer check brackets h with the
-    complement rows of h only.
+    the identity-component data of the fibration base group.  It sits
+    inside the infinitesimal normalizer of h, which is rechecked here.
+    h = g ∩ ĥ lies in the subalgebra ĥ, so it normalizes ĥ: the kernel is
+    solved on the complement rows of h in g only, and h's rows are added.
+    The isotropy condition is imposed on its complex generators only:
+    [xi, J u] = J [xi, u] and the isotropy is J-stable.
     """
-    L, g, h, iso = model.ambient_real, model.real_vectors, model.h, model.isotropy_real
-    images = [[iso.reduce(L.bracket(v, u)) for u in model.isotropy_generators] for v in g]
-    ncr = Subspace.from_echelon(L, kernel_rows(g, images))
-    if not ncr.contains_space(h):
-        raise InternalError("CR-normalizer does not contain h")
-    for x in _complement_rows(ncr, h):
+    L, h, iso = model.ambient_real, model.h, model.isotropy_real
+    comp = _complement_rows(model.real_sub, h)
+    images = [[iso.reduce(L.bracket(v, u)) for u in model.isotropy_generators] for v in comp]
+    extra = list(kernel_rows(comp, images).values())
+    # these rows are independent modulo h, so with h's rows they are a basis
+    for x in extra:
         for u in h.echelon.values():
             if not h.contains(L.bracket(x, u)):
                 raise InternalError("CR-normalizer exceeds the normalizer of h")
-    return ncr
+    return sparse_span(L, [*h.echelon.values(), *extra])
 
 
-@dataclass
-class FibrationReport:
+class FibrationReport(namedtuple(
+    "FibrationReport",
+    "normalizer fiber_algebra fiber_dim base_dim h_dim degenerate isotropy_discrete_proxy caveats",
+)):
     """Lie-algebra level data of the anticanonical fibration of an orbit model."""
 
-    normalizer: Subspace
-    fiber_algebra: LieAlgebra
-    fiber_dim: int
-    base_dim: int
-    h_dim: int
-    degenerate: bool
-    isotropy_discrete_proxy: bool | None
-    caveats: tuple
+    __slots__ = ()
 
     def as_record(self):
         return {

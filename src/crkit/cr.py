@@ -20,7 +20,7 @@ and j_matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 
@@ -140,11 +140,8 @@ class CRPair:
         return f"CRPair(dim g={self.g.dim}, dim h={self.h.dim}, dim R={self.r.dim})"
 
 
-@dataclass(frozen=True)
-class CRType:
-    n: int  # manifold dimension
-    l: int  # complex CR rank
-    k: int  # codimension
+# manifold dimension n, complex CR rank l, codimension k
+CRType = namedtuple("CRType", "n l k")
 
 
 def cr_type(pair: CRPair) -> CRType:
@@ -170,6 +167,15 @@ def check_cr_pair(pair: CRPair, connected_isotropy: bool = True) -> Report:
     The isotropy condition is the connected-isotropy form; with a
     disconnected isotropy group the algebra cannot see the remaining
     components, and the row is reported as not checkable.
+
+    The last two conditions are bilinear and antisymmetric, so they hold
+    on R once they hold on a basis of it: h's rows plus the complement.
+    When the first two rows pass and h is a subalgebra, every pair with an
+    argument in h passes (Jh <= h, [h, R] <= R, and J[eta, J zeta] =
+    [eta, J^2 zeta] = -[eta, zeta] mod h for eta in h), so isotropy is
+    checked on h x complement and, given isotropy, integrability on
+    complement x complement.  A failure there reruns the ordered loop over
+    R's rows, whose first failing pair is the witness.
     """
     g, h, r = pair.g, pair.h, pair.r
     j = pair.j_raw
@@ -187,8 +193,8 @@ def check_cr_pair(pair: CRPair, connected_isotropy: bool = True) -> Report:
         if not h.contains(apply_endo(j, v)):
             witness = v
             break
+    comp = list(pair.complement.values())
     if witness is None:
-        comp = list(pair.complement.values())
         images = [h.reduce(apply_endo(j, v)) for v in comp]
         if images:
             for vec in combine_rows(left_nullspace(images), comp):
@@ -206,51 +212,70 @@ def check_cr_pair(pair: CRPair, connected_isotropy: bool = True) -> Report:
             break
     found("square-minus-identity", witness)
 
-    # isotropy compatibility (connected form)
-    j_of_r = [apply_endo(j, zeta) for zeta in rows]
+    # a file pair's h is never checked to be a subalgebra, so closure is a precondition
+    hrows = list(h.echelon.values())
+    reduced = all(c.ok for c in checks) and all(
+        h.contains(g.bracket(hrows[a], hrows[b]))
+        for a in range(len(hrows))
+        for b in range(a + 1, len(hrows))
+    )
+    # isotropy compatibility (connected form), on h x complement first
+    witness = _isotropy_witness(g, h, r, j, comp) if reduced else None
     if connected_isotropy:
-        witness = None
-        for xi in h.echelon.values():
-            for zeta, jzeta in zip(rows, j_of_r):
-                b = g.bracket(xi, zeta)
-                if not r.contains(b):
-                    witness = b
-                    break
-                diff = vec_sub(apply_endo(j, b), g.bracket(xi, jzeta))
-                if not h.contains(diff):
-                    witness = diff
-                    break
-            if witness is not None:
-                break
+        if not reduced or witness is not None:
+            witness = _isotropy_witness(g, h, r, j, rows)
         found("isotropy-compatibility", witness)
     else:
-        # disconnected isotropy is invisible at the algebra level
+        # disconnected isotropy is invisible at the algebra level; the
+        # connected condition above still licenses the reduced loop below
         checks.append(Check("isotropy-compatibility", None))
+    reduced = reduced and witness is None
 
     # integrability: [xi,zeta] - [Jxi,Jzeta] in R, and the torsion lands in h
-    witness = None
-    for a in range(len(rows)):
-        xi, jxi = rows[a], j_of_r[a]
-        for b in range(a + 1, len(rows)):
-            zeta, jzeta = rows[b], j_of_r[b]
-            first = vec_sub(g.bracket(xi, zeta), g.bracket(jxi, jzeta))
-            if not r.contains(first):
-                witness = first
-                break
-            torsion = vec_sub(
-                vec_sub(apply_endo(j, first), g.bracket(jxi, zeta)), g.bracket(xi, jzeta)
-            )
-            if not h.contains(torsion):
-                witness = torsion
-                break
-        if witness is not None:
-            break
+    witness = _integrability_witness(g, h, r, j, comp) if reduced else None
+    if not reduced or witness is not None:
+        witness = _integrability_witness(g, h, r, j, rows)
     found("integrability", witness)
     return Report(tuple(checks))
 
 
-@dataclass
-class LeviReport:
+def _isotropy_witness(g, h, r, j, rows):
+    """The first (xi in h, zeta in rows) failing the connected isotropy condition."""
+    j_of_rows = [apply_endo(j, zeta) for zeta in rows]
+    for xi in h.echelon.values():
+        for zeta, jzeta in zip(rows, j_of_rows):
+            b = g.bracket(xi, zeta)
+            if not r.contains(b):
+                return b
+            diff = vec_sub(apply_endo(j, b), g.bracket(xi, jzeta))
+            if not h.contains(diff):
+                return diff
+    return None
+
+
+def _integrability_witness(g, h, r, j, rows):
+    """The first pair a < b of rows with [xi,zeta] - [Jxi,Jzeta] outside R or torsion outside h."""
+    j_of_rows = [apply_endo(j, zeta) for zeta in rows]
+    for a in range(len(rows)):
+        xi, jxi = rows[a], j_of_rows[a]
+        for b in range(a + 1, len(rows)):
+            zeta, jzeta = rows[b], j_of_rows[b]
+            first = vec_sub(g.bracket(xi, zeta), g.bracket(jxi, jzeta))
+            if not r.contains(first):
+                return first
+            torsion = vec_sub(
+                vec_sub(apply_endo(j, first), g.bracket(jxi, zeta)), g.bracket(xi, jzeta)
+            )
+            if not h.contains(torsion):
+                return torsion
+    return None
+
+
+class LeviReport(namedtuple(
+    "LeviReport",
+    "complement_rows value_indices form_matrices completed_matrices kernel nondegenerate "
+    "degenerate_domain",
+)):
     """The bracket-induced form on R/h with values in g/R, plus its kernel.
 
     form_matrices[c][i][j] is the value-coordinate c of the raw form on
@@ -258,13 +283,7 @@ class LeviReport:
     J-symmetrized scalar forms whose joint radical is the Levi kernel.
     """
 
-    complement_rows: tuple
-    value_indices: tuple
-    form_matrices: tuple
-    completed_matrices: tuple
-    kernel: Subspace
-    nondegenerate: bool
-    degenerate_domain: bool
+    __slots__ = ()
 
     @property
     def cr_rank(self):
@@ -325,10 +344,9 @@ def _levi_form(pair):
     )
 
 
-@dataclass(frozen=True)
-class SignatureResult:
-    normalized: tuple  # (max, min, zero): orientation-free
-    orderings: tuple   # both sign conventions
+class SignatureResult(namedtuple("SignatureResult", "normalized orderings")):
+    # normalized is (max, min, zero), orientation-free; orderings has both sign conventions
+    __slots__ = ()
 
     def unordered(self):
         p, q, z = self.normalized

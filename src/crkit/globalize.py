@@ -14,7 +14,7 @@ flag recorded on catalog entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 from .algebra import (
@@ -54,17 +54,15 @@ def invariant_factors(torsion):
     return tuple(t for t in factors if t > 1)
 
 
-@dataclass(frozen=True)
-class Pi1Descriptor:
+class Pi1Descriptor(namedtuple("Pi1Descriptor", "rank torsion")):
     """Finitely generated abelian group shape: free rank plus torsion chain."""
 
-    rank: int
-    torsion: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.rank < 0:
+    def __new__(cls, rank, torsion=()):
+        if rank < 0:
             raise InputError("rank must be nonnegative")
-        object.__setattr__(self, "torsion", invariant_factors(self.torsion))
+        return super().__new__(cls, rank, invariant_factors(torsion))
 
 
 def descriptor(data) -> Pi1Descriptor:
@@ -148,14 +146,13 @@ GLOBALIZABLE_FINITE = "globalizable-after-finite-quotient"
 NOT_DECIDABLE = "not-decidable-at-algebra-level"
 
 
-@dataclass
-class GlobalizationVerdict:
-    entry_name: str
-    radical_abelian_on_base: str  # pass | fail
-    condition_c: str              # pass | weak-pass | fail | unknown
-    quadric_involved: bool
-    overall: str
-    notes: tuple = ()
+class GlobalizationVerdict(namedtuple(
+    "GlobalizationVerdict",
+    "entry_name radical_abelian_on_base condition_c quadric_involved overall notes",
+    defaults=((),),
+)):
+    # radical_abelian_on_base is pass | fail, condition_c pass | weak-pass | fail | unknown
+    __slots__ = ()
 
     def rows(self):
         return [

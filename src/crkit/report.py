@@ -8,23 +8,15 @@ verification all return a Report of such Checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .scalars import format_rational
 
 
-@dataclass(frozen=True)
-class Check:
-    """One named condition: ok is True, False, or None for not checkable.
-
-    detail is the human-readable text shown with the result; witness, when
-    the check failed, is the first counterexample found.
-    """
-
-    name: str
-    ok: bool | None
-    detail: str = ""
-    witness: object = None
+# One named condition: ok is True, False, or None for not checkable.  detail
+# is the human-readable text shown with the result; witness, when the check
+# failed, is the first counterexample found.
+Check = namedtuple("Check", "name ok detail witness", defaults=("", None))
 
 
 def witness_check(name, witness, prefix=""):
@@ -44,9 +36,8 @@ def _format_tuple(values):
     return "(" + ", ".join(parts) + ("," if len(parts) == 1 else "") + ")"
 
 
-@dataclass(frozen=True)
-class Report:
-    checks: tuple
+class Report(namedtuple("Report", "checks")):
+    __slots__ = ()
 
     @property
     def ok(self):

@@ -2,10 +2,29 @@
 
 from fractions import Fraction
 
-from crkit.algebra import LieAlgebra, quotient_algebra, sparse_span, subalgebra_structure
+from crkit.algebra import (
+    LieAlgebra,
+    Subspace,
+    quotient_algebra,
+    span,
+    sparse_span,
+    subalgebra_structure,
+)
 from crkit.complexify import OrbitModel, nilpotent_automorphism
+from crkit.cr import CRPair, apply_endo
 from crkit.errors import InputError
-from crkit.linalg import Solver, dense, rref, sparse
+from crkit.linalg import (
+    Solver,
+    combine_rows,
+    dense,
+    kernel_rows,
+    left_nullspace,
+    rref,
+    sparse,
+    vec_add,
+    vec_sub,
+)
+from crkit.report import Check, Report, witness_check
 from crkit.scalars import QQ, GaussianRational, exact_div
 
 
@@ -532,3 +551,170 @@ def oracle_fiber(model, j):
         return j_sub
     h_in_j = sparse_span(j_sub, [j_solver.solve(v) for v in model.h.echelon.values()])
     return quotient_algebra(j_sub, h_in_j)[0]
+
+
+# ---------------------------------------------------------------------------
+# the full loops the library reduces modulo h, kept as oracles
+# ---------------------------------------------------------------------------
+
+def full_check_cr_pair(pair, connected_isotropy=True):
+    """The four CR axioms by the ordered loops over every (h, R) and R x R pair.
+
+    Isotropy brackets each of h's rows with each of R's echelon rows, and
+    integrability each pair of R's rows; no precondition, and no step
+    uses the complement of h in R.
+    """
+    g, h, r = pair.g, pair.h, pair.r
+    j = pair.j_raw
+    checks = []
+
+    def found(name, witness):
+        checks.append(
+            witness_check(name, None if witness is None else dense(witness, g.dim), "witness ")
+        )
+
+    witness = None
+    for v in h.echelon.values():
+        if not h.contains(apply_endo(j, v)):
+            witness = v
+            break
+    if witness is None:
+        comp = list(pair.complement.values())
+        images = [h.reduce(apply_endo(j, v)) for v in comp]
+        if images:
+            for vec in combine_rows(left_nullspace(images), comp):
+                if not h.contains(vec):
+                    witness = vec
+                    break
+    found("kernel-exactness", witness)
+
+    witness = None
+    rows = list(r.echelon.values())
+    for v in rows:
+        if not h.contains(vec_add(apply_endo(j, apply_endo(j, v)), v)):
+            witness = v
+            break
+    found("square-minus-identity", witness)
+
+    j_of_r = [apply_endo(j, zeta) for zeta in rows]
+    if connected_isotropy:
+        witness = None
+        for xi in h.echelon.values():
+            for zeta, jzeta in zip(rows, j_of_r):
+                b = g.bracket(xi, zeta)
+                if not r.contains(b):
+                    witness = b
+                    break
+                diff = vec_sub(apply_endo(j, b), g.bracket(xi, jzeta))
+                if not h.contains(diff):
+                    witness = diff
+                    break
+            if witness is not None:
+                break
+        found("isotropy-compatibility", witness)
+    else:
+        checks.append(Check("isotropy-compatibility", None))
+
+    witness = None
+    for a in range(len(rows)):
+        xi, jxi = rows[a], j_of_r[a]
+        for b in range(a + 1, len(rows)):
+            zeta, jzeta = rows[b], j_of_r[b]
+            first = vec_sub(g.bracket(xi, zeta), g.bracket(jxi, jzeta))
+            if not r.contains(first):
+                witness = first
+                break
+            torsion = vec_sub(
+                vec_sub(apply_endo(j, first), g.bracket(jxi, zeta)), g.bracket(xi, jzeta)
+            )
+            if not h.contains(torsion):
+                witness = torsion
+                break
+        if witness is not None:
+            break
+    found("integrability", witness)
+    return Report(tuple(checks))
+
+
+def full_cr_normalizer(model):
+    """The CR-normalizer by one kernel over all of g's rows, h included."""
+    L, g, iso = model.ambient_real, model.real_vectors, model.isotropy_real
+    images = [[iso.reduce(L.bracket(v, u)) for u in model.isotropy_generators] for v in g]
+    return Subspace.from_echelon(L, kernel_rows(g, images))
+
+
+# ---------------------------------------------------------------------------
+# CR pairs with a prescribed raw J
+# ---------------------------------------------------------------------------
+
+def complement_matrix(pair):
+    """J mod h on the complement rows c_i: column i holds the coordinates of J c_i."""
+    comp = pair.complement_rows
+    images = [dense(pair.apply_j(sparse(c)), pair.g.dim) for c in comp]
+    coords = dense_coordinates(comp, images) if comp else []
+    return [[coords[i][k] for i in range(len(comp))] for k in range(len(comp))]
+
+
+def pair_with_j(pair, on_h, on_comp):
+    """pair's g, h and R with the raw J given on a basis of g, densely.
+
+    on_h[t] is the image of h's t-th row, on_comp[i] that of the i-th
+    complement row, and J vanishes on the unit vectors off R's pivots.
+    """
+    n = pair.g.dim
+    units = [tuple(int(c == p) for c in range(n)) for p in range(n)]
+    off_r = [units[p] for p in range(n) if p not in pair.r.pivots]
+    basis = [*pair.h.rows, *pair.complement_rows, *off_r]
+    values = [*on_h, *on_comp, *([(0,) * n] * len(off_r))]
+    columns = {}
+    for j, coords in enumerate(dense_coordinates(basis, units)):
+        col = {k: x for k, x in enumerate(combination(coords, values)) if x}
+        if col:
+            columns[j] = col
+    return CRPair(pair.g, pair.h, pair.r, columns)
+
+
+def rebased_pair(pair, rows):
+    """pair on the basis b_a = sum_i rows[a][i] e_i of its algebra (rows invertible)."""
+    g = rebase(pair.g, rows)
+    h = span(g, dense_coordinates(rows, pair.h.rows) if pair.h.rows else [])
+    r = span(g, dense_coordinates(rows, pair.r.rows))
+    images = [apply_endo(pair.j_raw, sparse(b)) for b in rows]
+    columns = {}
+    for a, x in enumerate(dense_coordinates(rows, [dense(v, g.dim) for v in images])):
+        if any(x):
+            columns[a] = sparse(x)
+    return CRPair(g, h, r, columns)
+
+
+def raw_j_on_h(pair):
+    """The dense images of h's rows under pair's raw J."""
+    return [dense(apply_endo(pair.j_raw, sparse(v)), pair.g.dim) for v in pair.h.rows]
+
+
+def conjugated_pair(pair, p, scale=1, h_noise=None):
+    """pair with J replaced on R/h by scale * P J P^-1, P invertible.
+
+    h_noise[i], when given, is an h-valued vector added to the image of
+    the i-th complement row, which leaves J mod h as it is.
+    """
+    m = len(pair.complement_rows)
+    new = [[scale * x for x in row]
+           for row in _matmul(_matmul(p, complement_matrix(pair)), _inverse(p))]
+    on_comp = [combination([new[k][i] for k in range(m)], pair.complement_rows)
+               for i in range(m)]
+    if h_noise is not None:
+        on_comp = [[a + b for a, b in zip(v, w)] for v, w in zip(on_comp, h_noise)]
+    return pair_with_j(pair, raw_j_on_h(pair), on_comp)
+
+
+def _inverse(p):
+    """P^-1: its column j is the solution of P x = e_j."""
+    m = len(p)
+    units = [[int(a == b) for b in range(m)] for a in range(m)]
+    return [list(r) for r in zip(*dense_coordinates([list(c) for c in zip(*p)], units))]
+
+
+def _matmul(a, b):
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
+            for i in range(len(a))]

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from crkit.algebra import LieAlgebra, direct_sum, full_space, heisenberg, radical, sl2, span
 from crkit.catalog import (
+    CatalogEntry,
     build_sl_complex,
     catalog_entries,
     complex_abelian,
@@ -197,10 +198,15 @@ def test_verdict_monotone_in_condition_c():
     # strengthening weak-pass to pass never downgrades the verdict
     order = {NOT_DECIDABLE: 0, GLOBALIZABLE_FINITE: 1, GLOBALIZABLE: 2}
     base = get_entry("su2xsu2_torus")
-    import dataclasses
 
-    weak = dataclasses.replace(base, pi1=(base.pi1[0], base.pi1[1], False))
-    strong = dataclasses.replace(base, pi1=(base.pi1[0], base.pi1[1], True))
+    def with_pi1(pi1):
+        return CatalogEntry(
+            base.name, base.family, base.params, base.model, base.expected, pi1,
+            base.compact_group, base.kahler, base.taxon_context, base.notes,
+        )
+
+    weak = with_pi1((base.pi1[0], base.pi1[1], False))
+    strong = with_pi1((base.pi1[0], base.pi1[1], True))
     assert order[verdict(strong).overall] >= order[verdict(weak).overall]
 
 
@@ -234,9 +240,7 @@ def test_fine_class_parallelizable_kahler():
 
 def test_fine_class_negative_control():
     """A parallelizable Kahler-tagged model whose m contains a simple part."""
-    import dataclasses
-
-    from crkit.catalog import CatalogEntry, Expected
+    from crkit.catalog import Expected
     from crkit.complexify import OrbitModel, realify
 
     ambient = direct_sum(build_sl_complex(2), complex_abelian(1))

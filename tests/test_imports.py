@@ -44,6 +44,34 @@ def test_analyze_of_an_algebra_file_loads_no_orbit_layer():
         assert layer not in modules
 
 
+LEAN_COMMANDS = {
+    "verify": ["catalog", "verify", "quadric(2,1)"],
+    "algebra": ["analyze", "tests/golden/sl2.json"],
+    "orbit": ["analyze", "tests/golden/heis_solv_orbit.json"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(LEAN_COMMANDS))
+def test_commands_start_without_dataclasses_or_inspect(command):
+    # the records are namedtuples, so no command needs dataclasses (nor the
+    # inspect, ast and dis it imports); an orbit file needs no catalog builder
+    code, added = fresh(
+        "import sys\n"
+        "bare = set(sys.modules)\n"
+        "import contextlib, io\n"
+        "from crkit.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main({LEAN_COMMANDS[command]!r})\n"
+        "import json\n"
+        "print(json.dumps([code, sorted(set(sys.modules) - bare)]))\n"
+    )
+    assert code == 0
+    assert "crkit.cli" in added
+    assert "dataclasses" not in added and "inspect" not in added
+    if command == "orbit":
+        assert "crkit.entries" in added and "crkit.catalog" not in added
+
+
 def test_every_public_name_resolves_to_its_submodule_object():
     result = fresh(
         "import importlib, json, sys\n"

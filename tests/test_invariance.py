@@ -13,12 +13,11 @@ globalization facts are literally the same; the transported model also
 goes through an orbit payload round trip.
 """
 
-import dataclasses
 import json
 
 import pytest
 
-from crkit.catalog import ROSTER, get_entry, verify_entry
+from crkit.catalog import ROSTER, CatalogEntry, get_entry, verify_entry
 from crkit.complexify import apply_complex_matrix_to_model, fiber_globalization_check
 from crkit.cr import cr_type, levi_form
 from crkit.fileio import load_orbit_model, orbit_payload
@@ -60,7 +59,10 @@ def test_invariants_survive_ambient_transport(name, transport):
     entry = get_entry(name)
     moved = TRANSPORTS[transport](entry.model)
     assert moved.real_algebra is entry.model.real_algebra
-    moved_entry = dataclasses.replace(entry, model=moved)
+    moved_entry = CatalogEntry(
+        entry.name, entry.family, entry.params, moved, entry.expected, entry.pi1,
+        entry.compact_group, entry.kahler, entry.taxon_context, entry.notes,
+    )
     before = invariants(entry)
     assert invariants(moved_entry) == before
     assert ("fiber_globalization" in before) == (name in ("heis_solv", "c2_torus"))

@@ -6,7 +6,9 @@ algebras by brackets of coset representatives, and the Levi form
 matrices from their definition.  The oracles live in tests/support.py and
 share no code path with crkit.linalg's sparse core.  The fibration's
 fiber is also compared with a second route through the library, the
-quotient of the abstract algebra on j (support.oracle_fiber).
+quotient of the abstract algebra on j (support.oracle_fiber), and the
+CR-normalizer, solved on the complement of h in g, with one kernel over
+all of g (support.full_cr_normalizer).
 """
 
 import pytest
@@ -30,6 +32,7 @@ from crkit.cr import levi_form
 from crkit.linalg import Solver, dense, sparse
 
 from .support import (
+    full_cr_normalizer,
     oracle_bracket,
     oracle_cr_normalizer,
     oracle_cr_subspace,
@@ -104,6 +107,18 @@ def test_fiber_matches_route_through_j(name):
     entry = get_entry(name)
     fib = entry.fibration
     assert fib.fiber_algebra == oracle_fiber(entry.model, fib.normalizer)
+
+
+@pytest.mark.parametrize("name", ROSTER + FAMILY_SWEEP)
+def test_cr_normalizer_on_g_mod_h_matches_kernel_over_g(name):
+    model = get_entry(name).model
+    assert cr_normalizer_algebra(model) == full_cr_normalizer(model)
+
+
+def test_cr_normalizer_of_a_product_with_nonzero_h_matches_kernel_over_g():
+    model = product_model(get_entry("quadric(2,1)").model, get_entry("heis_solv").model)
+    assert model.h.dim == 5
+    assert cr_normalizer_algebra(model) == full_cr_normalizer(model)
 
 
 def test_nonabelian_fiber_over_nonzero_h_matches_route_through_j():
