@@ -88,6 +88,9 @@ __all__ = sorted(_MODULE_OF)
 
 __version__ = "0.1.0"
 
+# the schema tag of every structured record and payload
+SCHEMA = "crkit/1"
+
 
 def __getattr__(name):
     module = _MODULE_OF.get(name)

@@ -6,10 +6,10 @@ rest.  Derived objects (series, radical, normalizers, quotients) all come
 back as canonical echelon subspaces so results compare syntactically.
 
 Vectors are sparse {index: coefficient} dicts: bracket takes and returns
-them, and a Subspace computes on its rows as a sparse echelon form built
-once.  Dense tuples are the edge form only: basis_vector, span's input
-rows (files, user data) and Subspace.rows, which records and payloads
-show.
+them, and a Subspace is its sparse reduced echelon form {pivot: row}.
+Dense tuples are the edge form only: basis_vector, span's input rows
+(files, user data) and Subspace.rows, a view built on first read for the
+records and payloads that show it; no routine here reads that view.
 
 A complex (Q_i) algebra only stores its constants, GaussianRational where
 a file gave a nonreal one: realify splits them into a real algebra of
@@ -34,9 +34,8 @@ from .linalg import (
     kernel_rows,
     rank,
     reduce_mod,
-    rref,
     signature_of_symmetric,
-    sparse_echelon,
+    sparse,
 )
 from .report import Check, Report, witness_check
 from .scalars import QI, QQ, compact, imag_part, real_part
@@ -177,38 +176,32 @@ class LieAlgebra:
 
 
 class Subspace:
-    """A linear subspace of a LieAlgebra, canonically in reduced echelon form.
+    """A linear subspace of a LieAlgebra, as its reduced echelon form.
 
-    span and sparse_span build one from arbitrary dense or sparse rows; the
-    constructor takes dense rows and pivots that are already in reduced
-    echelon form, from_echelon a sparse echelon form.
+    echelon is the sparse form {pivot: row}, in ascending pivot order with
+    row[pivot] == 1, and the only state: every computation on the
+    subspace uses its rows, and two subspaces are equal iff these forms
+    are.  span and sparse_span build one from arbitrary rows.
     """
 
-    def __init__(self, parent, rows, pivots):
-        self.parent, self.rows, self.pivots = parent, rows, pivots
+    def __init__(self, parent, echelon):
+        self.parent, self.echelon = parent, echelon
 
     def __repr__(self):
         return f"Subspace(dim={self.dim} of {self.parent!r})"
 
-    @classmethod
-    def from_echelon(cls, parent, basis):
-        """The subspace of a sparse echelon form {pivot: row}, which it keeps."""
-        sub = cls(parent, *echelon_rows(basis, parent.dim))
-        sub.echelon = basis
-        return sub
-
     @property
     def dim(self):
-        return len(self.rows)
+        return len(self.echelon)
+
+    @property
+    def pivots(self):
+        return tuple(self.echelon)
 
     @cached_property
-    def echelon(self):
-        """The rows as a sparse echelon form {pivot: row}, built once.
-
-        Its values are the sparse rows, in order; every computation on the
-        subspace uses them, and rows stays the dense form shown outside.
-        """
-        return sparse_echelon(self.rows, self.pivots)
+    def rows(self):
+        """The echelon rows as dense tuples, the form records and payloads show."""
+        return echelon_rows(self.echelon, self.parent.dim)[0]
 
     def contains(self, v):
         """Is the sparse vector v in the subspace?"""
@@ -224,38 +217,35 @@ class Subspace:
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        return self.parent == other.parent and self.rows == other.rows
+        return self.parent == other.parent and self.echelon == other.echelon
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash(self.pivots)
 
 
 def full_space(L):
-    return Subspace(L, L.basis_vectors(), tuple(range(L.dim)))
+    return Subspace(L, {i: {i: 1} for i in range(L.dim)})
 
 
 def zero_space(L):
-    return Subspace(L, (), ())
+    return Subspace(L, {})
 
 
 def span(L, vectors):
     """The subspace spanned by arbitrary dense rows, by one elimination."""
-    for r in vectors:
-        if len(r) != L.dim:
-            raise InputError("subspace row length does not match algebra dimension")
-    return Subspace(L, *rref(vectors))
+    if any(len(r) != L.dim for r in vectors):
+        raise InputError("subspace row length does not match algebra dimension")
+    return sparse_span(L, [sparse(r) for r in vectors])
 
 
 def sparse_span(L, vectors):
     """The subspace spanned by arbitrary sparse rows, by one elimination."""
-    return Subspace.from_echelon(L, echelon(vectors))
+    return Subspace(L, echelon(vectors))
 
 
 def intersect(a, b):
     _same_parent(a, b)
-    return Subspace.from_echelon(
-        a.parent, intersect_spaces(a.echelon.values(), b.echelon.values())
-    )
+    return Subspace(a.parent, intersect_spaces(a.echelon.values(), b.echelon.values()))
 
 
 def add_spaces(a, b):
@@ -435,7 +425,7 @@ def derived_series(L):
     """[g, g^(k)] chain with g^(k+1) = [g^(k), g^(k)], until it stabilizes."""
     series = [full_space(L)]
     current = derived_subalgebra(L)
-    while current.rows != series[-1].rows:
+    while current != series[-1]:
         series.append(current)
         current = product_space(L, current, current)
     return series
@@ -446,7 +436,7 @@ def lower_central_series(L):
     g = full_space(L)
     series = [g]
     current = derived_subalgebra(L)
-    while current.rows != series[-1].rows:
+    while current != series[-1]:
         series.append(current)
         current = product_space(L, g, current)
     return series
@@ -523,7 +513,7 @@ def radical(L):
             if x:
                 img[t] = x
         images.append((img,))
-    return Subspace.from_echelon(L, kernel_rows(_units(L), images))
+    return Subspace(L, kernel_rows(_units(L), images))
 
 
 # ---------------------------------------------------------------------------
@@ -575,14 +565,14 @@ def centralizer(L, s):
     """{x : [x, s] = 0 for all s in S}."""
     basis = _units(L)
     images = [[L.bracket(v, w) for w in s.echelon.values()] for v in basis]
-    return Subspace.from_echelon(L, kernel_rows(basis, images))
+    return Subspace(L, kernel_rows(basis, images))
 
 
 def normalizer_subalgebra(L, s):
     """{x : [x, S] inside S}; the infinitesimal stabilizer of the subspace."""
     basis = _units(L)
     images = [[s.reduce(L.bracket(v, w)) for w in s.echelon.values()] for v in basis]
-    return Subspace.from_echelon(L, kernel_rows(basis, images))
+    return Subspace(L, kernel_rows(basis, images))
 
 
 def read_off_structure(L, rows, modulo=None, names=None):

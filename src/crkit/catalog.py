@@ -9,7 +9,9 @@ outside their span; it returns {coordinate: value} in ascending
 coordinate order.  Every constant and isotropy entry the catalog
 produces is real, even for a complex algebra, and is stored as an int:
 no catalog value is a GaussianRational, and a nonreal constant or line
-stabilizer of a complex algebra is an internal error.
+stabilizer of a complex algebra is an internal error.  The orbit models'
+rows are built sparse, {index: int}: realified real rows and complex
+isotropy rows, placed in a product ambient by index shifts.
 Each catalog entry packages an orbit model with the invariants the
 classification asserts for it; verify_entry recomputes everything
 derivable and diffs it against that record.
@@ -17,7 +19,6 @@ derivable and diffs it against that record.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import (
@@ -41,11 +42,10 @@ from .entries import (  # the entry types, re-exported
     classify_fiber,
 )
 from .errors import InputError, InternalError
-from .linalg import Solver, echelon_rows, kernel_rows, sparse
+from .linalg import Solver, kernel_rows, sparse
 from .report import Check, Report
 from .scalars import QI, QQ
 
-F = Fraction
 _CACHE_SIZE = 16  # per parametrized builder; names reach them from user input
 
 
@@ -378,25 +378,27 @@ def _unit_pairs(n, *indices):
 
 
 def line_stabilizer_rows(basis_mats, v):
-    """Complex rows (in algebra coordinates) of {xi : xi . v in C v}; v holds (re, im) pairs.
+    """Sparse complex rows, in algebra coordinates, of {xi : xi . v in C v}.
 
-    The matrices and v must be real, so the rows are rational.  The unknown
+    v holds (re, im) pairs.  The matrices and v must be real, so the rows
+    are rational: they are the kernel's echelon rows.  The unknown
     eigenvalue is one more domain coordinate, with a zero domain row.
     """
-    dim = len(basis_mats)
-    unit = [{a: 1} for a in range(dim)]
+    unit = [{a: 1} for a in range(len(basis_mats))]
     images = [(sparse([_real(x) for x in mat_apply(m, v)]),) for m in basis_mats]
     images.append((sparse([-_real(x) for x in v]),))
-    return echelon_rows(kernel_rows(unit + [{}], images), dim)[0]
+    return list(kernel_rows(unit + [{}], images).values())
 
 
 def _realified(coords, dim, offset=0):
-    """Realified row (real block, then imaginary block) of sparse complex coordinates."""
-    row = [0] * (2 * dim)
+    """Sparse realified row (real block, then imaginary block) of sparse complex coordinates."""
+    row = {}
     for k, (re, im) in coords.items():
-        row[offset + k] = re
-        row[dim + offset + k] = im
-    return tuple(row)
+        if re:
+            row[offset + k] = re
+        if im:
+            row[dim + offset + k] = im
+    return row
 
 
 def matrices_to_realified_rows(mats, ambient_mats):
@@ -486,12 +488,7 @@ def sp_quadric_orbit(p, q):
 def real_projective_orbit():
     """The real points of the projective plane as the closed orbit of sl(3, R)."""
     ambient = build_sl_complex(3)
-    nreal = 8
-    real_rows = []
-    for a in range(nreal):
-        row = [F(0)] * 16
-        row[a] = F(1)
-        real_rows.append(tuple(row))
+    real_rows = [{a: 1} for a in range(8)]
     iso = line_stabilizer_rows(sl_basis_matrices(3), _unit_pairs(3, 0))
     model = OrbitModel(
         ambient, real_rows, iso, real_algebra=build_sl_real(3), name="p2r"
@@ -552,8 +549,8 @@ def twisted_diagonal_orbit(n):
 
     p_v = line_stabilizer_rows(sl_basis_matrices(n1), _unit_pairs(n1, 0))
     p_u = line_stabilizer_rows(sl_basis_matrices(n1), _unit_pairs(n1, 1))
-    zero = (0,) * dim
-    iso = [tuple(z) + zero for z in p_v] + [zero + tuple(z) for z in p_u]
+    # p_v in the first factor, p_u shifted into the second
+    iso = p_v + [{k + dim: x for k, x in z.items()} for z in p_u]
 
     model = OrbitModel(
         ambient,
@@ -587,21 +584,15 @@ def _su2_block_rows(total_cplx, offset):
     return [_realified(coords(m), total_cplx, offset) for m in su_basis_matrices(2, 0)]
 
 
-def _unit_real_row(total_cplx, index, imaginary=False):
-    return _realified({index: (0, 1) if imaginary else (1, 0)}, total_cplx)
-
-
 @lru_cache(maxsize=1)
 def torus_bundle_entry():
     """Compact model: (S^1)^2-principal over a product of projective lines."""
     sl = build_sl_complex(2)
     ambient = direct_sum(sl, sl)
     real_rows = _su2_block_rows(6, 0) + _su2_block_rows(6, 3)
-    # raising-root lines in both factors: the nilradical of a borel pair
-    iso = [
-        (1, 0, 0, 0, 0, 0),
-        (0, 0, 0, 1, 0, 0),
-    ]
+    # raising-root lines in both factors, the second shifted by 3: the
+    # nilradical of a borel pair
+    iso = [{0: 1}, {3: 1}]
     real_algebra = direct_sum(build_su(2, 0), build_su(2, 0))
     model = OrbitModel(
         ambient, real_rows, iso, real_algebra=real_algebra, name="su2xsu2_torus"
@@ -630,8 +621,9 @@ def hopf_circle_entry():
     """Compact model: an S^1 x S^1 bundle built on su(2) plus a circle factor."""
     sl = build_sl_complex(2)
     ambient = direct_sum(sl, complex_abelian(1))
-    real_rows = _su2_block_rows(4, 0) + [_unit_real_row(4, 3, imaginary=True)]
-    iso = [(1, 0, 0, 0)]
+    # su(2), then the i R line of the C factor: complex index 3 in the imaginary block
+    real_rows = _su2_block_rows(4, 0) + [{4 + 3: 1}]
+    iso = [{0: 1}]
     real_algebra = direct_sum(build_su(2, 0), real_abelian(1))
     model = OrbitModel(
         ambient, real_rows, iso, real_algebra=real_algebra, name="su2xs1_hopf"
@@ -665,8 +657,9 @@ def sl2_uz_entry():
     """
     sl = build_sl_complex(2)
     ambient = direct_sum(sl, complex_abelian(1))
-    real_rows = _su2_block_rows(4, 0) + [_unit_real_row(4, 3, imaginary=True)]
-    iso = [(1, 0, 0, 1)]
+    real_rows = _su2_block_rows(4, 0) + [{4 + 3: 1}]
+    # the e-root of the sl2 factor paired with the C factor's direction
+    iso = [{0: 1, 3: 1}]
     real_algebra = direct_sum(build_su(2, 0), real_abelian(1))
     model = OrbitModel(
         ambient, real_rows, iso, real_algebra=real_algebra, name="sl2_uz"
@@ -703,8 +696,7 @@ def heisenberg_solv_entry():
     """Parallelizable compact solvmanifold model of codimension two."""
     heis_c = heisenberg(field=QI)
     ambient = direct_sum(heis_c, complex_abelian(2))
-    real = realify(ambient)
-    rows = [real.basis_vector(k) for k in (0, 1, 2, 5, 6, 7, 3, 9)]
+    rows = [{k: 1} for k in (0, 1, 2, 5, 6, 7, 3, 9)]
     real_algebra = direct_sum(realify(heis_c), real_abelian(2))
     model = OrbitModel(ambient, rows, [], real_algebra=real_algebra, name="heis_solv")
     return CatalogEntry(
@@ -728,8 +720,7 @@ def heisenberg_solv_entry():
 def complex_torus_entry():
     """Complex parallelizable model: the whole ambient is the real subalgebra."""
     ambient = complex_abelian(2)
-    real = realify(ambient)
-    rows = [real.basis_vector(k) for k in range(4)]
+    rows = [{k: 1} for k in range(4)]
     model = OrbitModel(ambient, rows, [], real_algebra=real_abelian(4), name="c2_torus")
     return CatalogEntry(
         name="c2_torus",

@@ -16,21 +16,11 @@ import argparse
 import json
 import sys
 
-from .algebra import (
-    derived_series,
-    is_abelian,
-    killing_signature,
-    lower_central_series,
-    radical,
-    realify,
-    validate,
-)
+from . import SCHEMA
 from .errors import InputError, InternalError, StructureError
-from .fileio import SCHEMA, load_file, load_flag, load_pi1, orbit_payload
-from .scalars import QI, QQ
 
-# catalog, cr and globalize (and complexify behind them) are imported by
-# the functions that use them, so analysing an algebra file loads none
+# layers are imported by the functions that use them: --help loads none,
+# an algebra file no orbit layer, catalog verify neither fileio nor globalize
 
 ANALYSES = (
     "validate",
@@ -138,22 +128,25 @@ class Reporter:
 # ---------------------------------------------------------------------------
 
 def _structure_records(rep, target, L, label):
+    from . import algebra
+    from .scalars import QI, QQ
+
     # a complex algebra is analysed on its realification, where the series
     # terms and the radical are the realified ones, of twice the dimension
-    R, scale = (realify(L), 2) if L.field == QI else (L, 1)
-    derived, lower = derived_series(R), lower_central_series(R)
+    R, scale = (algebra.realify(L), 2) if L.field == QI else (L, 1)
+    derived, lower = algebra.derived_series(R), algebra.lower_central_series(R)
     rows = [
         ("dimension", L.dim),
         ("field", L.field),
-        ("abelian", is_abelian(R)),
+        ("abelian", algebra.is_abelian(R)),
         ("solvable", derived[-1].dim == 0),
         ("nilpotent", lower[-1].dim == 0),
         ("derived-series-dims", [s.dim // scale for s in derived]),
         ("lower-central-dims", [s.dim // scale for s in lower]),
-        ("radical-dim", radical(R).dim // scale),
+        ("radical-dim", algebra.radical(R).dim // scale),
     ]
     if L.field == QQ:
-        rows.append(("killing-signature", list(killing_signature(L))))
+        rows.append(("killing-signature", list(algebra.killing_signature(L))))
     for name, value in rows:
         rep.emit(target=target, analysis="structure", check=f"{label}.{name}",
                  status=str(value))
@@ -213,6 +206,7 @@ def _globalize_records(rep, target, entry):
 
 def _entry_from_payload(model, payload):
     from .entries import CatalogEntry, Expected
+    from .fileio import load_flag, load_pi1
 
     return CatalogEntry(
         name=model.name or "orbit",
@@ -226,6 +220,9 @@ def _entry_from_payload(model, payload):
 
 
 def cmd_analyze(args, rep):
+    from .algebra import validate
+    from .fileio import load_file
+
     selected = ANALYSES if args.set is None else tuple(args.set)
     for path in args.files:
         kind, obj, payload = load_file(path)
@@ -297,9 +294,10 @@ def cmd_analyze(args, rep):
 
 def cmd_catalog(args, rep):
     from .catalog import ROSTER, get_entry, verify_entry
-    from .globalize import fine_classification_checks, verdict
 
     action = args.action
+    if action in ("list", "show"):
+        from .globalize import fine_classification_checks, verdict
     if action == "list":
         for name in ROSTER:
             entry = get_entry(name)
@@ -314,6 +312,8 @@ def cmd_catalog(args, rep):
     if action == "show":
         entry = get_entry(args.name)
         if args.format == "json":
+            from .fileio import orbit_payload
+
             payload = orbit_payload(entry.model)
             payload["expected"] = _expected_payload(entry.expected)
             payload["verdict"] = verdict(entry).overall

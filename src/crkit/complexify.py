@@ -8,10 +8,14 @@ anticanonical fibration, globalization preconditions) and the
 transports product_model and apply_complex_matrix_to_model reduce to
 exact computations over Q in the realified ambient, where a complex
 subspace is a J-stable real one and a complex matrix acts as
-[[Re, -Im], [Im, Re]].  Q(i) values are only read at the input edge
-(complex_rows_realified splits isotropy rows into real and imaginary
-parts, realify does the same for constants) and made at the output edge
-(canonical_complex_rows, for the isotropy rows orbit_payload writes).
+[[Re, -Im], [Im, Re]].
+
+Rows stay sparse from the caller to the records: an OrbitModel takes
+sparse realified real rows and sparse complex isotropy rows.  Q(i)
+values are read at the input edge (realified_rows splits a complex row
+into v and J v over Q, realify does the same for constants) and made at
+the output edge: real_rows and isotropy_rows (canonical_complex_rows) are
+dense views built on first read, for orbit_payload.
 """
 
 from __future__ import annotations
@@ -30,18 +34,17 @@ from .algebra import (
     radical,
     read_off_structure,
     realify,
-    span,
     sparse_span,
 )
-from .cr import CRPair
+from .cr import CRPair, apply_endo, matrix_columns
 from .errors import InputError, InternalError, StructureError
 from .linalg import (
     Solver,
     combine_rows,
+    dense,
+    echelon,
     independent_rows,
     kernel_rows,
-    matvec,
-    rref,
     sparse,
     vec_sub,
 )
@@ -67,19 +70,29 @@ def j_apply(v, n):
     return {(c + n if c < n else c - n): (x if c < n else -x) for c, x in v.items()}
 
 
-def complex_to_real(z):
-    """Realified coordinates (real parts, then imaginary parts) of a complex vector."""
-    return tuple(real_part(c) for c in z) + tuple(imag_part(c) for c in z)
+def realified_rows(rows, n):
+    """Sparse realified rows v and J v of each sparse complex row of a dimension-n space.
 
-
-def complex_rows_realified(rows):
-    """Realified spanning rows (dense) of a complex row space: v and iv per row."""
+    v holds a row's real parts at k and its imaginary parts at n + k; the
+    two span the row's complex line over Q.
+    """
     out = []
     for z in rows:
-        v = complex_to_real(z)
-        n = len(z)
-        out += [v, tuple(-x for x in v[n:]) + v[:n]]
+        v = {k: real_part(x) for k, x in z.items() if real_part(x)}
+        v.update((n + k, imag_part(x)) for k, x in z.items() if imag_part(x))
+        out += [v, j_apply(v, n)]
     return out
+
+
+def complex_rows(rows, n):
+    """Sparse complex rows re + i im of sparse realified rows of a dimension-n space."""
+    return [
+        {
+            k: GaussianRational(v.get(k, 0), v[n + k]) if n + k in v else v[k]
+            for k in sorted({c % n for c in v})
+        }
+        for v in rows
+    ]
 
 
 def complex_generators(sub: Subspace):
@@ -109,12 +122,14 @@ def canonical_complex_rows(sub: Subspace):
     for output only.
     """
     n = sub.parent.dim // 2
-    order = [k + half * n for k in range(n) for half in (0, 1)]
-    rows, pivots = rref([tuple(v[c] for c in order) for v in sub.rows])
+    # column k of the real block goes to 2k, column n + k to 2k + 1
+    basis = echelon(
+        {2 * c if c < n else 2 * (c - n) + 1: x for c, x in v.items()}
+        for v in sub.echelon.values()
+    )
     return tuple(
         tuple(GaussianRational(re, im) if im else re for re, im in zip(w[::2], w[1::2]))
-        for w, p in zip(rows, pivots)
-        if p % 2 == 0
+        for w in (dense(row, 2 * n) for p, row in basis.items() if p % 2 == 0)
     )
 
 
@@ -127,15 +142,19 @@ class OrbitModel:
 
     ambient        complex algebra of the big group
     ambient_real   its realification, where all derived geometry lives
-    real_rows      basis of the real subalgebra in realified coordinates,
-                   aligned with real_algebra's basis when one is supplied
-    real_vectors   the same rows as sparse vectors
+    real_vectors   sparse basis rows of the real subalgebra in realified
+                   coordinates, aligned with real_algebra's basis when one
+                   is supplied, its echelon rows otherwise
+    real_rows      the same rows as dense tuples, built on first read
     isotropy_real  realified span of the complex isotropy rows given
     isotropy_generators
                    rows of isotropy_real spanning it over C
                    (complex_generators)
-    isotropy_rows  their canonical complex basis, derived from
-                   isotropy_real on first use (orbit_payload writes it)
+    isotropy_rows  their canonical complex basis as dense tuples, derived
+                   from isotropy_real on first read (orbit_payload writes it)
+
+    The constructor takes sparse rows: realified real rows and complex
+    isotropy rows.  An index outside their coordinates raises InputError.
 
     Derived on construction, as subspaces of ambient_real over Q:
     h = g ∩ ĥ, the maximal complex ideal m = g ∩ Jg (verified to be a
@@ -152,29 +171,24 @@ class OrbitModel:
         self.ambient = ambient
         self.ambient_real = realify(ambient)
         self.name = name
-        n2 = self.ambient_real.dim
+        n, n2 = ambient.dim, self.ambient_real.dim
 
-        real_rows = tuple(tuple(compact(Fraction(x)) for x in row) for row in real_rows)
-        for row in real_rows:
-            if len(row) != n2:
-                raise InputError("real basis rows must use realified coordinates")
-        self.real_rows = real_rows
-        self.real_sub = span(self.ambient_real, real_rows)
-        if self.real_sub.dim != len(real_rows):
+        real_vectors = _rows_in(real_rows, n2, "real basis rows must use realified coordinates")
+        self.real_sub = sparse_span(self.ambient_real, real_vectors)
+        if self.real_sub.dim != len(real_vectors):
             raise InputError("real basis rows are linearly dependent")
 
-        self.isotropy_real = span(self.ambient_real, complex_rows_realified(isotropy_rows))
+        iso = _rows_in(isotropy_rows, n, "isotropy rows must use complex ambient coordinates")
+        self.isotropy_real = sparse_span(self.ambient_real, realified_rows(iso, n))
         self.isotropy_generators = complex_generators(self.isotropy_real)
         if not is_subalgebra(self.ambient_real, self.isotropy_real, self.isotropy_generators):
             raise StructureError("isotropy rows are not a complex subalgebra")
 
         if real_algebra is None:
-            self.real_rows = self.real_sub.rows
-            self.real_vectors = list(self.real_sub.echelon.values())
-        elif real_algebra.dim != len(real_rows):
+            real_vectors = list(self.real_sub.echelon.values())
+        elif real_algebra.dim != len(real_vectors):
             raise InputError("real_algebra dimension does not match basis rows")
-        else:
-            self.real_vectors = [sparse(r) for r in real_rows]
+        self.real_vectors = real_vectors
         # one read-off decides closure of the rows and, given real_algebra,
         # its alignment with them, on every pair
         try:
@@ -188,7 +202,6 @@ class OrbitModel:
         self.real_algebra = read if real_algebra is None else real_algebra
 
         # genericity: g + Jg must span the realified ambient
-        n = ambient.dim
         jg = sparse_span(self.ambient_real, [j_apply(v, n) for v in self.real_vectors])
         if add_spaces(self.real_sub, jg).dim != n2:
             raise StructureError("real subalgebra is not generic: g + Jg is proper")
@@ -218,8 +231,20 @@ class OrbitModel:
         return m
 
     @cached_property
+    def real_rows(self):
+        return tuple(dense(v, self.ambient_real.dim) for v in self.real_vectors)
+
+    @cached_property
     def isotropy_rows(self):
         return canonical_complex_rows(self.isotropy_real)
+
+
+def _rows_in(rows, width, message):
+    """Copies of sparse rows without their zero entries; an index outside range(width) raises."""
+    rows = [{c: compact(x) for c, x in row.items() if x} for row in rows]
+    if any(c not in range(width) for row in rows for c in row):
+        raise InputError(message)
+    return rows
 
 
 def max_complex_ideal(model: OrbitModel) -> Subspace:
@@ -380,7 +405,7 @@ def induced_cr_pair(model: OrbitModel) -> CRPair:
     big = sparse_span(model.ambient_real, extended)
     images = [(big.reduce(j_apply(v, nc)),) for v in model.real_vectors]
     units = [{a: 1} for a in range(g.dim)]
-    r_sub = Subspace.from_echelon(g, kernel_rows(units, images))
+    r_sub = Subspace(g, kernel_rows(units, images))
     h_sub = sparse_span(g, [model._solver.solve(v) for v in model.h.echelon.values()])
 
     solver = Solver(extended)
@@ -407,29 +432,23 @@ def induced_cr_pair(model: OrbitModel) -> CRPair:
 # products and perturbations
 # ---------------------------------------------------------------------------
 
-def _pad_real_row(row, n_left, n_right, placement):
-    """Re-place a realified row of one factor into product realified coords."""
-    n = len(row) // 2
-    total = n_left + n_right
-    out = [F(0)] * (2 * total)
-    off = 0 if placement == "left" else n_left
-    for k in range(n):
-        out[off + k] = row[k]
-        out[total + off + k] = row[n + k]
-    return tuple(out)
-
-
 def product_model(a: OrbitModel, b: OrbitModel, name="") -> OrbitModel:
     """Direct product of two orbit models."""
     ambient = direct_sum(a.ambient, b.ambient)
     na, nb = a.ambient.dim, b.ambient.dim
-    real_rows = [_pad_real_row(r, na, nb, "left") for r in a.real_rows]
-    real_rows += [_pad_real_row(r, na, nb, "right") for r in b.real_rows]
-    iso = [_pad_real_row(r, na, nb, "left") for r in a.isotropy_real.rows]
-    iso += [_pad_real_row(r, na, nb, "right") for r in b.isotropy_real.rows]
-    iso = canonical_complex_rows(span(realify(ambient), iso))
+
+    def place(v, n, offset):
+        # a factor's real block moves to offset, its imaginary block to na + nb + offset
+        return {(c if c < n else c - n + na + nb) + offset: x for c, x in v.items()}
+
+    real_rows = [place(v, na, 0) for v in a.real_vectors]
+    real_rows += [place(v, nb, na) for v in b.real_vectors]
+    iso = [place(u, na, 0) for u in a.isotropy_generators]
+    iso += [place(u, nb, na) for u in b.isotropy_generators]
     real_algebra = direct_sum(a.real_algebra, b.real_algebra)
-    return OrbitModel(ambient, real_rows, iso, real_algebra=real_algebra, name=name)
+    return OrbitModel(
+        ambient, real_rows, complex_rows(iso, na + nb), real_algebra=real_algebra, name=name
+    )
 
 
 def nilpotent_automorphism(L: LieAlgebra, x):
@@ -465,12 +484,13 @@ def apply_complex_matrix_to_model(model: OrbitModel, matrix, name="") -> OrbitMo
     re = [[real_part(x) for x in row] for row in matrix]
     im = [[imag_part(x) for x in row] for row in matrix]
     act = [a + [-x for x in b] for a, b in zip(re, im)] + [b + a for a, b in zip(re, im)]
-    real_rows = [matvec(act, v) for v in model.real_rows]
-    iso = span(model.ambient_real, [matvec(act, v) for v in model.isotropy_real.rows])
+    columns = matrix_columns(act)
+    # the map commutes with J, so the images of complex generators span the image over C
+    iso = [apply_endo(columns, u) for u in model.isotropy_generators]
     return OrbitModel(
         model.ambient,
-        real_rows,
-        canonical_complex_rows(iso),
+        [apply_endo(columns, v) for v in model.real_vectors],
+        complex_rows(iso, model.ambient.dim),
         real_algebra=model.real_algebra,
         name=name or model.name,
     )

@@ -311,8 +311,7 @@ def _levi_form(pair):
     g, r = pair.g, pair.r
     comp = list(pair.complement.values())
     m = len(comp)
-    pivots = set(r.pivots)
-    value_idx = tuple(i for i in range(g.dim) if i not in pivots)
+    value_idx = tuple(i for i in range(g.dim) if i not in r.echelon)
     k = len(value_idx)
     # a residual vanishes on R's pivots: its support lies in value_idx
     position = {c: t for t, c in enumerate(value_idx)}
@@ -338,7 +337,7 @@ def _levi_form(pair):
     )
     # an empty value space (k = 0) leaves no conditions: the kernel is all of R/h
     images = [[sparse(completed[c][i]) for c in range(k)] for i in range(m)]
-    kernel = Subspace.from_echelon(g, kernel_rows(comp, images))
+    kernel = Subspace(g, kernel_rows(comp, images))
     return LeviReport(
         pair.complement_rows, value_idx, form, completed, kernel, kernel.dim == 0, m == 0
     )

@@ -28,15 +28,15 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING
 
+from . import SCHEMA
 from .algebra import LieAlgebra, span
 from .errors import InputError
+from .linalg import sparse
 from .scalars import QI, QQ, format_scalar, parse_rational, parse_scalar
 
 if TYPE_CHECKING:
     from .complexify import OrbitModel
     from .cr import CRPair
-
-SCHEMA = "crkit/1"
 
 # largest algebra dimension accepted from a file: validation checks the
 # Jacobi identity on every triple.  At this size, `crkit analyze` of
@@ -188,11 +188,11 @@ def load_orbit_model(payload) -> OrbitModel:
     for row in _list(payload.get("isotropy_hat_basis", []), "isotropy_hat_basis"):
         if len(_list(row, "an isotropy row")) != ambient.dim:
             raise InputError("isotropy rows must have the ambient complex dimension")
-        iso_rows.append(tuple(parse_scalar(x, QI) for x in row))
+        iso_rows.append(sparse([parse_scalar(x, QI) for x in row]))
     name = payload.get("name", "")
     if not isinstance(name, str):
         raise InputError(f"orbit name must be a string, got {name!r}")
-    return OrbitModel(ambient, real_rows, iso_rows, name=name)
+    return OrbitModel(ambient, [sparse(r) for r in real_rows], iso_rows, name=name)
 
 
 def load_pi1(raw):

@@ -6,12 +6,13 @@ field operations, so entries of another exact field still work.
 
 Vectors are sparse {column: value} dicts holding only the nonzero
 entries, so elimination, reduction, nullspaces and solves touch nonzeros
-only: the catalog's realified rows are a few percent nonzero.  Dense
-tuples appear at the edges only: rref, rank and signature_of_symmetric
-take dense matrices, echelon_rows turns a sparse echelon form into the
-dense (rows, pivots) a Subspace shows, and sparse/dense convert a single
-vector.  Dense results have their entries compacted (integral values as
-plain ints) and zeros as int 0.
+only: the catalog's realified rows are a few percent nonzero.  A vector
+stays sparse from where it is made to where it is shown; dense tuples
+are the edge form only.  rref, rank and signature_of_symmetric take dense
+matrices (user rows, form matrices), echelon_rows makes the dense rows a
+record or payload shows, and sparse/dense convert one vector.  Dense
+results have their entries compacted (integral values as plain ints) and
+zeros as int 0.
 
 A subspace is always represented by its reduced row echelon form with the
 zero rows dropped, so two subspaces are equal iff the representing
@@ -132,11 +133,6 @@ def rref(rows):
 
 def rank(rows):
     return len(rref(rows)[0])
-
-
-def sparse_echelon(basis, pivots):
-    """Sparse echelon form {pivot: row} of dense reduced echelon rows."""
-    return {p: sparse(row) for row, p in zip(basis, pivots)}
 
 
 def _residual(v, basis):
@@ -337,8 +333,3 @@ def signature_of_symmetric(matrix):
             neg += 1
         prev, prev_sign = pivot, sign
     return pos, neg, n - pos - neg
-
-
-def matvec(rows, v):
-    # zero terms are skipped: the Killing rows and derived rows of radical are sparse
-    return tuple(sum((a * b for a, b in zip(row, v) if a and b), row[0] - row[0]) for row in rows)

@@ -25,7 +25,7 @@ from crkit.linalg import (
     vec_sub,
 )
 from crkit.report import Check, Report, witness_check
-from crkit.scalars import QQ, GaussianRational, exact_div
+from crkit.scalars import QQ, GaussianRational, exact_div, imag_part, real_part
 
 
 def oracle_bracket(L, x, y):
@@ -395,6 +395,21 @@ def complex_vector(v):
     return tuple(GaussianRational(v[k], v[n + k]) for k in range(n))
 
 
+def complex_to_real(z):
+    """Realified coordinates (real parts, then imaginary parts) of a dense complex vector."""
+    return tuple(real_part(c) for c in z) + tuple(imag_part(c) for c in z)
+
+
+def complex_rows_realified(rows):
+    """Dense realified spanning rows of a complex row space: v and iv per row."""
+    out = []
+    for z in rows:
+        v = complex_to_real(z)
+        n = len(z)
+        out += [v, tuple(-x for x in v[n:]) + v[:n]]
+    return out
+
+
 def complex_j_hat_rows(entry):
     """Complex rows of hat-h + C . j: a Q(i) rref of the realified rows read as complex.
 
@@ -454,7 +469,13 @@ def permute_model(model, perm):
 
     real_rows = [move(v, n) for v in model.real_rows]
     iso = [move(z, n) for z in model.isotropy_rows]
-    return OrbitModel(ambient, real_rows, iso, real_algebra=model.real_algebra, name=model.name)
+    return OrbitModel(
+        ambient,
+        [sparse(v) for v in real_rows],
+        [sparse(z) for z in iso],
+        real_algebra=model.real_algebra,
+        name=model.name,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +661,7 @@ def full_cr_normalizer(model):
     """The CR-normalizer by one kernel over all of g's rows, h included."""
     L, g, iso = model.ambient_real, model.real_vectors, model.isotropy_real
     images = [[iso.reduce(L.bracket(v, u)) for u in model.isotropy_generators] for v in g]
-    return Subspace.from_echelon(L, kernel_rows(g, images))
+    return Subspace(L, kernel_rows(g, images))
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,6 @@ from crkit.complexify import (
     anticanonical_fibration,
     apply_complex_matrix_to_model,
     canonical_complex_rows,
-    complex_rows_realified,
-    complex_to_real,
     complexify_algebra,
     cr_normalizer_algebra,
     fiber_globalization_check,
@@ -43,6 +41,8 @@ from crkit.linalg import rank, sparse
 from crkit.scalars import QI, GaussianRational
 
 from .support import (
+    complex_rows_realified,
+    complex_to_real,
     complex_vector,
     dense_bracket,
     dense_rank,
@@ -208,20 +208,22 @@ def su2_rows():
 
 def su2_model():
     ambient = complexify_algebra(sl2())
-    return OrbitModel(ambient, su2_rows(), [], name="su2-in-sl2")
+    return OrbitModel(ambient, [sparse(r) for r in su2_rows()], [], name="su2-in-sl2")
 
 
 def full_sl2_model(iso_rows):
     ambient = complexify_algebra(sl2())
     real = realify(ambient)
     rows = [real.basis_vector(k) for k in range(6)]
-    return OrbitModel(ambient, rows, iso_rows, real_algebra=real)
+    return OrbitModel(
+        ambient, [sparse(r) for r in rows], [sparse(z) for z in iso_rows], real_algebra=real
+    )
 
 
 def circle_model():
     """S^1 inside C^*: one-dimensional abelian ambient, real line i R."""
     ambient = abelian(1, field=QI)
-    return OrbitModel(ambient, [(F(0), F(1))], [], name="circle")
+    return OrbitModel(ambient, [sparse((F(0), F(1)))], [], name="circle")
 
 
 def mixed_model():
@@ -236,7 +238,7 @@ def mixed_model():
     for k in (4, 5, 6):          # sl2 imaginary directions
         rows.append(real.basis_vector(k))
     rows.append(real.basis_vector(3))  # the real line in the C factor
-    return OrbitModel(ambient, rows, [], name="mixed")
+    return OrbitModel(ambient, [sparse(r) for r in rows], [], name="mixed")
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +269,7 @@ def test_m_mixed_case_is_sl2_summand():
 def test_genericity_violation_rejected():
     ambient = complexify_algebra(abelian(2))
     with pytest.raises(StructureError):
-        OrbitModel(ambient, [(F(1), F(0), F(0), F(0))], [])
+        OrbitModel(ambient, [sparse((F(1), F(0), F(0), F(0)))], [])
 
 
 def test_non_subalgebra_isotropy_rejected():
@@ -275,7 +277,8 @@ def test_non_subalgebra_isotropy_rejected():
     real = realify(ambient)
     rows = [real.basis_vector(k) for k in range(6)]
     with pytest.raises(StructureError):
-        OrbitModel(ambient, rows, [gz(0, 1, 0), gz(0, 0, 1)])  # span(e, f) not closed
+        # span(e, f) is not closed
+        OrbitModel(ambient, [sparse(r) for r in rows], [sparse(gz(0, 1, 0)), sparse(gz(0, 0, 1))])
 
 
 def non_closed_generic_rows():
@@ -290,14 +293,16 @@ def non_closed_generic_rows():
 def test_non_closed_real_rows_rejected():
     ambient = complexify_algebra(sl2())
     with pytest.raises(StructureError, match="real rows are not a subalgebra"):
-        OrbitModel(ambient, non_closed_generic_rows(), [])
+        OrbitModel(ambient, [sparse(r) for r in non_closed_generic_rows()], [])
 
 
 def test_non_closed_aligned_rows_are_internal():
     # aligned rows come from a builder: a non-closed span is a builder defect
     ambient = complexify_algebra(sl2())
     with pytest.raises(InternalError, match="do not close"):
-        OrbitModel(ambient, non_closed_generic_rows(), [], real_algebra=sl2())
+        OrbitModel(
+            ambient, [sparse(r) for r in non_closed_generic_rows()], [], real_algebra=sl2()
+        )
 
 
 def test_alignment_checked_on_every_pair():
@@ -311,9 +316,11 @@ def test_alignment_checked_on_every_pair():
     k0 = next(iter(brackets[key]))
     brackets[key][k0] += 1
     bad = LieAlgebra(good.dim, good.field, good.names, brackets)
+    real_rows = [sparse(r) for r in model.real_rows]
+    iso = [sparse(z) for z in model.isotropy_rows]
     with pytest.raises(InternalError):
-        OrbitModel(model.ambient, model.real_rows, model.isotropy_rows, real_algebra=bad)
-    OrbitModel(model.ambient, model.real_rows, model.isotropy_rows, real_algebra=good)
+        OrbitModel(model.ambient, real_rows, iso, real_algebra=bad)
+    OrbitModel(model.ambient, real_rows, iso, real_algebra=good)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +374,7 @@ def heis_solv_model():
         rows.append(real.basis_vector(k))       # heis imaginary parts
     rows.append(real.basis_vector(3))           # first C factor: real line
     rows.append(real.basis_vector(9))           # second C factor: i R line
-    return OrbitModel(ambient, rows, [], name="heis-solv")
+    return OrbitModel(ambient, [sparse(r) for r in rows], [], name="heis-solv")
 
 
 def test_fiber_globalization_heis_solvmanifold():

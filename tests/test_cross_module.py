@@ -12,13 +12,14 @@ from crkit.complexify import (
     product_model,
 )
 from crkit.globalize import radical_abelian_check
+from crkit.linalg import sparse
 
 F = Fraction
 
 
 def circle_model():
     ambient = complex_abelian(1)
-    return OrbitModel(ambient, [(F(0), F(1))], [], name="circle")
+    return OrbitModel(ambient, [sparse((F(0), F(1)))], [], name="circle")
 
 
 def test_quadric_times_circle_fiber_is_one_dimensional_abelian():

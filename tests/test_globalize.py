@@ -14,7 +14,7 @@ from crkit.catalog import (
     quadric_orbit,
     sp_quadric_orbit,
 )
-from crkit.complexify import complex_rows_realified, j_apply, realify
+from crkit.complexify import j_apply, realify
 from crkit.errors import InputError
 from crkit.globalize import (
     GLOBALIZABLE,
@@ -31,7 +31,7 @@ from crkit.globalize import (
 )
 from crkit.scalars import QI, GaussianRational
 
-from .support import complex_j_hat_rows, factored_invariant_factors
+from .support import complex_j_hat_rows, complex_rows_realified, factored_invariant_factors
 
 F = Fraction
 G = GaussianRational
@@ -242,12 +242,13 @@ def test_fine_class_negative_control():
     """A parallelizable Kahler-tagged model whose m contains a simple part."""
     from crkit.catalog import Expected
     from crkit.complexify import OrbitModel, realify
+    from crkit.linalg import sparse
 
     ambient = direct_sum(build_sl_complex(2), complex_abelian(1))
     real = realify(ambient)
     rows = [real.basis_vector(k) for k in (0, 1, 2, 4, 5, 6)]  # realified sl2 part
     rows.append(real.basis_vector(3))  # real line in the abelian factor
-    model = OrbitModel(ambient, rows, [], name="negative-control")
+    model = OrbitModel(ambient, [sparse(r) for r in rows], [], name="negative-control")
     entry = CatalogEntry(
         name="negative-control",
         family="parallelizable",

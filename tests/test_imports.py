@@ -72,6 +72,28 @@ def test_commands_start_without_dataclasses_or_inspect(command):
         assert "crkit.entries" in added and "crkit.catalog" not in added
 
 
+def loaded_by(argv):
+    """The exit code of a fresh main(argv) and the crkit modules it loaded."""
+    return fresh(
+        "import contextlib, io, json, sys\n"
+        "from crkit.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main({argv!r})\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('crkit'))]))\n"
+    )
+
+
+def test_help_loads_no_layer():
+    assert loaded_by(["--help"]) == [0, ["crkit", "crkit.cli", "crkit.errors"]]
+
+
+def test_catalog_verify_loads_neither_fileio_nor_globalize():
+    code, modules = loaded_by(["catalog", "verify", "quadric(2,1)"])
+    assert code == 0
+    assert "crkit.catalog" in modules
+    assert "crkit.fileio" not in modules and "crkit.globalize" not in modules
+
+
 def test_every_public_name_resolves_to_its_submodule_object():
     result = fresh(
         "import importlib, json, sys\n"

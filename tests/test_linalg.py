@@ -8,6 +8,7 @@ from crkit.errors import InputError
 from crkit.linalg import (
     Solver,
     dense,
+    echelon,
     echelon_rows,
     in_span,
     intersect_spaces,
@@ -17,7 +18,6 @@ from crkit.linalg import (
     rref,
     signature_of_symmetric,
     sparse,
-    sparse_echelon,
 )
 from crkit.scalars import GaussianRational
 
@@ -63,7 +63,7 @@ def test_rref_idempotent_and_span_preserving(m):
     reduced, pivots = rref(m)
     again, pivots2 = rref(reduced)
     assert reduced == again and pivots == pivots2
-    view = sparse_echelon(reduced, pivots)
+    view = echelon(map(sparse, reduced))
     for row in m:
         assert in_span(sparse(row), view)
 
@@ -89,8 +89,8 @@ def test_intersection():
 def test_intersection_is_contained_in_both(a, b):
     inter, pivots = echelon_rows(intersect_spaces(map(sparse, a), map(sparse, b)), 4)
     assert (inter, pivots) == rref(inter)
-    va = sparse_echelon(*rref(a))
-    vb = sparse_echelon(*rref(b))
+    va = echelon(map(sparse, a))
+    vb = echelon(map(sparse, b))
     for v in inter:
         assert in_span(sparse(v), va) and in_span(sparse(v), vb)
     ra, rb = va.values(), vb.values()

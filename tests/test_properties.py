@@ -22,7 +22,6 @@ from crkit.algebra import (
 from crkit.catalog import build_sl_complex, build_sl_real, build_su, catalog_entries, get_entry
 from crkit.complexify import (
     complex_generators,
-    complex_rows_realified,
     complexify_algebra,
     j_apply,
     realify,
@@ -33,6 +32,7 @@ from crkit.linalg import Solver, dense, sparse
 from crkit.scalars import QQ, GaussianRational as G
 
 from .support import (
+    complex_rows_realified,
     dense_bracket,
     dense_solve,
     form_value,

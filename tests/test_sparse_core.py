@@ -14,12 +14,23 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from crkit.algebra import killing_signature, sl2
+from crkit.algebra import (
+    abelian,
+    add_spaces,
+    full_space,
+    intersect,
+    killing_signature,
+    sl2,
+    span,
+    sparse_span,
+    zero_space,
+)
 from crkit.catalog import build_sl_real, build_su
 from crkit.errors import InputError
 from crkit.linalg import (
     Solver,
     dense,
+    echelon,
     echelon_rows,
     in_span,
     kernel_rows,
@@ -28,7 +39,6 @@ from crkit.linalg import (
     rref,
     signature_of_symmetric,
     sparse,
-    sparse_echelon,
 )
 from crkit.scalars import GaussianRational, compact
 
@@ -122,7 +132,7 @@ def test_reduction_matches_dense_reference(field, data):
     m = data.draw(sparse_matrices(field))
     ncols = len(m[0])
     basis, pivots = rref(m)
-    view = sparse_echelon(basis, pivots)
+    view = echelon(map(sparse, basis))
     coeffs = data.draw(st.lists(scalars(field), min_size=len(basis), max_size=len(basis)))
     inside = combination(coeffs, basis) if basis else [zero_of(field)] * ncols
     outside = data.draw(sparse_vectors(field, ncols))
@@ -133,6 +143,28 @@ def test_reduction_matches_dense_reference(field, data):
         assert (not residual) == member
         residual = dense(residual, ncols)
         assert dense_rank(list(basis) + [residual]) == dense_rank(list(basis) + [v])
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_every_subspace_constructor_gives_the_one_echelon_form(field, data):
+    # a Subspace is its sparse echelon form, however it was reached
+    m = data.draw(sparse_matrices(field))
+    L = abelian(len(m[0]), field)
+    rows = [sparse(r) for r in m]
+    first = span(L, m)
+    others = (
+        sparse_span(L, rows),
+        add_spaces(zero_space(L), sparse_span(L, rows)),
+        intersect(full_space(L), sparse_span(L, rows)),
+    )
+    for s in others:
+        assert s == first and hash(s) == hash(first)
+    ref_rows, ref_pivots = dense_rref(m)
+    for s in (first, *others):
+        assert s.rows == tuple(tuple(r) for r in ref_rows)
+        assert s.pivots == tuple(ref_pivots) and s.dim == len(ref_pivots)
 
 
 @pytest.mark.parametrize("field", FIELDS)
