@@ -276,7 +276,7 @@ def realify(L: LieAlgebra) -> LieAlgebra:
     """
     if L.field != QI:
         raise InputError("realify expects a complex (Q_i) algebra")
-    cached = getattr(L, "_realified", None)
+    cached = getattr(L, "_realification", None)
     if cached is not None:
         return cached
     n = L.dim
@@ -311,7 +311,7 @@ def realify(L: LieAlgebra) -> LieAlgebra:
         put(b, n + a, {k: -v for k, v in im_row.items()})
     names = list(L.names) + [f"i*{x}" for x in L.names]
     out = LieAlgebra(2 * n, QQ, names, brackets)
-    L._realified = out
+    L._realification = out
     return out
 
 

@@ -6,12 +6,17 @@ as (re, im) pairs of Python ints, so commutators run in integer
 arithmetic.  Coordinates are read off by one exact solve against the
 family's basis matrices (coordinate_read_off), which rejects any matrix
 outside their span; it returns {coordinate: value} in ascending
-coordinate order.  Every constant and isotropy entry the catalog
-produces is real, even for a complex algebra, and is stored as an int:
-no catalog value is a GaussianRational, and a nonreal constant or line
-stabilizer of a complex algebra is an internal error.  The orbit models'
-rows are built sparse, {index: int}: realified real rows and complex
-isotropy rows, placed in a product ambient by index shifts.
+coordinate order, over Q(i) the realified row.  Every constant and
+isotropy entry the catalog produces is real, even for a complex algebra,
+and is stored as an int: no catalog value is a GaussianRational, and a
+nonreal constant or line stabilizer of a complex algebra is an internal
+error.  The orbit models' rows are built sparse, {index: int}, in
+realified coordinates: real rows in the matrix basis's order, so the
+real algebra the model reads off them has the matrix model's constants,
+and isotropy rows (real, so a complex row is its own realification),
+placed in a product ambient by index shifts.  The matrix-model real
+algebras (build_su, build_sp, build_sl_real, build_sl_complex_as_real)
+build no entry; they are the tests' reference for those constants.
 Each catalog entry packages an orbit model with the invariants the
 classification asserts for it; verify_entry recomputes everything
 derivable and diffs it against that record.
@@ -23,7 +28,6 @@ from functools import lru_cache
 
 from .algebra import (
     LieAlgebra,
-    abelian as real_abelian,
     direct_sum,
     full_space,
     heisenberg,
@@ -31,7 +35,7 @@ from .algebra import (
     product_space,
     radical,
 )
-from .complexify import OrbitModel, realify
+from .complexify import OrbitModel, j_apply, place_row, realify
 from .cr import check_cr_pair, cr_type, levi_form, levi_signature
 from .entries import (  # the entry types, re-exported
     TAXONOMY_TAGS,
@@ -111,12 +115,12 @@ def coordinate_read_off(mats, field):
     """Exact coordinates of a matrix in the span of basis matrices, as a function.
 
     Over Q the coordinates are {k: x} with mat = sum x_k b_k.  Over Q(i)
-    the solve runs against b_0 .. b_{N-1}, i b_0 .. i b_{N-1}, and
-    coordinate k is the pair (x_k, x_{N+k}).  Either way they come in
-    ascending k, and a matrix outside the span raises InternalError.
+    the solve runs against b_0 .. b_{N-1}, i b_0 .. i b_{N-1}, so its
+    {k: x} is the realified row: real parts at k < N, imaginary parts at
+    N + k.  Either way they come in ascending k, and a matrix outside the
+    span raises InternalError.
     """
     n = 1 + max(max(key) for m in mats for key in m)
-    dim = len(mats)
     rows = [_flatten(m, n) for m in mats]
     if field == QI:
         rows += [_flatten({k: (-im, re) for k, (re, im) in m.items()}, n) for m in mats]
@@ -126,15 +130,7 @@ def coordinate_read_off(mats, field):
         x = solver.solve(_flatten(mat, n))
         if x is None:
             raise InternalError("matrix lies outside the span of the basis matrices")
-        if field != QI:
-            return x
-        out = {}
-        for p, v in x.items():
-            if p < dim:
-                out[p] = (v, 0)
-            else:
-                out[p - dim] = (out.get(p - dim, (0, 0))[0], v)
-        return dict(sorted(out.items()))
+        return x
 
     return coords
 
@@ -142,8 +138,8 @@ def coordinate_read_off(mats, field):
 def _algebra_from_matrices(mats, names, field):
     """Structure constants from basis matrices, read off their commutators.
 
-    Over Q(i) the coordinates are Gaussian-integer pairs, whose imaginary
-    parts must vanish.
+    Over Q(i) a coordinate at N or past it is an imaginary part, which
+    must vanish.
     """
     dim = len(mats)
     coords = coordinate_read_off(mats, field)
@@ -151,9 +147,9 @@ def _algebra_from_matrices(mats, names, field):
     for a in range(dim):
         for b in range(a + 1, dim):
             row = coords(mat_commutator(mats[a], mats[b]))
+            if any(k >= dim for k in row):
+                raise InternalError("complex catalog data must be real")
             if row:
-                if field == QI:
-                    row = {k: _real(v) for k, v in row.items()}
                 brackets[(a, b)] = row
     return LieAlgebra(dim, field, names, brackets)
 
@@ -390,21 +386,10 @@ def line_stabilizer_rows(basis_mats, v):
     return list(kernel_rows(unit + [{}], images).values())
 
 
-def _realified(coords, dim, offset=0):
-    """Sparse realified row (real block, then imaginary block) of sparse complex coordinates."""
-    row = {}
-    for k, (re, im) in coords.items():
-        if re:
-            row[offset + k] = re
-        if im:
-            row[dim + offset + k] = im
-    return row
-
-
 def matrices_to_realified_rows(mats, ambient_mats):
     """Realified coordinates of matrices in the complex span of the ambient's basis matrices."""
     coords = coordinate_read_off(ambient_mats, QI)
-    return [_realified(coords(m), len(ambient_mats)) for m in mats]
+    return [coords(m) for m in mats]
 
 
 # ---------------------------------------------------------------------------
@@ -422,9 +407,7 @@ def quadric_orbit(p, q):
     real_rows = matrices_to_realified_rows(su_basis_matrices(p, q), sl_mats)
     v = _unit_pairs(n1, 0, p)  # isotropic: +1 - 1 = 0
     iso = line_stabilizer_rows(sl_mats, v)
-    model = OrbitModel(
-        ambient, real_rows, iso, real_algebra=build_su(p, q), name=f"quadric({p},{q})"
-    )
+    model = OrbitModel(ambient, real_rows, iso, name=f"quadric({p},{q})")
     n = 2 * n1 - 3
     l = n1 - 2
     return CatalogEntry(
@@ -458,9 +441,7 @@ def sp_quadric_orbit(p, q):
     sp_mats = sp_complex_basis_matrices(m)
     real_rows = matrices_to_realified_rows(sp_real_basis_matrices(p, q), sp_mats)
     iso = line_stabilizer_rows(sp_mats, _unit_pairs(2 * m, 0, p))
-    model = OrbitModel(
-        ambient, real_rows, iso, real_algebra=build_sp(p, q), name=f"sp_quadric({p},{q})"
-    )
+    model = OrbitModel(ambient, real_rows, iso, name=f"sp_quadric({p},{q})")
     n = 4 * m - 3
     return CatalogEntry(
         name=f"sp_quadric({p},{q})",
@@ -490,9 +471,7 @@ def real_projective_orbit():
     ambient = build_sl_complex(3)
     real_rows = [{a: 1} for a in range(8)]
     iso = line_stabilizer_rows(sl_basis_matrices(3), _unit_pairs(3, 0))
-    model = OrbitModel(
-        ambient, real_rows, iso, real_algebra=build_sl_real(3), name="p2r"
-    )
+    model = OrbitModel(ambient, real_rows, iso, name="p2r")
     return CatalogEntry(
         name="p2r",
         family="p2r",
@@ -517,7 +496,7 @@ def real_projective_orbit():
 
 
 def _conjugate_transpose_coords(n1):
-    """Sparse complex coordinates of xi -> -conj(xi)^T on the sl basis, as columns."""
+    """Realified coordinates of xi -> -conj(xi)^T on the sl basis, as columns."""
     mats = sl_basis_matrices(n1)
     coords = coordinate_read_off(mats, QI)
     return [coords({(c, r): (-re, im) for (r, c), (re, im) in m.items()}) for m in mats]
@@ -537,28 +516,19 @@ def twisted_diagonal_orbit(n):
     real_rows = []
     for a in range(dim):
         # basis matrix b_a -> (b_a, -conj(b_a)^T)
-        coords = {a: (1, 0)}
-        coords.update((dim + k, v) for k, v in phi_cols[a].items())
-        real_rows.append(_realified(coords, 2 * dim))
+        real_rows.append({a: 1, **place_row(phi_cols[a], dim, 2 * dim, dim)})
     for a in range(dim):
-        # i b_a -> (i b_a, -conj(i b_a)^T) = (i b_a, i conj(b_a)^T)
-        coords = {a: (0, 1)}
-        # the second block is -i phi_a, and -i (re + i im) = im - i re
-        coords.update((dim + k, (im, -re)) for k, (re, im) in phi_cols[a].items())
-        real_rows.append(_realified(coords, 2 * dim))
+        # i b_a -> (i b_a, -conj(i b_a)^T) = (i b_a, i conj(b_a)^T); the second
+        # block is -i phi_a, and -J (re, im) = (im, -re)
+        minus_j_phi = {k: -x for k, x in j_apply(phi_cols[a], dim).items()}
+        real_rows.append({2 * dim + a: 1, **place_row(minus_j_phi, dim, 2 * dim, dim)})
 
     p_v = line_stabilizer_rows(sl_basis_matrices(n1), _unit_pairs(n1, 0))
     p_u = line_stabilizer_rows(sl_basis_matrices(n1), _unit_pairs(n1, 1))
     # p_v in the first factor, p_u shifted into the second
     iso = p_v + [{k + dim: x for k, x in z.items()} for z in p_u]
 
-    model = OrbitModel(
-        ambient,
-        real_rows,
-        iso,
-        real_algebra=build_sl_complex_as_real(n1),
-        name=f"twisted({n})",
-    )
+    model = OrbitModel(ambient, real_rows, iso, name=f"twisted({n})")
     return CatalogEntry(
         name=f"twisted({n})",
         family="twisted",
@@ -580,8 +550,8 @@ def twisted_diagonal_orbit(n):
 
 def _su2_block_rows(total_cplx, offset):
     """Realified rows of su(2) placed in an sl2 block of a product ambient."""
-    coords = coordinate_read_off(sl_basis_matrices(2), QI)
-    return [_realified(coords(m), total_cplx, offset) for m in su_basis_matrices(2, 0)]
+    rows = matrices_to_realified_rows(su_basis_matrices(2, 0), sl_basis_matrices(2))
+    return [place_row(v, 3, total_cplx, offset) for v in rows]
 
 
 @lru_cache(maxsize=1)
@@ -593,10 +563,7 @@ def torus_bundle_entry():
     # raising-root lines in both factors, the second shifted by 3: the
     # nilradical of a borel pair
     iso = [{0: 1}, {3: 1}]
-    real_algebra = direct_sum(build_su(2, 0), build_su(2, 0))
-    model = OrbitModel(
-        ambient, real_rows, iso, real_algebra=real_algebra, name="su2xsu2_torus"
-    )
+    model = OrbitModel(ambient, real_rows, iso, name="su2xsu2_torus")
     return CatalogEntry(
         name="su2xsu2_torus",
         family="compact-spherical",
@@ -624,10 +591,7 @@ def hopf_circle_entry():
     # su(2), then the i R line of the C factor: complex index 3 in the imaginary block
     real_rows = _su2_block_rows(4, 0) + [{4 + 3: 1}]
     iso = [{0: 1}]
-    real_algebra = direct_sum(build_su(2, 0), real_abelian(1))
-    model = OrbitModel(
-        ambient, real_rows, iso, real_algebra=real_algebra, name="su2xs1_hopf"
-    )
+    model = OrbitModel(ambient, real_rows, iso, name="su2xs1_hopf")
     return CatalogEntry(
         name="su2xs1_hopf",
         family="compact-spherical",
@@ -660,10 +624,7 @@ def sl2_uz_entry():
     real_rows = _su2_block_rows(4, 0) + [{4 + 3: 1}]
     # the e-root of the sl2 factor paired with the C factor's direction
     iso = [{0: 1, 3: 1}]
-    real_algebra = direct_sum(build_su(2, 0), real_abelian(1))
-    model = OrbitModel(
-        ambient, real_rows, iso, real_algebra=real_algebra, name="sl2_uz"
-    )
+    model = OrbitModel(ambient, real_rows, iso, name="sl2_uz")
     return CatalogEntry(
         name="sl2_uz",
         family="compact-spherical",
@@ -697,8 +658,7 @@ def heisenberg_solv_entry():
     heis_c = heisenberg(field=QI)
     ambient = direct_sum(heis_c, complex_abelian(2))
     rows = [{k: 1} for k in (0, 1, 2, 5, 6, 7, 3, 9)]
-    real_algebra = direct_sum(realify(heis_c), real_abelian(2))
-    model = OrbitModel(ambient, rows, [], real_algebra=real_algebra, name="heis_solv")
+    model = OrbitModel(ambient, rows, [], name="heis_solv")
     return CatalogEntry(
         name="heis_solv",
         family="parallelizable",
@@ -721,7 +681,7 @@ def complex_torus_entry():
     """Complex parallelizable model: the whole ambient is the real subalgebra."""
     ambient = complex_abelian(2)
     rows = [{k: 1} for k in range(4)]
-    model = OrbitModel(ambient, rows, [], real_algebra=real_abelian(4), name="c2_torus")
+    model = OrbitModel(ambient, rows, [], name="c2_torus")
     return CatalogEntry(
         name="c2_torus",
         family="parallelizable",
@@ -762,8 +722,9 @@ ROSTER = (
 
 # Parametrized entries are built on demand only up to this complex ambient
 # dimension, that of sl(13, C) for the quadrics with p + q = 13: construction
-# and verification cost grows quickly with it, and the costliest entry
-# admitted takes about 1.4 CPU s on a 2-vCPU x86-64 VM.
+# and verification cost grows quickly with it.  The costliest entries
+# admitted, quadric(12,1), quadric(7,6) and sp_quadric(7,1), each take about
+# 0.3-0.5 CPU s to build and verify in-process on a shared 2-vCPU x86-64 VM.
 MAX_AMBIENT_DIM = 168
 
 # (name prefix, builder, arity, complex ambient dimension)

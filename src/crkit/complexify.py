@@ -11,10 +11,11 @@ subspace is a J-stable real one and a complex matrix acts as
 [[Re, -Im], [Im, Re]].
 
 Rows stay sparse from the caller to the records: an OrbitModel takes
-sparse realified real rows and sparse complex isotropy rows.  Q(i)
-values are read at the input edge (realified_rows splits a complex row
-into v and J v over Q, realify does the same for constants) and made at
-the output edge: real_rows and isotropy_rows (canonical_complex_rows) are
+sparse realified rows over Q, real rows and isotropy generators, and
+reads its real algebra off the real rows.  Q(i) values are read at the
+input edge (realified_rows splits a file's complex row into its real and
+imaginary parts, realify does the same for constants) and made at the
+output edge: real_rows and isotropy_rows (canonical_complex_rows) are
 dense views built on first read, for orbit_payload.
 """
 
@@ -70,29 +71,25 @@ def j_apply(v, n):
     return {(c + n if c < n else c - n): (x if c < n else -x) for c, x in v.items()}
 
 
-def realified_rows(rows, n):
-    """Sparse realified rows v and J v of each sparse complex row of a dimension-n space.
+def place_row(v, n, total, offset):
+    """A sparse realified row of a dimension-n factor, placed at offset in a dimension-total sum.
 
-    v holds a row's real parts at k and its imaginary parts at n + k; the
-    two span the row's complex line over Q.
+    The factor's real block moves to offset, its imaginary block to total + offset.
+    """
+    return {(c + offset if c < n else c - n + total + offset): x for c, x in v.items()}
+
+
+def realified_rows(rows, n):
+    """The sparse realified row of each sparse complex row of a dimension-n space.
+
+    It holds the row's real parts at k and its imaginary parts at n + k.
     """
     out = []
     for z in rows:
         v = {k: real_part(x) for k, x in z.items() if real_part(x)}
         v.update((n + k, imag_part(x)) for k, x in z.items() if imag_part(x))
-        out += [v, j_apply(v, n)]
+        out.append(v)
     return out
-
-
-def complex_rows(rows, n):
-    """Sparse complex rows re + i im of sparse realified rows of a dimension-n space."""
-    return [
-        {
-            k: GaussianRational(v.get(k, 0), v[n + k]) if n + k in v else v[k]
-            for k in sorted({c % n for c in v})
-        }
-        for v in rows
-    ]
 
 
 def complex_generators(sub: Subspace):
@@ -143,18 +140,21 @@ class OrbitModel:
     ambient        complex algebra of the big group
     ambient_real   its realification, where all derived geometry lives
     real_vectors   sparse basis rows of the real subalgebra in realified
-                   coordinates, aligned with real_algebra's basis when one
-                   is supplied, its echelon rows otherwise
+                   coordinates, in the order given
+    real_algebra   the algebra the ambient bracket induces on real_vectors
+                   (read_off_structure), so its basis is aligned with them
     real_rows      the same rows as dense tuples, built on first read
-    isotropy_real  realified span of the complex isotropy rows given
+    isotropy_real  complex span (rows u and J u) of the isotropy rows given
     isotropy_generators
                    rows of isotropy_real spanning it over C
                    (complex_generators)
     isotropy_rows  their canonical complex basis as dense tuples, derived
                    from isotropy_real on first read (orbit_payload writes it)
 
-    The constructor takes sparse rows: realified real rows and complex
-    isotropy rows.  An index outside their coordinates raises InputError.
+    The constructor takes sparse rows over Q in realified coordinates:
+    real rows, a basis of g over R, and isotropy rows, generators of the
+    isotropy over C.  An index outside the realified coordinates raises
+    InputError.
 
     Derived on construction, as subspaces of ambient_real over Q:
     h = g ∩ ĥ, the maximal complex ideal m = g ∩ Jg (verified to be a
@@ -165,7 +165,7 @@ class OrbitModel:
     complex generators only.
     """
 
-    def __init__(self, ambient, real_rows, isotropy_rows, real_algebra=None, name=""):
+    def __init__(self, ambient, real_rows, isotropy_rows, name=""):
         if ambient.field != QI:
             raise InputError("ambient algebra must be complex (Q_i)")
         self.ambient = ambient
@@ -177,29 +177,18 @@ class OrbitModel:
         self.real_sub = sparse_span(self.ambient_real, real_vectors)
         if self.real_sub.dim != len(real_vectors):
             raise InputError("real basis rows are linearly dependent")
+        self.real_vectors = real_vectors
 
-        iso = _rows_in(isotropy_rows, n, "isotropy rows must use complex ambient coordinates")
-        self.isotropy_real = sparse_span(self.ambient_real, realified_rows(iso, n))
+        iso = _rows_in(isotropy_rows, n2, "isotropy rows must use realified coordinates")
+        self.isotropy_real = sparse_span(self.ambient_real, iso + [j_apply(u, n) for u in iso])
         self.isotropy_generators = complex_generators(self.isotropy_real)
         if not is_subalgebra(self.ambient_real, self.isotropy_real, self.isotropy_generators):
             raise StructureError("isotropy rows are not a complex subalgebra")
 
-        if real_algebra is None:
-            real_vectors = list(self.real_sub.echelon.values())
-        elif real_algebra.dim != len(real_vectors):
-            raise InputError("real_algebra dimension does not match basis rows")
-        self.real_vectors = real_vectors
-        # one read-off decides closure of the rows and, given real_algebra,
-        # its alignment with them, on every pair
         try:
-            read, self._solver = read_off_structure(self.ambient_real, self.real_vectors)
+            self.real_algebra, self._solver = read_off_structure(self.ambient_real, real_vectors)
         except StructureError:
-            if real_algebra is None:
-                raise StructureError("real rows are not a subalgebra") from None
-            raise InternalError("aligned rows do not close under the bracket") from None
-        if real_algebra is not None and read != real_algebra:
-            raise InternalError("real_algebra is not aligned with its rows")
-        self.real_algebra = read if real_algebra is None else real_algebra
+            raise StructureError("real rows are not a subalgebra") from None
 
         # genericity: g + Jg must span the realified ambient
         jg = sparse_span(self.ambient_real, [j_apply(v, n) for v in self.real_vectors])
@@ -387,7 +376,7 @@ def fiber_globalization_check(model: OrbitModel) -> Report:
 # ---------------------------------------------------------------------------
 
 def _extended_real_basis(model: OrbitModel):
-    """The aligned real basis, then each isotropy row outside the span of the rows before it."""
+    """The real rows, then each isotropy row outside the span of the rows before it."""
     rows = [*model.real_vectors, *model.isotropy_real.echelon.values()]
     return [rows[k] for k in independent_rows(rows)]
 
@@ -436,19 +425,11 @@ def product_model(a: OrbitModel, b: OrbitModel, name="") -> OrbitModel:
     """Direct product of two orbit models."""
     ambient = direct_sum(a.ambient, b.ambient)
     na, nb = a.ambient.dim, b.ambient.dim
-
-    def place(v, n, offset):
-        # a factor's real block moves to offset, its imaginary block to na + nb + offset
-        return {(c if c < n else c - n + na + nb) + offset: x for c, x in v.items()}
-
-    real_rows = [place(v, na, 0) for v in a.real_vectors]
-    real_rows += [place(v, nb, na) for v in b.real_vectors]
-    iso = [place(u, na, 0) for u in a.isotropy_generators]
-    iso += [place(u, nb, na) for u in b.isotropy_generators]
-    real_algebra = direct_sum(a.real_algebra, b.real_algebra)
-    return OrbitModel(
-        ambient, real_rows, complex_rows(iso, na + nb), real_algebra=real_algebra, name=name
-    )
+    real_rows = [place_row(v, na, na + nb, 0) for v in a.real_vectors]
+    real_rows += [place_row(v, nb, na + nb, na) for v in b.real_vectors]
+    iso = [place_row(u, na, na + nb, 0) for u in a.isotropy_generators]
+    iso += [place_row(u, nb, na + nb, na) for u in b.isotropy_generators]
+    return OrbitModel(ambient, real_rows, iso, name=name)
 
 
 def nilpotent_automorphism(L: LieAlgebra, x):
@@ -486,11 +467,9 @@ def apply_complex_matrix_to_model(model: OrbitModel, matrix, name="") -> OrbitMo
     act = [a + [-x for x in b] for a, b in zip(re, im)] + [b + a for a, b in zip(re, im)]
     columns = matrix_columns(act)
     # the map commutes with J, so the images of complex generators span the image over C
-    iso = [apply_endo(columns, u) for u in model.isotropy_generators]
     return OrbitModel(
         model.ambient,
         [apply_endo(columns, v) for v in model.real_vectors],
-        complex_rows(iso, model.ambient.dim),
-        real_algebra=model.real_algebra,
+        [apply_endo(columns, u) for u in model.isotropy_generators],
         name=name or model.name,
     )

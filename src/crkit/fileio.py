@@ -17,10 +17,14 @@ Three payload kinds, detected by their fields:
 
 Scalars are exact strings "num/den"; Q(i) scalars are ["re", "im"] pairs
 of such strings (a bare string means a real value).  These are the
-edges where Q(i) values exist: parse_scalar turns a nonreal scalar into a
+edges where Q(i) values exist: parse_scalar turns a Q_i scalar into a
 GaussianRational, which its algebra stores until realify splits it into
-rational parts, and orbit_payload formats the complex isotropy rows that
-canonical_complex_rows reads off the realified isotropy.
+rational parts; load_orbit_model splits a complex isotropy row into its
+realified row (realified_rows); and orbit_payload formats the complex
+isotropy rows that canonical_complex_rows reads off the realified
+isotropy.  An orbit model is built on the echelon rows of the file's
+real basis, so its real algebra does not depend on the order or scale of
+those rows.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from typing import TYPE_CHECKING
 from . import SCHEMA
 from .algebra import LieAlgebra, span
 from .errors import InputError
-from .linalg import sparse
+from .linalg import echelon, sparse
 from .scalars import QI, QQ, format_scalar, parse_rational, parse_scalar
 
 if TYPE_CHECKING:
@@ -177,7 +181,12 @@ def cr_pair_payload(pair: CRPair) -> dict:
 
 
 def load_orbit_model(payload) -> OrbitModel:
-    from .complexify import OrbitModel
+    """The orbit model of a payload, on the echelon rows of its real basis.
+
+    The complex isotropy rows become their realifications.  Echelon rows
+    make the model independent of the file's row order and scaling.
+    """
+    from .complexify import OrbitModel, realified_rows
 
     ambient = load_algebra(_require(payload, "ambient", "orbit"))
     if ambient.field != QI:
@@ -192,7 +201,12 @@ def load_orbit_model(payload) -> OrbitModel:
     name = payload.get("name", "")
     if not isinstance(name, str):
         raise InputError(f"orbit name must be a string, got {name!r}")
-    return OrbitModel(ambient, [sparse(r) for r in real_rows], iso_rows, name=name)
+    basis = echelon(map(sparse, real_rows))
+    if len(basis) != len(real_rows):
+        raise InputError("real basis rows are linearly dependent")
+    return OrbitModel(
+        ambient, list(basis.values()), realified_rows(iso_rows, ambient.dim), name=name
+    )
 
 
 def load_pi1(raw):

@@ -444,9 +444,9 @@ def nonreal_exp_ad(ambient):
 def permute_model(model, perm):
     """The orbit model on the permuted complex ambient basis: e_k becomes e'_{perm[k]}.
 
-    Structure constants, names, realified real rows (both blocks) and
-    complex isotropy rows are all re-indexed; the real algebra is kept, so
-    its basis stays aligned with the permuted real rows.
+    Structure constants, names, realified real rows and realified isotropy
+    generators (both blocks) are all re-indexed; the real rows keep their
+    order, so the real algebra read off them has the same constants.
     """
     amb = model.ambient
     n = amb.dim
@@ -468,13 +468,9 @@ def permute_model(model, perm):
         return tuple(out)
 
     real_rows = [move(v, n) for v in model.real_rows]
-    iso = [move(z, n) for z in model.isotropy_rows]
+    iso = [move(dense(u, 2 * n), n) for u in model.isotropy_generators]
     return OrbitModel(
-        ambient,
-        [sparse(v) for v in real_rows],
-        [sparse(z) for z in iso],
-        real_algebra=model.real_algebra,
-        name=model.name,
+        ambient, [sparse(v) for v in real_rows], [sparse(u) for u in iso], name=model.name
     )
 
 

@@ -10,6 +10,7 @@ from crkit.algebra import (
     LieAlgebra,
     abelian,
     derived_series,
+    direct_sum,
     heisenberg,
     killing_form,
     lower_central_series,
@@ -18,7 +19,14 @@ from crkit.algebra import (
     span,
     validate,
 )
-from crkit.catalog import get_entry
+from crkit.catalog import (
+    ROSTER,
+    build_sl_complex_as_real,
+    build_sl_real,
+    build_sp,
+    build_su,
+    get_entry,
+)
 from crkit.complexify import (
     OrbitModel,
     _extended_real_basis,
@@ -36,7 +44,7 @@ from crkit.complexify import (
     realify,
 )
 from crkit.cr import check_cr_pair
-from crkit.errors import InputError, InternalError, StructureError
+from crkit.errors import InputError, StructureError
 from crkit.linalg import rank, sparse
 from crkit.scalars import QI, GaussianRational
 
@@ -50,6 +58,7 @@ from .support import (
     nonreal_exp_ad,
     oracle_bracket,
 )
+from .test_golden import FAMILY_SWEEP
 
 F = Fraction
 G = GaussianRational
@@ -212,12 +221,12 @@ def su2_model():
 
 
 def full_sl2_model(iso_rows):
+    """sl2(C) as a real algebra, with the complex isotropy rows given, realified."""
     ambient = complexify_algebra(sl2())
     real = realify(ambient)
     rows = [real.basis_vector(k) for k in range(6)]
-    return OrbitModel(
-        ambient, [sparse(r) for r in rows], [sparse(z) for z in iso_rows], real_algebra=real
-    )
+    iso = [sparse(complex_to_real(z)) for z in iso_rows]
+    return OrbitModel(ambient, [sparse(r) for r in rows], iso)
 
 
 def circle_model():
@@ -228,8 +237,6 @@ def circle_model():
 
 def mixed_model():
     """(complex sl2) + (real line) inside sl2(C) + C."""
-    from crkit.algebra import direct_sum
-
     ambient = direct_sum(complexify_algebra(sl2()), abelian(1, field=QI))
     real = realify(ambient)
     rows = []
@@ -276,9 +283,10 @@ def test_non_subalgebra_isotropy_rejected():
     ambient = complexify_algebra(sl2())
     real = realify(ambient)
     rows = [real.basis_vector(k) for k in range(6)]
+    # span(e, f) is not closed
+    iso = [sparse(complex_to_real(gz(0, 1, 0))), sparse(complex_to_real(gz(0, 0, 1)))]
     with pytest.raises(StructureError):
-        # span(e, f) is not closed
-        OrbitModel(ambient, [sparse(r) for r in rows], [sparse(gz(0, 1, 0)), sparse(gz(0, 0, 1))])
+        OrbitModel(ambient, [sparse(r) for r in rows], iso)
 
 
 def non_closed_generic_rows():
@@ -296,31 +304,28 @@ def test_non_closed_real_rows_rejected():
         OrbitModel(ambient, [sparse(r) for r in non_closed_generic_rows()], [])
 
 
-def test_non_closed_aligned_rows_are_internal():
-    # aligned rows come from a builder: a non-closed span is a builder defect
-    ambient = complexify_algebra(sl2())
-    with pytest.raises(InternalError, match="do not close"):
-        OrbitModel(
-            ambient, [sparse(r) for r in non_closed_generic_rows()], [], real_algebra=sl2()
-        )
+# the real algebra of each catalog entry as its matrix model gives it, by
+# the entry name's prefix; the catalog builds the entry from the rows alone
+MATRIX_MODELS = {
+    "quadric": build_su,
+    "sp_quadric": build_sp,
+    "twisted": lambda n: build_sl_complex_as_real(n + 1),
+    "p2r": lambda: build_sl_real(3),
+    "su2xsu2_torus": lambda: direct_sum(build_su(2, 0), build_su(2, 0)),
+    "su2xs1_hopf": lambda: direct_sum(build_su(2, 0), abelian(1)),
+    "sl2_uz": lambda: direct_sum(build_su(2, 0), abelian(1)),
+    "heis_solv": lambda: direct_sum(realify(heisenberg(field=QI)), abelian(2)),
+    "c2_torus": lambda: abelian(4),
+}
 
 
-def test_alignment_checked_on_every_pair():
-    # su(2,2) has dimension 15: one wrong constant on a pair (i, j) with
-    # i >= 1 and j >= i + 3 lies outside the adjacent and first-row pairs
-    model = get_entry("quadric(2,2)").model
-    good = model.real_algebra
-    assert good.dim > 12
-    key = next((i, j) for (i, j) in sorted(good.brackets) if i >= 1 and j >= i + 3)
-    brackets = {k: dict(row) for k, row in good.brackets.items()}
-    k0 = next(iter(brackets[key]))
-    brackets[key][k0] += 1
-    bad = LieAlgebra(good.dim, good.field, good.names, brackets)
-    real_rows = [sparse(r) for r in model.real_rows]
-    iso = [sparse(z) for z in model.isotropy_rows]
-    with pytest.raises(InternalError):
-        OrbitModel(model.ambient, real_rows, iso, real_algebra=bad)
-    OrbitModel(model.ambient, real_rows, iso, real_algebra=good)
+@pytest.mark.parametrize("name", sorted(set(ROSTER + FAMILY_SWEEP)))
+def test_real_algebra_is_the_matrix_model_algebra(name):
+    # the constants read off the real rows, pair by pair, are the matrix
+    # model's: the rows are aligned with the matrix basis in its order
+    entry = get_entry(name)
+    expected = MATRIX_MODELS[name.split("(")[0]](*entry.params)
+    assert entry.model.real_algebra == expected
 
 
 # ---------------------------------------------------------------------------

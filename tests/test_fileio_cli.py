@@ -373,6 +373,33 @@ def test_non_closed_real_rows_exit_2(tmp_path, capsys):
     assert captured.err == "error: real rows are not a subalgebra\n"
 
 
+def test_dependent_real_rows_exit_2(tmp_path, capsys):
+    payload = orbit_payload(get_entry("quadric(2,1)").model)
+    rows = payload["real_basis"]
+    dependent = dict(payload, real_basis=rows + [rows[0]])
+    path = write(tmp_path, "dependent.orbit", dependent)
+    assert main(["analyze", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: real basis rows are linearly dependent\n"
+    # the rank is checked once every field has been parsed
+    path = write(tmp_path, "dependent_named.orbit", dict(dependent, name=3))
+    assert main(["analyze", path]) == 2
+    assert capsys.readouterr().err == "error: orbit name must be a string, got 3\n"
+
+
+def test_orbit_loader_ignores_row_order_and_scale():
+    # the loader passes the echelon rows of the file's real basis, so the
+    # real algebra read off them does not depend on how the file lists them
+    payload = orbit_payload(get_entry("quadric(2,2)").model)
+    rows = [[str(Fraction(x) * (k + 2)) for x in row]
+            for k, row in enumerate(reversed(payload["real_basis"]))]
+    loaded = load_orbit_model(payload)
+    moved = load_orbit_model(dict(payload, real_basis=rows))
+    assert moved.real_vectors == loaded.real_vectors
+    assert moved.real_algebra == loaded.real_algebra
+
+
 def malformed_payloads():
     """(label, payload) probes that must exit 2 with a message."""
     algebra = heisenberg_payload()
