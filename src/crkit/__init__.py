@@ -41,7 +41,6 @@ _EXPORTS = {
         "cr_normalizer_algebra",
         "fiber_globalization_check",
         "induced_cr_pair",
-        "max_complex_ideal",
         "product_model",
         "realify",
     ),
@@ -56,12 +55,7 @@ _EXPORTS = {
     ),
     "catalog": (
         "build_sl_complex",
-        "build_sl_complex_as_real",
-        "build_sl_real",
-        "build_so",
-        "build_sp",
         "build_su",
-        "build_u",
         "catalog_entries",
         "get_entry",
         "quadric_orbit",

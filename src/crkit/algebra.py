@@ -24,7 +24,7 @@ from collections import namedtuple
 from functools import cached_property
 from math import lcm
 
-from .errors import InputError, StructureError
+from .errors import InputError, StructureError, excerpt
 from .linalg import (
     Solver,
     echelon,
@@ -32,7 +32,6 @@ from .linalg import (
     in_span,
     intersect_spaces,
     kernel_rows,
-    rank,
     reduce_mod,
     signature_of_symmetric,
     sparse,
@@ -59,11 +58,12 @@ class LieAlgebra:
         table = {}
         for (i, j), row in brackets.items():
             if not (0 <= i < j < dim):
-                raise InputError(f"bracket key ({i}, {j}) must satisfy 0 <= i < j < dim")
+                key = excerpt(f"({i}, {j})")
+                raise InputError(f"bracket key {key} must satisfy 0 <= i < j < dim")
             cleaned = {k: compact(v) for k, v in row.items() if v}
             for k in cleaned:
                 if not 0 <= k < dim:
-                    raise InputError(f"bracket target index {k} out of range")
+                    raise InputError(f"bracket target index {excerpt(str(k))} out of range")
             if cleaned:
                 table[(i, j)] = cleaned
         self.brackets = table
@@ -225,10 +225,6 @@ class Subspace:
 
 def full_space(L):
     return Subspace(L, {i: {i: 1} for i in range(L.dim)})
-
-
-def zero_space(L):
-    return Subspace(L, {})
 
 
 def span(L, vectors):
@@ -629,7 +625,8 @@ def verify_levi_complement(L, s):
     """True iff s is a semisimple complement to the radical.
 
     Checks: subalgebra, trivial intersection with the radical, spanning
-    together with the radical, and nondegenerate restricted Killing form.
+    together with the radical, and nondegenerate restricted Killing form
+    (no zero in its inertia; over Q(i), that of the realification, 2 Re kappa).
     """
     try:
         sub, _ = subalgebra_structure(L, s)
@@ -638,7 +635,9 @@ def verify_levi_complement(L, s):
     r = radical(L)
     if intersect(s, r).dim != 0 or add_spaces(s, r).dim != L.dim:
         return False
-    return rank(killing_form(sub).matrix) == sub.dim
+    if sub.field == QI:
+        sub = realify(sub)
+    return signature_of_symmetric(killing_form(sub).matrix)[2] == 0
 
 
 def killing_signature(L):
@@ -646,22 +645,6 @@ def killing_signature(L):
     if L.field != QQ:
         raise InputError("killing_signature needs a real (Q) algebra")
     return signature_of_symmetric(killing_form(L).matrix)
-
-
-def is_compact_type(L):
-    """Reductive with negative-definite Killing form on the derived algebra.
-
-    This is the structure-constant shadow of "compact group": centre plus
-    a compact semisimple part.
-    """
-    if L.field != QQ:
-        raise InputError("is_compact_type needs a real (Q) algebra")
-    r = radical(L)
-    if product_space(L, full_space(L), r).dim != 0:
-        return False
-    sub, _ = subalgebra_structure(L, derived_subalgebra(L))
-    pos, neg, zero = killing_signature(sub)
-    return pos == 0 and zero == 0
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,9 @@ error.  The orbit models' rows are built sparse, {index: int}, in
 realified coordinates: real rows in the matrix basis's order, so the
 real algebra the model reads off them has the matrix model's constants,
 and isotropy rows (real, so a complex row is its own realification),
-placed in a product ambient by index shifts.  The matrix-model real
-algebras (build_su, build_sp, build_sl_real, build_sl_complex_as_real)
-build no entry; they are the tests' reference for those constants.
+placed in a product ambient by index shifts.  No entry is built from a
+matrix-model real algebra: build_su, and the others in tests/support.py,
+are the tests' reference for those constants.
 Each catalog entry packages an orbit model with the invariants the
 classification asserts for it; verify_entry recomputes everything
 derivable and diffs it against that record.
@@ -31,11 +31,10 @@ from .algebra import (
     direct_sum,
     full_space,
     heisenberg,
-    killing_signature,
     product_space,
     radical,
 )
-from .complexify import OrbitModel, j_apply, place_row, realify
+from .complexify import OrbitModel, j_apply, place_row
 from .cr import check_cr_pair, cr_type, levi_form, levi_signature
 from .entries import (  # the entry types, re-exported
     TAXONOMY_TAGS,
@@ -45,10 +44,10 @@ from .entries import (  # the entry types, re-exported
     TaxonContext,
     classify_fiber,
 )
-from .errors import InputError, InternalError
+from .errors import InputError, InternalError, excerpt
 from .linalg import Solver, kernel_rows, sparse
 from .report import Check, Report
-from .scalars import QI, QQ
+from .scalars import QI, QQ, format_rational
 
 _CACHE_SIZE = 16  # per parametrized builder; names reach them from user input
 
@@ -155,7 +154,7 @@ def _algebra_from_matrices(mats, names, field):
 
 
 # ---------------------------------------------------------------------------
-# sl(n), su(p, q), u(n), so(n)
+# sl(n), su(p, q)
 # ---------------------------------------------------------------------------
 
 def sl_basis_names(n):
@@ -182,19 +181,6 @@ def build_sl_complex(n):
     if n < 2:
         raise InputError("sl needs n >= 2")
     return _algebra_from_matrices(sl_basis_matrices(n), sl_basis_names(n), QI)
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def build_sl_real(n):
-    """sl(n, R): same structure constants over Q."""
-    c = build_sl_complex(n)
-    return LieAlgebra(c.dim, QQ, c.names, c.brackets)
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def build_sl_complex_as_real(n):
-    """The realification of sl(n, C): a real algebra of dimension 2(n^2 - 1)."""
-    return realify(build_sl_complex(n))
 
 
 def su_signs(p, q):
@@ -237,35 +223,6 @@ def build_su(p, q=0):
     if p + q < 2 or p < 0 or q < 0:
         raise InputError("su needs p, q >= 0 and p + q >= 2")
     return _algebra_from_matrices(su_basis_matrices(p, q), su_names(p, q), QQ)
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def build_u(n):
-    """u(n) = su(n) plus the central line of i * identity."""
-    if n < 1:
-        raise InputError("u needs n >= 1")
-    if n == 1:
-        return LieAlgebra(1, QQ, ("iI",), {})
-    su = build_su(n, 0)
-    centre = LieAlgebra(1, QQ, ("iI",), {})
-    return direct_sum(su, centre, names=tuple(list(su.names) + ["iI"]))
-
-
-def so_basis_matrices(n):
-    return [
-        {(a, b): (1, 0), (b, a): (-1, 0)}
-        for a in range(n)
-        for b in range(a + 1, n)
-    ]
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def build_so(n):
-    """so(n) over Q on the elementary antisymmetric basis."""
-    if n < 2:
-        raise InputError("so needs n >= 2")
-    names = tuple(f"R{a}{b}" for a in range(n) for b in range(a + 1, n))
-    return _algebra_from_matrices(so_basis_matrices(n), names, QQ)
 
 
 # ---------------------------------------------------------------------------
@@ -352,16 +309,6 @@ def sp_real_basis_matrices(p, q):
                 mats.append(embed({}, {(a, b): (1, 0), (b, a): (1, 0)}))
                 mats.append(embed({}, {(a, b): (0, 1), (b, a): (0, 1)}))
     return mats
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def build_sp(p, q):
-    """sp(p, q) over Q: the quaternionic unitary algebra, dim (p+q)(2(p+q)+1)."""
-    if p < 0 or q < 0 or p + q < 1:
-        raise InputError("sp needs p, q >= 0 with p + q >= 1")
-    m = p + q
-    names = tuple(f"sp{k}" for k in range(m * (2 * m + 1)))
-    return _algebra_from_matrices(sp_real_basis_matrices(p, q), names, QQ)
 
 
 # ---------------------------------------------------------------------------
@@ -738,14 +685,14 @@ _FAMILIES = (
 def _parse_params(text, arity, name):
     inner = text.strip()
     if not (inner.startswith("(") and inner.endswith(")")):
-        raise InputError(f"bad parameters for {name}: {text!r}")
+        raise InputError(f"bad parameters for {name}: {excerpt(repr(text))}")
     parts = [p.strip() for p in inner[1:-1].split(",")]
     if len(parts) != arity:
         raise InputError(f"{name} takes {arity} parameters")
     try:
         return tuple(int(p) for p in parts)
     except ValueError as exc:
-        raise InputError(f"bad integer parameters {text!r}") from exc
+        raise InputError(f"bad integer parameters {excerpt(repr(text))}") from exc
 
 
 def get_entry(name: str) -> CatalogEntry:
@@ -764,13 +711,14 @@ def get_entry(name: str) -> CatalogEntry:
     for prefix, builder, arity, ambient_dim in _FAMILIES:
         if key.startswith(prefix):
             params = _parse_params(key[len(prefix):], arity, prefix)
-            if min(params) >= 1 and ambient_dim(*params) > MAX_AMBIENT_DIM:
+            dim = ambient_dim(*params)
+            if min(params) >= 1 and dim > MAX_AMBIENT_DIM:
                 raise InputError(
-                    f"{key} is too large: its complex ambient dimension "
-                    f"{ambient_dim(*params)} exceeds the limit of {MAX_AMBIENT_DIM}"
+                    f"{excerpt(key)} is too large: its complex ambient dimension "
+                    f"{excerpt(format_rational(dim))} exceeds the limit of {MAX_AMBIENT_DIM}"
                 )
             return builder(*params)
-    raise InputError(f"unknown catalog entry {name!r}")
+    raise InputError(f"unknown catalog entry {excerpt(repr(name))}")
 
 
 def catalog_entries():
@@ -836,12 +784,3 @@ def verify_entry(entry: CatalogEntry, expected: Expected | None = None) -> Repor
         compare("radical_central", True, product_space(g, full_space(g), r).dim == 0)
 
     return Report(tuple(checks))
-
-
-def is_noncompact_simple_entry(entry: CatalogEntry) -> bool:
-    """Semisimple real subalgebra with an indefinite Killing form."""
-    g = entry.model.real_algebra
-    if radical(g).dim != 0:
-        return False
-    pos, neg, zero = killing_signature(g)
-    return pos != 0

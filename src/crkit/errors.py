@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the toolkit."""
+"""Exception hierarchy shared across the toolkit, and how a message echoes input."""
 
 
 class CrkitError(Exception):
@@ -19,3 +19,14 @@ class StructureError(CrkitError):
 
 class InternalError(CrkitError):
     """A mathematical invariant the code relies on was violated. Never expected."""
+
+
+# longest piece of input an error message echoes in full
+EXCERPT = 60
+
+
+def excerpt(text):
+    """text as a message shows it: past EXCERPT characters, a prefix and the length."""
+    if len(text) <= EXCERPT:
+        return text
+    return f"{text[:EXCERPT]}... ({len(text)} characters)"

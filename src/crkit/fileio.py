@@ -34,13 +34,12 @@ from typing import TYPE_CHECKING
 
 from . import SCHEMA
 from .algebra import LieAlgebra, span
-from .errors import InputError
+from .errors import InputError, excerpt
 from .linalg import echelon, sparse
 from .scalars import QI, QQ, format_scalar, parse_rational, parse_scalar
 
 if TYPE_CHECKING:
     from .complexify import OrbitModel
-    from .cr import CRPair
 
 # largest algebra dimension accepted from a file: validation checks the
 # Jacobi identity on every triple.  At this size, `crkit analyze` of
@@ -70,13 +69,13 @@ def load_flag(payload, key):
     """An optional boolean field, false when absent; only JSON true and false are accepted."""
     value = payload.get(key, False)
     if not isinstance(value, bool):
-        raise InputError(f"{key} must be true or false, got {value!r}")
+        raise InputError(f"{key} must be true or false, got {excerpt(repr(value))}")
     return value
 
 
 def _list(value, what):
     if not isinstance(value, list):
-        raise InputError(f"{what} must be a list, got {value!r}")
+        raise InputError(f"{what} must be a list, got {excerpt(repr(value))}")
     return value
 
 
@@ -86,11 +85,11 @@ def load_algebra(payload) -> LieAlgebra:
     dim = _require(payload, "dimension", "algebra")
     field = _require(payload, "field", "algebra")
     if field not in (QQ, QI):
-        raise InputError(f"unknown field tag {field!r}")
+        raise InputError(f"unknown field tag {excerpt(repr(field))}")
     if not _is_int(dim) or dim < 0:
         raise InputError("dimension must be a nonnegative integer")
     if dim > MAX_DIMENSION:
-        raise InputError(f"dimension {dim} exceeds the limit of {MAX_DIMENSION}")
+        raise InputError(f"dimension {excerpt(str(dim))} exceeds the limit of {MAX_DIMENSION}")
     basis = payload.get("basis")
     if basis is None:
         basis = [f"e{k}" for k in range(dim)]
@@ -103,25 +102,28 @@ def load_algebra(payload) -> LieAlgebra:
         try:
             i, j, terms = item
         except (TypeError, ValueError) as exc:
-            raise InputError(f"bad bracket entry {item!r}") from exc
+            raise InputError(f"bad bracket entry {excerpt(repr(item))}") from exc
         if not (_is_int(i) and _is_int(j)):
-            raise InputError(f"bracket indices must be integers, got {item!r}")
+            raise InputError(f"bracket indices must be integers, got {excerpt(repr(item))}")
+        pair = excerpt(f"({i}, {j})")
         if not i < j:
             raise InputError(
-                f"bracket entry ({i}, {j}): only i < j entries are allowed; "
+                f"bracket entry {pair}: only i < j entries are allowed; "
                 "antisymmetry is filled in automatically"
             )
         row = {}
-        for term in _list(terms, f"terms of bracket ({i}, {j})"):
+        for term in _list(terms, f"terms of bracket {pair}"):
             try:
                 k, literal = term
             except (TypeError, ValueError) as exc:
-                raise InputError(f"bad bracket term {term!r}") from exc
+                raise InputError(f"bad bracket term {excerpt(repr(term))}") from exc
             if not _is_int(k):
-                raise InputError(f"bracket target index must be an integer, got {k!r}")
+                raise InputError(
+                    f"bracket target index must be an integer, got {excerpt(repr(k))}"
+                )
             row[k] = parse_scalar(literal, field)
         if (i, j) in brackets:
-            raise InputError(f"duplicate bracket entry for ({i}, {j})")
+            raise InputError(f"duplicate bracket entry for {pair}")
         brackets[(i, j)] = row
     return LieAlgebra(dim, field, tuple(basis), brackets)
 
@@ -171,15 +173,6 @@ def load_cr_pair(payload):
     return g, pair
 
 
-def cr_pair_payload(pair: CRPair) -> dict:
-    payload = algebra_payload(pair.g)
-    payload["kind"] = "cr-pair"
-    payload["h_basis"] = [[format_scalar(x, QQ) for x in row] for row in pair.h.rows]
-    payload["R_basis"] = [[format_scalar(x, QQ) for x in row] for row in pair.r.rows]
-    payload["J"] = [[format_scalar(x, QQ) for x in row] for row in pair.j_matrix()]
-    return payload
-
-
 def load_orbit_model(payload) -> OrbitModel:
     """The orbit model of a payload, on the echelon rows of its real basis.
 
@@ -200,7 +193,7 @@ def load_orbit_model(payload) -> OrbitModel:
         iso_rows.append(sparse([parse_scalar(x, QI) for x in row]))
     name = payload.get("name", "")
     if not isinstance(name, str):
-        raise InputError(f"orbit name must be a string, got {name!r}")
+        raise InputError(f"orbit name must be a string, got {excerpt(repr(name))}")
     basis = echelon(map(sparse, real_rows))
     if len(basis) != len(real_rows):
         raise InputError("real basis rows are linearly dependent")
@@ -221,10 +214,12 @@ def load_pi1(raw):
         real = (raw["real"][0], tuple(raw["real"][1]))
         cplx = (raw["complex"][0], tuple(raw["complex"][1]))
     except (KeyError, TypeError, IndexError) as exc:
-        raise InputError(f"bad pi1 data: {raw!r}") from exc
+        raise InputError(f"bad pi1 data: {excerpt(repr(raw))}") from exc
     for rank, torsion in (real, cplx):
         if not (_is_int(rank) and all(_is_int(t) for t in torsion)):
-            raise InputError(f"pi1 ranks and torsion orders must be integers: {raw!r}")
+            raise InputError(
+                f"pi1 ranks and torsion orders must be integers: {excerpt(repr(raw))}"
+            )
         if len(torsion) > MAX_TORSION:
             raise InputError(
                 f"pi1 torsion list of length {len(torsion)} exceeds the limit of {MAX_TORSION}"
@@ -270,8 +265,12 @@ def load_file(path):
             payload = json.load(fh)
     except FileNotFoundError as exc:
         raise InputError(f"no such file: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"bad JSON in {path}: {exc}") from exc
+    except ValueError as exc:
+        # JSONDecodeError, undecodable bytes, or an integer literal past
+        # int_max_str_digits: each reads as malformed input
+        raise InputError(f"bad JSON in {path}: {excerpt(str(exc))}") from exc
+    except RecursionError as exc:
+        raise InputError(f"bad JSON in {path}: nested too deeply") from exc
     kind = detect_kind(payload)
     if kind == "algebra":
         return kind, load_algebra(payload), payload

@@ -8,11 +8,11 @@ Vectors are sparse {column: value} dicts holding only the nonzero
 entries, so elimination, reduction, nullspaces and solves touch nonzeros
 only: the catalog's realified rows are a few percent nonzero.  A vector
 stays sparse from where it is made to where it is shown; dense tuples
-are the edge form only.  rref, rank and signature_of_symmetric take dense
-matrices (user rows, form matrices), echelon_rows makes the dense rows a
-record or payload shows, and sparse/dense convert one vector.  Dense
-results have their entries compacted (integral values as plain ints) and
-zeros as int 0.
+are the edge form only.  signature_of_symmetric takes a dense matrix (a
+form matrix), echelon_rows makes the dense rows a record or payload
+shows, and sparse/dense convert one vector.  Dense results have their
+entries compacted (integral values as plain ints) and zeros as int 0.
+Every elimination runs through one routine, _echelon.
 
 A subspace is always represented by its reduced row echelon form with the
 zero rows dropped, so two subspaces are equal iff the representing
@@ -115,24 +115,8 @@ def echelon(rows):
 
 
 def echelon_rows(basis, ncols):
-    """The dense (rows, pivots) of a sparse echelon form, as rref returns them."""
+    """The dense rows of a sparse echelon form as tuples, and their pivot columns."""
     return tuple(dense(row, ncols) for row in basis.values()), tuple(basis)
-
-
-def rref(rows):
-    """Reduced row echelon form of a dense matrix.
-
-    Returns (rows, pivots): the nonzero echelon rows as tuples and the
-    pivot column of each row.
-    """
-    rows = [tuple(r) for r in rows]
-    if not rows:
-        return (), ()
-    return echelon_rows(_echelon([sparse(r) for r in rows]), len(rows[0]))
-
-
-def rank(rows):
-    return len(rref(rows)[0])
 
 
 def _residual(v, basis):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import InputError, excerpt
 
 QQ = "Q"
 QI = "Q_i"
@@ -157,11 +157,12 @@ def imag_part(x):
 def parse_rational(text):
     """Parse "num/den" (or "num") into a Fraction, rejecting junk."""
     if not isinstance(text, str):
-        raise InputError(f"expected rational literal string, got {text!r}")
+        raise InputError(f"expected rational literal string, got {excerpt(repr(text))}")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad rational literal {text!r}: {exc}") from exc
+        literal = excerpt(repr(text))
+        raise InputError(f"bad rational literal {literal}: {excerpt(str(exc))}") from exc
 
 
 def parse_scalar(value, field):
@@ -173,15 +174,47 @@ def parse_scalar(value, field):
             return GaussianRational(parse_rational(value))
         if isinstance(value, (list, tuple)) and len(value) == 2:
             return GaussianRational(parse_rational(value[0]), parse_rational(value[1]))
-        raise InputError(f"bad Q(i) literal {value!r}: want \"a/b\" or [\"a/b\", \"c/d\"]")
+        raise InputError(
+            f"bad Q(i) literal {excerpt(repr(value))}: want \"a/b\" or [\"a/b\", \"c/d\"]"
+        )
     raise InputError(f"unknown field tag {field!r}")
 
 
+# digits per str() call: below 640, the least int_max_str_digits Python accepts
+_PIECE = 600
+_PIECE_BOUND = 10 ** _PIECE
+
+
+def _decimal(n):
+    """The decimal digits of an int n >= 0, past str(int)'s limit of 4,300 digits.
+
+    n is split by the powers 10^(600 * 2^j) into pieces below 10^600,
+    each written zero-padded to 600 digits.
+    """
+    if n < _PIECE_BOUND:
+        return str(n)
+    powers = [_PIECE_BOUND]
+    while powers[-1] <= n:
+        powers.append(powers[-1] * powers[-1])
+
+    def digits(m, j):
+        # m < powers[j + 1], written with exactly _PIECE * 2^(j + 1) digits
+        if j < 0:
+            return str(m).zfill(_PIECE)
+        hi, lo = divmod(m, powers[j])
+        return digits(hi, j - 1) + digits(lo, j - 1)
+
+    return digits(n, len(powers) - 2).lstrip("0")
+
+
 def format_rational(x):
+    """x as "num/den", or "num" when integral; exact at any size."""
     x = Fraction(x)
+    num = x.numerator
+    text = _decimal(num) if num >= 0 else "-" + _decimal(-num)
     if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+        return text
+    return f"{text}/{_decimal(x.denominator)}"
 
 
 def format_scalar(x, field):

@@ -1,4 +1,11 @@
-"""Shared helpers for the test suite: oracles and random algebra generators."""
+"""Shared helpers for the test suite: oracles, reference algebras, transports
+and random algebra generators.
+
+The library has no use for the helpers here: the matrix-model real
+algebras the catalog's entries are compared with, the transports of the
+metamorphic tests, the cr-pair payload writer and the dense elimination
+references.
+"""
 
 from fractions import Fraction
 
@@ -6,26 +13,30 @@ from crkit.algebra import (
     LieAlgebra,
     Subspace,
     quotient_algebra,
+    realify,
     span,
     sparse_span,
     subalgebra_structure,
 )
-from crkit.complexify import OrbitModel, nilpotent_automorphism
-from crkit.cr import CRPair, apply_endo
+from crkit.catalog import _algebra_from_matrices, build_sl_complex, sp_real_basis_matrices
+from crkit.complexify import OrbitModel
+from crkit.cr import CRPair, apply_endo, matrix_columns
 from crkit.errors import InputError
+from crkit.fileio import algebra_payload
 from crkit.linalg import (
     Solver,
     combine_rows,
     dense,
+    echelon,
+    echelon_rows,
     kernel_rows,
     left_nullspace,
-    rref,
     sparse,
     vec_add,
     vec_sub,
 )
 from crkit.report import Check, Report, witness_check
-from crkit.scalars import QQ, GaussianRational, exact_div, imag_part, real_part
+from crkit.scalars import QI, QQ, GaussianRational, exact_div, format_scalar, imag_part, real_part
 
 
 def oracle_bracket(L, x, y):
@@ -121,6 +132,11 @@ def dense_rref(rows):
         pivots.append(c)
         r += 1
     return m[:r], pivots
+
+
+def core_rref(rows, ncols):
+    """(echelon rows, pivots) of dense rows with ncols columns, by linalg's sparse core."""
+    return echelon_rows(echelon(map(sparse, rows)), ncols)
 
 
 def dense_rank(rows):
@@ -418,12 +434,52 @@ def complex_j_hat_rows(entry):
     """
     model = entry.model
     rows = list(model.isotropy_real.rows) + list(entry.fibration.normalizer.rows)
-    return rref([complex_vector(v) for v in rows])[0]
+    return dense_rref([complex_vector(v) for v in rows])[0]
 
 
 # ---------------------------------------------------------------------------
 # transports of orbit models
 # ---------------------------------------------------------------------------
+
+def nilpotent_automorphism(L, x):
+    """exp(ad x) as a dim x dim matrix, for ad-nilpotent x; exact over the field."""
+    n = L.dim
+    mat = [[int(i == j) for j in range(n)] for i in range(n)]
+    x = sparse(x)
+    term = [{j: 1} for j in range(n)]  # columns (ad x)^k e_j, sparse
+    k = 0
+    factorial = 1
+    while True:
+        k += 1
+        factorial *= k
+        term = [L.bracket(x, col) for col in term]
+        if not any(term):
+            break
+        if k > n:
+            raise InputError("exp(ad x) requires an ad-nilpotent element")
+        inv = Fraction(1, factorial)
+        for j, col in enumerate(term):
+            for i, c in col.items():
+                mat[i][j] = mat[i][j] + c * inv
+    return tuple(tuple(r) for r in mat)
+
+
+def apply_complex_matrix_to_model(model, matrix, name=""):
+    """Transport an orbit model by a complex-linear ambient automorphism.
+
+    The matrix acts on realified rows as [[Re, -Im], [Im, Re]], over Q.
+    """
+    re = [[real_part(x) for x in row] for row in matrix]
+    im = [[imag_part(x) for x in row] for row in matrix]
+    act = [a + [-x for x in b] for a, b in zip(re, im)] + [b + a for a, b in zip(re, im)]
+    columns = matrix_columns(act)
+    # the map commutes with J, so the images of complex generators span the image over C
+    return OrbitModel(
+        model.ambient,
+        [apply_endo(columns, v) for v in model.real_vectors],
+        [apply_endo(columns, u) for u in model.isotropy_generators],
+        name=name or model.name,
+    )
 
 def nonreal_exp_ad(ambient):
     """exp(ad x) for the first ad-nilpotent x = i e_a + (1 - i) e_b, a < b, else (1 - i) e_b."""
@@ -735,3 +791,57 @@ def _inverse(p):
 def _matmul(a, b):
     return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
             for i in range(len(a))]
+
+
+# ---------------------------------------------------------------------------
+# reference algebras of matrix models, and the cr-pair payload
+# ---------------------------------------------------------------------------
+
+def complexify_algebra(L):
+    """Scalar extension Q -> Q(i) with the same (rational) structure constants."""
+    if L.field != QQ:
+        raise InputError("complexify_algebra expects a real (Q) algebra")
+    return LieAlgebra(L.dim, QI, L.names, L.brackets)
+
+
+def build_sl_real(n):
+    """sl(n, R): the constants of sl(n, C), over Q."""
+    c = build_sl_complex(n)
+    return LieAlgebra(c.dim, QQ, c.names, c.brackets)
+
+
+def build_sl_complex_as_real(n):
+    """The realification of sl(n, C): a real algebra of dimension 2(n^2 - 1)."""
+    return realify(build_sl_complex(n))
+
+
+def build_sp(p, q):
+    """sp(p, q) over Q: the quaternionic unitary algebra, dim (p+q)(2(p+q)+1)."""
+    m = p + q
+    names = tuple(f"sp{k}" for k in range(m * (2 * m + 1)))
+    return _algebra_from_matrices(sp_real_basis_matrices(p, q), names, QQ)
+
+
+def so_basis_matrices(n):
+    """The elementary antisymmetric matrices E_ab - E_ba, a < b."""
+    return [
+        {(a, b): (1, 0), (b, a): (-1, 0)}
+        for a in range(n)
+        for b in range(a + 1, n)
+    ]
+
+
+def build_so(n):
+    """so(n) over Q on the elementary antisymmetric basis."""
+    names = tuple(f"R{a}{b}" for a in range(n) for b in range(a + 1, n))
+    return _algebra_from_matrices(so_basis_matrices(n), names, QQ)
+
+
+def cr_pair_payload(pair):
+    """The cr-pair file payload of a pair: its algebra, h, R and the canonical J."""
+    payload = algebra_payload(pair.g)
+    payload["kind"] = "cr-pair"
+    payload["h_basis"] = [[format_scalar(x, QQ) for x in row] for row in pair.h.rows]
+    payload["R_basis"] = [[format_scalar(x, QQ) for x in row] for row in pair.r.rows]
+    payload["J"] = [[format_scalar(x, QQ) for x in row] for row in pair.j_matrix()]
+    return payload

@@ -18,12 +18,7 @@ from crkit.catalog import (
     twisted_diagonal_orbit,
 )
 from crkit.cli import main
-from crkit.complexify import (
-    apply_complex_matrix_to_model,
-    fiber_globalization_check,
-    j_apply,
-    nilpotent_automorphism,
-)
+from crkit.complexify import fiber_globalization_check, j_apply
 from crkit.cr import levi_form
 from crkit.errors import InputError
 from crkit.globalize import (
@@ -34,6 +29,8 @@ from crkit.globalize import (
     verdict,
 )
 from crkit.scalars import GaussianRational
+
+from .support import apply_complex_matrix_to_model, dense_rank, nilpotent_automorphism
 
 F = Fraction
 G = GaussianRational
@@ -92,13 +89,11 @@ def test_criterion_twisted_diagonal():
         model = e.model
         assert model.codim == 2, n
         # genericity recomputed from scratch: g + Jg spans the realification
-        from crkit.linalg import rank
-
         from crkit.linalg import dense, sparse
 
         width = model.ambient_real.dim
         jg = [dense(j_apply(sparse(v), model.ambient.dim), width) for v in model.real_rows]
-        assert rank(list(model.real_rows) + jg) == width, n
+        assert dense_rank(list(model.real_rows) + jg) == width, n
         dims.append(model.codim)
     report("twisted-diagonal", dims == [2, 2, 2, 2], f"codims {dims} for n=1..4")
 
@@ -279,9 +274,15 @@ def test_criterion_fine_classification():
 
 def test_criterion_randomized_kernel_suite():
     from crkit.algebra import heisenberg, killing_form, sl2, validate
-    from crkit.catalog import build_sl_real, build_su
+    from crkit.catalog import build_su
 
-    from .support import dense_bracket, form_value, random_solvable, random_vector
+    from .support import (
+        build_sl_real,
+        dense_bracket,
+        form_value,
+        random_solvable,
+        random_vector,
+    )
 
     t0 = time.time()
     rng = random.Random(1953)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from crkit.algebra import (
     BilinearForm,
     LieAlgebra,
+    Subspace,
     abelian,
     add_spaces,
     centralizer,
@@ -18,7 +19,6 @@ from crkit.algebra import (
     heisenberg,
     intersect,
     is_abelian,
-    is_compact_type,
     is_ideal,
     is_nilpotent,
     is_solvable,
@@ -36,13 +36,14 @@ from crkit.algebra import (
     validate,
     validate_tensor,
     verify_levi_complement,
-    zero_space,
 )
-from crkit.catalog import build_sl_complex, build_sl_real, build_so, build_su
+from crkit.catalog import build_sl_complex, build_su
 from crkit.errors import InputError, StructureError
 from crkit.scalars import QI, QQ, GaussianRational
 
 from .support import (
+    build_sl_real,
+    build_so,
     dense_bracket,
     form_value,
     oracle_ad_matrix,
@@ -413,6 +414,17 @@ def test_levi_complement_semisimple_full():
     assert verify_levi_complement(L, full_space(L))
 
 
+def test_levi_complement_over_q_i():
+    # sl(2, C) on the basis (i h, e, f), with nonreal constants, plus a centre:
+    # the Killing form is read on the realification, 2 Re kappa
+    i = GaussianRational(0, 1)
+    brackets = {(0, 1): {1: 2 * i}, (0, 2): {2: -2 * i}, (1, 2): {0: -i}}
+    L = direct_sum(LieAlgebra(3, QI, ("ih", "e", "f"), brackets), abelian(1, field=QI))
+    assert validate(L).ok
+    assert verify_levi_complement(L, span(L, [L.basis_vector(k) for k in range(3)]))
+    assert not verify_levi_complement(L, span(L, [L.basis_vector(k) for k in (1, 3)]))
+
+
 # ---------------------------------------------------------------------------
 # misc
 # ---------------------------------------------------------------------------
@@ -429,12 +441,6 @@ def test_killing_signature_split_vs_solvable():
     assert killing_signature(abelian(3)) == (0, 0, 3)
 
 
-def test_compact_type_detection():
-    assert is_compact_type(abelian(2))
-    assert not is_compact_type(sl2())  # split form
-    assert not is_compact_type(heisenberg())  # radical not central
-
-
 def test_direct_sum_blocks_commute():
     L = gl2()
     x = (F(1), F(2), F(3), F(0))
@@ -448,4 +454,4 @@ def test_subspace_canonical_equality():
     b = span(L, [(F(1), F(0), F(1)), (F(0), F(3), F(0))])
     assert a == b and a.rows == b.rows
     assert intersect(a, b) == a
-    assert add_spaces(a, zero_space(L)) == a
+    assert add_spaces(a, Subspace(L, {})) == a

@@ -4,6 +4,7 @@ import pytest
 
 from crkit.algebra import (
     abelian,
+    direct_sum,
     heisenberg,
     is_solvable,
     killing_signature,
@@ -19,23 +20,16 @@ from crkit.catalog import (
     TaxonContext,
     TAXONOMY_TAGS,
     build_sl_complex,
-    build_sl_complex_as_real,
-    build_sl_real,
-    build_so,
-    build_sp,
     build_sp_complex,
     build_su,
-    build_u,
     catalog_entries,
     classify_fiber,
     coordinate_read_off,
     get_entry,
-    is_noncompact_simple_entry,
     line_stabilizer_rows,
     quadric_orbit,
     real_projective_orbit,
     sl_basis_matrices,
-    so_basis_matrices,
     sp_complex_basis_matrices,
     sp_quadric_orbit,
     sp_real_basis_matrices,
@@ -46,10 +40,23 @@ from crkit.catalog import (
 from crkit.errors import InputError, InternalError
 from crkit.scalars import QI, QQ, GaussianRational
 
-from .support import dense_bracket, oracle_structure_constants
+from .support import (
+    build_sl_complex_as_real,
+    build_sl_real,
+    build_so,
+    build_sp,
+    dense_bracket,
+    oracle_structure_constants,
+    so_basis_matrices,
+)
 
 F = Fraction
 G = GaussianRational
+
+
+def build_u(n):
+    """u(n) = su(n) plus the central line of i * identity."""
+    return direct_sum(build_su(n, 0), abelian(1))
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +244,7 @@ def test_complex_catalog_data_must_be_real():
 
 
 def test_parametrized_builders_have_bounded_caches():
-    for fn in (build_sl_complex, build_sl_real, build_sl_complex_as_real, build_su,
-               build_u, build_so, build_sp_complex, build_sp, quadric_orbit,
+    for fn in (build_sl_complex, build_su, build_sp_complex, quadric_orbit,
                sp_quadric_orbit, twisted_diagonal_orbit):
         assert fn.cache_info().maxsize is not None, fn.__name__
 
@@ -394,11 +400,11 @@ def test_heis_solv_entry():
 
 
 def test_noncompact_simple_taxonomy_coverage():
+    # noncompact simple: semisimple real algebra with an indefinite Killing form
     for e in catalog_entries():
-        if is_noncompact_simple_entry(e):
-            assert e.family in ("quadric", "sp_quadric", "twisted", "p2r")
-        if e.family in ("quadric", "sp_quadric", "twisted", "p2r"):
-            assert is_noncompact_simple_entry(e)
+        g = e.model.real_algebra
+        noncompact_simple = radical(g).dim == 0 and killing_signature(g)[0] != 0
+        assert noncompact_simple == (e.family in ("quadric", "sp_quadric", "twisted", "p2r"))
 
 
 def test_get_entry_parsing():

@@ -19,42 +19,37 @@ from crkit.algebra import (
     span,
     validate,
 )
-from crkit.catalog import (
-    ROSTER,
-    build_sl_complex_as_real,
-    build_sl_real,
-    build_sp,
-    build_su,
-    get_entry,
-)
+from crkit.catalog import ROSTER, build_su, get_entry
 from crkit.complexify import (
     OrbitModel,
     _extended_real_basis,
     anticanonical_fibration,
-    apply_complex_matrix_to_model,
     canonical_complex_rows,
-    complexify_algebra,
     cr_normalizer_algebra,
     fiber_globalization_check,
     induced_cr_pair,
     j_apply,
-    max_complex_ideal,
-    nilpotent_automorphism,
     product_model,
     realify,
 )
 from crkit.cr import check_cr_pair
 from crkit.errors import InputError, StructureError
-from crkit.linalg import rank, sparse
+from crkit.linalg import sparse
 from crkit.scalars import QI, GaussianRational
 
 from .support import (
+    apply_complex_matrix_to_model,
+    build_sl_complex_as_real,
+    build_sl_real,
+    build_sp,
     complex_rows_realified,
     complex_to_real,
     complex_vector,
+    complexify_algebra,
     dense_bracket,
     dense_rank,
     dense_rref,
+    nilpotent_automorphism,
     nonreal_exp_ad,
     oracle_bracket,
 )
@@ -254,19 +249,19 @@ def mixed_model():
 
 def test_m_zero_for_real_form():
     model = su2_model()
-    assert max_complex_ideal(model).dim == 0
+    assert model.m.dim == 0
     # totally real 3-dim orbit in a 3-complex-dimensional ambient
     assert model.codim == 3
 
 
 def test_m_everything_for_complex_g():
     model = full_sl2_model([])
-    assert max_complex_ideal(model).dim == 6
+    assert model.m.dim == 6
 
 
 def test_m_mixed_case_is_sl2_summand():
     model = mixed_model()
-    m = max_complex_ideal(model)
+    m = model.m
     assert m.dim == 6
     # the C-factor directions are not in m
     assert not m.contains({3: 1})

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from crkit.algebra import abelian, full_space, heisenberg, span, zero_space
+from crkit.algebra import Subspace, abelian, full_space, heisenberg, span
 from crkit.cr import (
     CRPair,
     check_cr_pair,
@@ -32,7 +32,7 @@ def jmat(g, pairs):
 def heisenberg_pair(sign=-1):
     """R = span(x, y), J x = y, J y = sign * x on the Heisenberg algebra."""
     g = heisenberg()
-    h = zero_space(g)
+    h = Subspace(g, {})
     r = span(g, [g.basis_vector(0), g.basis_vector(1)])
     j = jmat(g, {0: (0, 1, 0), 1: (sign, 0, 0)})
     return CRPair(g, h, r, j)
@@ -40,7 +40,7 @@ def heisenberg_pair(sign=-1):
 
 def complex_structure_pair():
     g = abelian(2)
-    h = zero_space(g)
+    h = Subspace(g, {})
     r = full_space(g)
     j = jmat(g, {0: (0, 1), 1: (-1, 0)})
     return CRPair(g, h, r, j)
@@ -48,7 +48,7 @@ def complex_structure_pair():
 
 def levi_flat_pair():
     g = abelian(3)
-    h = zero_space(g)
+    h = Subspace(g, {})
     r = span(g, [g.basis_vector(0), g.basis_vector(1)])
     j = jmat(g, {0: (0, 1, 0), 1: (-1, 0, 0)})
     return CRPair(g, h, r, j)
@@ -94,7 +94,7 @@ def test_malformed_pair_h_outside_r():
 
 def test_malformed_pair_j_leaves_r():
     g = heisenberg()
-    h = zero_space(g)
+    h = Subspace(g, {})
     r = span(g, [g.basis_vector(0), g.basis_vector(1)])
     j = jmat(g, {0: (0, 0, 1), 1: (-1, 0, 0)})
     with pytest.raises(StructureError):
@@ -105,7 +105,7 @@ def test_malformed_pair_j_leaves_r():
 def test_malformed_pair_j_index_out_of_range(columns):
     g = heisenberg()
     with pytest.raises(InputError):
-        CRPair(g, zero_space(g), full_space(g), columns)
+        CRPair(g, Subspace(g, {}), full_space(g), columns)
 
 
 def test_cr_type_heisenberg():
@@ -121,7 +121,7 @@ def test_cr_type_totally_real():
 
 def test_cr_type_odd_rank_rejected():
     g = abelian(3)
-    h = zero_space(g)
+    h = Subspace(g, {})
     r = span(g, [g.basis_vector(0)])
     pair = CRPair(g, h, r, jmat(g, {}))
     with pytest.raises(StructureError):

@@ -6,14 +6,12 @@ import pytest
 from crkit.algebra import heisenberg, sl2, validate
 from crkit.catalog import ROSTER, get_entry, quadric_orbit
 from crkit.cli import main
-from crkit.complexify import complexify_algebra
 from crkit.cr import CRPair
 from crkit.errors import InputError
 from crkit.fileio import (
     MAX_DIMENSION,
     MAX_TORSION,
     algebra_payload,
-    cr_pair_payload,
     detect_kind,
     load_algebra,
     load_cr_pair,
@@ -22,6 +20,7 @@ from crkit.fileio import (
 )
 from crkit.scalars import QI
 
+from .support import complexify_algebra, cr_pair_payload
 from .test_golden import FAMILY_SWEEP
 
 F = Fraction
@@ -436,3 +435,63 @@ def test_malformed_payload_fails_closed(tmp_path, capsys, label, payload):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+LONG = 5000
+
+
+def edge_files():
+    """(label, file content, message part) probes past what the loader is meant for."""
+    algebra = heisenberg_payload()
+    orbit = orbit_payload(get_entry("c2_torus").model)
+
+    def text(payload):
+        return json.dumps(payload)
+
+    return [
+        # json itself recurses once per level
+        ("nested-brackets", text(algebra).replace(
+            '"brackets": [[0, 1, [[2, "1"]]]]', '"brackets": ' + "[" * LONG + "]" * LONG),
+         "nested too deeply"),
+        # an integer literal past int_max_str_digits fails inside json
+        ("long-integer-literal",
+         text(algebra).replace('[[2, "1"]]', "[[2" + "1" * LONG + ', "1"]]'), "bad JSON"),
+        ("long-constant", text(dict(algebra, brackets=[[0, 1, [[2, "1" * LONG]]]])),
+         f"({LONG + 2} characters)"),
+        ("long-bad-constant", text(dict(algebra, brackets=[[0, 1, [[2, "1" * LONG + "x"]]]])),
+         "bad rational literal"),
+        ("long-bracket-entry", text(dict(algebra, brackets=[["x" * LONG]])),
+         "bad bracket entry"),
+        ("long-bracket-term", text(dict(algebra, brackets=[[0, 1, ["x" * LONG]]])),
+         "bad bracket term"),
+        ("long-basis", text(dict(algebra, basis="x" * LONG)), "basis must be a list"),
+        ("long-kahler", text(dict(orbit, kahler="x" * LONG)), "kahler must be true or false"),
+        ("long-pi1", text(dict(orbit, pi1={"real": ["x" * LONG, []], "complex": [0, []]})),
+         "pi1 ranks"),
+        ("long-dimension", text(dict(algebra, dimension=int("9" * 4000))),
+         "(4000 characters) exceeds the limit"),
+        ("not-utf-8", text(algebra).encode().replace(b'"x"', b'"\xff"'), "can't decode"),
+    ]
+
+
+@pytest.mark.parametrize("label,content,part", edge_files())
+def test_oversized_input_exits_2_with_a_short_message(tmp_path, capsys, label, content, part):
+    path = tmp_path / (label + ".json")
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content, encoding="utf-8")
+    assert main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    # one line, whatever the size of the input it quotes
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert part in err
+    assert len(err) < 300 + len(str(path))
+
+
+def test_oversized_catalog_parameter_exits_2(capsys):
+    # the refused entry's ambient dimension has 6,000 digits
+    assert main(["catalog", "verify", f"quadric({'9' * 3000},1)"]) == 2
+    err = capsys.readouterr().err
+    assert "is too large" in err and "(6000 characters) exceeds the limit of 168" in err
+    assert len(err) < 400

@@ -40,6 +40,8 @@ CASES = {
     "analyze_quadric_orbit": ["analyze", "quadric_2_1_orbit.json", "--format", "json"],
     "analyze_jacobi_failure": ["analyze", "jacobi_failure.json", "--set", "validate"],
     "analyze_pair_bad_square": ["analyze", "heisenberg_pair_bad_square.json"],
+    # a witness of 5,000 digits, past str(int)'s default limit of 4,300
+    "analyze_pair_large_witness": ["analyze", "heisenberg_pair_large_witness.json"],
     # Q(i) inputs with nonzero imaginary parts: constants, witness, isotropy rows
     "analyze_nonreal_algebra": ["analyze", "nonreal_algebra.json", "--format", "json"],
     "analyze_nonreal_jacobi_failure": [

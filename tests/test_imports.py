@@ -1,13 +1,17 @@
-"""The package's import footprint and its public names, in fresh interpreters.
+"""The package's import footprint and its public names.
 
 ``crkit`` resolves its public names from their submodules on first use,
 and the CLI imports the catalog, CR and globalization layers only in the
-commands that need them.  Each check runs in a new interpreter, because
-this test process has long since imported every layer.
+commands that need them.  Each of those checks runs in a new interpreter,
+because this test process has long since imported every layer.  The
+public names are README's "Library use" list, and every other public
+function or class in ``src/crkit`` has a use inside the package.
 """
 
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -110,7 +114,7 @@ def test_every_public_name_resolves_to_its_submodule_object():
     )
     # importing the package loads no layer; every name is still reachable
     assert result["bare"] == []
-    assert len(result["names"]) == len(set(result["names"])) == 61
+    assert len(result["names"]) == len(set(result["names"])) == 55
     assert result["moved"] == []
     assert result["star"] == sorted(result["names"])
     assert result["dir"]
@@ -120,3 +124,50 @@ def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         crkit.no_such_name
     assert crkit.LieAlgebra is crkit.algebra.LieAlgebra
+
+
+def readme_library_names():
+    """{module: names} from the bullet list of README's "Library use" section."""
+    with open(os.path.join(REPO, "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split("## Library use", 1)[1].split("\n## ", 1)[0]
+    listed = {}
+    # one bullet per module: - `crkit.module`: `Name`, `name`, ...
+    for item in re.findall(r"^- `crkit\.(\w+)`:(.*?)(?=^- |^$)", section, re.M | re.S):
+        module, names = item
+        listed[module] = re.findall(r"`(\w+)`", names)
+    return listed
+
+
+def test_readme_lists_exactly_the_exported_names():
+    listed = readme_library_names()
+    assert sorted(n for names in listed.values() for n in names) == crkit.__all__
+    # under the module crkit imports each name from
+    assert listed == {module: sorted(names) for module, names in crkit._EXPORTS.items()}
+
+
+def test_every_public_definition_has_a_use_in_the_package():
+    # a public top-level function or class is exported, or something in
+    # src/crkit other than its own definition refers to it; code only the
+    # tests use belongs in tests/support.py
+    package = os.path.dirname(os.path.abspath(crkit.__file__))
+    definitions, used = [], set()
+    for filename in sorted(os.listdir(package)):
+        if not filename.endswith(".py"):
+            continue
+        with open(os.path.join(package, filename), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in tree.body:
+            own = None
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                own = node.name
+                if not own.startswith("_"):
+                    definitions.append(f"{filename[:-3]}.{own}")
+            for sub in ast.walk(node):
+                name = sub.id if isinstance(sub, ast.Name) else getattr(sub, "attr", None)
+                if isinstance(sub, (ast.Name, ast.Attribute)) and name != own:
+                    used.add(name)
+    assert definitions, package
+    unused = [d for d in definitions
+              if d.split(".")[1] not in used and d.split(".")[1] not in crkit.__all__]
+    assert unused == []

@@ -25,17 +25,13 @@ import random
 import pytest
 
 from crkit.catalog import ROSTER, CatalogEntry, get_entry, verify_entry
-from crkit.complexify import (
-    OrbitModel,
-    apply_complex_matrix_to_model,
-    fiber_globalization_check,
-)
+from crkit.complexify import OrbitModel, fiber_globalization_check
 from crkit.cr import cr_type, levi_form, levi_signature
 from crkit.fileio import load_orbit_model, orbit_payload
 from crkit.globalize import verdict
 from crkit.linalg import combine_rows, vec_add
 
-from .support import nonreal_exp_ad, permute_model
+from .support import apply_complex_matrix_to_model, nonreal_exp_ad, permute_model
 
 TRANSPORTS = {
     "exp-ad-nonreal": lambda m: apply_complex_matrix_to_model(m, nonreal_exp_ad(m.ambient)),

@@ -8,7 +8,9 @@ share no code path with crkit.linalg's sparse core.  The fibration's
 fiber is also compared with a second route through the library, the
 quotient of the abstract algebra on j (support.oracle_fiber), and the
 CR-normalizer, solved on the complement of h in g, with one kernel over
-all of g (support.full_cr_normalizer).
+all of g (support.full_cr_normalizer).  The facts an orbit model takes
+from proofs rather than loops are checked here by dense ranks and
+brackets.
 """
 
 import pytest
@@ -16,6 +18,7 @@ import pytest
 from crkit.algebra import (
     derived_series,
     derived_subalgebra,
+    normalizer_subalgebra,
     quotient_algebra,
     radical,
     sparse_span,
@@ -32,12 +35,14 @@ from crkit.cr import levi_form
 from crkit.linalg import Solver, dense, sparse
 
 from .support import (
+    dense_rank,
     full_cr_normalizer,
     oracle_bracket,
     oracle_cr_normalizer,
     oracle_cr_subspace,
     oracle_fiber,
     oracle_quotient,
+    realified_j,
     rebase,
 )
 from .test_golden import FAMILY_SWEEP
@@ -152,3 +157,24 @@ def test_levi_form_matrices_match_definition(name):
             for c in range(report.value_dim):
                 assert report.form_matrices[c][i][j] == raw[c]
                 assert report.completed_matrices[c][i][j] == (ij[c] + ji[c]) / 2
+
+
+@pytest.mark.parametrize("name", sorted(set(ROSTER + FAMILY_SWEEP)))
+def test_proved_model_facts_hold(name):
+    # m = g ∩ Jg is a J-stable ideal of g, the CR-normalizer normalizes h,
+    # and the codimension is dim ambient - dim(g + ĥ) >= 0: the library
+    # derives each from checked facts without a loop of its own
+    model = get_entry(name).model
+    L = model.ambient_real
+    m = [list(v) for v in model.m.rows]
+
+    def in_m(v):
+        return dense_rank(m + [list(v)]) == len(m)
+
+    for v in model.m.rows:
+        assert in_m(realified_j(v))
+        assert all(in_m(oracle_bracket(L, x, v)) for x in model.real_rows)
+    normalizer = normalizer_subalgebra(L, model.h)
+    assert normalizer.contains_space(cr_normalizer_algebra(model))
+    g_plus_iso = dense_rank(list(model.real_rows) + list(model.isotropy_real.rows))
+    assert model.codim == L.dim - g_plus_iso >= 0

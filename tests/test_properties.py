@@ -19,20 +19,17 @@ from crkit.algebra import (
     sparse_span,
     validate,
 )
-from crkit.catalog import build_sl_complex, build_sl_real, build_su, catalog_entries, get_entry
-from crkit.complexify import (
-    complex_generators,
-    complexify_algebra,
-    j_apply,
-    realify,
-)
+from crkit.catalog import build_sl_complex, build_su, catalog_entries, get_entry
+from crkit.complexify import complex_generators, j_apply, realify
 from crkit.cr import CRPair, apply_endo, check_cr_pair, cr_type, levi_form, levi_signature
 from crkit.globalize import condition_c_check, invariant_factors
 from crkit.linalg import Solver, dense, sparse
 from crkit.scalars import QQ, GaussianRational as G
 
 from .support import (
+    build_sl_real,
     complex_rows_realified,
+    complexify_algebra,
     dense_bracket,
     dense_solve,
     form_value,

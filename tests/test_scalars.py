@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from crkit.scalars import (
     QI,
     QQ,
     GaussianRational,
+    format_rational,
     format_scalar,
     parse_rational,
     parse_scalar,
@@ -75,3 +77,25 @@ def test_formatting_roundtrip():
     assert format_scalar(Fraction(-7, 3), QQ) == "-7/3"
     assert format_scalar(GaussianRational(1, -2), QI) == ["1", "-2"]
     assert format_scalar(GaussianRational(4), QI) == "4"
+
+
+def horner(digits):
+    """The int of a decimal digit string, built one digit at a time, not by int(str)."""
+    n = 0
+    for d in digits:
+        n = 10 * n + "0123456789".index(d)
+    return n
+
+
+@pytest.mark.parametrize("width", [1, 599, 600, 601, 1200, 1201, 4300, 4301, 5000, 12001])
+def test_format_rational_at_any_size(width):
+    # str(int) refuses more than 4,300 digits by default; the output must not
+    rng = random.Random(width)
+    digits = str(rng.randint(1, 9)) + "".join(rng.choice("0123456789") for _ in range(width - 1))
+    n = horner(digits)
+    assert format_rational(n) == digits
+    assert format_rational(-n) == "-" + digits
+    if n > 1:
+        assert format_rational(Fraction(-1, n)) == "-1/" + digits
+    assert format_rational(10 ** width) == "1" + "0" * width
+    assert format_rational(Fraction(-1, 10 ** width)) == "-1/1" + "0" * width
