@@ -67,9 +67,6 @@ class LieAlgebra:
             if cleaned:
                 table[(i, j)] = cleaned
         self.brackets = table
-        # plain ints are exact, fast and mix with any exact scalar
-        self.zero = 0
-        self.one = 1
 
     def __repr__(self):
         return f"LieAlgebra(dim={self.dim}, field={self.field!r})"
@@ -88,10 +85,10 @@ class LieAlgebra:
 
     def structure_constant(self, i, j, k):
         if i == j:
-            return self.zero
+            return 0
         if i < j:
-            return self.brackets.get((i, j), {}).get(k, self.zero)
-        return -self.brackets.get((j, i), {}).get(k, self.zero)
+            return self.brackets.get((i, j), {}).get(k, 0)
+        return -self.brackets.get((j, i), {}).get(k, 0)
 
     def basis_bracket(self, i, j):
         """[e_i, e_j] as a sparse dict."""
@@ -163,12 +160,12 @@ class LieAlgebra:
             for j, row in adj[i].items():
                 col = cols.setdefault(j, {})
                 for k, v in row.items():
-                    col[k] = col.get(k, self.zero) + xi * v
+                    col[k] = col.get(k, 0) + xi * v
         return cols
 
     def basis_vector(self, i):
-        v = [self.zero] * self.dim
-        v[i] = self.one
+        v = [0] * self.dim
+        v[i] = 1
         return tuple(v)
 
     def basis_vectors(self):
@@ -221,6 +218,16 @@ class Subspace:
 
     def __hash__(self):
         return hash(self.pivots)
+
+
+def pivot_complement(big, small):
+    """big's echelon rows {pivot: row} at the pivots that are not small's, for small inside big.
+
+    small's pivots are big's (a vector of big starts at a pivot of big), so
+    these rows vanish on them: they are the reduced echelon form of the
+    pivot-free complement of small in big.
+    """
+    return {p: row for p, row in big.echelon.items() if p not in small.echelon}
 
 
 def full_space(L):
@@ -476,10 +483,10 @@ def killing_form(L):
 def _killing_form(L):
     ads = [L.ad(e) for e in _units(L)]
     n = L.dim
-    mat = [[L.zero] * n for _ in range(n)]
+    mat = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            acc = L.zero
+            acc = 0
             adj = ads[j]
             adi = ads[i]
             for a, col in adj.items():
@@ -615,10 +622,9 @@ def quotient_algebra(L, ideal):
     """
     if not is_ideal(L, ideal):
         raise StructureError("quotient requires an ideal")
-    comp = tuple(i for i in range(L.dim) if i not in ideal.echelon)
-    # a unit vector off the pivots is its own residual
-    q, _ = read_off_structure(L, [{i: 1} for i in comp], ideal, (L.names[i] for i in comp))
-    return q, comp
+    comp = pivot_complement(full_space(L), ideal)
+    q, _ = read_off_structure(L, comp.values(), ideal, (L.names[i] for i in comp))
+    return q, tuple(comp)
 
 
 def verify_levi_complement(L, s):

@@ -30,21 +30,20 @@ from .algebra import (
     direct_sum,
     intersect,
     is_subalgebra,
+    pivot_complement,
     radical,
     read_off_structure,
     realify,
     sparse_span,
 )
 from .cr import CRPair
-from .errors import InputError, InternalError, StructureError
+from .errors import InputError, StructureError
 from .linalg import (
     Solver,
     combine_rows,
     dense,
     echelon,
-    independent_rows,
     kernel_rows,
-    vec_sub,
 )
 from .report import Check, Report
 from .scalars import QI, GaussianRational, compact, imag_part, real_part
@@ -208,16 +207,6 @@ def _rows_in(rows, width, message):
     return rows
 
 
-def _complement_rows(big: Subspace, small: Subspace):
-    """The echelon rows of big off small's pivots, for small inside big.
-
-    Every pivot of small is one of big's, since a vector of big starts at
-    a pivot of big, and these rows are independent modulo small: with
-    small's rows they are a basis of big.
-    """
-    return [row for p, row in big.echelon.items() if p not in small.echelon]
-
-
 def cr_normalizer_algebra(model: OrbitModel) -> Subspace:
     """{xi in g : [xi, isotropy] <= isotropy}, as a subspace of the realification.
 
@@ -231,7 +220,7 @@ def cr_normalizer_algebra(model: OrbitModel) -> Subspace:
     [xi, J u] = J [xi, u] and the isotropy is J-stable.
     """
     L, h, iso = model.ambient_real, model.h, model.isotropy_real
-    comp = _complement_rows(model.real_sub, h)
+    comp = list(pivot_complement(model.real_sub, h).values())
     images = [[iso.reduce(L.bracket(v, u)) for u in model.isotropy_generators] for v in comp]
     return sparse_span(L, [*h.echelon.values(), *kernel_rows(comp, images).values()])
 
@@ -263,15 +252,16 @@ def anticanonical_fibration(model: OrbitModel) -> FibrationReport:
     """
     j = cr_normalizer_algebra(model)
     degenerate = j.dim == model.real_sub.dim
+    h = model.h
     # j/h on the cosets of the complement rows of h in j
-    fiber, _ = read_off_structure(model.ambient_real, _complement_rows(j, model.h), model.h)
-    proxy = (model.h.dim == 0) if degenerate else None
+    fiber, _ = read_off_structure(model.ambient_real, pivot_complement(j, h).values(), h)
+    proxy = (h.dim == 0) if degenerate else None
     return FibrationReport(
         normalizer=j,
         fiber_algebra=fiber,
         fiber_dim=fiber.dim,
         base_dim=model.real_sub.dim - j.dim,
-        h_dim=model.h.dim,
+        h_dim=h.dim,
         degenerate=degenerate,
         isotropy_discrete_proxy=proxy,
         caveats=model.caveats,
@@ -337,12 +327,6 @@ def fiber_globalization_check(model: OrbitModel) -> Report:
 # induced CR pair
 # ---------------------------------------------------------------------------
 
-def _extended_real_basis(model: OrbitModel):
-    """The real rows, then each isotropy row outside the span of the rows before it."""
-    rows = [*model.real_vectors, *model.isotropy_real.echelon.values()]
-    return [rows[k] for k in independent_rows(rows)]
-
-
 def induced_cr_pair(model: OrbitModel) -> CRPair:
     """The invariant CR pair the embedding induces on the real subalgebra.
 
@@ -350,30 +334,20 @@ def induced_cr_pair(model: OrbitModel) -> CRPair:
     {xi in g : J xi in g + isotropy}; J lifts multiplication by i modulo
     the isotropy algebra.
     """
-    g = model.real_algebra
-    nc = model.ambient.dim
-    extended = _extended_real_basis(model)
+    g, nc = model.real_algebra, model.ambient.dim
+    # a basis of g + ĥ: a combination of ĥ's rows off h's pivots in g is in h, yet 0 on them
+    extended = [*model.real_vectors, *pivot_complement(model.isotropy_real, model.h).values()]
     big = sparse_span(model.ambient_real, extended)
     images = [(big.reduce(j_apply(v, nc)),) for v in model.real_vectors]
-    units = [{a: 1} for a in range(g.dim)]
-    r_sub = Subspace(g, kernel_rows(units, images))
+    r_sub = Subspace(g, kernel_rows([{a: 1} for a in range(g.dim)], images))
     h_sub = sparse_span(g, [model._solver.solve(v) for v in model.h.echelon.values()])
-
     solver = Solver(extended)
-
-    n = g.dim
     j_columns = {}
-    for a, e in enumerate(units):
-        # project e_a onto R along the pivot-free complement
-        proj = vec_sub(e, r_sub.reduce(e))
-        if not proj:
-            continue
-        (v,) = combine_rows([proj], model.real_vectors)
-        img = solver.solve(j_apply(v, nc))
-        if img is None:
-            raise InternalError("J image escaped g + isotropy on R")
-        # the coefficients past n belong to isotropy rows: J is taken mod isotropy
-        col = {k: x for k, x in img.items() if k < n}
+    # J of R's row at a, the projection of e_a; R is where J lands in g + ĥ, so it solves
+    for a, row in r_sub.echelon.items():
+        img = solver.solve(j_apply(combine_rows([row], model.real_vectors)[0], nc))
+        # the coefficients past dim g belong to ĥ's rows: J is taken mod isotropy
+        col = {k: x for k, x in img.items() if k < g.dim}
         if col:
             j_columns[a] = col
     return CRPair(g, h_sub, r_sub, j_columns)

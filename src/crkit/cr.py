@@ -24,12 +24,11 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 
-from .algebra import LieAlgebra, Subspace, is_subalgebra
+from .algebra import LieAlgebra, Subspace, is_subalgebra, pivot_complement
 from .errors import InputError, InternalError, StructureError
 from .linalg import (
     combine_rows,
     dense,
-    echelon,
     echelon_rows,
     kernel_rows,
     left_nullspace,
@@ -67,9 +66,11 @@ class CRPair:
     """(R, J) with h <= R <= g and J an endomorphism of R, stored mod h.
 
     j_columns is J as a sparse column map {j: {k: coeff}} with every index
-    in range(dim g).  j_raw keeps a copy of it, j the canonical one,
-    complement the sparse echelon form of the pivot-free complement of h
-    in R.
+    in range(dim g).  j_raw keeps a copy of it, complement is
+    pivot_complement(R, h), and j is the canonical J: projecting onto R
+    along its pivot-free coordinates sends e_p to R's row at p (0 off R's
+    pivots), so column p is J of that row modulo h.  Raw Js that differ by
+    an h-valued map, as induced_cr_pair's may, give the same pair.
     """
 
     def __init__(self, g: LieAlgebra, h: Subspace, r: Subspace, j_columns):
@@ -87,11 +88,12 @@ class CRPair:
         self.h = h
         self.r = r
         self.j_raw = {j: dict(col) for j, col in j_columns.items()}
-        for v in r.echelon.values():
-            if not r.contains(apply_endo(self.j_raw, v)):
-                raise StructureError("J does not preserve R")
-        self.j = self._canonical_j()
-        self.complement = echelon([self.h.reduce(v) for v in self.r.echelon.values()])
+        images = {p: apply_endo(self.j_raw, v) for p, v in r.echelon.items()}
+        if not all(r.contains(img) for img in images.values()):
+            raise StructureError("J does not preserve R")
+        reduced = {p: h.reduce(img) for p, img in images.items()}
+        self.j = {p: img for p, img in reduced.items() if img}
+        self.complement = pivot_complement(r, h)
 
     @cached_property
     def _levi(self):
@@ -103,17 +105,6 @@ class CRPair:
     def complement_rows(self):
         """The complement of h in R as dense echelon rows."""
         return echelon_rows(self.complement, self.g.dim)[0]
-
-    def _canonical_j(self):
-        # v -> reduce_h(J(project_R(v))), with project_R along the pivot complement
-        columns = {}
-        for j in range(self.g.dim):
-            e = {j: 1}
-            proj = vec_sub(e, self.r.reduce(e))
-            img = self.h.reduce(apply_endo(self.j_raw, proj))
-            if img:
-                columns[j] = img
-        return columns
 
     def apply_j(self, v):
         """The canonical J of a sparse vector."""
@@ -357,6 +348,10 @@ def levi_signature(pair: CRPair, codirection=None) -> SignatureResult:
     normalized ordering plus both orderings in the result.
 
     codirection defaults to the first value coordinate, (1, 0, ..., 0).
+    In codimension k >= 2 that default is a choice of basis of g/R, so two
+    bases of one model can give different results; verify_entry compares
+    signatures on codimension-1 entries only.  The Levi kernel
+    (levi_form(pair).nondegenerate) is basis-free.
     """
     report = pair._levi
     k = report.value_dim

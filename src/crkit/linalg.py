@@ -140,19 +140,6 @@ def in_span(v, basis):
     return not _residual(v, basis)
 
 
-def independent_rows(rows):
-    """Indices of the rows outside the span of the rows before them, ascending.
-
-    They are the pivot columns of the transposed matrix's echelon form, so
-    one elimination picks the same rows as a greedy pass in order.
-    """
-    columns = {}
-    for i, row in enumerate(rows):
-        for c, x in row.items():
-            columns.setdefault(c, {})[i] = x
-    return tuple(_echelon(list(columns.values())))
-
-
 def left_nullspace(rows):
     """Basis of {x : x . rows = 0}, i.e. linear relations among the rows.
 

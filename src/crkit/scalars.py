@@ -15,6 +15,7 @@ benchmark's per-layer trace counts calls of its operators
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import InputError, excerpt
@@ -154,15 +155,27 @@ def imag_part(x):
     return x.im if isinstance(x, GaussianRational) else ZERO
 
 
+# digits in a numerator or a denominator: Python's default int_max_str_digits, fixed
+MAX_DIGITS = 4300
+_RATIONAL = re.compile(r"(-?)([0-9]+)(?:/([0-9]+))?")
+
+
 def parse_rational(text):
-    """Parse "num/den" (or "num") into a Fraction, rejecting junk."""
+    """Parse "num/den" or "num", -?[0-9]+(/[0-9]+)? in ASCII digits, into a Fraction.
+
+    Anything else, a part past MAX_DIGITS digits or a zero denominator raises InputError.
+    """
     if not isinstance(text, str):
         raise InputError(f"expected rational literal string, got {excerpt(repr(text))}")
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        literal = excerpt(repr(text))
-        raise InputError(f"bad rational literal {literal}: {excerpt(str(exc))}") from exc
+    match = _RATIONAL.fullmatch(text)
+    if match is None or max(len(match[2]), len(match[3] or "")) > MAX_DIGITS:
+        problem = f"want -?[0-9]+(/[0-9]+)? with at most {MAX_DIGITS} digits in each part"
+    else:
+        try:
+            return Fraction(int(match[1] + match[2]), int(match[3] or 1))
+        except (ValueError, ZeroDivisionError) as exc:
+            problem = excerpt(str(exc))
+    raise InputError(f"bad rational literal {excerpt(repr(text))}: {problem}")
 
 
 def parse_scalar(value, field):

@@ -44,7 +44,7 @@ def oracle_bracket(L, x, y):
 
     Independent of the sparse i<j evaluation path used by L.bracket.
     """
-    out = [L.zero] * L.dim
+    out = [0] * L.dim
     for i in range(L.dim):
         for j in range(L.dim):
             c = x[i] * y[j]
@@ -714,6 +714,62 @@ def full_cr_normalizer(model):
     L, g, iso = model.ambient_real, model.real_vectors, model.isotropy_real
     images = [[iso.reduce(L.bracket(v, u)) for u in model.isotropy_generators] for v in g]
     return Subspace(L, kernel_rows(g, images))
+
+
+# ---------------------------------------------------------------------------
+# complements and projections by elimination and unit vectors
+# ---------------------------------------------------------------------------
+
+def oracle_complement(pair):
+    """The complement of h in R by a second elimination: R's rows reduced modulo h."""
+    return echelon([pair.h.reduce(v) for v in pair.r.echelon.values()])
+
+
+def oracle_canonical_j(pair):
+    """The canonical J from every unit vector e_a: J of its projection onto R, modulo h.
+
+    The projection is along the coordinates off R's pivots, e_a minus its
+    residual against R.
+    """
+    columns = {}
+    for a in range(pair.g.dim):
+        e = {a: 1}
+        img = pair.h.reduce(apply_endo(pair.j_raw, vec_sub(e, pair.r.reduce(e))))
+        if img:
+            columns[a] = img
+    return columns
+
+
+def greedy_real_basis(model):
+    """The real rows, then each isotropy echelon row outside the span of the rows before it."""
+    rows = list(model.real_rows)
+    for row in model.isotropy_real.rows:
+        if dense_rank(rows + [row]) > len(rows):
+            rows.append(row)
+    return rows
+
+
+def greedy_induced_pair(model):
+    """The induced CR pair with J solved in greedy_real_basis, on every unit vector.
+
+    R is oracle_cr_subspace; J e_a is the real-row part of J applied to
+    the projection of e_a onto R, written in the greedy basis of g + ĥ.
+    """
+    g, n = model.real_algebra, len(model.real_rows)
+    r_sub = span(g, oracle_cr_subspace(model))
+    h_sub = sparse_span(g, [model._solver.solve(v) for v in model.h.echelon.values()])
+    solver = Solver([sparse(row) for row in greedy_real_basis(model)])
+    columns = {}
+    for a in range(n):
+        e = {a: 1}
+        proj = vec_sub(e, r_sub.reduce(e))
+        if proj:
+            (v,) = combine_rows([proj], model.real_vectors)
+            img = solver.solve(sparse(realified_j(dense(v, model.ambient_real.dim))))
+            col = {k: x for k, x in img.items() if k < n}
+            if col:
+                columns[a] = col
+    return CRPair(g, h_sub, r_sub, columns)
 
 
 # ---------------------------------------------------------------------------

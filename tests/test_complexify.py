@@ -14,6 +14,7 @@ from crkit.algebra import (
     heisenberg,
     killing_form,
     lower_central_series,
+    pivot_complement,
     radical,
     sl2,
     span,
@@ -22,7 +23,6 @@ from crkit.algebra import (
 from crkit.catalog import ROSTER, build_su, get_entry
 from crkit.complexify import (
     OrbitModel,
-    _extended_real_basis,
     anticanonical_fibration,
     canonical_complex_rows,
     cr_normalizer_algebra,
@@ -34,7 +34,7 @@ from crkit.complexify import (
 )
 from crkit.cr import check_cr_pair
 from crkit.errors import InputError, StructureError
-from crkit.linalg import sparse
+from crkit.linalg import dense, sparse, vec_sub
 from crkit.scalars import QI, GaussianRational
 
 from .support import (
@@ -49,6 +49,8 @@ from .support import (
     dense_bracket,
     dense_rank,
     dense_rref,
+    greedy_induced_pair,
+    greedy_real_basis,
     nilpotent_automorphism,
     nonreal_exp_ad,
     oracle_bracket,
@@ -426,15 +428,24 @@ def test_induced_pair_on_mixed_model():
 
 
 @pytest.mark.parametrize("name", ["quadric(3,2)", "twisted(2)"])
-def test_real_basis_extension_is_the_greedy_choice(name):
+def test_isotropy_rows_off_h_extend_g_to_a_basis_of_g_plus_isotropy(name):
     model = get_entry(name).model
-    greedy = list(model.real_rows)
-    for row in model.isotropy_real.rows:
-        if dense_rank(greedy + [row]) > len(greedy):
-            greedy.append(row)
-    ext = _extended_real_basis(model)
-    assert ext == [sparse(row) for row in greedy]
-    assert len(ext) > len(model.real_rows)
+    n = model.ambient_real.dim
+    extra = [dense(v, n) for v in pivot_complement(model.isotropy_real, model.h).values()]
+    rows = [*model.real_rows, *extra]
+    assert extra and model.h.dim
+    assert dense_rank(rows) == len(rows) == len(greedy_real_basis(model))
+
+
+@pytest.mark.parametrize("name", ["quadric(3,2)", "twisted(2)"])
+def test_induced_j_matches_the_greedy_extension(name):
+    model = get_entry(name).model
+    pair, greedy = induced_cr_pair(model), greedy_induced_pair(model)
+    assert pair == greedy and pair.complement == greedy.complement
+    # the raw Js may differ, by an h-valued map only
+    for a in pair.r.pivots:
+        diff = vec_sub(pair.j_raw.get(a, {}), greedy.j_raw.get(a, {}))
+        assert pair.h.contains(diff)
 
 
 def test_product_model_codim_additive():

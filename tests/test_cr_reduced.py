@@ -7,7 +7,10 @@ support.full_check_cr_pair keeps the full loops over R's rows.  The pairs
 here all have h != 0; J is moved on R/h by conjugation, scaling, an
 h-valued term, a swap of h with the complement or a leak of h, so that
 every row fails somewhere, and the whole Report, witnesses included, must
-equal the full loops' Report.
+equal the full loops' Report.  On the same pairs the complement and the
+canonical J must equal support.oracle_complement and
+support.oracle_canonical_j, which reduce R's rows modulo h and project
+every unit vector.
 """
 
 import pytest
@@ -21,6 +24,8 @@ from crkit.cr import CRPair, check_cr_pair
 from .support import (
     conjugated_pair,
     full_check_cr_pair,
+    oracle_canonical_j,
+    oracle_complement,
     pair_with_j,
     raw_j_on_h,
     rebased_pair,
@@ -136,6 +141,9 @@ ENTRIES = st.lists(st.integers(-2, 2), min_size=100, max_size=100)
 def test_reduced_loops_match_full_loops(name, kind, entries, connected):
     pair = base(name) if kind == "none" else moved(base(name), kind, entries)
     assert check_cr_pair(pair, connected) == full_check_cr_pair(pair, connected)
+    # the complement and J's columns are read off R's echelon rows at its pivots
+    assert list(pair.complement.items()) == list(oracle_complement(pair).items())
+    assert list(pair.j.items()) == list(oracle_canonical_j(pair).items())
 
 
 KERNEL, SQUARE, ISOTROPY, INTEGRABILITY = ROWS

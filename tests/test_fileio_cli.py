@@ -489,6 +489,16 @@ def test_oversized_input_exits_2_with_a_short_message(tmp_path, capsys, label, c
     assert len(err) < 300 + len(str(path))
 
 
+def test_exponent_constant_exits_2(tmp_path, capsys):
+    # Fraction("1e5000") would read a 5,001-digit constant: the grammar has no exponent
+    payload = dict(heisenberg_payload(), brackets=[[0, 1, [[2, "1e5000"]]]])
+    assert main(["analyze", write(tmp_path, "exponent.json", payload)]) == 2
+    assert capsys.readouterr().err == (
+        "error: bad rational literal '1e5000': "
+        "want -?[0-9]+(/[0-9]+)? with at most 4300 digits in each part\n"
+    )
+
+
 def test_oversized_catalog_parameter_exits_2(capsys):
     # the refused entry's ambient dimension has 6,000 digits
     assert main(["catalog", "verify", f"quadric({'9' * 3000},1)"]) == 2

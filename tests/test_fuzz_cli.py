@@ -46,6 +46,10 @@ JUNK = st.one_of(
     st.lists(st.integers(min_value=-1, max_value=4), max_size=3),
     st.lists(st.sampled_from(["0", "1", "-1"]), max_size=4),
     st.dictionaries(st.sampled_from(["real", "complex", "kind"]), st.integers(0, 2), max_size=2),
+    # scalars around the 4,300-digit cap, with exponents and with non-ASCII digits
+    st.builds(str.__mul__, st.sampled_from("19"), st.integers(4290, 4310)),
+    st.builds("{}e{}".format, st.integers(-9, 9), st.integers(-9, 10**7)),
+    st.text(st.characters(categories=["Nd"]), min_size=1, max_size=3),
 )
 
 

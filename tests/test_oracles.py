@@ -10,7 +10,9 @@ quotient of the abstract algebra on j (support.oracle_fiber), and the
 CR-normalizer, solved on the complement of h in g, with one kernel over
 all of g (support.full_cr_normalizer).  The facts an orbit model takes
 from proofs rather than loops are checked here by dense ranks and
-brackets.
+brackets, and each catalog pair's complement of h in R and canonical J
+against a second elimination and the projection of every unit vector
+(support.oracle_complement, support.oracle_canonical_j).
 """
 
 import pytest
@@ -38,6 +40,8 @@ from .support import (
     dense_rank,
     full_cr_normalizer,
     oracle_bracket,
+    oracle_canonical_j,
+    oracle_complement,
     oracle_cr_normalizer,
     oracle_cr_subspace,
     oracle_fiber,
@@ -178,3 +182,11 @@ def test_proved_model_facts_hold(name):
     assert normalizer.contains_space(cr_normalizer_algebra(model))
     g_plus_iso = dense_rank(list(model.real_rows) + list(model.isotropy_real.rows))
     assert model.codim == L.dim - g_plus_iso >= 0
+
+
+@pytest.mark.parametrize("name", sorted(set(ROSTER + FAMILY_SWEEP)))
+def test_complement_and_canonical_j_match_the_unit_vector_oracles(name):
+    # the complement and J's columns are read off R's echelon rows at its pivots
+    pair = get_entry(name).cr_pair
+    assert list(pair.complement.items()) == list(oracle_complement(pair).items())
+    assert list(pair.j.items()) == list(oracle_canonical_j(pair).items())

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from crkit.errors import InputError
 from crkit.scalars import (
+    MAX_DIGITS,
     QI,
     QQ,
     GaussianRational,
@@ -71,6 +72,42 @@ def test_parsing():
         parse_rational("nope")
     with pytest.raises(InputError):
         parse_scalar(["1", "2", "3"], QI)
+
+
+# digit runs up to the cap, drawn as a repeated digit to keep examples small
+DIGITS = st.one_of(
+    st.integers(min_value=0, max_value=10**30).map(str),
+    st.builds(str.__mul__, st.sampled_from("0123456789"), st.integers(1, MAX_DIGITS)),
+)
+
+
+@given(st.sampled_from(["", "-"]), DIGITS, st.none() | DIGITS)
+def test_parse_rational_reads_the_grammar(sign, num, den):
+    text = sign + num + ("" if den is None else "/" + den)
+    if den is not None and not int(den):
+        with pytest.raises(InputError):
+            parse_rational(text)
+    else:
+        assert parse_rational(text) == Fraction(text)
+
+
+OUTSIDE_GRAMMAR = st.one_of(
+    st.builds("{}e{}".format, st.integers(-9, 9), st.integers(-9, 10**7)),
+    st.builds("{}.{}".format, st.integers(-9, 9), st.integers(0, 99)),
+    st.text(st.characters(categories=["Nd"], exclude_characters="0123456789"),
+            min_size=1, max_size=4),
+    st.builds(str.__mul__, st.sampled_from("123456789"),
+              st.integers(MAX_DIGITS + 1, MAX_DIGITS + 40)),
+    st.integers(MAX_DIGITS + 1, MAX_DIGITS + 40).map(lambda k: "1/" + "3" * k),
+    st.sampled_from(["", "-", "1_000", " 1", "1 ", "1\n", "+1", "--1", "1/-2", "1/", "/2",
+                     "1/2/3", "0x10", "１", "٣"]),
+)
+
+
+@given(OUTSIDE_GRAMMAR)
+def test_parse_rational_rejects_what_the_grammar_does_not_hold(text):
+    with pytest.raises(InputError, match="bad rational literal"):
+        parse_rational(text)
 
 
 def test_formatting_roundtrip():
