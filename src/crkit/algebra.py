@@ -584,14 +584,14 @@ def read_off_structure(L, rows, modulo=None, names=None):
     Each pair of rows is bracketed once and the bracket is solved in the
     rows.  With modulo, a subspace, rows and brackets are first reduced
     against it, so the constants are those of (span(rows) + modulo) /
-    modulo on the rows' cosets.  Raises StructureError when a bracket
-    leaves the span.  No rows give the zero algebra and no Solver.
+    modulo on the rows' cosets.  The Solver's echelon is the span of the
+    (reduced) rows.  Raises InputError when the rows are dependent and
+    StructureError when a bracket leaves the span; no rows give the zero
+    algebra.
     """
     rows = list(rows)
     k = len(rows)
     names = tuple(f"s{t}" for t in range(k)) if names is None else tuple(names)
-    if not k:
-        return LieAlgebra(0, L.field, names, {}), None
     reduce = (lambda v: v) if modulo is None else modulo.reduce
     solver = Solver([reduce(r) for r in rows])
     brackets = {}
@@ -639,7 +639,8 @@ def verify_levi_complement(L, s):
     except StructureError:
         return False
     r = radical(L)
-    if intersect(s, r).dim != 0 or add_spaces(s, r).dim != L.dim:
+    # with a trivial intersection, s + r spans L iff the dimensions add up
+    if intersect(s, r).dim != 0 or s.dim + r.dim != L.dim:
         return False
     if sub.field == QI:
         sub = realify(sub)

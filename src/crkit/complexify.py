@@ -44,6 +44,7 @@ from .linalg import (
     dense,
     echelon,
     kernel_rows,
+    reduce_mod,
 )
 from .report import Check, Report
 from .scalars import QI, GaussianRational, compact, imag_part, real_part
@@ -145,7 +146,9 @@ class OrbitModel:
 
     Derived on construction, as subspaces of ambient_real over Q:
     h = g ∩ ĥ, the maximal complex ideal m = g ∩ Jg, the codimension, and
-    the genericity property g + Jg = ambient (a structural requirement).
+    the genericity property g + Jg = ambient (a structural requirement),
+    read off dim(g + Jg) = 2 dim g - dim m.  real_sub, the span of g, is
+    the echelon form of the Solver that reads off real_algebra.
     A complex subspace is represented by its J-stable realification, so
     closure under the complex bracket is checked as closure under the
     realified one, on the complex generators only.
@@ -160,10 +163,14 @@ class OrbitModel:
         n, n2 = ambient.dim, self.ambient_real.dim
 
         real_vectors = _rows_in(real_rows, n2, "real basis rows must use realified coordinates")
-        self.real_sub = sparse_span(self.ambient_real, real_vectors)
-        if self.real_sub.dim != len(real_vectors):
-            raise InputError("real basis rows are linearly dependent")
+        try:
+            self.real_algebra, self._solver = read_off_structure(self.ambient_real, real_vectors)
+        except InputError:
+            raise InputError("real basis rows are linearly dependent") from None
+        except StructureError:
+            raise StructureError("real rows are not a subalgebra") from None
         self.real_vectors = real_vectors
+        self.real_sub = Subspace(self.ambient_real, self._solver.echelon)
 
         iso = _rows_in(isotropy_rows, n2, "isotropy rows must use realified coordinates")
         self.isotropy_real = sparse_span(self.ambient_real, iso + [j_apply(u, n) for u in iso])
@@ -171,19 +178,14 @@ class OrbitModel:
         if not is_subalgebra(self.ambient_real, self.isotropy_real, self.isotropy_generators):
             raise StructureError("isotropy rows are not a complex subalgebra")
 
-        try:
-            self.real_algebra, self._solver = read_off_structure(self.ambient_real, real_vectors)
-        except StructureError:
-            raise StructureError("real rows are not a subalgebra") from None
-
-        # genericity: g + Jg must span the realified ambient
-        jg = sparse_span(self.ambient_real, [j_apply(v, n) for v in self.real_vectors])
-        if add_spaces(self.real_sub, jg).dim != n2:
+        jg = sparse_span(self.ambient_real, [j_apply(v, n) for v in real_vectors])
+        # J-stable as J(g ∩ Jg) = Jg ∩ g, an ideal as g is closed and the bracket C-bilinear
+        self.m = intersect(self.real_sub, jg)
+        # genericity: g + Jg, of dimension 2 dim g - dim m, must span the realified ambient
+        if 2 * self.real_sub.dim - self.m.dim != n2:
             raise StructureError("real subalgebra is not generic: g + Jg is proper")
 
         self.h = intersect(self.real_sub, self.isotropy_real)
-        # J-stable as J(g ∩ Jg) = Jg ∩ g, an ideal as g is closed and the bracket C-bilinear
-        self.m = intersect(self.real_sub, jg)
         # g/h embeds in ambient/ĥ, so the codimension is never negative
         self.codim = (n2 - self.isotropy_real.dim) - (self.real_sub.dim - self.h.dim)
         self.caveats = (
@@ -336,12 +338,10 @@ def induced_cr_pair(model: OrbitModel) -> CRPair:
     """
     g, nc = model.real_algebra, model.ambient.dim
     # a basis of g + ĥ: a combination of ĥ's rows off h's pivots in g is in h, yet 0 on them
-    extended = [*model.real_vectors, *pivot_complement(model.isotropy_real, model.h).values()]
-    big = sparse_span(model.ambient_real, extended)
-    images = [(big.reduce(j_apply(v, nc)),) for v in model.real_vectors]
+    solver = Solver([*model.real_vectors, *pivot_complement(model.isotropy_real, model.h).values()])
+    images = [(reduce_mod(j_apply(v, nc), solver.echelon),) for v in model.real_vectors]
     r_sub = Subspace(g, kernel_rows([{a: 1} for a in range(g.dim)], images))
     h_sub = sparse_span(g, [model._solver.solve(v) for v in model.h.echelon.values()])
-    solver = Solver(extended)
     j_columns = {}
     # J of R's row at a, the projection of e_a; R is where J lands in g + ĥ, so it solves
     for a, row in r_sub.echelon.items():

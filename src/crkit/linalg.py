@@ -12,12 +12,16 @@ are the edge form only.  signature_of_symmetric takes a dense matrix (a
 form matrix), echelon_rows makes the dense rows a record or payload
 shows, and sparse/dense convert one vector.  Dense results have their
 entries compacted (integral values as plain ints) and zeros as int 0.
-Every elimination runs through one routine, _echelon.
+Every elimination runs through one routine, _echelon.  Relations among
+rows (left_nullspace) and solves in them (Solver) share one layout, the
+rows tagged with their indices (_tagged_echelon), so a Solver hands back
+the echelon form of its span and no basis needs a second elimination.
 
 A subspace is always represented by its reduced row echelon form with the
 zero rows dropped, so two subspaces are equal iff the representing
 matrices are equal.  Sparse, that form is a {pivot: row} dict in
-ascending pivot order (echelon, kernel_rows, intersect_spaces), and the
+ascending pivot order (echelon, kernel_rows, intersect_spaces,
+Solver.echelon), and the
 reduction routines take it as the basis.  All routines are pure; nothing
 here mutates its arguments.
 
@@ -140,24 +144,31 @@ def in_span(v, basis):
     return not _residual(v, basis)
 
 
-def left_nullspace(rows):
-    """Basis of {x : x . rows = 0}, i.e. linear relations among the rows.
+def _tagged_echelon(rows):
+    """Reduced echelon form of the rows, row i tagged with a 1 at column offset + i.
 
-    Relations are sparse {row index: coefficient} dicts in reduced echelon
-    form.
+    offset lies past every column the rows use.  A row pivoting below
+    offset is a row of the span's echelon form and its tags combine the
+    rows into it; a row pivoting in the tag block vanishes on the original
+    columns, so its tags are a relation among the rows.  Returns (offset,
+    form).
     """
-    if not rows:
-        return ()
-    # tag row i with column offset + i, past every column the rows use
     offset = 1 + max((max(r) for r in rows if r), default=-1)
     aug = []
     for i, r in enumerate(rows):
         row = dict(r)
         row[offset + i] = 1
         aug.append(row)
-    basis = _echelon(aug)
-    # rows pivoting in the tag block vanish on the original columns; their
-    # tags are already in reduced echelon form
+    return offset, _echelon(aug)
+
+
+def left_nullspace(rows):
+    """Basis of {x : x . rows = 0}, i.e. linear relations among the rows.
+
+    Relations are sparse {row index: coefficient} dicts in reduced echelon
+    form: the tags of the tagged echelon rows that pivot in the tag block.
+    """
+    offset, basis = _tagged_echelon(rows)
     return tuple(
         {c - offset: x for c, x in row.items()}
         for p, row in basis.items()
@@ -206,53 +217,38 @@ def intersect_spaces(a_rows, b_rows):
 
 
 class Solver:
-    """Repeated exact solves of x . rows = v for a fixed list of sparse rows.
+    """Repeated exact solves of x . rows = v for a fixed list of independent sparse rows.
 
-    The elimination of the transposed system is done once; each solve is
-    a sparse matrix-vector product plus a consistency check.
+    The rows are eliminated once, tagged with their indices
+    (_tagged_echelon).  echelon is the reduced echelon form {pivot: row}
+    of their span, and each row's tags give it as a combination of the
+    rows.  v = sum of v[p] times the row at pivot p when v is in the span,
+    so a solve combines those tags and checks v's other columns.  No rows
+    give the zero span, where only the zero vector solves.
     """
 
     def __init__(self, rows):
-        rows = list(rows)
-        if not rows:
-            raise InputError("Solver needs at least one row")
-        self.nrows = n = len(rows)
-        # eliminate [rows^T | I] so solving becomes reading transformed entries
-        aug = {}
-        for r, row in enumerate(rows):
-            for c, x in row.items():
-                col = aug.get(c)
-                if col is None:
-                    col = aug[c] = {n + c: 1}
-                col[r] = x
-        reduced = _echelon(list(aug.values()))
-        if sum(1 for p in reduced if p < n) < n:
+        offset, basis = _tagged_echelon(list(rows))
+        if any(p >= offset for p in basis):
             raise InputError("Solver rows are linearly dependent")
-        # x[p] (p < nrows) or a consistency check (p >= nrows) is the pivot-p
-        # row's identity block dotted with v; index that block by column of v
-        self._by_column = {}
-        for p, row in reduced.items():
-            for c, t in row.items():
-                if c >= n:
-                    self._by_column.setdefault(c - n, []).append((p, t))
+        self.echelon, self._tags = {}, {}
+        for p, row in basis.items():
+            self.echelon[p] = {c: x for c, x in row.items() if c < offset}
+            self._tags[p] = {c - offset: x for c, x in row.items() if c >= offset}
 
     def solve(self, v):
         """Coefficients {row index: x} with x . rows = v, or None if v is not in the span."""
-        acc = {}
-        for c, vc in v.items():
-            entries = self._by_column.get(c)
-            if entries is None:
-                return None  # a column no row uses
-            for p, t in entries:
-                acc[p] = acc.get(p, 0) + t * vc
-        x = {}
-        for p in sorted(acc):
-            a = acc[p]
-            if a:
-                if p >= self.nrows:
-                    return None
-                x[p] = compact(a)
-        return x
+        if not v:
+            return {}  # most brackets a read-off solves vanish
+        w, acc = dict(v), {}
+        for p, a in v.items():
+            row = self.echelon.get(p)
+            if row is not None:
+                _axpy(w, -a, row)
+                _axpy(acc, a, self._tags[p])
+        if w:
+            return None
+        return {k: compact(acc[k]) for k in sorted(acc)}
 
 
 def signature_of_symmetric(matrix):

@@ -61,9 +61,12 @@ def dense_bracket(L, x, y):
 
 
 def dense_solve(solver, v):
-    """Solver.solve on a dense vector, as a dense coefficient tuple (or None)."""
+    """Solver.solve on a dense vector, as a dense coefficient tuple (or None).
+
+    The rows are independent, so there are as many as echelon rows.
+    """
     x = solver.solve(sparse(v))
-    return None if x is None else dense(x, solver.nrows)
+    return None if x is None else dense(x, len(solver.echelon))
 
 
 def oracle_ad_matrix(L, x):

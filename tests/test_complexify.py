@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crkit import linalg
 from crkit.algebra import (
     LieAlgebra,
     abelian,
@@ -272,18 +273,34 @@ def test_m_mixed_case_is_sl2_summand():
 
 def test_genericity_violation_rejected():
     ambient = complexify_algebra(abelian(2))
-    with pytest.raises(StructureError):
+    with pytest.raises(StructureError, match="real subalgebra is not generic: g \\+ Jg is proper"):
         OrbitModel(ambient, [sparse((F(1), F(0), F(0), F(0)))], [])
+
+
+def non_closed_isotropy():
+    """The realified rows of e and f in sl2(C): their span is not closed, [e, f] = h."""
+    return [sparse(complex_to_real(gz(0, 1, 0))), sparse(complex_to_real(gz(0, 0, 1)))]
 
 
 def test_non_subalgebra_isotropy_rejected():
     ambient = complexify_algebra(sl2())
     real = realify(ambient)
     rows = [real.basis_vector(k) for k in range(6)]
-    # span(e, f) is not closed
-    iso = [sparse(complex_to_real(gz(0, 1, 0))), sparse(complex_to_real(gz(0, 0, 1)))]
-    with pytest.raises(StructureError):
-        OrbitModel(ambient, [sparse(r) for r in rows], iso)
+    with pytest.raises(StructureError, match="isotropy rows are not a complex subalgebra"):
+        OrbitModel(ambient, [sparse(r) for r in rows], non_closed_isotropy())
+
+
+@pytest.mark.parametrize("extra", ["duplicate", "zero"])
+def test_dependent_real_rows_rejected(extra):
+    # the library constructor, not the file loader, which checks the rank itself
+    ambient = complexify_algebra(sl2())
+    rows = [sparse(realify(ambient).basis_vector(k)) for k in range(6)]
+    rows.append(dict(rows[2]) if extra == "duplicate" else {})
+    with pytest.raises(InputError, match="^real basis rows are linearly dependent$"):
+        OrbitModel(ambient, rows, [])
+    # the real rows are read off before the isotropy: their dependence wins
+    with pytest.raises(InputError, match="^real basis rows are linearly dependent$"):
+        OrbitModel(ambient, rows, non_closed_isotropy())
 
 
 def non_closed_generic_rows():
@@ -297,8 +314,29 @@ def non_closed_generic_rows():
 
 def test_non_closed_real_rows_rejected():
     ambient = complexify_algebra(sl2())
+    rows = [sparse(r) for r in non_closed_generic_rows()]
     with pytest.raises(StructureError, match="real rows are not a subalgebra"):
-        OrbitModel(ambient, [sparse(r) for r in non_closed_generic_rows()], [])
+        OrbitModel(ambient, rows, [])
+    # the real rows are read off before the isotropy: their error wins
+    with pytest.raises(StructureError, match="real rows are not a subalgebra"):
+        OrbitModel(ambient, rows, non_closed_isotropy())
+
+
+@pytest.mark.parametrize("name", ["quadric(2,1)", "sp_quadric(1,1)", "twisted(2)", "heis_solv"])
+def test_each_basis_is_eliminated_once(monkeypatch, name):
+    # the model: the real rows (its read-off Solver), ĥ and Jg once each,
+    # and h = g ∩ ĥ and m = g ∩ Jg two each (relations, then their span);
+    # an empty ĥ makes h without an elimination
+    entry = get_entry(name).model
+    calls = []
+    core = linalg._echelon
+    monkeypatch.setattr(linalg, "_echelon", lambda rows: calls.append(1) or core(rows))
+    model = OrbitModel(entry.ambient, entry.real_vectors, entry.isotropy_generators)
+    assert len(calls) == (7 if entry.isotropy_real.dim else 5)
+    # the pair: g + ĥ (its Solver), R's kernel two, h in g's coordinates one
+    calls.clear()
+    induced_cr_pair(model)
+    assert len(calls) == 4
 
 
 # the real algebra of each catalog entry as its matrix model gives it, by

@@ -48,6 +48,8 @@ CASES = {
         "analyze", "nonreal_jacobi_failure.json", "--set", "validate",
     ],
     "analyze_nonreal_orbit": ["analyze", "nonreal_orbit.json", "--format", "json"],
+    # a point orbit: no real rows, so every Solver in the analyses is empty
+    "analyze_point_orbit": ["analyze", "point_orbit.json", "--format", "json"],
 }
 # the orbit payload of every roster entry, isotropy rows included
 CASES.update(

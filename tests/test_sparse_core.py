@@ -219,14 +219,22 @@ def test_solver_matches_dense_reference(field, data):
     ncols = len(m[0])
     rows = [r for r in dense_rref(m)[0]]
     if not rows:
-        with pytest.raises(InputError):
-            Solver(rows)
+        # no rows span the zero space: only the zero vector solves, by no coefficients
+        solver = Solver(rows)
+        assert solver.echelon == {}
+        v = sparse(data.draw(sparse_vectors(field, ncols)))
+        assert solver.solve(v) == ({} if not v else None)
         return
     # an invertible, non-echelon recombination keeps the rows sparse-ish
     rows = [tuple(r) for r in rows]
     mixed = [tuple(a + b for a, b in zip(rows[k], rows[k + 1])) for k in range(len(rows) - 1)]
     rows = mixed + [rows[-1]]
     solver = Solver([sparse(r) for r in rows])
+    # the Solver's echelon is the reduced echelon form of its rows' span
+    ref_rows, ref_pivots = dense_rref(rows)
+    assert echelon_rows(solver.echelon, ncols) == (
+        tuple(tuple(r) for r in ref_rows), tuple(ref_pivots)
+    )
     coeffs = data.draw(st.lists(scalars(field), min_size=len(rows), max_size=len(rows)))
     v = combination(coeffs, rows)
     solved = solver.solve(sparse(v))
