@@ -525,7 +525,6 @@ def torus_bundle_entry():
         ),
         pi1=((2, ()), (2, ()), True),
         compact_group=True,
-        taxon_context=TaxonContext(center_acts=True),
         notes=("torus-principal compact model over a rational base",),
     )
 
@@ -553,7 +552,6 @@ def hopf_circle_entry():
         ),
         pi1=((2, ()), (2, ()), True),
         compact_group=True,
-        taxon_context=TaxonContext(center_acts=True),
         notes=("circle-extended hypersurface model of the projective line",),
     )
 
@@ -586,7 +584,7 @@ def sl2_uz_entry():
         ),
         pi1=((0, ()), (1, ()), False),
         compact_group=True,
-        taxon_context=TaxonContext(center_acts=True, c_fiber_rule=True),
+        taxon_context=TaxonContext(c_fiber_rule=True),
         notes=(
             "unipotent-integral quotient model; the plane fiber refibers over a "
             "projective line with affine-quadric fibers",
@@ -729,13 +727,13 @@ def catalog_entries():
 # verification
 # ---------------------------------------------------------------------------
 
-def verify_entry(entry: CatalogEntry, expected: Expected | None = None) -> Report:
+def verify_entry(entry: CatalogEntry) -> Report:
     """Recompute every derivable invariant and diff it against the record.
 
     Each check is named after the invariant and holds when the recomputed
     value equals the recorded one; its detail shows both.
     """
-    exp = expected if expected is not None else entry.expected
+    exp = entry.expected
     checks = []
     model = entry.model
 

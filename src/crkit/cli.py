@@ -184,13 +184,13 @@ def _levi_records(rep, target, pair):
 
 
 def _fibration_records(rep, target, fib):
-    record = fib.as_record()
-    for key in ("degenerate", "dim_fiber", "dim_base", "h_dim"):
-        rep.emit(target=target, analysis="fibration", check=key, status=str(record[key]))
+    for key, value in (("degenerate", fib.degenerate), ("dim_fiber", fib.fiber_dim),
+                       ("dim_base", fib.base_dim), ("h_dim", fib.h_dim)):
+        rep.emit(target=target, analysis="fibration", check=key, status=str(value))
     if fib.isotropy_discrete_proxy is not None:
         rep.emit(target=target, analysis="fibration", check="isotropy-discrete-proxy",
                  status="pass" if fib.isotropy_discrete_proxy else "fail")
-    for caveat in record["caveats"]:
+    for caveat in fib.caveats:
         rep.emit(target=target, analysis="fibration", check="caveat", status=caveat)
 
 

@@ -43,6 +43,7 @@ from .linalg import (
     combine_rows,
     dense,
     echelon,
+    intersect_spaces,
     kernel_rows,
     reduce_mod,
 )
@@ -178,9 +179,9 @@ class OrbitModel:
         if not is_subalgebra(self.ambient_real, self.isotropy_real, self.isotropy_generators):
             raise StructureError("isotropy rows are not a complex subalgebra")
 
-        jg = sparse_span(self.ambient_real, [j_apply(v, n) for v in real_vectors])
+        jg = [j_apply(v, n) for v in real_vectors]
         # J-stable as J(g ∩ Jg) = Jg ∩ g, an ideal as g is closed and the bracket C-bilinear
-        self.m = intersect(self.real_sub, jg)
+        self.m = Subspace(self.ambient_real, intersect_spaces(self.real_sub.echelon.values(), jg))
         # genericity: g + Jg, of dimension 2 dim g - dim m, must span the realified ambient
         if 2 * self.real_sub.dim - self.m.dim != n2:
             raise StructureError("real subalgebra is not generic: g + Jg is proper")
@@ -234,15 +235,6 @@ class FibrationReport(namedtuple(
     """Lie-algebra level data of the anticanonical fibration of an orbit model."""
 
     __slots__ = ()
-
-    def as_record(self):
-        return {
-            "degenerate": self.degenerate,
-            "dim_fiber": self.fiber_dim,
-            "dim_base": self.base_dim,
-            "h_dim": self.h_dim,
-            "caveats": list(self.caveats),
-        }
 
 
 def anticanonical_fibration(model: OrbitModel) -> FibrationReport:

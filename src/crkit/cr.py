@@ -14,8 +14,8 @@ Inside, vectors are sparse {index: coefficient} dicts and J is a sparse
 column map {j: {k: coeff}} with J e_j = sum coeff e_k; the axiom loops and
 the Levi form run on those.  A pair is built from that column map; the
 file format's dense J matrix is converted at the edge (matrix_columns),
-and dense tuples come back out only as witnesses, the Levi form matrices
-and j_matrix.
+and dense tuples come back out only as witnesses, the completed Levi form
+matrices, complement_rows and j_matrix.
 """
 
 from __future__ import annotations
@@ -258,22 +258,19 @@ def _integrability_witness(g, h, r, j, rows):
 
 
 class LeviReport(namedtuple(
-    "LeviReport",
-    "complement_rows value_indices form_matrices completed_matrices kernel nondegenerate "
-    "degenerate_domain",
+    "LeviReport", "value_indices completed_matrices kernel nondegenerate degenerate_domain"
 )):
     """The bracket-induced form on R/h with values in g/R, plus its kernel.
 
-    form_matrices[c][i][j] is the value-coordinate c of the raw form on
-    the complement basis pair (i, j); completed_matrices hold the
-    J-symmetrized scalar forms whose joint radical is the Levi kernel.
+    completed_matrices[c][i][j] is the value-coordinate c (value_indices[c]
+    of g) of the J-symmetrized form on the rows i, j of pair.complement in
+    pivot order; their joint radical is the Levi kernel.  For a pair that
+    passes the axioms they carry the raw form too: its value-coordinate c
+    on (i, j) is -sum_l C[j][l] completed[c][i][l], where
+    C[j][l] = pair.j[p_j].get(p_l, 0) and p_j is the pivot of row j.
     """
 
     __slots__ = ()
-
-    @property
-    def cr_rank(self):
-        return len(self.complement_rows) // 2
 
     @property
     def value_dim(self):
@@ -287,8 +284,10 @@ def levi_form(pair: CRPair) -> LeviReport:
     pivot-free complement of R in g.  Its J-compatible symmetrization
     S_c(xi, zeta) = (1/2) (lambda_c[xi, J zeta] + lambda_c[zeta, J xi])
     carries the kernel: a complement vector is in the Levi kernel iff it
-    is in the radical of every S_c.  levi_signature pairs the completed
-    forms with a codirection.
+    is in the radical of every S_c.  One bracket [xi, J zeta] per pair of
+    complement rows gives all of S; once the axioms hold,
+    lambda[xi, zeta] = -lambda[xi, J J zeta] is read off S through J.
+    levi_signature pairs the completed forms with a codirection.
     """
     return pair._levi
 
@@ -306,14 +305,9 @@ def _levi_form(pair):
         return {position[c]: x for c, x in r.reduce(v).items()}
 
     jimg = [pair.apply_j(v) for v in comp]
-    raw = [[lam(g.bracket(x, y)) for y in comp] for x in comp]
     # mixed[i][j] = lambda[comp_i, J comp_j], each bracket taken once
     mixed = [[lam(g.bracket(x, jy)) for jy in jimg] for x in comp]
     half = Fraction(1, 2)
-    form = tuple(
-        tuple(tuple(compact(raw[i][j].get(c, 0)) for j in range(m)) for i in range(m))
-        for c in range(k)
-    )
     completed = tuple(
         tuple(
             tuple(half * (mixed[i][j].get(c, 0) + mixed[j][i].get(c, 0)) for j in range(m))
@@ -324,9 +318,7 @@ def _levi_form(pair):
     # an empty value space (k = 0) leaves no conditions: the kernel is all of R/h
     images = [[sparse(completed[c][i]) for c in range(k)] for i in range(m)]
     kernel = Subspace(g, kernel_rows(comp, images))
-    return LeviReport(
-        pair.complement_rows, value_idx, form, completed, kernel, kernel.dim == 0, m == 0
-    )
+    return LeviReport(value_idx, completed, kernel, kernel.dim == 0, m == 0)
 
 
 class SignatureResult(namedtuple("SignatureResult", "normalized orderings")):
@@ -361,7 +353,7 @@ def levi_signature(pair: CRPair, codirection=None) -> SignatureResult:
         raise InputError(f"codirection must have length {k}")
     if not any(codirection):
         raise InputError("codirection must be nonzero")
-    m = len(report.complement_rows)
+    m = len(pair.complement)
     s = [[Fraction(0)] * m for _ in range(m)]
     for c in range(k):
         w = Fraction(codirection[c])

@@ -2,9 +2,10 @@
 
 A CatalogEntry packages an orbit model with the invariants the
 classification asserts for it (an Expected record) and derives its CR
-pair, fibration and fiber taxon on first use.  The CLI builds one for an
-orbit file without loading the catalog's builders; crkit.catalog
-re-exports every name here.  Layer functions are looked up on their
+pair, fibration and fiber taxon on first use.  A FiberTaxon is the tag and
+the context it was decided in; the fiber's and base's dimensions live on
+the FibrationReport.  The CLI builds an entry for an orbit file without
+loading the catalog's builders; crkit.catalog re-exports every name here.  Layer functions are looked up on their
 modules at call time, where perfbench/tracer.py wraps them.
 """
 
@@ -29,13 +30,13 @@ TAXONOMY_TAGS = (
 
 TaxonContext = namedtuple(
     "TaxonContext",
-    "center_acts unipotent_radical_acts series_tag sphere_base c_fiber_rule",
-    defaults=(False, False, None, False, False),
+    "unipotent_radical_acts series_tag sphere_base c_fiber_rule",
+    defaults=(False, None, False, False),
 )
-FiberTaxon = namedtuple("FiberTaxon", "tag fiber_dim base_dim context")
+FiberTaxon = namedtuple("FiberTaxon", "tag context")
 
 
-def classify_fiber(fiber, context: TaxonContext, base_dim=0) -> FiberTaxon:
+def classify_fiber(fiber, context: TaxonContext) -> FiberTaxon:
     """Coarse-invariant match of a fibration fiber against the taxonomy rows.
 
     Computable rows are decided by exact invariants (dimension, abelian /
@@ -46,21 +47,21 @@ def classify_fiber(fiber, context: TaxonContext, base_dim=0) -> FiberTaxon:
     if context.series_tag is not None:
         if context.series_tag not in TAXONOMY_TAGS:
             raise InputError(f"unknown taxonomy tag {context.series_tag!r}")
-        return FiberTaxon(context.series_tag, fiber.dim, base_dim, context)
+        return FiberTaxon(context.series_tag, context)
     if fiber.dim == 0:
-        return FiberTaxon("point", 0, base_dim, context)
+        return FiberTaxon("point", context)
     if context.unipotent_radical_acts and algebra.is_nilpotent(fiber):
-        return FiberTaxon("root-removed", fiber.dim, base_dim, context)
+        return FiberTaxon("root-removed", context)
     if algebra.is_abelian(fiber):
         if fiber.dim == 2:
-            return FiberTaxon("torus-principal", 2, base_dim, context)
+            return FiberTaxon("torus-principal", context)
         if fiber.dim == 1:
-            return FiberTaxon("linear-C*", 1, base_dim, context)
-        return FiberTaxon("outside-taxonomy", fiber.dim, base_dim, context)
+            return FiberTaxon("linear-C*", context)
+        return FiberTaxon("outside-taxonomy", context)
     perfect = algebra.derived_subalgebra(fiber).dim == fiber.dim
     if perfect and fiber.dim == 3 and algebra.radical(fiber).dim == 0:
-        return FiberTaxon("Sp-series", 3, base_dim, context)
-    return FiberTaxon("outside-taxonomy", fiber.dim, base_dim, context)
+        return FiberTaxon("Sp-series", context)
+    return FiberTaxon("outside-taxonomy", context)
 
 
 # Classification-asserted invariants; None means "not asserted".
@@ -94,6 +95,4 @@ class CatalogEntry:
 
     @cached_property
     def taxon(self):
-        return classify_fiber(
-            self.fibration.fiber_algebra, self.taxon_context, self.fibration.base_dim
-        )
+        return classify_fiber(self.fibration.fiber_algebra, self.taxon_context)

@@ -12,7 +12,8 @@ Three payload kinds, detected by their fields:
               rows in realified coordinates), isotropy_hat_basis (rows
               over Q_i), optional kahler flag and pi1 data
               ({"real": [rank, [torsion...]], "complex": [...],
-              "surjective": flag}, at most MAX_TORSION orders per list);
+              "surjective": flag}, nonnegative ranks, orders above 1, at most
+              MAX_TORSION orders per list, checked on load);
               a flag is JSON true or false, nothing else
 
 Scalars are exact strings "num/den"; Q(i) scalars are ["re", "im"] pairs
@@ -215,6 +216,9 @@ def load_pi1(raw):
         cplx = (raw["complex"][0], tuple(raw["complex"][1]))
     except (KeyError, TypeError, IndexError) as exc:
         raise InputError(f"bad pi1 data: {excerpt(repr(raw))}") from exc
+    # orbit files only: analysing an algebra file loads no orbit layer
+    from .globalize import Pi1Descriptor
+
     for rank, torsion in (real, cplx):
         if not (_is_int(rank) and all(_is_int(t) for t in torsion)):
             raise InputError(
@@ -224,6 +228,7 @@ def load_pi1(raw):
             raise InputError(
                 f"pi1 torsion list of length {len(torsion)} exceeds the limit of {MAX_TORSION}"
             )
+        Pi1Descriptor(rank, torsion)  # raises on a negative rank or an order below 2
     surjective = load_flag(raw, "surjective")
     return real, cplx, surjective
 

@@ -122,7 +122,7 @@ def entry_j_hat(entry) -> Subspace:
 # affine quadric involvement
 # ---------------------------------------------------------------------------
 
-def affine_quadric_involvement(fibration, taxon) -> bool:
+def affine_quadric_involvement(taxon) -> bool:
     """Is the two-dimensional affine quadric involved in the fiber?
 
     True for the symplectic series row (its fiber is the quadric itself),
@@ -148,8 +148,7 @@ NOT_DECIDABLE = "not-decidable-at-algebra-level"
 
 class GlobalizationVerdict(namedtuple(
     "GlobalizationVerdict",
-    "entry_name radical_abelian_on_base condition_c quadric_involved overall notes",
-    defaults=((),),
+    "radical_abelian_on_base condition_c quadric_involved overall notes",
 )):
     # radical_abelian_on_base is pass | fail, condition_c pass | weak-pass | fail | unknown
     __slots__ = ()
@@ -176,7 +175,7 @@ def verdict(entry) -> GlobalizationVerdict:
     if entry.pi1 is not None:
         real, cplx, flag = entry.pi1
         cc = condition_c_check(real, cplx, known_surjective=flag)
-    involved = affine_quadric_involvement(entry.fibration, entry.taxon)
+    involved = affine_quadric_involvement(entry.taxon)
     notes = []
 
     if entry.family == "p2r":
@@ -210,7 +209,6 @@ def verdict(entry) -> GlobalizationVerdict:
             notes.append(f"homotopy comparison: {cc}")
 
     return GlobalizationVerdict(
-        entry_name=entry.name,
         radical_abelian_on_base="pass" if radical_ok else "fail",
         condition_c=cc,
         quadric_involved=involved,

@@ -123,7 +123,11 @@ def echelon_rows(basis, ncols):
     return tuple(dense(row, ncols) for row in basis.values()), tuple(basis)
 
 
-def _residual(v, basis):
+def reduce_mod(v, basis):
+    """Residual of sparse v against a sparse echelon form {pivot: row}.
+
+    The residual is empty iff v is in the span.
+    """
     # reduced echelon rows vanish on each other's pivots, so only the
     # pivots in v's own support need clearing, in any order
     w = dict(v)
@@ -132,16 +136,8 @@ def _residual(v, basis):
     return w
 
 
-def reduce_mod(v, basis):
-    """Residual of sparse v against a sparse echelon form {pivot: row}.
-
-    The residual is empty iff v is in the span.
-    """
-    return _residual(v, basis)
-
-
 def in_span(v, basis):
-    return not _residual(v, basis)
+    return not reduce_mod(v, basis)
 
 
 def _tagged_echelon(rows):

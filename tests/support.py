@@ -20,7 +20,7 @@ from crkit.algebra import (
 )
 from crkit.catalog import _algebra_from_matrices, build_sl_complex, sp_real_basis_matrices
 from crkit.complexify import OrbitModel
-from crkit.cr import CRPair, apply_endo, matrix_columns
+from crkit.cr import CRPair, apply_endo, levi_form, matrix_columns
 from crkit.errors import InputError
 from crkit.fileio import algebra_payload
 from crkit.linalg import (
@@ -785,6 +785,26 @@ def complement_matrix(pair):
     images = [dense(pair.apply_j(sparse(c)), pair.g.dim) for c in comp]
     coords = dense_coordinates(comp, images) if comp else []
     return [[coords[i][k] for i in range(len(comp))] for k in range(len(comp))]
+
+
+def levi_raw_form(pair):
+    """The raw Levi form of a pair passing the axioms, read off levi_form through J.
+
+    J x_j = sum_l C[j][l] x_l mod h on the complement rows x, with
+    C[j][l] = pair.j[p_j].get(p_l, 0) at their pivots p, so
+    lambda[x_i, x_j] = -lambda[x_i, J J x_j] = -sum_l C[j][l] completed[i][l]
+    in each value coordinate.
+    """
+    pivots = list(pair.complement)
+    c = [[pair.j.get(p, {}).get(q, 0) for q in pivots] for p in pivots]
+    m = len(pivots)
+    return tuple(
+        tuple(
+            tuple(-sum(c[j][l] * mat[i][l] for l in range(m)) for j in range(m))
+            for i in range(m)
+        )
+        for mat in levi_form(pair).completed_matrices
+    )
 
 
 def pair_with_j(pair, on_h, on_comp):

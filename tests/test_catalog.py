@@ -1,3 +1,4 @@
+import copy
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,6 @@ from crkit.algebra import (
 from crkit.catalog import (
     MAX_AMBIENT_DIM,
     _FAMILIES,
-    Expected,
     _algebra_from_matrices,
     TaxonContext,
     TAXONOMY_TAGS,
@@ -366,18 +366,10 @@ def test_classify_fiber_series_tags():
 # ---------------------------------------------------------------------------
 
 def test_corrupted_expected_gives_exactly_one_mismatch():
-    e = quadric_orbit(2, 1)
-    bad = Expected(
-        codim=3,  # deliberately wrong
-        cr_type=e.expected.cr_type,
-        m_dim=e.expected.m_dim,
-        levi_signature_unordered=e.expected.levi_signature_unordered,
-        levi_degenerate_domain=e.expected.levi_degenerate_domain,
-        fiber_dim=e.expected.fiber_dim,
-        fiber_tag=e.expected.fiber_tag,
-        degenerate_fibration=e.expected.degenerate_fibration,
-    )
-    rep = verify_entry(e, expected=bad)
+    # a copy of the cached entry with its own record, one value deliberately wrong
+    e = copy.copy(quadric_orbit(2, 1))
+    e.expected = e.expected._replace(codim=3)
+    rep = verify_entry(e)
     assert not rep.ok
     assert len(rep.failures()) == 1
     assert rep.failures()[0].name == "codim"

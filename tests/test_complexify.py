@@ -324,15 +324,15 @@ def test_non_closed_real_rows_rejected():
 
 @pytest.mark.parametrize("name", ["quadric(2,1)", "sp_quadric(1,1)", "twisted(2)", "heis_solv"])
 def test_each_basis_is_eliminated_once(monkeypatch, name):
-    # the model: the real rows (its read-off Solver), ĥ and Jg once each,
-    # and h = g ∩ ĥ and m = g ∩ Jg two each (relations, then their span);
-    # an empty ĥ makes h without an elimination
+    # the model: the real rows (its read-off Solver) and ĥ once each, and
+    # h = g ∩ ĥ and m = g ∩ Jg two each (relations, then their span), m on
+    # the rows of Jg as they come; an empty ĥ makes h without an elimination
     entry = get_entry(name).model
     calls = []
     core = linalg._echelon
     monkeypatch.setattr(linalg, "_echelon", lambda rows: calls.append(1) or core(rows))
     model = OrbitModel(entry.ambient, entry.real_vectors, entry.isotropy_generators)
-    assert len(calls) == (7 if entry.isotropy_real.dim else 5)
+    assert len(calls) == (6 if entry.isotropy_real.dim else 4)
     # the pair: g + ĥ (its Solver), R's kernel two, h in g's coordinates one
     calls.clear()
     induced_cr_pair(model)
@@ -376,6 +376,7 @@ def test_normalizer_discrete_isotropy_is_everything():
     assert rep.base_dim == 0
     assert rep.fiber_dim == 1
     assert rep.isotropy_discrete_proxy is True
+    assert rep.h_dim == 0 and rep.caveats
 
 
 def test_normalizer_of_borel_is_borel():
@@ -387,14 +388,6 @@ def test_normalizer_of_borel_is_borel():
     assert not rep.degenerate
     assert rep.base_dim == 2
     assert rep.fiber_dim == 0  # j = h here
-
-
-def test_fibration_report_record_shape():
-    rep = anticanonical_fibration(circle_model())
-    rec = rep.as_record()
-    assert rec["degenerate"] is True
-    assert rec["dim_fiber"] == 1 and rec["dim_base"] == 0 and rec["h_dim"] == 0
-    assert rec["caveats"]
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from crkit.algebra import Subspace, abelian, full_space, heisenberg, span
+from crkit.algebra import LieAlgebra, Subspace, abelian, full_space, heisenberg, span
+from crkit.catalog import get_entry, quadric_orbit, verify_entry
 from crkit.cr import (
     CRPair,
     check_cr_pair,
@@ -12,6 +13,8 @@ from crkit.cr import (
     matrix_columns,
 )
 from crkit.errors import InputError, StructureError
+
+from .support import levi_raw_form
 
 F = Fraction
 
@@ -129,19 +132,21 @@ def test_cr_type_odd_rank_rejected():
 
 
 def test_levi_form_heisenberg_nondegenerate():
-    rep = levi_form(heisenberg_pair())
+    pair = heisenberg_pair()
+    rep = levi_form(pair)
     assert rep.value_dim == 1
-    assert rep.cr_rank == 1
+    assert cr_type(pair).l == 1
+    # psi[x, J x] = psi[x, y] = z and psi[y, J y] = -psi[y, x] = z
+    assert rep.completed_matrices[0] == ((F(1), F(0)), (F(0), F(1)))
     # psi[x, y] = z: the raw form matrix is the 2x2 antisymmetric unit
-    assert rep.form_matrices[0] == ((F(0), F(1)), (F(-1), F(0)))
+    assert levi_raw_form(pair)[0] == ((F(0), F(1)), (F(-1), F(0)))
     assert rep.kernel.dim == 0
     assert rep.nondegenerate and not rep.degenerate_domain
 
 
 def test_levi_form_antisymmetric_raw():
     for pair in (heisenberg_pair(), levi_flat_pair(), complex_structure_pair()):
-        rep = levi_form(pair)
-        for mat in rep.form_matrices:
+        for mat in levi_raw_form(pair):
             n = len(mat)
             for i in range(n):
                 for j in range(n):
@@ -149,17 +154,52 @@ def test_levi_form_antisymmetric_raw():
 
 
 def test_levi_form_flat():
-    rep = levi_form(levi_flat_pair())
-    assert all(all(all(x == 0 for x in row) for row in m) for m in rep.form_matrices)
+    pair = levi_flat_pair()
+    rep = levi_form(pair)
+    assert all(all(all(x == 0 for x in row) for row in m) for m in rep.completed_matrices)
+    assert all(all(all(x == 0 for x in row) for row in m) for m in levi_raw_form(pair))
     assert rep.kernel.dim == 2
     assert not rep.nondegenerate
 
 
 def test_levi_form_totally_real_flagged():
-    rep = levi_form(totally_real_pair())
+    pair = totally_real_pair()
+    rep = levi_form(pair)
     assert rep.degenerate_domain
     assert rep.nondegenerate  # vacuously
-    assert rep.cr_rank == 0
+    assert cr_type(pair).l == 0 and rep.completed_matrices == ((), ())
+
+
+def counted_brackets(monkeypatch):
+    """A list that grows by one on every LieAlgebra.bracket call."""
+    calls = []
+    core = LieAlgebra.bracket
+    monkeypatch.setattr(
+        LieAlgebra, "bracket", lambda g, x, y: calls.append(1) or core(g, x, y)
+    )
+    return calls
+
+
+@pytest.mark.parametrize("name", ["quadric(2,2)", "twisted(2)", "heisenberg"])
+def test_levi_form_takes_one_bracket_per_pair_of_complement_rows(monkeypatch, name):
+    # [x_i, J x_j] for every i, j, on a new pair since the Levi form is cached on its pair
+    if name == "heisenberg":
+        pair = heisenberg_pair()
+    else:
+        built = get_entry(name).cr_pair
+        pair = CRPair(built.g, built.h, built.r, built.j_raw)
+    calls = counted_brackets(monkeypatch)
+    levi_form(pair)
+    assert len(pair.complement) >= 2
+    assert len(calls) == len(pair.complement) ** 2
+
+
+def test_verify_entry_bracket_count(monkeypatch):
+    # a new quadric(4,3) took 2,248 brackets when the raw form had a pass of its own
+    entry = quadric_orbit.__wrapped__(4, 3)
+    calls = counted_brackets(monkeypatch)
+    assert verify_entry(entry).ok
+    assert len(calls) <= 2148
 
 
 def test_levi_kernel_matches_per_codirection_radicals():
@@ -168,7 +208,6 @@ def test_levi_kernel_matches_per_codirection_radicals():
 
     pair = heisenberg_pair()
     rep = levi_form(pair)
-    m = len(rep.complement_rows)
     radicals = None
     for mat in rep.completed_matrices:
         rad = left_nullspace([sparse(row) for row in mat])

@@ -1,5 +1,6 @@
 """Cross-module behaviors: products, normalizer collapse, exit codes."""
 
+import copy
 from fractions import Fraction
 
 from crkit.algebra import is_abelian, span
@@ -58,13 +59,15 @@ def test_radical_abelian_check_basis_invariant():
 
 def test_catalog_verify_mismatch_exits_1(monkeypatch, capsys):
     import crkit.catalog as catalog_mod
-    from crkit.catalog import Expected, verify_entry
+    from crkit.catalog import verify_entry
 
     real_verify = verify_entry
 
-    def corrupted_verify(entry, expected=None):
-        bad = Expected(codim=(entry.expected.codim or 0) + 1)
-        return real_verify(entry, expected=bad)
+    def corrupted_verify(entry):
+        # a copy, so the cached entry keeps its record
+        bad = copy.copy(entry)
+        bad.expected = entry.expected._replace(codim=(entry.expected.codim or 0) + 1)
+        return real_verify(bad)
 
     # the CLI imports verify_entry from crkit.catalog when the command runs
     monkeypatch.setattr(catalog_mod, "verify_entry", corrupted_verify)

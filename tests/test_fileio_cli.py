@@ -1,4 +1,5 @@
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,7 @@ from crkit.fileio import (
 from crkit.scalars import QI
 
 from .support import complexify_algebra, cr_pair_payload
-from .test_golden import FAMILY_SWEEP
+from .test_golden import FAMILY_SWEEP, GOLDEN
 
 F = Fraction
 
@@ -273,6 +274,23 @@ def test_pi1_torsion_list_is_capped(tmp_path, capsys):
     path = write(tmp_path, "longest_torsion.orbit", payload)
     assert main(["analyze", path, "--set", "globalize"]) == 0
     assert "condition-c: weak-pass" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("real, message", [
+    ([-1, []], "rank must be nonnegative"),
+    ([0, [1]], "torsion orders must exceed 1"),
+])
+@pytest.mark.parametrize("selected", [[], ["--set", "structure,levi"]], ids=["all", "set"])
+def test_malformed_pi1_exits_2_before_any_record(tmp_path, capsys, real, message, selected):
+    # the loader checks pi1, so an analysis that never reads it refuses the file too
+    with open(os.path.join(GOLDEN, "heis_solv_orbit.json"), encoding="utf-8") as fh:
+        payload = json.load(fh)
+    payload["pi1"] = {"real": real, "complex": [0, []]}
+    path = write(tmp_path, "bad_pi1.json", payload)
+    assert main(["analyze", path, *selected]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_analyze_structured_output_deterministic(tmp_path, capsys):

@@ -138,22 +138,21 @@ def test_entry_j_hat_matches_complex_construction():
 def test_affine_quadric_involvement_tags():
     from crkit.algebra import sl2, abelian
     from crkit.catalog import TaxonContext, classify_fiber
-    from crkit.complexify import FibrationReport
 
     sp_taxon = classify_fiber(sl2(), TaxonContext())
     assert sp_taxon.tag == "Sp-series"
-    assert affine_quadric_involvement(None, sp_taxon)
+    assert affine_quadric_involvement(sp_taxon)
 
     torus = classify_fiber(abelian(2), TaxonContext())
-    assert not affine_quadric_involvement(None, torus)
+    assert not affine_quadric_involvement(torus)
 
     so9 = classify_fiber(abelian(3), TaxonContext(series_tag="SO9-Spin7"))
-    assert not affine_quadric_involvement(None, so9)
+    assert not affine_quadric_involvement(so9)
 
     rank1_sphere = classify_fiber(
         abelian(3), TaxonContext(series_tag="rank1-symmetric", sphere_base=True)
     )
-    assert affine_quadric_involvement(None, rank1_sphere)
+    assert affine_quadric_involvement(rank1_sphere)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +215,7 @@ def test_not_decidable_set_matches_exceptions():
         v = verdict(e)
         if v.overall == NOT_DECIDABLE:
             bad.add(e.name)
-        expected_bad = e.family == "p2r" or affine_quadric_involvement(e.fibration, e.taxon)
+        expected_bad = e.family == "p2r" or affine_quadric_involvement(e.taxon)
         assert (v.overall == NOT_DECIDABLE) == expected_bad, e.name
     assert bad == {"p2r", "sl2_uz"}
 

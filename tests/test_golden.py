@@ -50,6 +50,8 @@ CASES = {
     "analyze_nonreal_orbit": ["analyze", "nonreal_orbit.json", "--format", "json"],
     # a point orbit: no real rows, so every Solver in the analyses is empty
     "analyze_point_orbit": ["analyze", "point_orbit.json", "--format", "json"],
+    # a negative pi1 rank: refused on load, before any record
+    "analyze_bad_pi1": ["analyze", "bad_pi1_orbit.json"],
 }
 # the orbit payload of every roster entry, isotropy rows included
 CASES.update(

@@ -33,6 +33,7 @@ from .support import (
     dense_bracket,
     dense_solve,
     form_value,
+    levi_raw_form,
     oracle_bracket,
     random_solvable,
     rebase,
@@ -171,8 +172,7 @@ def test_catalog_ncr_between_h_and_normalizer():
 def test_catalog_levi_raw_antisymmetry():
     for name in ("quadric(2,1)", "su2xs1_hopf", "twisted(1)"):
         e = get_entry(name)
-        rep = levi_form(e.cr_pair)
-        for mat in rep.form_matrices:
+        for mat in levi_raw_form(e.cr_pair):
             n = len(mat)
             for i in range(n):
                 for j in range(n):
