@@ -68,7 +68,6 @@ _EXPORTS = {
     "errors": ("CrkitError", "InputError", "InternalError", "StructureError"),
     "globalize": (
         "GlobalizationVerdict",
-        "Pi1Descriptor",
         "condition_c_check",
         "fine_classification_checks",
         "radical_abelian_check",

@@ -1,22 +1,22 @@
 """Classical matrix algebras and the shipped classification instances.
 
-Builders produce structure constants over Q or Q(i) from sparse matrix
-models.  The matrix models are sparse with Gaussian-integer entries held
-as (re, im) pairs of Python ints, so commutators run in integer
-arithmetic.  Coordinates are read off by one exact solve against the
-family's basis matrices (coordinate_read_off), which rejects any matrix
-outside their span; it returns {coordinate: value} in ascending
-coordinate order, over Q(i) the realified row.  Every constant and
+Every catalog matrix is sparse, {(row, col): (re, im)} with int parts,
+and lies in sl(n, C), whose constants are index formulas
+(build_sl_complex).  Its coordinates on the sl basis are read off by
+index (sl_coordinates), as the realified row {coordinate: value} in
+ascending coordinate order; a nonzero trace or an index past n is an
+internal error.  su(p, q) and sp(2m, C) are read off inside sl(n, C)
+with algebra.read_off_structure, and sp(p, q) rows are solved in the
+Solver of sp(2m, C)'s rows (sp_coordinates).  Every constant and
 isotropy entry the catalog produces is real, even for a complex algebra,
 and is stored as an int: no catalog value is a GaussianRational, and a
-nonreal constant or line stabilizer of a complex algebra is an internal
-error.  The orbit models' rows are built sparse, {index: int}, in
-realified coordinates: real rows in the matrix basis's order, so the
-real algebra the model reads off them has the matrix model's constants,
-and isotropy rows (real, so a complex row is its own realification),
-placed in a product ambient by index shifts.  No entry is built from a
-matrix-model real algebra: build_su, and the others in tests/support.py,
-are the tests' reference for those constants.
+nonreal line stabilizer is an internal error.  The orbit models' rows are
+built sparse, {index: int}, in realified coordinates: real rows in the
+matrix basis's order, so the real algebra the model reads off them has
+the matrix model's constants, and isotropy rows (real, so a complex row
+is its own realification), placed in a product ambient by index shifts.
+No entry is built from a matrix-model real algebra: build_su, and the
+others in tests/support.py, are the tests' reference for those constants.
 Each catalog entry packages an orbit model with the invariants the
 classification asserts for it; verify_entry recomputes everything
 derivable and diffs it against that record.
@@ -33,6 +33,8 @@ from .algebra import (
     heisenberg,
     product_space,
     radical,
+    read_off_structure,
+    realify,
 )
 from .complexify import OrbitModel, j_apply, place_row
 from .cr import check_cr_pair, cr_type, levi_form, levi_signature
@@ -45,9 +47,9 @@ from .entries import (  # the entry types, re-exported
     classify_fiber,
 )
 from .errors import InputError, InternalError, excerpt
-from .linalg import Solver, kernel_rows, sparse
+from .linalg import kernel_rows, sparse
 from .report import Check, Report
-from .scalars import QI, QQ, format_rational
+from .scalars import QI, format_rational
 
 _CACHE_SIZE = 16  # per parametrized builder; names reach them from user input
 
@@ -64,23 +66,6 @@ def _real(value):
     return re
 
 
-def mat_commutator(a, b):
-    """ab - ba in Gaussian-integer arithmetic."""
-    out = {}
-    for x, y, sign in ((a, b, 1), (b, a, -1)):
-        y_rows = {}
-        for (r, c), v in y.items():
-            y_rows.setdefault(r, []).append((c, v))
-        for (r, c), (xr, xi) in x.items():
-            for c2, (yr, yi) in y_rows.get(c, ()):
-                re, im = out.get((r, c2), (0, 0))
-                out[(r, c2)] = (
-                    re + sign * (xr * yr - xi * yi),
-                    im + sign * (xr * yi + xi * yr),
-                )
-    return {k: v for k, v in out.items() if v != (0, 0)}
-
-
 def mat_apply(mat, vec):
     """mat . vec for a vector of Gaussian-integer pairs."""
     out = [(0, 0)] * len(vec)
@@ -90,67 +75,6 @@ def mat_apply(mat, vec):
             re, im = out[r]
             out[r] = (re + mr * xr - mi * xi, im + mr * xi + mi * xr)
     return tuple(out)
-
-
-def _flatten(mat, n):
-    """Sparse rational vector of an n x n Gaussian-integer matrix.
-
-    The real and imaginary parts of entry (r, c) go to columns 2(r n + c)
-    and 2(r n + c) + 1.
-    """
-    out = {}
-    for (r, c), (re, im) in mat.items():
-        if not (0 <= r < n and 0 <= c < n):
-            raise InternalError("matrix lies outside the span of the basis matrices")
-        k = 2 * (r * n + c)
-        if re:
-            out[k] = re
-        if im:
-            out[k + 1] = im
-    return out
-
-
-def coordinate_read_off(mats, field):
-    """Exact coordinates of a matrix in the span of basis matrices, as a function.
-
-    Over Q the coordinates are {k: x} with mat = sum x_k b_k.  Over Q(i)
-    the solve runs against b_0 .. b_{N-1}, i b_0 .. i b_{N-1}, so its
-    {k: x} is the realified row: real parts at k < N, imaginary parts at
-    N + k.  Either way they come in ascending k, and a matrix outside the
-    span raises InternalError.
-    """
-    n = 1 + max(max(key) for m in mats for key in m)
-    rows = [_flatten(m, n) for m in mats]
-    if field == QI:
-        rows += [_flatten({k: (-im, re) for k, (re, im) in m.items()}, n) for m in mats]
-    solver = Solver(rows)
-
-    def coords(mat):
-        x = solver.solve(_flatten(mat, n))
-        if x is None:
-            raise InternalError("matrix lies outside the span of the basis matrices")
-        return x
-
-    return coords
-
-
-def _algebra_from_matrices(mats, names, field):
-    """Structure constants from basis matrices, read off their commutators.
-
-    Over Q(i) a coordinate at N or past it is an imaginary part, which
-    must vanish.
-    """
-    dim = len(mats)
-    coords = coordinate_read_off(mats, field)
-    brackets = {}
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            row = coords(mat_commutator(mats[a], mats[b]))
-            if any(k >= dim for k in row):
-                raise InternalError("complex catalog data must be real")
-            if row:
-                brackets[(a, b)] = row
-    return LieAlgebra(dim, field, names, brackets)
 
 
 # ---------------------------------------------------------------------------
@@ -164,23 +88,70 @@ def sl_basis_names(n):
 
 
 def sl_basis_matrices(n):
-    mats = [
-        {(a, b): (1, 0)}
-        for a in range(n)
-        for b in range(n)
-        if a != b
-    ]
+    mats = [{(a, b): (1, 0)} for a in range(n) for b in range(n) if a != b]
     for a in range(n - 1):
         mats.append({(a, a): (1, 0), (a + 1, a + 1): (-1, 0)})
     return mats
 
 
+def sl_coordinates(mat, n):
+    """Realified coordinates of a traceless n x n matrix on the sl(n, C) basis.
+
+    E_rc (r != c) is entry (r, c), and the diagonal d is sum h_k H_k with
+    h_k = d_0 + ... + d_k.  Returns {k: x} in ascending k: real parts at
+    k, imaginary parts at n^2 - 1 + k.  A nonzero trace or an index
+    outside 0 .. n - 1 raises InternalError.
+    """
+    coords = [(r * (n - 1) + c - (c > r), x) for (r, c), x in mat.items() if r != c]
+    h = (0, 0)
+    for k in range(n):
+        re, im = mat.get((k, k), (0, 0))
+        h = (h[0] + re, h[1] + im)
+        coords.append((n * (n - 1) + k, h))
+    # the last partial sum is the trace
+    if coords.pop()[1] != (0, 0) or not all(0 <= r < n and 0 <= c < n for r, c in mat):
+        raise InternalError(f"matrix lies outside sl({n}, C)")
+    out = {}
+    for k, (re, im) in coords:
+        if re:
+            out[k] = re
+        if im:
+            out[n * n - 1 + k] = im
+    return {k: out[k] for k in sorted(out)}
+
+
 @lru_cache(maxsize=_CACHE_SIZE)
 def build_sl_complex(n):
-    """sl(n, C) over Q(i), on the elementary/coroot basis."""
+    """sl(n, C) over Q(i), on the elementary/coroot basis.
+
+    The constants are index formulas: [E_ab, E_cd] = δ_bc E_ad - δ_da E_cb,
+    with E_aa - E_bb = H_a + ... + H_{b-1} for a < b, and
+    [E_ab, H_k] = ((H_k)_bb - (H_k)_aa) E_ab.  Each row is in ascending
+    coordinate order.
+    """
     if n < 2:
         raise InputError("sl needs n >= 2")
-    return _algebra_from_matrices(sl_basis_matrices(n), sl_basis_names(n), QI)
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    index = {ab: i for i, ab in enumerate(pairs)}
+    coroot = len(pairs)  # H_k is basis element coroot + k
+    brackets = {}
+    for i, (a, b) in enumerate(pairs):
+        for j in range(i + 1, coroot):
+            c, d = pairs[j]
+            if b == c and d == a:
+                lo, hi = sorted((a, b))
+                sign = 1 if a < b else -1
+                brackets[(i, j)] = {coroot + k: sign for k in range(lo, hi)}
+            elif b == c:
+                brackets[(i, j)] = {index[(a, d)]: 1}
+            elif d == a:
+                brackets[(i, j)] = {index[(c, b)]: -1}
+        for k in range(n - 1):
+            # (H_k)_jj is 1 at j = k and -1 at j = k + 1
+            x = (b == k) - (b == k + 1) - (a == k) + (a == k + 1)
+            if x:
+                brackets[(i, coroot + k)] = {i: x}
+    return LieAlgebra(coroot + n - 1, QI, sl_basis_names(n), brackets)
 
 
 def su_signs(p, q):
@@ -222,7 +193,13 @@ def build_su(p, q=0):
     """su(p, q) over Q, in the standard anti-hermitian matrix model."""
     if p + q < 2 or p < 0 or q < 0:
         raise InputError("su needs p, q >= 0 and p + q >= 2")
-    return _algebra_from_matrices(su_basis_matrices(p, q), su_names(p, q), QQ)
+    return read_off_in_sl(su_basis_matrices(p, q), p + q, su_names(p, q))
+
+
+def read_off_in_sl(mats, n, names):
+    """The real algebra of traceless n x n matrices, read off inside realify(sl(n, C))."""
+    rows = [sl_coordinates(x, n) for x in mats]
+    return read_off_structure(realify(build_sl_complex(n)), rows, names=names)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -258,11 +235,36 @@ def sp_names(m):
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def build_sp_complex(m):
-    """sp(2m, C) over Q(i), dimension m(2m + 1)."""
+def sp_complex_read_off(m):
+    """sp(2m, C) over Q(i), dimension m(2m + 1), read off inside sl(2m, C).
+
+    Returns the algebra and the Solver of its basis matrices' sl rows.
+    """
     if m < 1:
         raise InputError("sp needs m >= 1")
-    return _algebra_from_matrices(sp_complex_basis_matrices(m), sp_names(m), QI)
+    rows = [sl_coordinates(x, 2 * m) for x in sp_complex_basis_matrices(m)]
+    return read_off_structure(build_sl_complex(2 * m), rows, names=sp_names(m))
+
+
+def build_sp_complex(m):
+    """sp(2m, C) over Q(i), dimension m(2m + 1)."""
+    return sp_complex_read_off(m)[0]
+
+
+def sp_coordinates(mat, m):
+    """Realified coordinates of a 2m x 2m matrix on the sp(2m, C) basis.
+
+    Each part of its sl row is solved in the sp rows' Solver, and a matrix
+    outside sp(2m, C) raises InternalError.
+    """
+    algebra, solver = sp_complex_read_off(m)
+    row = sl_coordinates(mat, 2 * m)
+    sl_dim = 4 * m * m - 1
+    re = solver.solve({k: x for k, x in row.items() if k < sl_dim})
+    im = solver.solve({k - sl_dim: x for k, x in row.items() if k >= sl_dim})
+    if re is None or im is None:
+        raise InternalError(f"matrix lies outside sp({2 * m}, C)")
+    return {**re, **{algebra.dim + k: x for k, x in im.items()}}
 
 
 def sp_real_basis_matrices(p, q):
@@ -333,12 +335,6 @@ def line_stabilizer_rows(basis_mats, v):
     return list(kernel_rows(unit + [{}], images).values())
 
 
-def matrices_to_realified_rows(mats, ambient_mats):
-    """Realified coordinates of matrices in the complex span of the ambient's basis matrices."""
-    coords = coordinate_read_off(ambient_mats, QI)
-    return [coords(m) for m in mats]
-
-
 # ---------------------------------------------------------------------------
 # builders
 # ---------------------------------------------------------------------------
@@ -350,10 +346,9 @@ def quadric_orbit(p, q):
         raise InputError("quadric needs p, q >= 1")
     n1 = p + q
     ambient = build_sl_complex(n1)
-    sl_mats = sl_basis_matrices(n1)
-    real_rows = matrices_to_realified_rows(su_basis_matrices(p, q), sl_mats)
+    real_rows = [sl_coordinates(x, n1) for x in su_basis_matrices(p, q)]
     v = _unit_pairs(n1, 0, p)  # isotropic: +1 - 1 = 0
-    iso = line_stabilizer_rows(sl_mats, v)
+    iso = line_stabilizer_rows(sl_basis_matrices(n1), v)
     model = OrbitModel(ambient, real_rows, iso, name=f"quadric({p},{q})")
     n = 2 * n1 - 3
     l = n1 - 2
@@ -385,9 +380,8 @@ def sp_quadric_orbit(p, q):
         raise InputError("sp quadric needs p, q >= 1")
     m = p + q
     ambient = build_sp_complex(m)
-    sp_mats = sp_complex_basis_matrices(m)
-    real_rows = matrices_to_realified_rows(sp_real_basis_matrices(p, q), sp_mats)
-    iso = line_stabilizer_rows(sp_mats, _unit_pairs(2 * m, 0, p))
+    real_rows = [sp_coordinates(x, m) for x in sp_real_basis_matrices(p, q)]
+    iso = line_stabilizer_rows(sp_complex_basis_matrices(m), _unit_pairs(2 * m, 0, p))
     model = OrbitModel(ambient, real_rows, iso, name=f"sp_quadric({p},{q})")
     n = 4 * m - 3
     return CatalogEntry(
@@ -442,13 +436,6 @@ def real_projective_orbit():
     )
 
 
-def _conjugate_transpose_coords(n1):
-    """Realified coordinates of xi -> -conj(xi)^T on the sl basis, as columns."""
-    mats = sl_basis_matrices(n1)
-    coords = coordinate_read_off(mats, QI)
-    return [coords({(c, r): (-re, im) for (r, c), (re, im) in m.items()}) for m in mats]
-
-
 @lru_cache(maxsize=_CACHE_SIZE)
 def twisted_diagonal_orbit(n):
     """Closed orbit of the antiholomorphically twisted diagonal on P_n x P_n*."""
@@ -458,7 +445,11 @@ def twisted_diagonal_orbit(n):
     sl = build_sl_complex(n1)
     ambient = direct_sum(sl, sl)
     dim = sl.dim
-    phi_cols = _conjugate_transpose_coords(n1)
+    # realified coordinates of xi -> -conj(xi)^T on the sl basis, as columns
+    phi_cols = [
+        sl_coordinates({(c, r): (-re, im) for (r, c), (re, im) in x.items()}, n1)
+        for x in sl_basis_matrices(n1)
+    ]
 
     real_rows = []
     for a in range(dim):
@@ -497,8 +488,8 @@ def twisted_diagonal_orbit(n):
 
 def _su2_block_rows(total_cplx, offset):
     """Realified rows of su(2) placed in an sl2 block of a product ambient."""
-    rows = matrices_to_realified_rows(su_basis_matrices(2, 0), sl_basis_matrices(2))
-    return [place_row(v, 3, total_cplx, offset) for v in rows]
+    return [place_row(sl_coordinates(x, 2), 3, total_cplx, offset)
+            for x in su_basis_matrices(2, 0)]
 
 
 @lru_cache(maxsize=1)
@@ -669,7 +660,8 @@ ROSTER = (
 # dimension, that of sl(13, C) for the quadrics with p + q = 13: construction
 # and verification cost grows quickly with it.  The costliest entries
 # admitted, quadric(12,1), quadric(7,6) and sp_quadric(7,1), each take about
-# 0.3-0.5 CPU s to build and verify in-process on a shared 2-vCPU x86-64 VM.
+# 0.2-0.35 CPU s to build and verify in-process on a shared 2-vCPU x86-64 VM
+# (median 0.23-0.33 s of five fresh processes).
 MAX_AMBIENT_DIM = 168
 
 # (name prefix, builder, arity, complex ambient dimension)

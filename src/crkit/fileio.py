@@ -50,8 +50,9 @@ if TYPE_CHECKING:
 # unimodular basis, dimension 35, takes 0.13 s)
 MAX_DIMENSION = 128
 
-# longest pi1 torsion list accepted from a file: the invariant factors
-# take time quadratic in its length
+# longest pi1 torsion list accepted from a file: each order is only
+# checked, never combined with another, so this bounds the input's size,
+# not any computation
 MAX_TORSION = 256
 
 
@@ -216,9 +217,6 @@ def load_pi1(raw):
         cplx = (raw["complex"][0], tuple(raw["complex"][1]))
     except (KeyError, TypeError, IndexError) as exc:
         raise InputError(f"bad pi1 data: {excerpt(repr(raw))}") from exc
-    # orbit files only: analysing an algebra file loads no orbit layer
-    from .globalize import Pi1Descriptor
-
     for rank, torsion in (real, cplx):
         if not (_is_int(rank) and all(_is_int(t) for t in torsion)):
             raise InputError(
@@ -228,7 +226,10 @@ def load_pi1(raw):
             raise InputError(
                 f"pi1 torsion list of length {len(torsion)} exceeds the limit of {MAX_TORSION}"
             )
-        Pi1Descriptor(rank, torsion)  # raises on a negative rank or an order below 2
+        if rank < 0:
+            raise InputError("rank must be nonnegative")
+        if any(t <= 1 for t in torsion):
+            raise InputError("torsion orders must exceed 1")
     surjective = load_flag(raw, "surjective")
     return real, cplx, surjective
 

@@ -15,7 +15,6 @@ flag recorded on catalog entries.
 from __future__ import annotations
 
 from collections import namedtuple
-from math import gcd
 
 from .algebra import (
     Subspace,
@@ -32,45 +31,8 @@ from .report import Check, Report
 
 
 # ---------------------------------------------------------------------------
-# fundamental group descriptors
+# fundamental groups
 # ---------------------------------------------------------------------------
-
-def invariant_factors(torsion):
-    """Canonical divisor-chain form of a finite abelian torsion list.
-
-    Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b), so replacing each pair in
-    turn by its gcd and lcm keeps the group; after one pass over all
-    pairs every order divides the ones after it.  The 1s this leaves in
-    front are trivial summands and are dropped.  No order is factored.
-    """
-    factors = list(torsion)
-    if any(t <= 1 for t in factors):
-        raise InputError("torsion orders must exceed 1")
-    for i in range(len(factors)):
-        for j in range(i + 1, len(factors)):
-            a, b = factors[i], factors[j]
-            g = gcd(a, b)
-            factors[i], factors[j] = g, a // g * b
-    return tuple(t for t in factors if t > 1)
-
-
-class Pi1Descriptor(namedtuple("Pi1Descriptor", "rank torsion")):
-    """Finitely generated abelian group shape: free rank plus torsion chain."""
-
-    __slots__ = ()
-
-    def __new__(cls, rank, torsion=()):
-        if rank < 0:
-            raise InputError("rank must be nonnegative")
-        return super().__new__(cls, rank, invariant_factors(torsion))
-
-
-def descriptor(data) -> Pi1Descriptor:
-    if isinstance(data, Pi1Descriptor):
-        return data
-    rank, torsion = data
-    return Pi1Descriptor(rank, tuple(torsion))
-
 
 def condition_c_check(pi1_real, pi1_complex, known_surjective=False) -> str:
     """Three-way homotopy comparison: pass | weak-pass | fail.
@@ -80,9 +42,7 @@ def condition_c_check(pi1_real, pi1_complex, known_surjective=False) -> str:
     the rank inequality; without it only a finite cokernel is possible
     (weak-pass), which still globalizes after a finite quotient.
     """
-    real = descriptor(pi1_real)
-    cplx = descriptor(pi1_complex)
-    if real.rank < cplx.rank:
+    if pi1_real[0] < pi1_complex[0]:
         return "fail"
     if known_surjective:
         return "pass"

@@ -18,7 +18,7 @@ from crkit.algebra import (
     sparse_span,
     subalgebra_structure,
 )
-from crkit.catalog import _algebra_from_matrices, build_sl_complex, sp_real_basis_matrices
+from crkit.catalog import build_sl_complex, read_off_in_sl, sp_real_basis_matrices
 from crkit.complexify import OrbitModel
 from crkit.cr import CRPair, apply_endo, levi_form, matrix_columns
 from crkit.errors import InputError
@@ -363,45 +363,6 @@ def oracle_structure_constants(mats, size, field_is_complex):
             if row:
                 table[(a, b)] = row
     return table
-
-
-# ---------------------------------------------------------------------------
-# invariant factors by prime factorization
-# ---------------------------------------------------------------------------
-
-def _prime_factors(n):
-    out = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
-def factored_invariant_factors(torsion):
-    """Divisor chain of a torsion list from its primary decomposition.
-
-    Trial division, then the k-th factor is the product over primes of
-    their k-th largest exponent: a reference for small orders only.
-    """
-    by_prime = {}
-    for t in torsion:
-        for p, e in _prime_factors(t).items():
-            by_prime.setdefault(p, []).append(e)
-    slots = max((len(v) for v in by_prime.values()), default=0)
-    factors = []
-    for k in range(slots):
-        f = 1
-        for p, exps in by_prime.items():
-            exps_sorted = sorted(exps, reverse=True)
-            if k < len(exps_sorted):
-                f *= p ** exps_sorted[k]
-        factors.append(f)
-    return tuple(sorted(factors))
 
 
 # ---------------------------------------------------------------------------
@@ -898,7 +859,7 @@ def build_sp(p, q):
     """sp(p, q) over Q: the quaternionic unitary algebra, dim (p+q)(2(p+q)+1)."""
     m = p + q
     names = tuple(f"sp{k}" for k in range(m * (2 * m + 1)))
-    return _algebra_from_matrices(sp_real_basis_matrices(p, q), names, QQ)
+    return read_off_in_sl(sp_real_basis_matrices(p, q), 2 * m, names)
 
 
 def so_basis_matrices(n):
@@ -913,7 +874,7 @@ def so_basis_matrices(n):
 def build_so(n):
     """so(n) over Q on the elementary antisymmetric basis."""
     names = tuple(f"R{a}{b}" for a in range(n) for b in range(a + 1, n))
-    return _algebra_from_matrices(so_basis_matrices(n), names, QQ)
+    return read_off_in_sl(so_basis_matrices(n), n, names)
 
 
 def cr_pair_payload(pair):

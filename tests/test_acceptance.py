@@ -329,7 +329,7 @@ def test_criterion_randomized_kernel_suite():
         assert validate(L).ok
         r = radical(L)
         assert r.dim == L.dim
-        from crkit.algebra import derived_series, is_ideal
+        from crkit.algebra import is_ideal
 
         assert is_ideal(L, r)
         checks += 3

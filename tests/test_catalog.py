@@ -16,7 +16,6 @@ from crkit.algebra import (
 from crkit.catalog import (
     MAX_AMBIENT_DIM,
     _FAMILIES,
-    _algebra_from_matrices,
     TaxonContext,
     TAXONOMY_TAGS,
     build_sl_complex,
@@ -24,13 +23,15 @@ from crkit.catalog import (
     build_su,
     catalog_entries,
     classify_fiber,
-    coordinate_read_off,
     get_entry,
     line_stabilizer_rows,
     quadric_orbit,
     real_projective_orbit,
     sl_basis_matrices,
+    sl_coordinates,
     sp_complex_basis_matrices,
+    sp_complex_read_off,
+    sp_coordinates,
     sp_quadric_orbit,
     sp_real_basis_matrices,
     su_basis_matrices,
@@ -38,7 +39,7 @@ from crkit.catalog import (
     verify_entry,
 )
 from crkit.errors import InputError, InternalError
-from crkit.scalars import QI, QQ, GaussianRational
+from crkit.scalars import GaussianRational
 
 from .support import (
     build_sl_complex_as_real,
@@ -160,10 +161,10 @@ def test_sl_complex_constants_match_solver_oracle():
 
 
 ORACLE_CASES = (
-    [("sl", n) for n in (2, 3, 4)]
+    [("sl", n) for n in (2, 3, 4, 5, 7)]
     + [("su", pq) for pq in ((2, 0), (1, 1), (2, 1), (2, 2))]
     + [("so", n) for n in (3, 4, 5)]
-    + [("sp_complex", m) for m in (1, 2)]
+    + [("sp_complex", m) for m in (1, 2, 3)]
     + [("sp", pq) for pq in ((1, 1), (2, 0), (2, 1))]
 )
 
@@ -196,47 +197,34 @@ def test_builder_constants_match_solver_oracle(family, arg):
 
 
 READ_OFF_CASES = {
-    # a real part on an anti-hermitian diagonal
-    "su2-real-diagonal": (su_basis_matrices(2, 0), QQ, {(0, 0): (1, 1), (1, 1): (-1, -1)}, None),
-    "sp11-real-diagonal": (
-        sp_real_basis_matrices(1, 1), QQ, {(0, 0): (1, 1), (2, 2): (-1, -1)}, None,
-    ),
-    # a nonreal so coordinate
-    "so3-nonreal": (so_basis_matrices(3), QQ, {(0, 1): (0, 1), (1, 0): (0, -1)}, None),
-    # not antisymmetric, and not traceless: an entry-wise read-off takes
-    # these for {0: 1} and {}
-    "so3-not-antisymmetric": (so_basis_matrices(3), QQ, {(0, 1): (1, 0)}, None),
-    "sl3-trace-one": (sl_basis_matrices(3), QI, {(2, 2): (1, 0)}, None),
-    # an index past the basis matrices' size, whose flattened column would
-    # be that of entry (1, 0)
-    "sl2-index-out-of-range": (sl_basis_matrices(2), QI, {(0, 2): (1, 0)}, None),
-    # the imaginary diagonal itself reads off
-    "su2-imaginary-diagonal": (
-        su_basis_matrices(2, 0), QQ, {(0, 0): (0, 2), (1, 1): (0, -2)}, {0: 2},
-    ),
+    # a real, or an imaginary, nonzero trace: an entry-wise read-off of the
+    # off-diagonal entries and partial sums alone would take these for {}
+    "sl3-trace-one": (sl_coordinates, 3, {(2, 2): (1, 0)}, None),
+    "sl3-imaginary-trace": (sl_coordinates, 3, {(1, 1): (0, 1)}, None),
+    # an index past the matrix size, whose entry-wise index would be that
+    # of entry (1, 0)
+    "sl2-index-out-of-range": (sl_coordinates, 2, {(0, 2): (1, 0)}, None),
+    # the imaginary diagonal reads off as twice the imaginary part of H0
+    "su2-imaginary-diagonal": (sl_coordinates, 2, {(0, 0): (0, 2), (1, 1): (0, -2)}, {5: 2}),
+    # traceless, but not of the form [[A, 0], [0, -A^T]]
+    "sp11-real-diagonal": (sp_coordinates, 2, {(0, 0): (1, 0), (1, 1): (-1, 0)}, None),
+    # i (A00 - D00) is the first sp(1, 1) basis matrix: i times sp's first
+    "sp11-imaginary-diagonal": (sp_coordinates, 2, {(0, 0): (0, 1), (2, 2): (0, -1)}, {10: 1}),
 }
 
 
 @pytest.mark.parametrize("case", sorted(READ_OFF_CASES))
 def test_read_off_rejects_matrices_outside_the_algebra(case):
-    mats, field, mat, expected = READ_OFF_CASES[case]
-    coords = coordinate_read_off(mats, field)
+    coords, n, mat, expected = READ_OFF_CASES[case]
     if expected is None:
-        with pytest.raises(InternalError, match="outside the span"):
-            coords(mat)
+        with pytest.raises(InternalError, match="outside s[lp]"):
+            coords(mat, n)
     else:
-        assert coords(mat) == expected
+        assert coords(mat, n) == expected
 
 
 def test_complex_catalog_data_must_be_real():
-    # [E01, i E10] = i H0: a nonreal constant is an internal error
-    with pytest.raises(InternalError, match="must be real"):
-        _algebra_from_matrices(
-            [{(0, 1): (1, 0)}, {(1, 0): (0, 1)}, {(0, 0): (1, 0), (1, 1): (-1, 0)}],
-            ("a", "b", "c"),
-            QI,
-        )
-    # so is the stabilizer of a nonreal line
+    # the stabilizer of a nonreal line is an internal error
     with pytest.raises(InternalError):
         line_stabilizer_rows(sl_basis_matrices(2), ((1, 0), (0, 1)))
     for L in (build_sl_complex(4), build_sp_complex(2)):
@@ -244,7 +232,7 @@ def test_complex_catalog_data_must_be_real():
 
 
 def test_parametrized_builders_have_bounded_caches():
-    for fn in (build_sl_complex, build_su, build_sp_complex, quadric_orbit,
+    for fn in (build_sl_complex, build_su, sp_complex_read_off, quadric_orbit,
                sp_quadric_orbit, twisted_diagonal_orbit):
         assert fn.cache_info().maxsize is not None, fn.__name__
 

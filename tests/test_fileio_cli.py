@@ -4,10 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from crkit.algebra import heisenberg, sl2, validate
+from crkit.algebra import heisenberg, sl2
 from crkit.catalog import ROSTER, get_entry, quadric_orbit
 from crkit.cli import main
-from crkit.cr import CRPair
 from crkit.errors import InputError
 from crkit.fileio import (
     MAX_DIMENSION,

@@ -1,8 +1,6 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from crkit.algebra import LieAlgebra, direct_sum, full_space, heisenberg, radical, sl2, span
 from crkit.catalog import (
@@ -16,22 +14,21 @@ from crkit.catalog import (
 )
 from crkit.complexify import j_apply, realify
 from crkit.errors import InputError
+from crkit.fileio import load_pi1
 from crkit.globalize import (
     GLOBALIZABLE,
     GLOBALIZABLE_FINITE,
     NOT_DECIDABLE,
-    Pi1Descriptor,
     affine_quadric_involvement,
     condition_c_check,
     entry_j_hat,
     fine_classification_checks,
-    invariant_factors,
     radical_abelian_check,
     verdict,
 )
 from crkit.scalars import QI, GaussianRational
 
-from .support import complex_j_hat_rows, complex_rows_realified, factored_invariant_factors
+from .support import complex_j_hat_rows, complex_rows_realified
 
 F = Fraction
 G = GaussianRational
@@ -41,33 +38,13 @@ G = GaussianRational
 # descriptors
 # ---------------------------------------------------------------------------
 
-def test_invariant_factors_canonical():
-    assert invariant_factors(()) == ()
-    assert invariant_factors((2, 3)) == (6,)
-    assert invariant_factors((4, 6)) == (2, 12)
-    assert invariant_factors((2, 2, 3)) == (2, 6)
-    chain = invariant_factors((8, 12, 10, 9))
-    for a, b in zip(chain, chain[1:]):
-        assert b % a == 0
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(2, 10**4), max_size=6))
-def test_invariant_factors_match_factored_oracle(torsion):
-    assert invariant_factors(torsion) == factored_invariant_factors(torsion)
-
-
-def test_invariant_factors_need_no_factoring():
-    big = 1000000000000000003  # prime
-    assert invariant_factors((big,)) == (big,)
-    assert invariant_factors((big * 4, 6)) == (2, big * 12)
-
-
 def test_descriptor_validation():
-    with pytest.raises(InputError):
-        Pi1Descriptor(-1)
-    with pytest.raises(InputError):
-        Pi1Descriptor(0, (1,))
+    # both groups are checked on load: a negative rank, an order below 2
+    with pytest.raises(InputError, match="rank must be nonnegative"):
+        load_pi1({"real": [0, []], "complex": [-1, []]})
+    with pytest.raises(InputError, match="torsion orders must exceed 1"):
+        load_pi1({"real": [0, []], "complex": [1, [2, 1]]})
+    assert load_pi1({"real": [1, [4, 6]], "complex": [0, []]}) == ((1, (4, 6)), (0, ()), False)
 
 
 def test_condition_c_rank_rule():

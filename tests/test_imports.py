@@ -5,7 +5,8 @@ and the CLI imports the catalog, CR and globalization layers only in the
 commands that need them.  Each of those checks runs in a new interpreter,
 because this test process has long since imported every layer.  The
 public names are README's "Library use" list, and every other public
-function or class in ``src/crkit`` has a use inside the package.
+function or class in ``src/crkit`` has a use inside the package.  Every
+name a test module imports is read somewhere in that module.
 """
 
 import ast
@@ -114,7 +115,7 @@ def test_every_public_name_resolves_to_its_submodule_object():
     )
     # importing the package loads no layer; every name is still reachable
     assert result["bare"] == []
-    assert len(result["names"]) == len(set(result["names"])) == 55
+    assert len(result["names"]) == len(set(result["names"])) == 54
     assert result["moved"] == []
     assert result["star"] == sorted(result["names"])
     assert result["dir"]
@@ -170,4 +171,26 @@ def test_every_public_definition_has_a_use_in_the_package():
     assert definitions, package
     unused = [d for d in definitions
               if d.split(".")[1] not in used and d.split(".")[1] not in crkit.__all__]
+    assert unused == []
+
+
+def test_test_modules_use_every_name_they_import():
+    # no linter runs in CI, so an import a test module never reads fails here
+    tests = os.path.dirname(os.path.abspath(__file__))
+    unused = []
+    for filename in sorted(os.listdir(tests)):
+        if not filename.endswith(".py"):
+            continue
+        with open(os.path.join(tests, filename), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{filename}:{line} {name}" for name, line in imported.items()
+                   if name not in read]
     assert unused == []

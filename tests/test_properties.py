@@ -22,7 +22,7 @@ from crkit.algebra import (
 from crkit.catalog import build_sl_complex, build_su, catalog_entries, get_entry
 from crkit.complexify import complex_generators, j_apply, realify
 from crkit.cr import CRPair, apply_endo, check_cr_pair, cr_type, levi_form, levi_signature
-from crkit.globalize import condition_c_check, invariant_factors
+from crkit.globalize import condition_c_check
 from crkit.linalg import Solver, dense, sparse
 from crkit.scalars import QQ, GaussianRational as G
 
@@ -127,21 +127,6 @@ def test_quotient_by_derived_validates(seed):
 def test_condition_c_fail_iff_rank_drop(t1, t2, r1, r2):
     result = condition_c_check((r1, tuple(t1)), (r2, tuple(t2)))
     assert (result == "fail") == (r1 < r2)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.integers(min_value=2, max_value=80), max_size=5))
-def test_invariant_factors_divisor_chain(torsion):
-    chain = invariant_factors(tuple(torsion))
-    prod = 1
-    for c in chain:
-        prod *= c
-    target = 1
-    for t in torsion:
-        target *= t
-    assert prod == target
-    for a, b in zip(chain, chain[1:]):
-        assert b % a == 0
 
 
 # ---------------------------------------------------------------------------
