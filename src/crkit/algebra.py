@@ -449,10 +449,6 @@ def is_solvable(L):
     return derived_series(L)[-1].dim == 0
 
 
-def is_nilpotent(L):
-    return lower_central_series(L)[-1].dim == 0
-
-
 def is_abelian(L):
     return not L.brackets
 

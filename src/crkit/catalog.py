@@ -24,6 +24,7 @@ derivable and diffs it against that record.
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 
 from .algebra import (
@@ -38,14 +39,7 @@ from .algebra import (
 )
 from .complexify import OrbitModel, j_apply, place_row
 from .cr import check_cr_pair, cr_type, levi_form, levi_signature
-from .entries import (  # the entry types, re-exported
-    TAXONOMY_TAGS,
-    CatalogEntry,
-    Expected,
-    FiberTaxon,
-    TaxonContext,
-    classify_fiber,
-)
+from .entries import CatalogEntry, Expected, classify_fiber  # re-exported
 from .errors import InputError, InternalError, excerpt
 from .linalg import kernel_rows, sparse
 from .report import Check, Report
@@ -575,7 +569,7 @@ def sl2_uz_entry():
         ),
         pi1=((0, ()), (1, ()), False),
         compact_group=True,
-        taxon_context=TaxonContext(c_fiber_rule=True),
+        quadric_refibers=True,
         notes=(
             "unipotent-integral quotient model; the plane fiber refibers over a "
             "projective line with affine-quadric fibers",
@@ -639,6 +633,16 @@ def complex_torus_entry():
 # roster and lookup
 # ---------------------------------------------------------------------------
 
+# the unparametrized entries by name, in roster order
+_PLAIN = {
+    "p2r": real_projective_orbit,
+    "su2xsu2_torus": torus_bundle_entry,
+    "su2xs1_hopf": hopf_circle_entry,
+    "sl2_uz": sl2_uz_entry,
+    "heis_solv": heisenberg_solv_entry,
+    "c2_torus": complex_torus_entry,
+}
+
 ROSTER = (
     "quadric(1,1)",
     "quadric(2,1)",
@@ -647,12 +651,7 @@ ROSTER = (
     "sp_quadric(1,1)",
     "twisted(1)",
     "twisted(2)",
-    "p2r",
-    "su2xsu2_torus",
-    "su2xs1_hopf",
-    "sl2_uz",
-    "heis_solv",
-    "c2_torus",
+    *_PLAIN,
 )
 
 
@@ -679,25 +678,19 @@ def _parse_params(text, arity, name):
     parts = [p.strip() for p in inner[1:-1].split(",")]
     if len(parts) != arity:
         raise InputError(f"{name} takes {arity} parameters")
-    try:
-        return tuple(int(p) for p in parts)
-    except ValueError as exc:
-        raise InputError(f"bad integer parameters {excerpt(repr(text))}") from exc
+    if all(re.fullmatch(r"-?[0-9]+", p) for p in parts):
+        try:
+            return tuple(int(p) for p in parts)
+        except ValueError:  # more digits than int_max_str_digits
+            pass
+    raise InputError(f"bad integer parameters {excerpt(repr(text))}")
 
 
 def get_entry(name: str) -> CatalogEntry:
     """Look up or construct a catalog entry by name (parametrized allowed)."""
-    plain = {
-        "p2r": real_projective_orbit,
-        "su2xsu2_torus": torus_bundle_entry,
-        "su2xs1_hopf": hopf_circle_entry,
-        "sl2_uz": sl2_uz_entry,
-        "heis_solv": heisenberg_solv_entry,
-        "c2_torus": complex_torus_entry,
-    }
     key = name.strip()
-    if key in plain:
-        return plain[key]()
+    if key in _PLAIN:
+        return _PLAIN[key]()
     for prefix, builder, arity, ambient_dim in _FAMILIES:
         if key.startswith(prefix):
             params = _parse_params(key[len(prefix):], arity, prefix)
@@ -762,7 +755,7 @@ def verify_entry(entry: CatalogEntry) -> Report:
     if exp.fiber_dim is not None:
         compare("fiber_dim", exp.fiber_dim, fib.fiber_dim)
     if exp.fiber_tag is not None:
-        compare("fiber_tag", exp.fiber_tag, entry.taxon.tag)
+        compare("fiber_tag", exp.fiber_tag, entry.taxon)
 
     if exp.orbit_dim is not None:
         compare("orbit_dim", exp.orbit_dim, model.real_sub.dim - model.h.dim)

@@ -7,7 +7,8 @@ Exit codes: 0 = ran (axiom failures are report content, not errors),
 1 = catalog verification mismatch, 2 = bad input, 3 = internal invariant
 breach (never expected).  Structured output is line-delimited JSON with a
 stable schema tag and sorted keys, so byte-identical inputs give
-byte-identical output.
+byte-identical output.  analyze runs the entry analyses of an orbit file
+on the CatalogEntry that fileio.load_file builds from it.
 """
 
 from __future__ import annotations
@@ -204,28 +205,13 @@ def _globalize_records(rep, target, entry):
         rep.emit(target=target, analysis="globalize", check="note", status=note)
 
 
-def _entry_from_payload(model, payload):
-    from .entries import CatalogEntry, Expected
-    from .fileio import load_flag, load_pi1
-
-    return CatalogEntry(
-        name=model.name or "orbit",
-        family="file",
-        params=(),
-        model=model,
-        expected=Expected(),
-        pi1=load_pi1(payload.get("pi1")),
-        kahler=load_flag(payload, "kahler"),
-    )
-
-
 def cmd_analyze(args, rep):
     from .algebra import validate
     from .fileio import load_file
 
     selected = ANALYSES if args.set is None else tuple(args.set)
     for path in args.files:
-        kind, obj, payload = load_file(path)
+        kind, obj = load_file(path)
         target = path
         if kind == "algebra":
             applicable = ("validate", "structure")
@@ -238,7 +224,7 @@ def cmd_analyze(args, rep):
             entry = None
         else:
             applicable = ANALYSES
-            entry = _entry_from_payload(obj, payload)
+            entry = obj
             L = entry.model.ambient
             pair = None
         todo = [a for a in ANALYSES if a in selected and a in applicable]

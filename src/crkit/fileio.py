@@ -14,7 +14,8 @@ Three payload kinds, detected by their fields:
               ({"real": [rank, [torsion...]], "complex": [...],
               "surjective": flag}, nonnegative ranks, orders above 1, at most
               MAX_TORSION orders per list, checked on load);
-              a flag is JSON true or false, nothing else
+              a flag is JSON true or false, nothing else.  load_file
+              reads an orbit file as a CatalogEntry.
 
 Scalars are exact strings "num/den"; Q(i) scalars are ["re", "im"] pairs
 of such strings (a bare string means a real value).  These are the
@@ -123,6 +124,8 @@ def load_algebra(payload) -> LieAlgebra:
                 raise InputError(
                     f"bracket target index must be an integer, got {excerpt(repr(k))}"
                 )
+            if k in row:
+                raise InputError(f"duplicate bracket target index {excerpt(str(k))} in {pair}")
             row[k] = parse_scalar(literal, field)
         if (i, j) in brackets:
             raise InputError(f"duplicate bracket entry for {pair}")
@@ -265,7 +268,9 @@ def detect_kind(payload) -> str:
 
 
 def load_file(path):
-    """(kind, loaded object(s)) for a structured input file."""
+    """(kind, object) for a structured input file: a LieAlgebra, an (algebra,
+    CRPair) pair, or an orbit file's CatalogEntry, which asserts no invariants.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -279,7 +284,12 @@ def load_file(path):
         raise InputError(f"bad JSON in {path}: nested too deeply") from exc
     kind = detect_kind(payload)
     if kind == "algebra":
-        return kind, load_algebra(payload), payload
+        return kind, load_algebra(payload)
     if kind == "cr-pair":
-        return kind, load_cr_pair(payload), payload
-    return kind, load_orbit_model(payload), payload
+        return kind, load_cr_pair(payload)
+    from .entries import CatalogEntry, Expected
+
+    model = load_orbit_model(payload)  # a bad model is reported before bad pi1 data
+    return kind, CatalogEntry(model.name or "orbit", "file", (), model, Expected(),
+                              pi1=load_pi1(payload.get("pi1")),
+                              kahler=load_flag(payload, "kahler"))

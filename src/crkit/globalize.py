@@ -82,19 +82,14 @@ def entry_j_hat(entry) -> Subspace:
 # affine quadric involvement
 # ---------------------------------------------------------------------------
 
-def affine_quadric_involvement(taxon) -> bool:
-    """Is the two-dimensional affine quadric involved in the fiber?
+def affine_quadric_involvement(entry) -> bool:
+    """Is the two-dimensional affine quadric involved in the entry's fiber?
 
-    True for the symplectic series row (its fiber is the quadric itself),
-    for a rank-one symmetric fiber over sphere data, and for plane fibers
-    that refiber over a projective line with quadric fibers (recorded as
-    a context flag by the instance constructors).
+    True for the symplectic series row, whose fiber is the quadric itself,
+    and for a fiber that refibers over a projective line with quadric
+    fibers, which the entry records (quadric_refibers).
     """
-    if taxon.tag == "Sp-series":
-        return True
-    if taxon.tag == "rank1-symmetric" and taxon.context.sphere_base:
-        return True
-    return bool(taxon.context.c_fiber_rule)
+    return entry.taxon == "Sp-series" or entry.quadric_refibers
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +130,7 @@ def verdict(entry) -> GlobalizationVerdict:
     if entry.pi1 is not None:
         real, cplx, flag = entry.pi1
         cc = condition_c_check(real, cplx, known_surjective=flag)
-    involved = affine_quadric_involvement(entry.taxon)
+    involved = affine_quadric_involvement(entry)
     notes = []
 
     if entry.family == "p2r":

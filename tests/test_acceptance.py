@@ -235,7 +235,7 @@ def test_criterion_condition_c_boundary():
         v = verdict(e)
         if v.overall == NOT_DECIDABLE:
             not_decidable.add(e.name)
-        if e.family == "p2r" or affine_quadric_involvement(e.taxon):
+        if e.family == "p2r" or affine_quadric_involvement(e):
             expected_not_decidable.add(e.name)
     ok = failing_pairs == {((0, ()), (1, ()))} and not_decidable == expected_not_decidable
     report(

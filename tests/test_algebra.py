@@ -20,7 +20,6 @@ from crkit.algebra import (
     intersect,
     is_abelian,
     is_ideal,
-    is_nilpotent,
     is_solvable,
     is_subalgebra,
     killing_form,
@@ -257,7 +256,7 @@ def test_series_heisenberg():
     ds = derived_series(L)
     assert [s.dim for s in ds] == [3, 1, 0]
     assert ds[1].rows == ((F(0), F(0), F(1)),)
-    assert is_solvable(L) and is_nilpotent(L)
+    assert is_solvable(L) and lower_central_series(L)[-1].dim == 0
     assert [s.dim for s in lower_central_series(L)] == [3, 1, 0]
 
 

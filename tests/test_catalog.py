@@ -16,8 +16,6 @@ from crkit.algebra import (
 from crkit.catalog import (
     MAX_AMBIENT_DIM,
     _FAMILIES,
-    TaxonContext,
-    TAXONOMY_TAGS,
     build_sl_complex,
     build_sp_complex,
     build_su,
@@ -315,38 +313,13 @@ def test_twisted_entries():
 # taxonomy
 # ---------------------------------------------------------------------------
 
-def test_taxonomy_tag_universe():
-    assert TAXONOMY_TAGS == (
-        "torus-principal",
-        "linear-C*",
-        "root-removed",
-        "rank1-symmetric",
-        "rank2-symmetric",
-        "SL_m-series",
-        "Sp-series",
-        "SO9-Spin7",
-    )
-
-
 def test_classify_fiber_computable_rows():
-    ctx = TaxonContext()
-    assert classify_fiber(abelian(2), ctx).tag == "torus-principal"
-    assert classify_fiber(abelian(1), ctx).tag == "linear-C*"
-    assert classify_fiber(sl2(), ctx).tag == "Sp-series"
-    assert classify_fiber(abelian(0), ctx).tag == "point"
-    assert classify_fiber(abelian(4), ctx).tag == "outside-taxonomy"
-    assert (
-        classify_fiber(heisenberg(), TaxonContext(unipotent_radical_acts=True)).tag
-        == "root-removed"
-    )
-    assert classify_fiber(heisenberg(), ctx).tag == "outside-taxonomy"
-
-
-def test_classify_fiber_series_tags():
-    ctx = TaxonContext(series_tag="SO9-Spin7")
-    assert classify_fiber(abelian(3), ctx).tag == "SO9-Spin7"
-    with pytest.raises(InputError):
-        classify_fiber(abelian(3), TaxonContext(series_tag="bogus"))
+    assert classify_fiber(abelian(2)) == "torus-principal"
+    assert classify_fiber(abelian(1)) == "linear-C*"
+    assert classify_fiber(sl2()) == "Sp-series"
+    assert classify_fiber(abelian(0)) == "point"
+    assert classify_fiber(abelian(4)) == "outside-taxonomy"
+    assert classify_fiber(heisenberg()) == "outside-taxonomy"
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +367,11 @@ def test_get_entry_parsing():
         get_entry("quadric(2)")
     with pytest.raises(InputError):
         get_entry("nonsense")
+    # parameters are -?[0-9]+ in ASCII: int() alone would read a fullwidth or
+    # Arabic-Indic digit, an underscore or a plus sign
+    for name in ("quadric(\uff12,1)", "quadric(2,1_0)", "quadric(+1, 1)", "twisted(\u0661)"):
+        with pytest.raises(InputError, match="^bad integer parameters"):
+            get_entry(name)
 
 
 def test_product_entry_codim_additivity():

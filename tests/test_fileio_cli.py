@@ -70,6 +70,10 @@ def test_algebra_loader_rejects_bad_scalar_and_duplicates():
     payload["brackets"] = [[0, 1, [[2, "1"]]], [0, 1, [[2, "2"]]]]
     with pytest.raises(InputError):
         load_algebra(payload)
+    # two terms for z in [x, y]: neither is kept silently
+    payload["brackets"] = [[0, 1, [[2, "1"], [2, "5"]]]]
+    with pytest.raises(InputError, match=r"^duplicate bracket target index 2 in \(0, 1\)$"):
+        load_algebra(payload)
 
 
 def test_gaussian_algebra_payload():

@@ -4,6 +4,7 @@ import pytest
 
 from crkit.algebra import LieAlgebra, direct_sum, full_space, heisenberg, radical, sl2, span
 from crkit.catalog import (
+    ROSTER,
     CatalogEntry,
     build_sl_complex,
     catalog_entries,
@@ -113,23 +114,20 @@ def test_entry_j_hat_matches_complex_construction():
 # ---------------------------------------------------------------------------
 
 def test_affine_quadric_involvement_tags():
-    from crkit.algebra import sl2, abelian
-    from crkit.catalog import TaxonContext, classify_fiber
+    from types import SimpleNamespace
 
-    sp_taxon = classify_fiber(sl2(), TaxonContext())
-    assert sp_taxon.tag == "Sp-series"
-    assert affine_quadric_involvement(sp_taxon)
+    from crkit.algebra import abelian
+    from crkit.catalog import classify_fiber
 
-    torus = classify_fiber(abelian(2), TaxonContext())
-    assert not affine_quadric_involvement(torus)
+    def involved(fiber, quadric_refibers=False):
+        entry = SimpleNamespace(taxon=classify_fiber(fiber), quadric_refibers=quadric_refibers)
+        return affine_quadric_involvement(entry)
 
-    so9 = classify_fiber(abelian(3), TaxonContext(series_tag="SO9-Spin7"))
-    assert not affine_quadric_involvement(so9)
-
-    rank1_sphere = classify_fiber(
-        abelian(3), TaxonContext(series_tag="rank1-symmetric", sphere_base=True)
-    )
-    assert affine_quadric_involvement(rank1_sphere)
+    assert involved(sl2())
+    assert not involved(abelian(2))
+    assert involved(abelian(2), quadric_refibers=True)
+    on_roster = {name for name in ROSTER if affine_quadric_involvement(get_entry(name))}
+    assert on_roster == {"sl2_uz"}
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +176,7 @@ def test_verdict_monotone_in_condition_c():
     def with_pi1(pi1):
         return CatalogEntry(
             base.name, base.family, base.params, base.model, base.expected, pi1,
-            base.compact_group, base.kahler, base.taxon_context, base.notes,
+            base.compact_group, base.kahler, base.quadric_refibers, base.notes,
         )
 
     weak = with_pi1((base.pi1[0], base.pi1[1], False))
@@ -192,7 +190,7 @@ def test_not_decidable_set_matches_exceptions():
         v = verdict(e)
         if v.overall == NOT_DECIDABLE:
             bad.add(e.name)
-        expected_bad = e.family == "p2r" or affine_quadric_involvement(e.taxon)
+        expected_bad = e.family == "p2r" or affine_quadric_involvement(e)
         assert (v.overall == NOT_DECIDABLE) == expected_bad, e.name
     assert bad == {"p2r", "sl2_uz"}
 

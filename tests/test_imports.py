@@ -5,8 +5,9 @@ and the CLI imports the catalog, CR and globalization layers only in the
 commands that need them.  Each of those checks runs in a new interpreter,
 because this test process has long since imported every layer.  The
 public names are README's "Library use" list, and every other public
-function or class in ``src/crkit`` has a use inside the package.  Every
-name a test module imports is read somewhere in that module.
+function, class or module-level assignment in ``src/crkit`` has a use
+inside the package.  Every name a test module imports is read somewhere
+in that module.
 """
 
 import ast
@@ -147,10 +148,19 @@ def test_readme_lists_exactly_the_exported_names():
     assert listed == {module: sorted(names) for module, names in crkit._EXPORTS.items()}
 
 
+def top_level_names(node):
+    """The names a module-level def, class or assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, ast.Assign):
+        return {t.id for t in node.targets if isinstance(t, ast.Name)}
+    return set()
+
+
 def test_every_public_definition_has_a_use_in_the_package():
-    # a public top-level function or class is exported, or something in
-    # src/crkit other than its own definition refers to it; code only the
-    # tests use belongs in tests/support.py
+    # a public top-level function, class, record or constant is exported, or
+    # something in src/crkit other than its own definition refers to it; code
+    # only the tests use belongs in tests/support.py
     package = os.path.dirname(os.path.abspath(crkit.__file__))
     definitions, used = [], set()
     for filename in sorted(os.listdir(package)):
@@ -159,14 +169,12 @@ def test_every_public_definition_has_a_use_in_the_package():
         with open(os.path.join(package, filename), encoding="utf-8") as fh:
             tree = ast.parse(fh.read())
         for node in tree.body:
-            own = None
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                own = node.name
-                if not own.startswith("_"):
-                    definitions.append(f"{filename[:-3]}.{own}")
+            own = top_level_names(node)
+            definitions += [f"{filename[:-3]}.{name}" for name in sorted(own)
+                            if not name.startswith("_")]
             for sub in ast.walk(node):
                 name = sub.id if isinstance(sub, ast.Name) else getattr(sub, "attr", None)
-                if isinstance(sub, (ast.Name, ast.Attribute)) and name != own:
+                if isinstance(sub, (ast.Name, ast.Attribute)) and name not in own:
                     used.add(name)
     assert definitions, package
     unused = [d for d in definitions

@@ -47,7 +47,7 @@ def invariants(entry):
         "verify": [(c.name, c.ok, c.detail) for c in verify_entry(entry).checks],
         "cr_type": (t.n, t.l, t.k),
         "levi_kernel_dim": levi_form(pair).kernel.dim,
-        "fiber": (entry.fibration.fiber_dim, entry.taxon.tag),
+        "fiber": (entry.fibration.fiber_dim, entry.taxon),
         "verdict": (v.rows(), v.notes),
     }
     # the fiber globalization facts apply to degenerate fibrations with h = 0
@@ -65,7 +65,7 @@ def with_model(entry, model):
     """The catalog entry with its orbit model replaced, the record kept."""
     return CatalogEntry(
         entry.name, entry.family, entry.params, model, entry.expected, entry.pi1,
-        entry.compact_group, entry.kahler, entry.taxon_context, entry.notes,
+        entry.compact_group, entry.kahler, entry.quadric_refibers, entry.notes,
     )
 
 
