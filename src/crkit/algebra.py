@@ -242,8 +242,12 @@ def span(L, vectors):
 
 
 def sparse_span(L, vectors):
-    """The subspace spanned by arbitrary sparse rows, by one elimination."""
-    return Subspace(L, echelon(vectors))
+    """The subspace spanned by arbitrary sparse rows, by one elimination.
+
+    The elimination stops once the rows span L, whose form is the identity:
+    [g, g] of a perfect algebra reads only as many brackets as it takes.
+    """
+    return Subspace(L, echelon(vectors, L.dim))
 
 
 def intersect(a, b):

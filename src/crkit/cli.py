@@ -300,7 +300,7 @@ def cmd_catalog(args, rep):
         if args.format == "json":
             from .fileio import orbit_payload
 
-            payload = orbit_payload(entry.model)
+            payload = orbit_payload(entry.model, entry.pi1, entry.kahler)
             payload["expected"] = _expected_payload(entry.expected)
             payload["verdict"] = verdict(entry).overall
             rep.stream.write(json.dumps(payload, sort_keys=True) + "\n")

@@ -237,8 +237,10 @@ def load_pi1(raw):
     return real, cplx, surjective
 
 
-def orbit_payload(model: OrbitModel) -> dict:
-    return {
+def orbit_payload(model: OrbitModel, pi1=None, kahler=False) -> dict:
+    """The orbit file of a model, with pi1 data (as load_pi1 returns it) when
+    given and the kahler flag when true: load_file reads back the entry."""
+    payload = {
         "schema": SCHEMA,
         "kind": "orbit",
         "name": model.name,
@@ -250,6 +252,13 @@ def orbit_payload(model: OrbitModel) -> dict:
             [format_scalar(x, QI) for x in row] for row in model.isotropy_rows
         ],
     }
+    if pi1 is not None:
+        (rank, torsion), (crank, ctorsion), surjective = pi1
+        payload["pi1"] = {"real": [rank, list(torsion)], "complex": [crank, list(ctorsion)],
+                          "surjective": surjective}
+    if kahler:
+        payload["kahler"] = True
+    return payload
 
 
 def detect_kind(payload) -> str:

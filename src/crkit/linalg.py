@@ -1,8 +1,8 @@
 """Exact linear algebra over Q.
 
 The library calls these routines on rational data only: a complex
-subspace is handled as its J-stable realification.  They use nothing but
-field operations, so entries of another exact field still work.
+subspace is handled as its J-stable realification.  Rows over Q(i) still
+work, and the public algebra functions on a Q_i algebra pass them.
 
 Vectors are sparse {column: value} dicts holding only the nonzero
 entries, so elimination, reduction, nullspaces and solves touch nonzeros
@@ -12,7 +12,11 @@ are the edge form only.  signature_of_symmetric takes a dense matrix (a
 form matrix), echelon_rows makes the dense rows a record or payload
 shows, and sparse/dense convert one vector.  Dense results have their
 entries compacted (integral values as plain ints) and zeros as int 0.
-Every elimination runs through one routine, _echelon.  Relations among
+Every elimination runs through one routine, _echelon.  Over Q it is
+fraction-free: a row is scaled to ints once, kept primitive with a
+positive pivot, and its pivot is divided out only in the result; a row
+holding a GaussianRational is normalized to pivot 1 in the same loop.  A
+span told its number of columns stops once it is full.  Relations among
 rows (left_nullspace) and solves in them (Solver) share one layout, the
 rows tagged with their indices (_tagged_echelon), so a Solver hands back
 the echelon form of its span and no basis needs a second elimination.
@@ -38,7 +42,8 @@ exact, so no Fraction is built however large the entries.
 
 from __future__ import annotations
 
-from math import lcm
+from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import InputError
 from .scalars import compact, exact_div
@@ -85,37 +90,105 @@ def vec_sub(a, b):
     return out
 
 
-def _echelon(rows):
+def _integral(row):
+    """A row of ints and Fractions scaled to ints by the lcm of its denominators.
+
+    Any other row (one holding a GaussianRational) is returned as it is.
+    """
+    den = 0  # stays 0 while every entry is an int
+    for x in row.values():
+        if type(x) is not int:
+            if not isinstance(x, Fraction):
+                return row
+            den = lcm(den or 1, x.denominator)
+    if not den:
+        return row
+    return {c: x.numerator * (den // x.denominator) for c, x in row.items()}
+
+
+def _eliminate(row, b, p):
+    """a * row - row[p] * b for a = b[p] > 0: row with column p cleared.
+
+    In place when a == 1; an integer row is divided by the gcd of its
+    entries after a scaled combination.
+    """
+    a, f = b[p], row[p]
+    if a == 1:
+        _axpy(row, -f, b)
+        return row
+    row = {c: a * x for c, x in row.items()}
+    _axpy(row, -f, b)
+    try:
+        g = gcd(*row.values())
+    except TypeError:  # not an integer row
+        return row
+    return row if g < 2 else {c: x // g for c, x in row.items()}
+
+
+def _keep(row, q):
+    """row scaled for keeping at its pivot q.
+
+    An integer row becomes primitive with row[q] > 0; any other row is
+    normalized to row[q] == 1.
+    """
+    try:
+        g = gcd(*row.values())
+    except TypeError:  # not an integer row
+        a = row[q]
+        if a != 1:
+            row = {c: exact_div(x, a) for c, x in row.items()}
+        row[q] = 1
+        return row
+    if row[q] < 0:
+        g = -g
+    return row if g == 1 else {c: x // g for c, x in row.items()}
+
+
+def _echelon(rows, ncols=None):
     """Reduced echelon form of sparse rows, as {pivot: row} with row[pivot] == 1.
 
     Rows are taken one at a time: each is reduced against the rows kept so
-    far, normalized at its first nonzero column, and that column is then
-    cleared from the kept rows.  The kept rows are always the reduced
-    echelon form of the rows seen, which is unique, so the result does not
-    depend on the elimination order.  The input dicts are consumed.
+    far and that column is then cleared from the kept rows.  Kept rows
+    vanish on each other's pivots, so each is a multiple of a row of the
+    reduced echelon form of the rows seen, which is unique: the result does
+    not depend on the elimination order.  A row over Q is eliminated
+    fraction-free: it is scaled to ints once and kept primitive with a
+    positive pivot, each pivot is divided out only on output.  A row over
+    Q(i) is kept with pivot 1.  With ncols, the number of columns the rows
+    live in, elimination stops once the kept rows span them all, and the
+    rows after that are not read.  The input dicts are consumed.
     """
     basis = {}
     for row in rows:
+        row = _integral(row)
         for p in [c for c in row if c in basis]:
-            _axpy(row, -row[p], basis[p])
+            row = _eliminate(row, basis[p], p)
         if not row:
             continue
         q = min(row)
-        inv = row[q]
-        if inv != 1:
-            row = {c: exact_div(x, inv) for c, x in row.items()}
-        row[q] = 1
-        for other in basis.values():
-            f = other.get(q)
-            if f is not None:
-                _axpy(other, -f, row)
+        row = _keep(row, q)
+        for p, other in basis.items():
+            if q in other:
+                basis[p] = _eliminate(other, row, q)
         basis[q] = row
-    return {p: basis[p] for p in sorted(basis)}
+        if len(basis) == ncols:
+            break
+    out = {}
+    for p in sorted(basis):
+        row = basis[p]
+        a = row[p]
+        if a != 1:
+            row = {c: exact_div(x, a) for c, x in row.items()}
+        out[p] = row
+    return out
 
 
-def echelon(rows):
-    """Reduced echelon form {pivot: row} of sparse rows, in ascending pivot order."""
-    return _echelon([dict(r) for r in rows])
+def echelon(rows, ncols=None):
+    """Reduced echelon form {pivot: row} of sparse rows, in ascending pivot order.
+
+    With ncols, the rows' number of columns, rows past a full span are not read.
+    """
+    return _echelon((dict(r) for r in rows), ncols)
 
 
 def echelon_rows(basis, ncols):

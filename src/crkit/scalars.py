@@ -163,7 +163,9 @@ _RATIONAL = re.compile(r"(-?)([0-9]+)(?:/([0-9]+))?")
 def parse_rational(text):
     """Parse "num/den" or "num", -?[0-9]+(/[0-9]+)? in ASCII digits, into a Fraction.
 
-    Anything else, a part past MAX_DIGITS digits or a zero denominator raises InputError.
+    An integer literal "num" gives an int, which is how callers store an
+    integral value anyway.  Anything else, a part past MAX_DIGITS digits or
+    a zero denominator raises InputError.
     """
     if not isinstance(text, str):
         raise InputError(f"expected rational literal string, got {excerpt(repr(text))}")
@@ -172,7 +174,9 @@ def parse_rational(text):
         problem = f"want -?[0-9]+(/[0-9]+)? with at most {MAX_DIGITS} digits in each part"
     else:
         try:
-            return Fraction(int(match[1] + match[2]), int(match[3] or 1))
+            if match[3] is None:
+                return int(match[1] + match[2])
+            return Fraction(int(match[1] + match[2]), int(match[3]))
         except (ValueError, ZeroDivisionError) as exc:
             problem = excerpt(str(exc))
     raise InputError(f"bad rational literal {excerpt(repr(text))}: {problem}")

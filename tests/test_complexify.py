@@ -330,7 +330,7 @@ def test_each_basis_is_eliminated_once(monkeypatch, name):
     entry = get_entry(name).model
     calls = []
     core = linalg._echelon
-    monkeypatch.setattr(linalg, "_echelon", lambda rows: calls.append(1) or core(rows))
+    monkeypatch.setattr(linalg, "_echelon", lambda *args: calls.append(1) or core(*args))
     model = OrbitModel(entry.ambient, entry.real_vectors, entry.isotropy_generators)
     assert len(calls) == (6 if entry.isotropy_real.dim else 4)
     # the pair: g + ĥ (its Solver), R's kernel two, h in g's coordinates one

@@ -242,6 +242,24 @@ def test_analyze_orbit_file_full_pipeline(tmp_path, capsys):
     assert by_check[("fine-class", "kahler-g-solvable")]["status"] == "pass"
 
 
+@pytest.mark.parametrize("name", ROSTER)
+def test_analyze_of_a_catalog_show_payload_reaches_the_catalog_verdict(name, tmp_path, capsys):
+    # the payload carries the entry's pi1 and kahler flag.  Two facts have no
+    # field in the format, so those verdicts still differ: sl2_uz's plane
+    # fiber refibering over P^1 (quadric_refibers) and p2r's real projective
+    # plane base (read off its family)
+    from crkit.globalize import verdict
+
+    assert main(["catalog", "show", name, "--format", "json"]) == 0
+    path = write(tmp_path, "entry.orbit", json.loads(capsys.readouterr().out))
+    assert main(["analyze", path, "--format", "json"]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    analyzed = [(r["check"], r["status"]) for r in records if r["analysis"] == "globalize"]
+    v = verdict(get_entry(name))
+    catalog = v.rows() + [("note", note) for note in v.notes]
+    assert (analyzed == catalog) == (name not in ("sl2_uz", "p2r"))
+
+
 def test_analyze_orbit_file_builds_levi_form_once(tmp_path, capsys, monkeypatch):
     # the levi analysis and the fine classification share the pair's form
     import crkit.cr

@@ -31,6 +31,8 @@ CASES = {
     "show_c2_torus": ["catalog", "show", "c2_torus"],
     "show_p2r": ["catalog", "show", "p2r"],
     "analyze_algebra": ["analyze", "sl2.json", "--format", "json", "--explain"],
+    # sl(3, R) in a unimodular basis: dense rows and 10-bit constants
+    "analyze_sl3_rebased": ["analyze", "sl3_rebased.json", "--format", "json"],
     "analyze_pair": ["analyze", "heisenberg_pair.json", "--format", "json", "--explain"],
     "analyze_orbit": ["analyze", "heis_solv_orbit.json", "--format", "json", "--explain"],
     "analyze_orbit_disconnected": [

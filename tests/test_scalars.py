@@ -65,6 +65,7 @@ def test_division_roundtrip(a):
 def test_parsing():
     assert parse_rational("3/4") == Fraction(3, 4)
     assert parse_rational("-2") == Fraction(-2)
+    assert type(parse_rational("-2")) is int
     assert parse_scalar("1/2", QQ) == Fraction(1, 2)
     assert parse_scalar(["1/2", "-1"], QI) == GaussianRational(Fraction(1, 2), -1)
     assert parse_scalar("5", QI) == GaussianRational(5)

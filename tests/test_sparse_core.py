@@ -2,8 +2,11 @@
 
 Matrices here are sparse (at most 10% nonzero) with a forced zero row and
 zero column, over Q and Q(i), the shape the catalog's realified and complex
-rows have.  Every routine must agree exactly with the plain dense
-Gauss-Jordan reference in tests/support.py.
+rows have.  The Q_wide matrices are denser (at most 50%) rows over Q mixing
+ints and Fractions, numerators up to 2^64 and denominators up to 10^6: the
+fraction-free elimination's integer rows grow and shrink on them.  Every
+routine must agree exactly with the plain dense Gauss-Jordan reference in
+tests/support.py.
 """
 
 import random
@@ -18,6 +21,7 @@ from crkit.algebra import (
     Subspace,
     abelian,
     add_spaces,
+    derived_subalgebra,
     full_space,
     intersect,
     killing_signature,
@@ -56,30 +60,40 @@ from .support import (
 )
 
 F = Fraction
-FIELDS = ("Q", "Q_i")
+FIELDS = ("Q", "Q_i", "Q_wide")
 
 nonzero_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=3).filter(bool)
+wide_numerators = st.integers(-2**64, 2**64)
+wide_rationals = st.one_of(
+    wide_numerators, st.builds(F, wide_numerators, st.integers(1, 10**6))
+).filter(bool)
 
 
 def scalars(field):
     if field == "Q":
         return nonzero_rationals
+    if field == "Q_wide":
+        return wide_rationals
     parts = st.fractions(min_value=-3, max_value=3, max_denominator=2)
     return st.builds(GaussianRational, parts, parts).filter(bool)
 
 
 def zero_of(field):
-    return 0 if field == "Q" else GaussianRational(0)
+    return GaussianRational(0) if field == "Q_i" else 0
+
+
+def unit_of(field):
+    return GaussianRational(1) if field == "Q_i" else F(1)
 
 
 @st.composite
 def sparse_matrices(draw, field, max_rows=9, max_cols=12):
-    """At most 10% nonzero, one zero row and one zero column, maybe a repeated row."""
+    """At most 10% nonzero (50% for Q_wide), one zero row and one zero column, maybe a repeated row."""
     nrows = draw(st.integers(2, max_rows))
     ncols = draw(st.integers(2, max_cols))
     zero_row = draw(st.integers(0, nrows - 1))
     zero_col = draw(st.integers(0, ncols - 1))
-    budget = nrows * ncols // 10
+    budget = nrows * ncols // (2 if field == "Q_wide" else 10)
     cells = [
         (i, j)
         for i in range(nrows)
@@ -124,6 +138,26 @@ def test_rref_matches_dense_reference(field, data):
     assert reduced == tuple(tuple(r) for r in ref_rows)
     assert all(is_compacted(r) for r in reduced)
     assert all(type(x) is int for r in reduced for x in r if not x)
+    # the sparse form itself: pivot entries 1, and over Q integral entries as ints
+    basis = echelon(map(sparse, m))
+    assert all(row[p] == 1 for p, row in basis.items())
+    if field != "Q_i":
+        assert all(is_compacted(row.values()) for row in basis.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_q_and_q_i_rows_eliminate_together(data):
+    # a Q row reduced by a Q(i) row leaves the integer rows, and the other way round
+    q = data.draw(sparse_matrices("Q_wide"))
+    ncols = len(q[0])
+    qi = data.draw(st.lists(sparse_vectors("Q_i", ncols), min_size=1, max_size=4))
+    rows = q + qi
+    ref_rows, ref_pivots = dense_rref(rows)
+    for order in (rows, rows[::-1], rows[::2] + rows[1::2]):
+        basis = echelon(map(sparse, order))
+        assert all(row[p] == 1 for p, row in basis.items())
+        assert echelon_rows(basis, ncols) == (tuple(tuple(r) for r in ref_rows), tuple(ref_pivots))
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -152,7 +186,7 @@ def test_reduction_matches_dense_reference(field, data):
 def test_every_subspace_constructor_gives_the_one_echelon_form(field, data):
     # a Subspace is its sparse echelon form, however it was reached
     m = data.draw(sparse_matrices(field))
-    L = abelian(len(m[0]), field)
+    L = abelian(len(m[0]), "Q_i" if field == "Q_i" else "Q")
     rows = [sparse(r) for r in m]
     first = span(L, m)
     others = (
@@ -173,7 +207,7 @@ def test_every_subspace_constructor_gives_the_one_echelon_form(field, data):
 @given(data=st.data())
 def test_left_nullspace_matches_dense_reference(field, data):
     m = data.draw(sparse_matrices(field))
-    one = F(1) if field == "Q" else GaussianRational(1)
+    one = unit_of(field)
     ns = tuple(dense(r, len(m)) for r in left_nullspace([sparse(r) for r in m]))
     assert ns == tuple(tuple(r) for r in dense_left_nullspace(m, one))
     assert all(is_compacted(r) for r in ns)
@@ -201,7 +235,7 @@ def kernel_problems(draw, field):
 @given(data=st.data())
 def test_kernel_rows_matches_dense_reference(field, data):
     domain, images = data.draw(kernel_problems(field))
-    one = F(1) if field == "Q" else GaussianRational(1)
+    one = unit_of(field)
     flat = [list(chain.from_iterable(img)) for img in images]
     ref_rows, ref_pivots = dense_solution_span(domain, flat, one)
     basis = kernel_rows([sparse(r) for r in domain], [[sparse(v) for v in img] for img in images])
@@ -249,6 +283,37 @@ def test_solver_matches_dense_reference(field, data):
         assert solved is None
     with pytest.raises(InputError):
         Solver([sparse(r) for r in rows + [rows[0]]])
+
+
+class Unread:
+    """A row that fails the test when elimination reads it."""
+
+    def __getattr__(self, name):
+        raise AssertionError("a row past the full span was read")
+
+    def __iter__(self):
+        raise AssertionError("a row past the full span was read")
+
+
+def unimodular_rows(n, rng):
+    """An integer basis of Z^n: 3n random moves row_i += +-row_j from the identity."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        s = rng.choice((1, -1))
+        rows[i] = [a + s * b for a, b in zip(rows[i], rows[j])]
+    return rows
+
+
+def test_a_span_reads_no_row_past_full_rank():
+    # sl(3) is perfect: its brackets span it long before the last one
+    L = rebase(build_sl_real(3), unimodular_rows(8, random.Random(3)))
+    rows = list(L.brackets.values())
+    k = next(k for k in range(len(rows) + 1)
+             if dense_rank([dense(r, L.dim) for r in rows[:k]]) == L.dim)
+    assert k < len(rows)
+    assert sparse_span(L, rows[:k] + [Unread()] * (len(rows) - k)) == full_space(L)
+    assert derived_subalgebra(L) == full_space(L)
 
 
 # ---------------------------------------------------------------------------
@@ -364,12 +429,6 @@ def test_killing_signature_zero_diagonal_bases():
 @pytest.mark.parametrize("seed", range(6))
 def test_killing_signature_invariant_under_unimodular_rebase(seed):
     # Sylvester's law of inertia: the signature cannot depend on the basis
-    rng = random.Random(seed)
     L = [sl2(), build_su(2, 1), build_sl_real(3)][seed % 3]
-    n = L.dim
-    rows = [[int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(3 * n):
-        i, j = rng.sample(range(n), 2)
-        s = rng.choice((1, -1))
-        rows[i] = [a + s * b for a, b in zip(rows[i], rows[j])]
+    rows = unimodular_rows(L.dim, random.Random(seed))
     assert killing_signature(rebase(L, rows)) == killing_signature(L)
