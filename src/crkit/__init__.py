@@ -14,7 +14,6 @@ from importlib import import_module
 
 _EXPORTS = {
     "algebra": (
-        "BilinearForm",
         "LieAlgebra",
         "Subspace",
         "abelian",
@@ -36,8 +35,10 @@ _EXPORTS = {
         "verify_levi_complement",
     ),
     "complexify": (
+        "CatalogEntry",
         "OrbitModel",
         "anticanonical_fibration",
+        "classify_fiber",
         "cr_normalizer_algebra",
         "fiber_globalization_check",
         "induced_cr_pair",
@@ -64,7 +65,6 @@ _EXPORTS = {
         "twisted_diagonal_orbit",
         "verify_entry",
     ),
-    "entries": ("CatalogEntry", "classify_fiber"),
     "errors": ("CrkitError", "InputError", "InternalError", "StructureError"),
     "globalize": (
         "GlobalizationVerdict",

@@ -20,7 +20,6 @@ here still accept a complex algebra directly.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from functools import cached_property
 from math import lcm
 
@@ -252,7 +251,7 @@ def sparse_span(L, vectors):
 
 def intersect(a, b):
     _same_parent(a, b)
-    return Subspace(a.parent, intersect_spaces(a.echelon.values(), b.echelon.values()))
+    return Subspace(a.parent, intersect_spaces(a.echelon.values(), b.echelon))
 
 
 def add_spaces(a, b):
@@ -457,26 +456,8 @@ def is_abelian(L):
     return not L.brackets
 
 
-class BilinearForm(namedtuple("BilinearForm", "parent matrix symmetry")):
-    """A bilinear form on an algebra, stored densely; symmetry is symmetric | antisymmetric."""
-
-    __slots__ = ()
-
-    def __init__(self, parent, matrix, symmetry):
-        n = self.parent.dim
-        if len(self.matrix) != n or any(len(r) != n for r in self.matrix):
-            raise InputError("form matrix shape does not match algebra dimension")
-        for i in range(n):
-            for j in range(n):
-                a, b = self.matrix[i][j], self.matrix[j][i]
-                if self.symmetry == "symmetric" and a != b:
-                    raise InputError(f"form not symmetric at ({i}, {j})")
-                if self.symmetry == "antisymmetric" and a != -b:
-                    raise InputError(f"form not antisymmetric at ({i}, {j})")
-
-
 def killing_form(L):
-    """kappa(x, y) = trace(ad x . ad y) on basis pairs, built once per algebra."""
+    """The matrix of kappa(x, y) = trace(ad x . ad y) on basis pairs, built once per algebra."""
     return L._killing
 
 
@@ -498,7 +479,7 @@ def _killing_form(L):
                             acc = acc + c * d
             mat[i][j] = acc
             mat[j][i] = acc
-    return BilinearForm(L, tuple(tuple(r) for r in mat), "symmetric")
+    return tuple(tuple(r) for r in mat)
 
 
 def radical(L):
@@ -509,7 +490,7 @@ def radical(L):
     """
     derived = list(derived_subalgebra(L).echelon.values())
     images = []
-    for row in killing_form(L).matrix:
+    for row in killing_form(L):
         img = {}
         for t, d in enumerate(derived):
             x = sum(row[c] * v for c, v in d.items())
@@ -644,14 +625,14 @@ def verify_levi_complement(L, s):
         return False
     if sub.field == QI:
         sub = realify(sub)
-    return signature_of_symmetric(killing_form(sub).matrix)[2] == 0
+    return signature_of_symmetric(killing_form(sub))[2] == 0
 
 
 def killing_signature(L):
     """Inertia of the Killing form; only defined over Q."""
     if L.field != QQ:
         raise InputError("killing_signature needs a real (Q) algebra")
-    return signature_of_symmetric(killing_form(L).matrix)
+    return signature_of_symmetric(killing_form(L))
 
 
 # ---------------------------------------------------------------------------
@@ -677,7 +658,7 @@ def sl2(field=QQ):
     )
 
 
-def direct_sum(*algebras, names=None):
+def direct_sum(*algebras):
     """Direct sum with block-shifted indices; fields must agree."""
     if not algebras:
         raise InputError("direct_sum needs at least one algebra")
@@ -686,13 +667,11 @@ def direct_sum(*algebras, names=None):
         raise InputError("direct_sum requires a single scalar field")
     dim = sum(a.dim for a in algebras)
     brackets = {}
-    all_names = []
+    names = []
     offset = 0
     for idx, a in enumerate(algebras):
         for (i, j), row in a.brackets.items():
             brackets[(i + offset, j + offset)] = {k + offset: v for k, v in row.items()}
-        all_names.extend(f"{n}.{idx}" for n in a.names)
+        names.extend(f"{n}.{idx}" for n in a.names)
         offset += a.dim
-    if names is None:
-        names = tuple(all_names)
     return LieAlgebra(dim, field, names, brackets)

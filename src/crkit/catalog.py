@@ -37,9 +37,9 @@ from .algebra import (
     read_off_structure,
     realify,
 )
+from .complexify import CatalogEntry, Expected, classify_fiber  # re-exported
 from .complexify import OrbitModel, j_apply, place_row
 from .cr import check_cr_pair, cr_type, levi_form, levi_signature
-from .entries import CatalogEntry, Expected, classify_fiber  # re-exported
 from .errors import InputError, InternalError, excerpt
 from .linalg import kernel_rows, sparse
 from .report import Check, Report

@@ -17,6 +17,16 @@ input edge (realified_rows splits a file's complex row into its real and
 imaginary parts, realify does the same for constants) and made at the
 output edge: real_rows and isotropy_rows (canonical_complex_rows) are
 dense views built on first read, for orbit_payload.
+
+h = g ∩ ĥ and m = g ∩ Jg are intersected against the echelon forms the
+model already holds, ĥ's and g's (linalg.intersect_spaces).
+
+A CatalogEntry packages an orbit model with the invariants the
+classification asserts for it (an Expected record) and derives its CR
+pair, fibration and fiber taxon on first use; the taxon is the tag
+classify_fiber computes from the fiber algebra.  The entry types live
+here, beside the orbit model, so fileio builds an orbit file's entry
+without loading the catalog's builders; crkit.catalog re-exports them.
 """
 
 from __future__ import annotations
@@ -27,8 +37,10 @@ from functools import cached_property
 from .algebra import (
     Subspace,
     add_spaces,
+    derived_subalgebra,
     direct_sum,
     intersect,
+    is_abelian,
     is_subalgebra,
     pivot_complement,
     radical,
@@ -181,7 +193,7 @@ class OrbitModel:
 
         jg = [j_apply(v, n) for v in real_vectors]
         # J-stable as J(g ∩ Jg) = Jg ∩ g, an ideal as g is closed and the bracket C-bilinear
-        self.m = Subspace(self.ambient_real, intersect_spaces(self.real_sub.echelon.values(), jg))
+        self.m = Subspace(self.ambient_real, intersect_spaces(jg, self.real_sub.echelon))
         # genericity: g + Jg, of dimension 2 dim g - dim m, must span the realified ambient
         if 2 * self.real_sub.dim - self.m.dim != n2:
             raise StructureError("real subalgebra is not generic: g + Jg is proper")
@@ -358,3 +370,61 @@ def product_model(a: OrbitModel, b: OrbitModel, name="") -> OrbitModel:
     iso = [place_row(u, na, na + nb, 0) for u in a.isotropy_generators]
     iso += [place_row(u, nb, na + nb, na) for u in b.isotropy_generators]
     return OrbitModel(ambient, real_rows, iso, name=name)
+
+
+# ---------------------------------------------------------------------------
+# catalog entries
+# ---------------------------------------------------------------------------
+
+def classify_fiber(fiber) -> str:
+    """The taxonomy row of a fibration fiber, decided by exact invariants.
+
+    The paper's other rows need algebra isomorphism testing, out of scope
+    here; a fiber matching none of the computed rows is outside-taxonomy.
+    """
+    if fiber.dim == 0:
+        return "point"
+    if is_abelian(fiber):
+        return {2: "torus-principal", 1: "linear-C*"}.get(fiber.dim, "outside-taxonomy")
+    perfect = derived_subalgebra(fiber).dim == fiber.dim
+    if perfect and fiber.dim == 3 and radical(fiber).dim == 0:
+        return "Sp-series"
+    return "outside-taxonomy"
+
+
+# Classification-asserted invariants; None means "not asserted".
+Expected = namedtuple(
+    "Expected",
+    "codim cr_type m_dim levi_signature_unordered levi_degenerate_domain fiber_dim "
+    "fiber_tag degenerate_fibration orbit_dim",
+    defaults=(None,) * 9,
+)
+
+
+class CatalogEntry:
+    """An orbit model with the invariants the classification asserts for it.
+
+    pi1 is ((rank, torsion), (rank, torsion), known_surjective) or None.
+    quadric_refibers records that the fiber refibers over a projective line
+    with two-dimensional affine-quadric fibers, a fact the algebra does not
+    show.
+    """
+
+    def __init__(self, name, family, params, model, expected, pi1=None, compact_group=False,
+                 kahler=False, quadric_refibers=False, notes=()):
+        self.name, self.family, self.params, self.model = name, family, params, model
+        self.expected, self.pi1, self.notes = expected, pi1, notes
+        self.compact_group, self.kahler = compact_group, kahler
+        self.quadric_refibers = quadric_refibers
+
+    @cached_property
+    def fibration(self):
+        return anticanonical_fibration(self.model)
+
+    @cached_property
+    def cr_pair(self):
+        return induced_cr_pair(self.model)
+
+    @cached_property
+    def taxon(self):
+        return classify_fiber(self.fibration.fiber_algebra)

@@ -296,7 +296,7 @@ def load_file(path):
         return kind, load_algebra(payload)
     if kind == "cr-pair":
         return kind, load_cr_pair(payload)
-    from .entries import CatalogEntry, Expected
+    from .complexify import CatalogEntry, Expected
 
     model = load_orbit_model(payload)  # a bad model is reported before bad pi1 data
     return kind, CatalogEntry(model.name or "orbit", "file", (), model, Expected(),

@@ -33,7 +33,10 @@ Every subspace the library solves for (centralizers, normalizers, the
 radical, intersections, the CR-normalizer, the CR subspace R, the Levi
 kernel, line stabilizers) is the set of combinations of some domain rows
 cut out by linear conditions on their images, and kernel_rows is the one
-route that computes it.
+route that computes it.  An intersection (intersect_spaces) takes the
+second space as the echelon form its caller holds: a combination of the
+first space's rows lies in it iff the same combination of their residuals
+(reduce_mod) vanishes, so that form is not eliminated again.
 
 Inertia (signature_of_symmetric) comes from fraction-free congruence
 elimination: the matrix is scaled to integers once and every division is
@@ -275,14 +278,13 @@ def kernel_rows(domain_rows, images):
     return _echelon(combine_rows(left_nullspace(stacked), domain_rows))
 
 
-def intersect_spaces(a_rows, b_rows):
-    """rowspace(a) ∩ rowspace(b) of sparse rows, as a sparse echelon form."""
-    a_rows = list(a_rows)
-    b_rows = list(b_rows)
-    if not a_rows or not b_rows:
+def intersect_spaces(rows, basis):
+    """rowspace(rows) ∩ span(basis) for a sparse echelon form basis, as a sparse echelon form."""
+    rows = list(rows)
+    if not rows or not basis:
         return {}
-    # a relation between the a and b rows is a vector of the intersection
-    return kernel_rows(a_rows + [{}] * len(b_rows), [(r,) for r in a_rows + b_rows])
+    # a combination of the rows lies in the span iff its residual vanishes
+    return kernel_rows(rows, [(reduce_mod(r, basis),) for r in rows])
 
 
 class Solver:

@@ -11,11 +11,17 @@ splits it into rational parts, and format_scalar reads one from a
 nonreal output entry.  The class keeps its field arithmetic because the
 benchmark's per-layer trace counts calls of its operators
 (scalars.gaussian_ops).
+
+format_rational writes numerators and denominators through
+decimal.Decimal, which converts an int of any size exactly and prints it
+digit for digit, so output is not cut by str(int)'s limit of 4,300 digits
+(int_max_str_digits, which crkit leaves as it is).
 """
 
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import InputError, excerpt
@@ -197,41 +203,13 @@ def parse_scalar(value, field):
     raise InputError(f"unknown field tag {field!r}")
 
 
-# digits per str() call: below 640, the least int_max_str_digits Python accepts
-_PIECE = 600
-_PIECE_BOUND = 10 ** _PIECE
-
-
-def _decimal(n):
-    """The decimal digits of an int n >= 0, past str(int)'s limit of 4,300 digits.
-
-    n is split by the powers 10^(600 * 2^j) into pieces below 10^600,
-    each written zero-padded to 600 digits.
-    """
-    if n < _PIECE_BOUND:
-        return str(n)
-    powers = [_PIECE_BOUND]
-    while powers[-1] <= n:
-        powers.append(powers[-1] * powers[-1])
-
-    def digits(m, j):
-        # m < powers[j + 1], written with exactly _PIECE * 2^(j + 1) digits
-        if j < 0:
-            return str(m).zfill(_PIECE)
-        hi, lo = divmod(m, powers[j])
-        return digits(hi, j - 1) + digits(lo, j - 1)
-
-    return digits(n, len(powers) - 2).lstrip("0")
-
-
 def format_rational(x):
     """x as "num/den", or "num" when integral; exact at any size."""
     x = Fraction(x)
-    num = x.numerator
-    text = _decimal(num) if num >= 0 else "-" + _decimal(-num)
+    text = str(Decimal(x.numerator))
     if x.denominator == 1:
         return text
-    return f"{text}/{_decimal(x.denominator)}"
+    return f"{text}/{Decimal(x.denominator)}"
 
 
 def format_scalar(x, field):

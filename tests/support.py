@@ -80,9 +80,9 @@ def oracle_trace_product(a, b):
     return sum(a[i][j] * b[j][i] for i in range(n) for j in range(n))
 
 
-def form_value(form, x, y):
+def form_value(matrix, x, y):
     """x . M . y for the dense matrix M of a bilinear form."""
-    return sum(xi * m * yj for xi, row in zip(x, form.matrix) for m, yj in zip(row, y))
+    return sum(xi * m * yj for xi, row in zip(x, matrix) for m, yj in zip(row, y))
 
 
 def random_vector(rng, L, bound=5):

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crkit.algebra import (
-    BilinearForm,
     LieAlgebra,
     Subspace,
     abelian,
@@ -267,7 +266,7 @@ def test_series_heisenberg():
 def test_killing_form_abelian_zero():
     L = abelian(3)
     k = killing_form(L)
-    assert all(all(x == 0 for x in row) for row in k.matrix)
+    assert all(all(x == 0 for x in row) for row in k)
 
 
 def test_killing_form_sl2_frozen_values():
@@ -427,13 +426,6 @@ def test_levi_complement_over_q_i():
 # ---------------------------------------------------------------------------
 # misc
 # ---------------------------------------------------------------------------
-
-def test_bilinear_form_symmetry_validation():
-    L = abelian(2)
-    with pytest.raises(InputError):
-        BilinearForm(L, ((F(0), F(1)), (F(2), F(0))), "symmetric")
-    BilinearForm(L, ((F(0), F(1)), (F(-1), F(0))), "antisymmetric")
-
 
 def test_killing_signature_split_vs_solvable():
     assert killing_signature(sl2()) == (2, 1, 0)

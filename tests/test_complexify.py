@@ -88,7 +88,7 @@ def test_complexify_sl2_killing_scales_consistently():
     k_cplx = killing_form(complexify_algebra(L))
     for i in range(3):
         for j in range(3):
-            assert k_cplx.matrix[i][j] == G(k_real.matrix[i][j])
+            assert k_cplx[i][j] == G(k_real[i][j])
 
 
 def test_complexify_heisenberg_preserves_series_lengths():
@@ -337,6 +337,20 @@ def test_each_basis_is_eliminated_once(monkeypatch, name):
     calls.clear()
     induced_cr_pair(model)
     assert len(calls) == 4
+
+
+@pytest.mark.parametrize("name", ["quadric(2,1)", "sp_quadric(1,1)", "twisted(2)", "heis_solv"])
+def test_intersections_eliminate_only_the_rows_of_g(monkeypatch, name):
+    # m = g ∩ Jg and h = g ∩ ĥ reduce the rows of Jg and g against the
+    # echelon forms of g and ĥ in hand, so each tagged elimination of the
+    # model (its read-off Solver, then m, then h) takes dim g rows, never
+    # dim g + dim ĥ; an empty ĥ makes h without one
+    entry = get_entry(name).model
+    sizes = []
+    core = linalg._tagged_echelon
+    monkeypatch.setattr(linalg, "_tagged_echelon", lambda rows: sizes.append(len(rows)) or core(rows))
+    model = OrbitModel(entry.ambient, entry.real_vectors, entry.isotropy_generators)
+    assert sizes == [model.real_sub.dim] * (3 if model.isotropy_real.dim else 2)
 
 
 # the real algebra of each catalog entry as its matrix model gives it, by

@@ -204,14 +204,15 @@ def test_verify_entry_bracket_count(monkeypatch):
 
 def test_levi_kernel_matches_per_codirection_radicals():
     # kernel = intersection over a codirection basis of the scalar radicals
-    from crkit.linalg import intersect_spaces, left_nullspace, sparse
+    from crkit.linalg import echelon, intersect_spaces, left_nullspace, sparse
 
     pair = heisenberg_pair()
     rep = levi_form(pair)
     radicals = None
     for mat in rep.completed_matrices:
         rad = left_nullspace([sparse(row) for row in mat])
-        radicals = rad if radicals is None else tuple(intersect_spaces(radicals, rad).values())
+        radicals = rad if radicals is None else tuple(
+            intersect_spaces(radicals, echelon(rad)).values())
     expect_dim = len(radicals) if radicals else 0
     assert rep.kernel.dim == expect_dim
 

@@ -12,12 +12,15 @@ To re-record after an intended output change, run this module as a script:
 
 import contextlib
 import io
+import json
 import os
 import re
+import subprocess
 import sys
 
 import pytest
 
+import crkit
 from crkit.catalog import ROSTER
 from crkit.cli import main
 
@@ -93,11 +96,47 @@ def run(argv):
     return f"exit {code}\n" + buf.getvalue()
 
 
+def golden(case):
+    """The checked-in output of a case."""
+    with open(os.path.join(GOLDEN, case + ".out"), encoding="utf-8") as fh:
+        return fh.read()
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cli_output_matches_golden(case):
-    with open(os.path.join(GOLDEN, case + ".out"), encoding="utf-8") as fh:
-        expected = fh.read()
-    assert run(CASES[case]) == expected
+    assert run(CASES[case]) == golden(case)
+
+
+GAUSSIAN_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                       "__truediv__", "__rtruediv__", "__neg__", "conjugate")
+
+
+def test_every_case_runs_without_arithmetic_over_q_i():
+    # Q(i) values are only read and written at the edges: with every
+    # arithmetic operator of GaussianRational raising, each case prints
+    # the same bytes.  A fresh interpreter, so no entry another test built
+    # and cached without the patch is reused.
+    code = (
+        "import json\n"
+        "from crkit.scalars import GaussianRational\n"
+        "calls = []\n"
+        "def refuse(op):\n"
+        "    def call(*args):\n"
+        "        calls.append(op)\n"
+        "        raise AssertionError(f'GaussianRational.{op}')\n"
+        "    return call\n"
+        f"for op in {GAUSSIAN_ARITHMETIC!r}:\n"
+        "    setattr(GaussianRational, op, refuse(op))\n"
+        "from tests.test_golden import CASES, golden, run\n"
+        "print(json.dumps([sorted(c for c in CASES if run(CASES[c]) != golden(c)), calls]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(crkit.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=os.path.dirname(os.path.dirname(GOLDEN)),
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[], []]
 
 
 if __name__ == "__main__":

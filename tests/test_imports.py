@@ -75,7 +75,7 @@ def test_commands_start_without_dataclasses_or_inspect(command):
     assert "crkit.cli" in added
     assert "dataclasses" not in added and "inspect" not in added
     if command == "orbit":
-        assert "crkit.entries" in added and "crkit.catalog" not in added
+        assert "crkit.complexify" in added and "crkit.catalog" not in added
 
 
 def loaded_by(argv):
@@ -116,7 +116,7 @@ def test_every_public_name_resolves_to_its_submodule_object():
     )
     # importing the package loads no layer; every name is still reachable
     assert result["bare"] == []
-    assert len(result["names"]) == len(set(result["names"])) == 54
+    assert len(result["names"]) == len(set(result["names"])) == 53
     assert result["moved"] == []
     assert result["star"] == sorted(result["names"])
     assert result["dir"]

@@ -78,14 +78,14 @@ def test_left_nullspace_relations():
 def test_intersection():
     a = rows((1, 0, 0), (0, 1, 0))
     b = rows((0, 1, 0), (0, 0, 1))
-    assert intersect_spaces(map(sparse, a), map(sparse, b)) == {1: {1: 1}}
-    assert intersect_spaces(map(sparse, rows((1, 0))), map(sparse, rows((0, 1)))) == {}
+    assert intersect_spaces(map(sparse, a), echelon(map(sparse, b))) == {1: {1: 1}}
+    assert intersect_spaces(map(sparse, rows((1, 0))), echelon(map(sparse, rows((0, 1))))) == {}
 
 
 @settings(max_examples=40)
 @given(matrix_strategy(2, 4), matrix_strategy(2, 4))
 def test_intersection_is_contained_in_both(a, b):
-    inter, pivots = echelon_rows(intersect_spaces(map(sparse, a), map(sparse, b)), 4)
+    inter, pivots = echelon_rows(intersect_spaces(map(sparse, a), echelon(map(sparse, b))), 4)
     assert (inter, pivots) == core_rref(inter, 4)
     va = echelon(map(sparse, a))
     vb = echelon(map(sparse, b))

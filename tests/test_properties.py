@@ -174,7 +174,7 @@ def test_catalog_cr_type_matches_codim():
 
 
 def test_levi_kernel_equals_joint_codirection_radical():
-    from crkit.linalg import intersect_spaces, left_nullspace, sparse
+    from crkit.linalg import echelon, intersect_spaces, left_nullspace, sparse
 
     for name in ("quadric(2,2)", "su2xsu2_torus"):
         e = get_entry(name)
@@ -182,7 +182,8 @@ def test_levi_kernel_equals_joint_codirection_radical():
         radicals = None
         for mat in rep.completed_matrices:
             rad = left_nullspace([sparse(row) for row in mat])
-            radicals = rad if radicals is None else tuple(intersect_spaces(radicals, rad).values())
+            radicals = rad if radicals is None else tuple(
+                intersect_spaces(radicals, echelon(rad)).values())
         dim = len(radicals) if radicals else 0
         assert rep.kernel.dim == dim
 

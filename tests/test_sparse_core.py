@@ -37,6 +37,7 @@ from crkit.linalg import (
     echelon,
     echelon_rows,
     in_span,
+    intersect_spaces,
     kernel_rows,
     left_nullspace,
     reduce_mod,
@@ -213,6 +214,31 @@ def test_left_nullspace_matches_dense_reference(field, data):
     assert all(is_compacted(r) for r in ns)
     # at least the forced zero row is a relation
     assert len(ns) == len(m) - dense_rank(m) >= 1
+
+
+@pytest.mark.parametrize("field", ("Q", "Q_wide"))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_intersection_meets_the_dimension_formula(field, data):
+    # the rows dealt to two sides, so a repeated row may land on both and
+    # either side may be empty; the second side may also take a
+    # combination of the first side's rows
+    m = data.draw(st.permutations(data.draw(sparse_matrices(field))))
+    cut = data.draw(st.integers(0, len(m)))
+    a, b = m[:cut], m[cut:]
+    if a and b and data.draw(st.booleans()):
+        coeffs = data.draw(st.lists(scalars(field), min_size=len(a), max_size=len(a)))
+        b = b + [tuple(combination(coeffs, a))]
+    va, vb = echelon(map(sparse, a)), echelon(map(sparse, b))
+    inter = intersect_spaces(map(sparse, a), vb)
+    rows, pivots = echelon_rows(inter, len(m[0]))
+    if rows:
+        ref_rows, ref_pivots = dense_rref(rows)
+        assert (rows, pivots) == (tuple(map(tuple, ref_rows)), tuple(ref_pivots))
+    assert all(in_span(row, va) and in_span(row, vb) for row in inter.values())
+    # dim(a) + dim(b) = dim(a + b) + dim(a ∩ b)
+    assert len(va) + len(vb) == dense_rank(a + b) + len(inter)
+    assert intersect_spaces(map(sparse, b), va) == inter
 
 
 @st.composite
