@@ -7,9 +7,9 @@ back as canonical echelon subspaces so results compare syntactically.
 
 Vectors are sparse {index: coefficient} dicts: bracket takes and returns
 them, and a Subspace is its sparse reduced echelon form {pivot: row}.
-Dense tuples are the edge form only: basis_vector, span's input rows
-(files, user data) and Subspace.rows, a view built on first read for the
-records and payloads that show it; no routine here reads that view.
+Dense tuples are the edge form only: span's input rows (files, user
+data) and Subspace.rows, a view built on first read for the records and
+payloads that show it; no routine here reads that view.
 
 A complex (Q_i) algebra only stores its constants, GaussianRational where
 a file gave a nonreal one: realify splits them into a real algebra of
@@ -82,21 +82,6 @@ class LieAlgebra:
     def __hash__(self):
         return hash((self.dim, self.field, len(self.brackets)))
 
-    def structure_constant(self, i, j, k):
-        if i == j:
-            return 0
-        if i < j:
-            return self.brackets.get((i, j), {}).get(k, 0)
-        return -self.brackets.get((j, i), {}).get(k, 0)
-
-    def basis_bracket(self, i, j):
-        """[e_i, e_j] as a sparse dict."""
-        if i == j:
-            return {}
-        if i < j:
-            return dict(self.brackets.get((i, j), {}))
-        return {k: -v for k, v in self.brackets.get((j, i), {}).items()}
-
     @cached_property
     def _adjacency(self):
         # per-index view of the tensor: adj[i] maps j to the sparse row of
@@ -161,14 +146,6 @@ class LieAlgebra:
                 for k, v in row.items():
                     col[k] = col.get(k, 0) + xi * v
         return cols
-
-    def basis_vector(self, i):
-        v = [0] * self.dim
-        v[i] = 1
-        return tuple(v)
-
-    def basis_vectors(self):
-        return tuple(self.basis_vector(i) for i in range(self.dim))
 
 
 class Subspace:
@@ -287,17 +264,9 @@ def realify(L: LieAlgebra) -> LieAlgebra:
         return cached
     n = L.dim
     brackets = {}
-
-    def put(i, j, row):
-        if i == j:
-            return
-        if i > j:
-            i, j = j, i
-            row = {k: -v for k, v in row.items()}
-        if row:
-            merged = brackets.setdefault((i, j), {})
-            merged.update(row)
-
+    # for a stored pair a < b the four keys below are ordered, and no two
+    # pairs share one; a nonzero constant has a nonzero real or imaginary
+    # part, so both rows are nonempty
     for (a, b), row in L.brackets.items():
         re_row, im_row = {}, {}
         for k, c in row.items():
@@ -309,12 +278,12 @@ def realify(L: LieAlgebra) -> LieAlgebra:
                 re_row[n + k] = im
                 im_row[k] = -im
         # [e_a, e_b]
-        put(a, b, dict(re_row))
+        brackets[(a, b)] = re_row
         # [f_a, f_b] = -[e_a, e_b]
-        put(n + a, n + b, {k: -v for k, v in re_row.items()})
+        brackets[(n + a, n + b)] = {k: -v for k, v in re_row.items()}
         # [e_a, f_b] = i [e_a, e_b] and [e_b, f_a] = -i [e_a, e_b]
-        put(a, n + b, dict(im_row))
-        put(b, n + a, {k: -v for k, v in im_row.items()})
+        brackets[(a, n + b)] = im_row
+        brackets[(b, n + a)] = {k: -v for k, v in im_row.items()}
     names = list(L.names) + [f"i*{x}" for x in L.names]
     out = LieAlgebra(2 * n, QQ, names, brackets)
     L._realification = out

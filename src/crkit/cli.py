@@ -312,18 +312,17 @@ def cmd_catalog(args, rep):
         for note in entry.notes:
             rep.emit(target=entry.name, analysis="catalog", check="note", status=note)
         return 0
-    if action == "verify":
-        names = list(ROSTER) if args.name == "all" else [args.name]
-        all_ok = True
-        for name in sorted(names) if args.name == "all" else names:
-            entry = get_entry(name)
-            report = verify_entry(entry)
-            _report_records(rep, entry.name, "verify", report, MATCH)
-            all_ok = all_ok and report.ok
-        rep.emit(target="catalog", analysis="verify", check="summary",
-                 status="all-match" if all_ok else "mismatches")
-        return 0 if all_ok else 1
-    raise InputError(f"unknown catalog action {action!r}")
+    # argparse admits only list, show and verify
+    names = list(ROSTER) if args.name == "all" else [args.name]
+    all_ok = True
+    for name in sorted(names) if args.name == "all" else names:
+        entry = get_entry(name)
+        report = verify_entry(entry)
+        _report_records(rep, entry.name, "verify", report, MATCH)
+        all_ok = all_ok and report.ok
+    rep.emit(target="catalog", analysis="verify", check="summary",
+             status="all-match" if all_ok else "mismatches")
+    return 0 if all_ok else 1
 
 
 def _expected_payload(expected):
@@ -386,13 +385,12 @@ def main(argv=None):
     try:
         if args.command == "analyze":
             return cmd_analyze(args, rep)
-        if args.command == "catalog":
-            if args.action in ("show", "verify") and not args.name:
-                print("error: catalog %s needs an entry name" % args.action,
-                      file=sys.stderr)
-                return 2
-            return cmd_catalog(args, rep)
-        return 2
+        # the subcommand is required, so it is catalog
+        if args.action in ("show", "verify") and not args.name:
+            print("error: catalog %s needs an entry name" % args.action,
+                  file=sys.stderr)
+            return 2
+        return cmd_catalog(args, rep)
     except (InputError, StructureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

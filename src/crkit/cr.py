@@ -14,8 +14,8 @@ Inside, vectors are sparse {index: coefficient} dicts and J is a sparse
 column map {j: {k: coeff}} with J e_j = sum coeff e_k; the axiom loops and
 the Levi form run on those.  A pair is built from that column map; the
 file format's dense J matrix is converted at the edge (matrix_columns),
-and dense tuples come back out only as witnesses, the completed Levi form
-matrices, complement_rows and j_matrix.
+and dense tuples come back out only as witnesses and the completed Levi
+form matrices.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .errors import InputError, InternalError, StructureError
 from .linalg import (
     combine_rows,
     dense,
-    echelon_rows,
     kernel_rows,
     left_nullspace,
     signature_of_symmetric,
@@ -38,7 +37,7 @@ from .linalg import (
     vec_sub,
 )
 from .report import Check, Report, witness_check
-from .scalars import QQ, compact
+from .scalars import QQ
 
 
 def apply_endo(columns, v):
@@ -101,21 +100,9 @@ class CRPair:
         # classification alike, so like a Killing form it is built once
         return _levi_form(self)
 
-    @property
-    def complement_rows(self):
-        """The complement of h in R as dense echelon rows."""
-        return echelon_rows(self.complement, self.g.dim)[0]
-
     def apply_j(self, v):
         """The canonical J of a sparse vector."""
         return apply_endo(self.j, v)
-
-    def j_matrix(self):
-        """The canonical J as a dense matrix (column convention)."""
-        n = self.g.dim
-        return tuple(
-            tuple(compact(self.j.get(j, {}).get(k, 0)) for j in range(n)) for k in range(n)
-        )
 
     def __eq__(self, other):
         if not isinstance(other, CRPair):
@@ -321,13 +308,8 @@ def _levi_form(pair):
     return LeviReport(value_idx, completed, kernel, kernel.dim == 0, m == 0)
 
 
-class SignatureResult(namedtuple("SignatureResult", "normalized orderings")):
-    # normalized is (max, min, zero), orientation-free; orderings has both sign conventions
-    __slots__ = ()
-
-    def unordered(self):
-        p, q, z = self.normalized
-        return frozenset({p, q}), z
+# normalized is (max, min, zero), orientation-free; orderings has both sign conventions
+SignatureResult = namedtuple("SignatureResult", "normalized orderings")
 
 
 def levi_signature(pair: CRPair, codirection=None) -> SignatureResult:

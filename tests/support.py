@@ -39,6 +39,22 @@ from crkit.report import Check, Report, witness_check
 from crkit.scalars import QI, QQ, GaussianRational, exact_div, format_scalar, imag_part, real_part
 
 
+def basis_vector(L, i):
+    """The unit vector e_i of L, dense."""
+    return tuple(int(k == i) for k in range(L.dim))
+
+
+def basis_vectors(L):
+    return tuple(basis_vector(L, i) for i in range(L.dim))
+
+
+def tensor_bracket(L, i, j):
+    """[e_i, e_j] as a sparse dict, read off the stored tensor by antisymmetry."""
+    if i < j:
+        return L.brackets.get((i, j), {})
+    return {k: -v for k, v in L.brackets.get((j, i), {}).items()}
+
+
 def oracle_bracket(L, x, y):
     """Dense tensor evaluation: sum_{i,j} x_i y_j c[i][j][.] over all pairs.
 
@@ -50,8 +66,8 @@ def oracle_bracket(L, x, y):
             c = x[i] * y[j]
             if c == 0:
                 continue
-            for k in range(L.dim):
-                out[k] += c * L.structure_constant(i, j, k)
+            for k, v in tensor_bracket(L, i, j).items():
+                out[k] += c * v
     return tuple(out)
 
 
@@ -71,7 +87,7 @@ def dense_solve(solver, v):
 
 def oracle_ad_matrix(L, x):
     """Dense ad_x matrix, column j = [x, e_j], built entrywise."""
-    cols = [dense_bracket(L, x, L.basis_vector(j)) for j in range(L.dim)]
+    cols = [dense_bracket(L, x, basis_vector(L, j)) for j in range(L.dim)]
     return [[cols[j][k] for j in range(L.dim)] for k in range(L.dim)]
 
 
@@ -287,8 +303,8 @@ def oracle_jacobi_witness(L):
             for k in range(j + 1, L.dim):
                 acc = {}
                 for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    for l, coeff in L.basis_bracket(a, b).items():
-                        for m, d in L.basis_bracket(l, c).items():
+                    for l, coeff in tensor_bracket(L, a, b).items():
+                        for m, d in tensor_bracket(L, l, c).items():
                             acc[m] = acc.get(m, 0) + coeff * d
                 if any(acc.values()):
                     return (i, j, k)
@@ -563,7 +579,7 @@ def oracle_quotient(L, ideal):
     solve, and the representative parts give the constants.
     """
     comp = [i for i in range(L.dim) if i not in ideal.pivots]
-    reps = [L.basis_vector(i) for i in comp]
+    reps = [basis_vector(L, i) for i in comp]
     k = len(reps)
     pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
     values = [oracle_bracket(L, reps[a], reps[b]) for a, b in pairs]
@@ -740,9 +756,14 @@ def greedy_induced_pair(model):
 # CR pairs with a prescribed raw J
 # ---------------------------------------------------------------------------
 
+def complement_rows(pair):
+    """The complement of h in R as dense echelon rows."""
+    return echelon_rows(pair.complement, pair.g.dim)[0]
+
+
 def complement_matrix(pair):
     """J mod h on the complement rows c_i: column i holds the coordinates of J c_i."""
-    comp = pair.complement_rows
+    comp = complement_rows(pair)
     images = [dense(pair.apply_j(sparse(c)), pair.g.dim) for c in comp]
     coords = dense_coordinates(comp, images) if comp else []
     return [[coords[i][k] for i in range(len(comp))] for k in range(len(comp))]
@@ -777,7 +798,7 @@ def pair_with_j(pair, on_h, on_comp):
     n = pair.g.dim
     units = [tuple(int(c == p) for c in range(n)) for p in range(n)]
     off_r = [units[p] for p in range(n) if p not in pair.r.pivots]
-    basis = [*pair.h.rows, *pair.complement_rows, *off_r]
+    basis = [*pair.h.rows, *complement_rows(pair), *off_r]
     values = [*on_h, *on_comp, *([(0,) * n] * len(off_r))]
     columns = {}
     for j, coords in enumerate(dense_coordinates(basis, units)):
@@ -811,11 +832,11 @@ def conjugated_pair(pair, p, scale=1, h_noise=None):
     h_noise[i], when given, is an h-valued vector added to the image of
     the i-th complement row, which leaves J mod h as it is.
     """
-    m = len(pair.complement_rows)
+    comp = complement_rows(pair)
+    m = len(comp)
     new = [[scale * x for x in row]
            for row in _matmul(_matmul(p, complement_matrix(pair)), _inverse(p))]
-    on_comp = [combination([new[k][i] for k in range(m)], pair.complement_rows)
-               for i in range(m)]
+    on_comp = [combination([new[k][i] for k in range(m)], comp) for i in range(m)]
     if h_noise is not None:
         on_comp = [[a + b for a, b in zip(v, w)] for v, w in zip(on_comp, h_noise)]
     return pair_with_j(pair, raw_j_on_h(pair), on_comp)
@@ -883,5 +904,8 @@ def cr_pair_payload(pair):
     payload["kind"] = "cr-pair"
     payload["h_basis"] = [[format_scalar(x, QQ) for x in row] for row in pair.h.rows]
     payload["R_basis"] = [[format_scalar(x, QQ) for x in row] for row in pair.r.rows]
-    payload["J"] = [[format_scalar(x, QQ) for x in row] for row in pair.j_matrix()]
+    # the canonical J, column convention: entry (k, j) is coordinate k of J e_j
+    n = pair.g.dim
+    payload["J"] = [[format_scalar(pair.j.get(j, {}).get(k, 0), QQ) for j in range(n)]
+                    for k in range(n)]
     return payload

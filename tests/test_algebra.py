@@ -40,6 +40,8 @@ from crkit.errors import InputError, StructureError
 from crkit.scalars import QI, QQ, GaussianRational
 
 from .support import (
+    basis_vector,
+    basis_vectors,
     build_sl_real,
     build_so,
     dense_bracket,
@@ -81,7 +83,7 @@ def test_bracket_abelian_is_zero():
 
 def test_bracket_sl2_defining_relation():
     L = sl2()
-    h, e, f = L.basis_vectors()
+    h, e, f = basis_vectors(L)
     assert dense_bracket(L, h, e) == (F(0), F(2), F(0))
     assert dense_bracket(L, h, f) == (F(0), F(0), F(-2))
     assert dense_bracket(L, e, f) == (F(1), F(0), F(0))
@@ -272,7 +274,7 @@ def test_killing_form_abelian_zero():
 def test_killing_form_sl2_frozen_values():
     L = sl2()
     k = killing_form(L)
-    h, e, f = L.basis_vectors()
+    h, e, f = basis_vectors(L)
     # oracle: dense ad matrices and explicit trace of the product
     ad_h = oracle_ad_matrix(L, h)
     ad_e = oracle_ad_matrix(L, e)
@@ -396,13 +398,13 @@ def test_quotient_of_solvable_validates():
 
 def test_levi_complement_gl2():
     L = gl2()
-    s = span(L, [L.basis_vector(0), L.basis_vector(1), L.basis_vector(2)])
+    s = span(L, [basis_vector(L, 0), basis_vector(L, 1), basis_vector(L, 2)])
     assert verify_levi_complement(L, s)
 
 
 def test_levi_complement_rejects_non_semisimple():
     L = gl2()
-    s = span(L, [L.basis_vector(0), L.basis_vector(1), L.basis_vector(3)])
+    s = span(L, [basis_vector(L, 0), basis_vector(L, 1), basis_vector(L, 3)])
     assert is_subalgebra(L, s)
     assert not verify_levi_complement(L, s)
 
@@ -419,8 +421,8 @@ def test_levi_complement_over_q_i():
     brackets = {(0, 1): {1: 2 * i}, (0, 2): {2: -2 * i}, (1, 2): {0: -i}}
     L = direct_sum(LieAlgebra(3, QI, ("ih", "e", "f"), brackets), abelian(1, field=QI))
     assert validate(L).ok
-    assert verify_levi_complement(L, span(L, [L.basis_vector(k) for k in range(3)]))
-    assert not verify_levi_complement(L, span(L, [L.basis_vector(k) for k in (1, 3)]))
+    assert verify_levi_complement(L, span(L, [basis_vector(L, k) for k in range(3)]))
+    assert not verify_levi_complement(L, span(L, [basis_vector(L, k) for k in (1, 3)]))
 
 
 # ---------------------------------------------------------------------------

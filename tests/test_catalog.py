@@ -40,6 +40,7 @@ from crkit.errors import InputError, InternalError
 from crkit.scalars import GaussianRational
 
 from .support import (
+    basis_vector,
     build_sl_complex_as_real,
     build_sl_real,
     build_so,
@@ -127,7 +128,7 @@ def test_sl_complex_defining_bracket():
     L = build_sl_complex(3)
     # basis order: offdiagonal pairs lexicographic, then coroots
     # [E01, E10] = H0
-    out = dense_bracket(L, L.basis_vector(0), L.basis_vector(2))
+    out = dense_bracket(L, basis_vector(L, 0), basis_vector(L, 2))
     expect = [G(0)] * 8
     expect[6] = G(1)
     assert list(out) == expect

@@ -40,6 +40,8 @@ from crkit.scalars import QI, GaussianRational
 
 from .support import (
     apply_complex_matrix_to_model,
+    basis_vector,
+    basis_vectors,
     build_sl_complex_as_real,
     build_sl_real,
     build_sp,
@@ -100,12 +102,12 @@ def test_realified_brackets():
     r = realify(complexify_algebra(sl2()))
     assert validate(r).ok
     # [e_h, i e_e] = i [h, e] = 2 i e
-    h = r.basis_vector(0)
-    ie = r.basis_vector(4)
+    h = basis_vector(r, 0)
+    ie = basis_vector(r, 4)
     out = dense_bracket(r, h, ie)
     assert out == (F(0), F(0), F(0), F(0), F(2), F(0))
     # [i e_e, i e_f] = -[e, f] = -h
-    assert dense_bracket(r, r.basis_vector(4), r.basis_vector(5))[0] == F(-1)
+    assert dense_bracket(r, basis_vector(r, 4), basis_vector(r, 5))[0] == F(-1)
 
 
 def test_realify_roundtrip_coordinates():
@@ -163,7 +165,7 @@ def complex_tensors(draw):
 
 def complex_jacobi_witness(L):
     """First basis triple failing Jacobi, by dense brackets over Q(i)."""
-    e = L.basis_vectors()
+    e = basis_vectors(L)
 
     def br(x, y):
         return oracle_bracket(L, x, y)
@@ -222,7 +224,7 @@ def full_sl2_model(iso_rows):
     """sl2(C) as a real algebra, with the complex isotropy rows given, realified."""
     ambient = complexify_algebra(sl2())
     real = realify(ambient)
-    rows = [real.basis_vector(k) for k in range(6)]
+    rows = [basis_vector(real, k) for k in range(6)]
     iso = [sparse(complex_to_real(z)) for z in iso_rows]
     return OrbitModel(ambient, [sparse(r) for r in rows], iso)
 
@@ -239,10 +241,10 @@ def mixed_model():
     real = realify(ambient)
     rows = []
     for k in (0, 1, 2):          # sl2 real directions
-        rows.append(real.basis_vector(k))
+        rows.append(basis_vector(real, k))
     for k in (4, 5, 6):          # sl2 imaginary directions
-        rows.append(real.basis_vector(k))
-    rows.append(real.basis_vector(3))  # the real line in the C factor
+        rows.append(basis_vector(real, k))
+    rows.append(basis_vector(real, 3))  # the real line in the C factor
     return OrbitModel(ambient, [sparse(r) for r in rows], [], name="mixed")
 
 
@@ -285,7 +287,7 @@ def non_closed_isotropy():
 def test_non_subalgebra_isotropy_rejected():
     ambient = complexify_algebra(sl2())
     real = realify(ambient)
-    rows = [real.basis_vector(k) for k in range(6)]
+    rows = [basis_vector(real, k) for k in range(6)]
     with pytest.raises(StructureError, match="isotropy rows are not a complex subalgebra"):
         OrbitModel(ambient, [sparse(r) for r in rows], non_closed_isotropy())
 
@@ -294,7 +296,7 @@ def test_non_subalgebra_isotropy_rejected():
 def test_dependent_real_rows_rejected(extra):
     # the library constructor, not the file loader, which checks the rank itself
     ambient = complexify_algebra(sl2())
-    rows = [sparse(realify(ambient).basis_vector(k)) for k in range(6)]
+    rows = [sparse(basis_vector(realify(ambient), k)) for k in range(6)]
     rows.append(dict(rows[2]) if extra == "duplicate" else {})
     with pytest.raises(InputError, match="^real basis rows are linearly dependent$"):
         OrbitModel(ambient, rows, [])
@@ -416,11 +418,11 @@ def heis_solv_model():
     real = realify(ambient)
     rows = []
     for k in (0, 1, 2):
-        rows.append(real.basis_vector(k))       # heis real parts
+        rows.append(basis_vector(real, k))      # heis real parts
     for k in (5, 6, 7):
-        rows.append(real.basis_vector(k))       # heis imaginary parts
-    rows.append(real.basis_vector(3))           # first C factor: real line
-    rows.append(real.basis_vector(9))           # second C factor: i R line
+        rows.append(basis_vector(real, k))      # heis imaginary parts
+    rows.append(basis_vector(real, 3))          # first C factor: real line
+    rows.append(basis_vector(real, 9))          # second C factor: i R line
     return OrbitModel(ambient, [sparse(r) for r in rows], [], name="heis-solv")
 
 

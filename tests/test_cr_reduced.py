@@ -5,12 +5,12 @@ complement x complement once kernel-exactness and J^2 = -1 hold and h is
 a subalgebra, and reruns the full loop for the witness of a failure.
 support.full_check_cr_pair keeps the full loops over R's rows.  The pairs
 here all have h != 0; J is moved on R/h by conjugation, scaling, an
-h-valued term, a swap of h with the complement or a leak of h, so that
-every row fails somewhere, and the whole Report, witnesses included, must
-equal the full loops' Report.  On the same pairs the complement and the
-canonical J must equal support.oracle_complement and
-support.oracle_canonical_j, which reduce R's rows modulo h and project
-every unit vector.
+h-valued term, a swap of h with the complement, a leak of h or a
+complement row sent to 0, so that every row fails somewhere, and the
+whole Report, witnesses included, must equal the full loops' Report.  On
+the same pairs the complement and the canonical J must equal
+support.oracle_complement and support.oracle_canonical_j, which reduce
+R's rows modulo h and project every unit vector.
 """
 
 import pytest
@@ -20,8 +20,12 @@ from hypothesis import strategies as st
 from crkit.algebra import LieAlgebra, abelian, direct_sum, heisenberg, sl2, span
 from crkit.catalog import get_entry
 from crkit.cr import CRPair, check_cr_pair
+from crkit.linalg import dense, sparse
 
 from .support import (
+    basis_vector,
+    basis_vectors,
+    complement_rows,
     conjugated_pair,
     full_check_cr_pair,
     oracle_canonical_j,
@@ -38,7 +42,7 @@ def times_ideal(k, pair):
     """The algebra k times pair (with h = 0), with h = k: h acts trivially on R/h."""
     n = k.dim
     g = direct_sum(k, pair.g)
-    units = [g.basis_vector(t) for t in range(n)]
+    units = [basis_vector(g, t) for t in range(n)]
     rows = [(0,) * n + tuple(r) for r in pair.r.rows]
     j = {a + n: {b + n: x for b, x in col.items()} for a, col in pair.j_raw.items()}
     return CRPair(g, span(g, units), span(g, units + rows), j)
@@ -62,8 +66,8 @@ def open_h_pair():
     off h passes, so only the full loops see [x, y] = z leave R.
     """
     g = direct_sum(heisenberg(), abelian(2))
-    e = g.basis_vector
-    return CRPair(g, span(g, [e(0), e(1)]), span(g, [e(0), e(1), e(3), e(4)]),
+    e = basis_vectors(g)
+    return CRPair(g, span(g, [e[0], e[1]]), span(g, [e[0], e[1], e[3], e[4]]),
                   {3: {4: 1}, 4: {3: -1}})
 
 
@@ -96,7 +100,8 @@ def shear(m, entries):
 
 def moved(pair, kind, entries):
     """pair with its raw J moved as kind says; entries feed the shear and the noise."""
-    m = len(pair.complement_rows)
+    comp = complement_rows(pair)
+    m = len(comp)
     p = shear(m, entries)
     if kind == "conjugate":
         return conjugated_pair(pair, p)
@@ -116,11 +121,15 @@ def moved(pair, kind, entries):
         # mod h holds when m <= dim h, and J(h) leaves h
         on_h = [[0] * pair.g.dim for _ in on_h]
         for t in range(min(m, len(on_h))):
-            on_h[t] = list(pair.complement_rows[t])
+            on_h[t] = list(comp[t])
             on_comp[t] = [-x for x in pair.h.rows[t]]
+    elif kind == "leak":
+        # h's first row goes to a complement row, and J vanishes on the rest
+        on_h[0] = list(comp[0])
     else:
-        # leak: h's first row goes to a complement row, and J vanishes on the rest
-        on_h[0] = list(pair.complement_rows[0])
+        # kill: J sends the first complement row to 0 and keeps the others,
+        # so J mod h vanishes off h
+        on_comp[1:] = [dense(pair.apply_j(sparse(c)), pair.g.dim) for c in comp[1:]]
     return pair_with_j(pair, on_h, on_comp)
 
 
@@ -134,7 +143,7 @@ ENTRIES = st.lists(st.integers(-2, 2), min_size=100, max_size=100)
 @settings(max_examples=60, deadline=None)
 @given(
     name=st.sampled_from(sorted(BASES)),
-    kind=st.sampled_from(("conjugate", "scale", "h-noise", "swap", "leak", "none")),
+    kind=st.sampled_from(("conjugate", "scale", "h-noise", "swap", "leak", "kill", "none")),
     entries=ENTRIES,
     connected=st.booleans(),
 )
@@ -169,6 +178,8 @@ SHEAR = [1, -1, 2, 0, 1] * 20
     ("sl2 x heis_solv, rebased", "conjugate", True, {INTEGRABILITY}),
     ("open h", "none", True, {ISOTROPY, INTEGRABILITY}),
     ("open h", "none", False, {INTEGRABILITY}),
+    # J(h) <= h, but J mod h kills a complement row
+    ("quadric(2,1)", "kill", True, {KERNEL, SQUARE, ISOTROPY, INTEGRABILITY}),
 ])
 def test_every_row_fails_somewhere_with_the_full_loops_witness(name, kind, connected, fails):
     pair = base(name) if kind == "none" else moved(base(name), kind, SHEAR)
@@ -185,7 +196,7 @@ def test_a_passing_pair_brackets_modulo_h(monkeypatch):
     bracket = LieAlgebra.bracket
     monkeypatch.setattr(LieAlgebra, "bracket", lambda L, x, y: calls.append(1) or bracket(L, x, y))
     assert check_cr_pair(pair).ok
-    h, m = pair.h.dim, len(pair.complement_rows)
+    h, m = pair.h.dim, len(pair.complement)
     assert (h, m, pair.r.dim) == (10, 4, 14)
     assert len(calls) == h * (h - 1) // 2 + 2 * h * m + 4 * (m * (m - 1) // 2) == 149
     calls.clear()

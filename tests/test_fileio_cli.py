@@ -476,6 +476,52 @@ def test_malformed_payload_fails_closed(tmp_path, capsys, label, payload):
     assert "Traceback" not in err
 
 
+def rejected_inputs():
+    """(label, payload or None, argv, message): each input must exit 2 with one error line.
+
+    argv takes the file written from the payload after "analyze"; argparse
+    rejects an empty --set after its usage lines.
+    """
+    pair = heisenberg_pair_payload()
+    orbit = orbit_payload(get_entry("c2_torus").model)
+    return [
+        ("array-payload", [], ["analyze"], "payload must be a JSON object"),
+        ("complex-pair", dict(pair, field="Q_i"), ["analyze"],
+         "CR pairs need a real (Q) algebra"),
+        ("pair-J-missing-row", dict(pair, J=pair["J"][:2]), ["analyze"],
+         "J must be a dim x dim matrix"),
+        ("pair-J-short-row", dict(pair, J=[pair["J"][0][:2], *pair["J"][1:]]), ["analyze"],
+         "J must be a dim x dim matrix"),
+        ("real-ambient", dict(orbit, ambient=dict(orbit["ambient"], field="Q")), ["analyze"],
+         "orbit ambient algebra must be complex (Q_i)"),
+        ("empty-set", heisenberg_payload(), ["analyze", "--set", ","],
+         "at least one analysis must be selected"),
+        ("params-without-parentheses", None, ["catalog", "verify", "quadric2,1"],
+         "bad parameters for quadric: '2,1'"),
+        ("unclosed-parameters", None, ["catalog", "verify", "quadric(2,1"],
+         "bad parameters for quadric: '(2,1'"),
+    ]
+
+
+@pytest.mark.parametrize("label,payload,argv,message", rejected_inputs())
+def test_rejected_input_exits_2_with_one_error_line(tmp_path, capsys, label, payload, argv,
+                                                    message):
+    if payload is not None:
+        argv = [argv[0], write(tmp_path, label + ".json", payload), *argv[1:]]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error: " in line]
+    assert errors == [err.splitlines()[-1]] and message in errors[0]
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    # a Levi form with odd inertia counts cannot be J-invariant
+    monkeypatch.setattr("crkit.cr.signature_of_symmetric", lambda rows: (1, 0, 0))
+    assert main(["catalog", "verify", "quadric(2,1)"]) == 3
+    assert capsys.readouterr().err == "internal error: J-invariant form with odd inertia counts\n"
+
+
 LONG = 5000
 
 

@@ -6,6 +6,7 @@ from crkit.algebra import LieAlgebra, direct_sum, full_space, heisenberg, radica
 from crkit.catalog import (
     ROSTER,
     CatalogEntry,
+    Expected,
     build_sl_complex,
     catalog_entries,
     complex_abelian,
@@ -13,7 +14,7 @@ from crkit.catalog import (
     quadric_orbit,
     sp_quadric_orbit,
 )
-from crkit.complexify import j_apply, realify
+from crkit.complexify import OrbitModel, j_apply, realify
 from crkit.errors import InputError
 from crkit.fileio import load_pi1
 from crkit.globalize import (
@@ -27,9 +28,10 @@ from crkit.globalize import (
     radical_abelian_check,
     verdict,
 )
+from crkit.linalg import sparse
 from crkit.scalars import QI, GaussianRational
 
-from .support import complex_j_hat_rows, complex_rows_realified
+from .support import basis_vector, complex_j_hat_rows, complex_rows_realified
 
 F = Fraction
 G = GaussianRational
@@ -168,6 +170,21 @@ def test_verdict_twisted_globalizable_trivial_fiber():
     assert v.condition_c == "unknown"
 
 
+def test_verdict_aff1_orbit_radical_fails_with_both_notes():
+    # the real form aff(1, R) of [a, b] = b with isotropy C a: the radical is
+    # the whole ambient, nonabelian, and no pi1 data is given
+    ambient = LieAlgebra(2, QI, ("a", "b"), {(0, 1): {1: G(1)}})
+    model = OrbitModel(ambient, [{0: 1}, {1: 1}], [{0: 1}], name="aff1")
+    v = verdict(CatalogEntry("aff1", "file", (), model, Expected()))
+    assert v.radical_abelian_on_base == "fail"
+    assert v.condition_c == "unknown"
+    assert v.overall == NOT_DECIDABLE
+    assert v.notes == (
+        "the ambient radical does not act abelianly on the base",
+        "homotopy comparison: unknown",
+    )
+
+
 def test_verdict_monotone_in_condition_c():
     # strengthening weak-pass to pass never downgrades the verdict
     order = {NOT_DECIDABLE: 0, GLOBALIZABLE_FINITE: 1, GLOBALIZABLE: 2}
@@ -214,14 +231,10 @@ def test_fine_class_parallelizable_kahler():
 
 def test_fine_class_negative_control():
     """A parallelizable Kahler-tagged model whose m contains a simple part."""
-    from crkit.catalog import Expected
-    from crkit.complexify import OrbitModel, realify
-    from crkit.linalg import sparse
-
     ambient = direct_sum(build_sl_complex(2), complex_abelian(1))
     real = realify(ambient)
-    rows = [real.basis_vector(k) for k in (0, 1, 2, 4, 5, 6)]  # realified sl2 part
-    rows.append(real.basis_vector(3))  # real line in the abelian factor
+    rows = [basis_vector(real, k) for k in (0, 1, 2, 4, 5, 6)]  # realified sl2 part
+    rows.append(basis_vector(real, 3))  # real line in the abelian factor
     model = OrbitModel(ambient, [sparse(r) for r in rows], [], name="negative-control")
     entry = CatalogEntry(
         name="negative-control",

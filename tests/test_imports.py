@@ -4,10 +4,11 @@
 and the CLI imports the catalog, CR and globalization layers only in the
 commands that need them.  Each of those checks runs in a new interpreter,
 because this test process has long since imported every layer.  The
-public names are README's "Library use" list, and every other public
+public names are README's "Library use" list, every other public
 function, class or module-level assignment in ``src/crkit`` has a use
-inside the package.  Every name a test module imports is read somewhere
-in that module.
+inside the package, and so does every method and property of its
+classes.  Every name a test module imports is read somewhere in that
+module.
 """
 
 import ast
@@ -180,6 +181,36 @@ def test_every_public_definition_has_a_use_in_the_package():
     unused = [d for d in definitions
               if d.split(".")[1] not in used and d.split(".")[1] not in crkit.__all__]
     assert unused == []
+
+
+def test_every_class_member_has_a_reader_in_the_package():
+    # a method or property of a class in src/crkit is read as an attribute
+    # somewhere in src/crkit; README's library use and the benchmark's tracer
+    # (which wraps GaussianRational's operators by name) are readers too
+    package = os.path.dirname(os.path.abspath(crkit.__file__))
+    members, read = [], set()
+    for filename in sorted(os.listdir(package)):
+        if not filename.endswith(".py"):
+            continue
+        with open(os.path.join(package, filename), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                members += [f"{filename[:-3]}.{node.name}.{item.name}" for item in node.body
+                            if isinstance(item, ast.FunctionDef)
+                            and not (item.name.startswith("__") and item.name.endswith("__"))]
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    with open(os.path.join(REPO, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    with open(os.path.join(REPO, "perfbench", "tracer.py"), encoding="utf-8") as fh:
+        traced = {node.value for node in ast.walk(ast.parse(fh.read()))
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    assert members, package
+    unread = [m for m in members
+              if (name := m.rsplit(".", 1)[1]) not in read
+              and not re.search(rf"\.{name}\b", readme) and name not in traced]
+    assert unread == []
 
 
 def test_test_modules_use_every_name_they_import():

@@ -203,10 +203,9 @@ def rebase_pair(pair, rows):
 
 
 def levi_invariants(pair):
-    """Unordered Levi signature (default codirection), CR type and axiom verdict."""
-    sig = levi_signature(pair)
+    """Orientation-free Levi signature (default codirection), CR type and axiom verdict."""
     t = cr_type(pair)
-    return sig.unordered(), (t.n, t.l, t.k), check_cr_pair(pair).ok
+    return levi_signature(pair).normalized, (t.n, t.l, t.k), check_cr_pair(pair).ok
 
 
 LEVI_ENTRIES = ("quadric(2,1)", "quadric(3,1)", "sp_quadric(1,1)")

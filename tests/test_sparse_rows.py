@@ -2,8 +2,7 @@
 
 A Subspace is its sparse echelon form, and an OrbitModel keeps sparse
 rows.  Their dense views (Subspace.rows, OrbitModel.real_rows and
-isotropy_rows, CRPair.complement_rows) exist for the records and
-payloads that show them.
+isotropy_rows) exist for the records and payloads that show them.
 Verifying a catalog entry shows none, so it must build none.
 """
 
@@ -19,7 +18,6 @@ from crkit.catalog import (
     verify_entry,
 )
 from crkit.complexify import OrbitModel
-from crkit.cr import CRPair
 
 # the builders behind their caches, so every entry, model and pair is new
 FRESH = {
@@ -59,18 +57,13 @@ def reachable(root):
 @pytest.mark.parametrize("name", sorted(FRESH))
 def test_verify_entry_builds_no_dense_row(name, monkeypatch):
     reads = []
+    view = Subspace.__dict__["rows"]
 
-    def record(cls, attr):
-        view = cls.__dict__[attr]
+    def recorded(sub):
+        reads.append(sub)
+        return view.__get__(sub, Subspace)
 
-        def recorded(obj):
-            reads.append((attr, obj))
-            return view.__get__(obj, cls)
-
-        monkeypatch.setattr(cls, attr, property(recorded))
-
-    record(Subspace, "rows")
-    record(CRPair, "complement_rows")
+    monkeypatch.setattr(Subspace, "rows", property(recorded))
     entry = FRESH[name]()
     assert verify_entry(entry).ok
     assert reads == []
