@@ -28,7 +28,6 @@ from .linalg import (
     Solver,
     echelon,
     echelon_rows,
-    in_span,
     intersect_spaces,
     kernel_rows,
     reduce_mod,
@@ -136,17 +135,6 @@ class LieAlgebra:
             raise InputError("bracket: vector index outside the basis") from None
         return {k: v for k, v in acc.items() if v}
 
-    def ad(self, x):
-        """ad_x of a sparse x as a column map {j: {k: coeff}} with ad_x(e_j) = sum coeff e_k."""
-        cols = {}
-        adj = self._adjacency
-        for i, xi in x.items():
-            for j, row in adj[i].items():
-                col = cols.setdefault(j, {})
-                for k, v in row.items():
-                    col[k] = col.get(k, 0) + xi * v
-        return cols
-
 
 class Subspace:
     """A linear subspace of a LieAlgebra, as its reduced echelon form.
@@ -178,7 +166,7 @@ class Subspace:
 
     def contains(self, v):
         """Is the sparse vector v in the subspace?"""
-        return in_span(v, self.echelon)
+        return not reduce_mod(v, self.echelon)
 
     def contains_space(self, other):
         return all(self.contains(r) for r in other.echelon.values())
@@ -431,7 +419,8 @@ def killing_form(L):
 
 
 def _killing_form(L):
-    ads = [L.ad(e) for e in _units(L)]
+    # _adjacency[i] is ad e_i as a column map {j: [e_i, e_j]}
+    ads = L._adjacency
     n = L.dim
     mat = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -555,14 +544,6 @@ def read_off_structure(L, rows, modulo=None, names=None):
     return LieAlgebra(k, L.field, names, brackets), solver
 
 
-def subalgebra_structure(L, s):
-    """Abstract algebra on the basis rows of a subalgebra s, plus its Solver.
-
-    Raises StructureError if s is not closed under the bracket.
-    """
-    return read_off_structure(L, s.echelon.values())
-
-
 def quotient_algebra(L, ideal):
     """Quotient by an ideal, on the explicit pivot-free complement basis.
 
@@ -585,7 +566,7 @@ def verify_levi_complement(L, s):
     (no zero in its inertia; over Q(i), that of the realification, 2 Re kappa).
     """
     try:
-        sub, _ = subalgebra_structure(L, s)
+        sub, _ = read_off_structure(L, s.echelon.values())
     except StructureError:
         return False
     r = radical(L)

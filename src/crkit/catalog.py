@@ -240,11 +240,6 @@ def sp_complex_read_off(m):
     return read_off_structure(build_sl_complex(2 * m), rows, names=sp_names(m))
 
 
-def build_sp_complex(m):
-    """sp(2m, C) over Q(i), dimension m(2m + 1)."""
-    return sp_complex_read_off(m)[0]
-
-
 def sp_coordinates(mat, m):
     """Realified coordinates of a 2m x 2m matrix on the sp(2m, C) basis.
 
@@ -373,7 +368,7 @@ def sp_quadric_orbit(p, q):
     if p < 1 or q < 1:
         raise InputError("sp quadric needs p, q >= 1")
     m = p + q
-    ambient = build_sp_complex(m)
+    ambient, _ = sp_complex_read_off(m)
     real_rows = [sp_coordinates(x, m) for x in sp_real_basis_matrices(p, q)]
     iso = line_stabilizer_rows(sp_complex_basis_matrices(m), _unit_pairs(2 * m, 0, p))
     model = OrbitModel(ambient, real_rows, iso, name=f"sp_quadric({p},{q})")

@@ -7,8 +7,11 @@ Exit codes: 0 = ran (axiom failures are report content, not errors),
 1 = catalog verification mismatch, 2 = bad input, 3 = internal invariant
 breach (never expected).  Structured output is line-delimited JSON with a
 stable schema tag and sorted keys, so byte-identical inputs give
-byte-identical output.  analyze runs the entry analyses of an orbit file
-on the CatalogEntry that fileio.load_file builds from it.
+byte-identical output.  analyze reads each file as one object
+(fileio.load_file): a LieAlgebra, a CRPair or an orbit file's
+CatalogEntry, which admit the first 2, 4 and 7 ANALYSES.  An entry's
+fibration, globalize and fine-class records come from one helper, for
+analyze and catalog show alike.
 """
 
 from __future__ import annotations
@@ -184,25 +187,35 @@ def _levi_records(rep, target, pair):
                  status=str(sig.normalized), detail=f"orderings {sig.orderings}")
 
 
-def _fibration_records(rep, target, fib):
-    for key, value in (("degenerate", fib.degenerate), ("dim_fiber", fib.fiber_dim),
-                       ("dim_base", fib.base_dim), ("h_dim", fib.h_dim)):
-        rep.emit(target=target, analysis="fibration", check=key, status=str(value))
-    if fib.isotropy_discrete_proxy is not None:
-        rep.emit(target=target, analysis="fibration", check="isotropy-discrete-proxy",
-                 status="pass" if fib.isotropy_discrete_proxy else "fail")
-    for caveat in fib.caveats:
-        rep.emit(target=target, analysis="fibration", check="caveat", status=caveat)
+def _entry_records(rep, target, entry, analyses=ANALYSES[4:]):
+    """The fibration, globalize and fine-class records of an entry, as selected."""
+    for analysis in analyses:
+        if analysis == "fibration":
+            fib = entry.fibration
+            for key, value in (("degenerate", fib.degenerate), ("dim_fiber", fib.fiber_dim),
+                               ("dim_base", fib.base_dim), ("h_dim", fib.h_dim)):
+                rep.emit(target=target, analysis=analysis, check=key, status=str(value))
+            if fib.isotropy_discrete_proxy is not None:
+                rep.emit(target=target, analysis=analysis, check="isotropy-discrete-proxy",
+                         status="pass" if fib.isotropy_discrete_proxy else "fail")
+            for caveat in fib.caveats:
+                rep.emit(target=target, analysis=analysis, check="caveat", status=caveat)
+        elif analysis == "globalize":
+            from .globalize import verdict
+
+            v = verdict(entry)
+            for name, value in v.rows():
+                rep.emit(target=target, analysis=analysis, check=name, status=value)
+            for note in v.notes:
+                rep.emit(target=target, analysis=analysis, check="note", status=note)
+        else:
+            from .globalize import fine_classification_checks
+
+            _report_records(rep, target, analysis, fine_classification_checks(entry))
 
 
-def _globalize_records(rep, target, entry):
-    from .globalize import verdict
-
-    v = verdict(entry)
-    for name, value in v.rows():
-        rep.emit(target=target, analysis="globalize", check=name, status=value)
-    for note in v.notes:
-        rep.emit(target=target, analysis="globalize", check="note", status=note)
+# each input kind admits a prefix of ANALYSES
+ADMITTED = {"algebra": 2, "cr-pair": 4, "orbit": len(ANALYSES)}
 
 
 def cmd_analyze(args, rep):
@@ -213,24 +226,14 @@ def cmd_analyze(args, rep):
     for path in args.files:
         kind, obj = load_file(path)
         target = path
-        if kind == "algebra":
-            applicable = ("validate", "structure")
-            L = obj
-            pair = None
-            entry = None
-        elif kind == "cr-pair":
-            applicable = ("validate", "structure", "cr-axioms", "levi")
-            L, pair = obj
-            entry = None
-        else:
-            applicable = ANALYSES
-            entry = obj
-            L = entry.model.ambient
-            pair = None
-        todo = [a for a in ANALYSES if a in selected and a in applicable]
+        # a pair is validated on its algebra g and an orbit on its complex
+        # ambient; an orbit's pair is its entry's, induced on first read
+        L = obj if kind == "algebra" else obj.g if kind == "cr-pair" else obj.model.ambient
         jacobi_ok = True
         axioms_ok = True
-        for analysis in todo:
+        for analysis in ANALYSES[:ADMITTED[kind]]:
+            if analysis not in selected:
+                continue
             if analysis == "validate":
                 report = validate(L)
                 _report_records(rep, target, analysis, report)
@@ -240,37 +243,30 @@ def cmd_analyze(args, rep):
                          detail="jacobi failed")
             elif analysis == "structure":
                 if kind == "orbit":
-                    _structure_records(rep, target, entry.model.real_algebra, "real")
-                    rep.emit(target=target, analysis="structure", check="orbit.codim",
-                             status=str(entry.model.codim))
-                    rep.emit(target=target, analysis="structure", check="orbit.h-dim",
-                             status=str(entry.model.h.dim))
-                    rep.emit(target=target, analysis="structure", check="orbit.m-dim",
-                             status=str(entry.model.m.dim))
+                    model = obj.model
+                    _structure_records(rep, target, model.real_algebra, "real")
+                    for name, value in (("codim", model.codim), ("h-dim", model.h.dim),
+                                        ("m-dim", model.m.dim)):
+                        rep.emit(target=target, analysis=analysis, check=f"orbit.{name}",
+                                 status=str(value))
                 else:
                     _structure_records(rep, target, L, "algebra")
-            elif analysis == "cr-axioms":
-                from .cr import check_cr_pair
+            elif analysis in ("cr-axioms", "levi"):
+                pair = obj if kind == "cr-pair" else obj.cr_pair
+                if analysis == "cr-axioms":
+                    from .cr import check_cr_pair
 
-                p = pair if pair is not None else entry.cr_pair
-                report = check_cr_pair(p, connected_isotropy=not args.disconnected_isotropy)
-                _report_records(rep, target, analysis, report)
-                axioms_ok = report.ok
-            elif analysis == "levi":
-                p = pair if pair is not None else entry.cr_pair
-                if axioms_ok:
-                    _levi_records(rep, target, p)
+                    report = check_cr_pair(pair,
+                                           connected_isotropy=not args.disconnected_isotropy)
+                    _report_records(rep, target, analysis, report)
+                    axioms_ok = report.ok
+                elif axioms_ok:
+                    _levi_records(rep, target, pair)
                 else:
-                    rep.emit(target=target, analysis="levi", check="levi-kernel",
+                    rep.emit(target=target, analysis=analysis, check="levi-kernel",
                              status="skipped", detail="cr axioms failed")
-            elif analysis == "fibration":
-                _fibration_records(rep, target, entry.fibration)
-            elif analysis == "globalize":
-                _globalize_records(rep, target, entry)
-            elif analysis == "fine-class":
-                from .globalize import fine_classification_checks
-
-                _report_records(rep, target, analysis, fine_classification_checks(entry))
+            else:
+                _entry_records(rep, target, obj, (analysis,))
     return 0
 
 
@@ -283,7 +279,7 @@ def cmd_catalog(args, rep):
 
     action = args.action
     if action in ("list", "show"):
-        from .globalize import fine_classification_checks, verdict
+        from .globalize import verdict
     if action == "list":
         for name in ROSTER:
             entry = get_entry(name)
@@ -306,9 +302,7 @@ def cmd_catalog(args, rep):
             rep.stream.write(json.dumps(payload, sort_keys=True) + "\n")
             return 0
         _report_records(rep, entry.name, "verify", verify_entry(entry), MATCH)
-        _fibration_records(rep, entry.name, entry.fibration)
-        _globalize_records(rep, entry.name, entry)
-        _report_records(rep, entry.name, "fine-class", fine_classification_checks(entry))
+        _entry_records(rep, entry.name, entry)
         for note in entry.notes:
             rep.emit(target=entry.name, analysis="catalog", check="note", status=note)
         return 0

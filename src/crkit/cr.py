@@ -172,13 +172,11 @@ def check_cr_pair(pair: CRPair, connected_isotropy: bool = True) -> Report:
             witness = v
             break
     comp = list(pair.complement.values())
-    if witness is None:
+    if witness is None and comp:
+        # the complement rows vanish on h's pivots, and a nonzero vector of
+        # h does not, so a nonzero combination of them never lies in h
         images = [h.reduce(apply_endo(j, v)) for v in comp]
-        if images:
-            for vec in combine_rows(left_nullspace(images), comp):
-                if not h.contains(vec):
-                    witness = vec
-                    break
+        witness = next(iter(combine_rows(left_nullspace(images), comp)), None)
     found("kernel-exactness", witness)
 
     # J^2 + id = 0 mod h on R

@@ -7,7 +7,8 @@ Three payload kinds, detected by their fields:
               brackets is a sparse list of [i, j, [[k, scalar], ...]] with
               i < j only; antisymmetry is filled in by the loader.
   cr-pair     an algebra payload plus h_basis, R_basis (rational rows) and
-              J (dense rational matrix)
+              J (dense rational matrix); load_file reads a cr-pair file
+              as its CRPair, whose algebra is pair.g
   orbit       ambient (an algebra payload over Q_i), real_basis (rational
               rows in realified coordinates), isotropy_hat_basis (rows
               over Q_i), optional kahler flag and pi1 data
@@ -159,7 +160,7 @@ def _rational_rows(data, width, what):
 
 
 def load_cr_pair(payload):
-    """(algebra, CRPair) from a cr-pair payload."""
+    """The CRPair of a cr-pair payload; its algebra is pair.g."""
     from .cr import CRPair, matrix_columns
 
     g = load_algebra(payload)
@@ -174,8 +175,7 @@ def load_cr_pair(payload):
     for row in j:
         if len(row) != g.dim:
             raise InputError("J must be a dim x dim matrix")
-    pair = CRPair(g, span(g, h_rows), span(g, r_rows), matrix_columns(j))
-    return g, pair
+    return CRPair(g, span(g, h_rows), span(g, r_rows), matrix_columns(j))
 
 
 def load_orbit_model(payload) -> OrbitModel:
@@ -277,8 +277,8 @@ def detect_kind(payload) -> str:
 
 
 def load_file(path):
-    """(kind, object) for a structured input file: a LieAlgebra, an (algebra,
-    CRPair) pair, or an orbit file's CatalogEntry, which asserts no invariants.
+    """(kind, object) for a structured input file: a LieAlgebra, a CRPair, or
+    an orbit file's CatalogEntry, which asserts no invariants.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:

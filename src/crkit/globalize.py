@@ -22,8 +22,8 @@ from .algebra import (
     is_solvable,
     product_space,
     radical,
+    read_off_structure,
     sparse_span,
-    subalgebra_structure,
 )
 from .complexify import j_apply
 from .errors import InputError
@@ -207,7 +207,8 @@ def fine_classification_checks(entry) -> Report:
         )
     parallelizable = model.h.dim == 0 and entry.fibration.degenerate
     if parallelizable and entry.kahler:
-        m_solv = is_solvable(subalgebra_structure(model.ambient_real, model.m)[0])
+        m_algebra, _ = read_off_structure(model.ambient_real, model.m.echelon.values())
+        m_solv = is_solvable(m_algebra)
         checks.append(Check("kahler-m-solvable", m_solv, f"dim m = {model.m.dim}"))
         if model.codim <= 2:
             checks.append(

@@ -212,10 +212,6 @@ def reduce_mod(v, basis):
     return w
 
 
-def in_span(v, basis):
-    return not reduce_mod(v, basis)
-
-
 def _tagged_echelon(rows):
     """Reduced echelon form of the rows, row i tagged with a 1 at column offset + i.
 

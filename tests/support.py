@@ -13,10 +13,10 @@ from crkit.algebra import (
     LieAlgebra,
     Subspace,
     quotient_algebra,
+    read_off_structure,
     realify,
     span,
     sparse_span,
-    subalgebra_structure,
 )
 from crkit.catalog import build_sl_complex, read_off_in_sl, sp_real_basis_matrices
 from crkit.complexify import OrbitModel
@@ -599,7 +599,7 @@ def oracle_fiber(model, j):
     solves, then the quotient by h in those coordinates: no step reads h's
     complement in the ambient.
     """
-    j_sub, j_solver = subalgebra_structure(model.ambient_real, j)
+    j_sub, j_solver = read_off_structure(model.ambient_real, j.echelon.values())
     if not j.dim:
         return j_sub
     h_in_j = sparse_span(j_sub, [j_solver.solve(v) for v in model.h.echelon.values()])

@@ -9,7 +9,7 @@ import random
 import time
 from fractions import Fraction
 
-from crkit.algebra import full_space, is_abelian, is_solvable, product_space, radical, subalgebra_structure
+from crkit.algebra import full_space, is_abelian, is_solvable, product_space, radical, read_off_structure
 from crkit.catalog import (
     catalog_entries,
     get_entry,
@@ -258,7 +258,7 @@ def test_criterion_fine_classification():
             nondeg.append(e.name)
         if e.model.h.dim == 0 and e.fibration.degenerate and e.kahler:
             if e.model.m.dim:
-                m_sub, _ = subalgebra_structure(e.model.ambient_real, e.model.m)
+                m_sub, _ = read_off_structure(e.model.ambient_real, e.model.m.echelon.values())
                 assert is_solvable(m_sub), e.name
             if e.model.codim <= 2:
                 assert is_solvable(e.model.real_algebra), e.name

@@ -27,10 +27,10 @@ from crkit.algebra import (
     normalizer_subalgebra,
     quotient_algebra,
     radical,
+    read_off_structure,
     sl2,
     span,
     subalgebra_closure,
-    subalgebra_structure,
     validate,
     validate_tensor,
     verify_levi_complement,
@@ -312,7 +312,7 @@ def test_radical_gl2_is_centre():
     assert r.dim == 1
     assert r.rows == ((F(0), F(0), F(0), F(1)),)
     assert is_ideal(L, r)
-    sub, _ = subalgebra_structure(L, r)
+    sub, _ = read_off_structure(L, r.echelon.values())
     assert is_solvable(sub)
 
 
@@ -407,6 +407,12 @@ def test_levi_complement_rejects_non_semisimple():
     s = span(L, [basis_vector(L, 0), basis_vector(L, 1), basis_vector(L, 3)])
     assert is_subalgebra(L, s)
     assert not verify_levi_complement(L, s)
+
+
+def test_levi_complement_rejects_a_non_subalgebra():
+    # [e, f] = h leaves the span of e and f
+    L = sl2()
+    assert not verify_levi_complement(L, span(L, [basis_vector(L, 1), basis_vector(L, 2)]))
 
 
 def test_levi_complement_semisimple_full():

@@ -17,7 +17,6 @@ from crkit.catalog import (
     MAX_AMBIENT_DIM,
     _FAMILIES,
     build_sl_complex,
-    build_sp_complex,
     build_su,
     catalog_entries,
     classify_fiber,
@@ -72,7 +71,7 @@ def test_builder_dimensions():
     assert build_so(4).dim == 6
     assert build_u(2).dim == 4
     m = 2
-    assert build_sp_complex(m).dim == m * (2 * m + 1)
+    assert sp_complex_read_off(m)[0].dim == m * (2 * m + 1)
     assert build_sp(1, 1).dim == 10
     assert build_sp(2, 1).dim == 21
 
@@ -95,7 +94,7 @@ def test_builders_validate():
         build_so(4),
         build_u(2),
         build_sp(1, 1),
-        build_sp_complex(2),
+        sp_complex_read_off(2)[0],
     ):
         assert validate(L).ok
 
@@ -177,7 +176,7 @@ def oracle_case(family, arg):
     if family == "so":
         return build_so(arg), so_basis_matrices(arg), arg, False
     if family == "sp_complex":
-        return build_sp_complex(arg), sp_complex_basis_matrices(arg), 2 * arg, True
+        return sp_complex_read_off(arg)[0], sp_complex_basis_matrices(arg), 2 * arg, True
     return build_sp(*arg), sp_real_basis_matrices(*arg), 2 * sum(arg), False
 
 
@@ -226,7 +225,7 @@ def test_complex_catalog_data_must_be_real():
     # the stabilizer of a nonreal line is an internal error
     with pytest.raises(InternalError):
         line_stabilizer_rows(sl_basis_matrices(2), ((1, 0), (0, 1)))
-    for L in (build_sl_complex(4), build_sp_complex(2)):
+    for L in (build_sl_complex(4), sp_complex_read_off(2)[0]):
         assert all(type(c) is int for row in L.brackets.values() for c in row.values())
 
 

@@ -4,11 +4,12 @@
 and the CLI imports the catalog, CR and globalization layers only in the
 commands that need them.  Each of those checks runs in a new interpreter,
 because this test process has long since imported every layer.  The
-public names are README's "Library use" list, every other public
-function, class or module-level assignment in ``src/crkit`` has a use
-inside the package, and so does every method and property of its
-classes.  Every name a test module imports is read somewhere in that
-module.
+public names are README's "Library use" list, every other function,
+class or module-level assignment in ``src/crkit``, private ones
+included, has a use inside the package, and so does every method and
+property of its classes.  Every name a test or package module imports is
+read somewhere in that module, unless the import is marked as a
+re-export.
 """
 
 import ast
@@ -159,9 +160,10 @@ def top_level_names(node):
 
 
 def test_every_public_definition_has_a_use_in_the_package():
-    # a public top-level function, class, record or constant is exported, or
+    # a top-level function, class, record or constant is exported, or
     # something in src/crkit other than its own definition refers to it; code
-    # only the tests use belongs in tests/support.py
+    # only the tests use belongs in tests/support.py.  Private names are
+    # covered too; dunders (__all__, __getattr__) are the import machinery's
     package = os.path.dirname(os.path.abspath(crkit.__file__))
     definitions, used = [], set()
     for filename in sorted(os.listdir(package)):
@@ -172,7 +174,7 @@ def test_every_public_definition_has_a_use_in_the_package():
         for node in tree.body:
             own = top_level_names(node)
             definitions += [f"{filename[:-3]}.{name}" for name in sorted(own)
-                            if not name.startswith("_")]
+                            if not (name.startswith("__") and name.endswith("__"))]
             for sub in ast.walk(node):
                 name = sub.id if isinstance(sub, ast.Name) else getattr(sub, "attr", None)
                 if isinstance(sub, (ast.Name, ast.Attribute)) and name not in own:
@@ -213,23 +215,37 @@ def test_every_class_member_has_a_reader_in_the_package():
     assert unread == []
 
 
-def test_test_modules_use_every_name_they_import():
-    # no linter runs in CI, so an import a test module never reads fails here
-    tests = os.path.dirname(os.path.abspath(__file__))
+def unused_imports(directory):
+    """A "file:line name" entry per name a module in directory imports and never reads.
+
+    An import whose line is marked "# re-exported" is read by the modules
+    that import the name from this one.
+    """
     unused = []
-    for filename in sorted(os.listdir(tests)):
+    for filename in sorted(os.listdir(directory)):
         if not filename.endswith(".py"):
             continue
-        with open(os.path.join(tests, filename), encoding="utf-8") as fh:
-            tree = ast.parse(fh.read())
+        with open(os.path.join(directory, filename), encoding="utf-8") as fh:
+            source = fh.read()
+        lines, tree = source.splitlines(), ast.parse(source)
         imported = {}
         for node in ast.walk(tree):
             if isinstance(node, ast.Import) or (
                 isinstance(node, ast.ImportFrom) and node.module != "__future__"
             ):
                 for alias in node.names:
-                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+                    if "# re-exported" not in lines[alias.lineno - 1]:
+                        imported[alias.asname or alias.name.split(".")[0]] = alias.lineno
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{filename}:{line} {name}" for name, line in imported.items()
                    if name not in read]
-    assert unused == []
+    return unused
+
+
+def test_test_modules_use_every_name_they_import():
+    # no linter runs in CI, so an import a test module never reads fails here
+    assert unused_imports(os.path.dirname(os.path.abspath(__file__))) == []
+
+
+def test_package_modules_use_every_name_they_import():
+    assert unused_imports(os.path.dirname(os.path.abspath(crkit.__file__))) == []

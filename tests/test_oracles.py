@@ -23,8 +23,8 @@ from crkit.algebra import (
     normalizer_subalgebra,
     quotient_algebra,
     radical,
+    read_off_structure,
     sparse_span,
-    subalgebra_structure,
 )
 from crkit.catalog import ROSTER, get_entry
 from crkit.complexify import (
@@ -90,14 +90,14 @@ def ideals(entry):
     """
     model = entry.model
     j = entry.fibration.normalizer
-    j_sub, j_solver = subalgebra_structure(model.ambient_real, j)
+    j_sub, j_solver = read_off_structure(model.ambient_real, j.echelon.values())
     g = model.real_algebra
     g_solver = Solver(model.real_vectors)
     out = [
         (j_sub, sparse_span(j_sub, [j_solver.solve(v) for v in model.h.echelon.values()])),
         (g, sparse_span(g, [g_solver.solve(v) for v in model.m.echelon.values()])),
     ]
-    iso, _ = subalgebra_structure(model.ambient_real, model.isotropy_real)
+    iso, _ = read_off_structure(model.ambient_real, model.isotropy_real.echelon.values())
     for L in (g, iso) if iso.dim else (g,):
         out += [(L, radical(L)), (L, derived_subalgebra(L))]
     return out + [rebased(L, ideal) for L, ideal in out]
