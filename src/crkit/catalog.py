@@ -6,8 +6,8 @@ and lies in sl(n, C), whose constants are index formulas
 index (sl_coordinates), as the realified row {coordinate: value} in
 ascending coordinate order; a nonzero trace or an index past n is an
 internal error.  su(p, q) and sp(2m, C) are read off inside sl(n, C)
-with algebra.read_off_structure, and sp(p, q) rows are solved in the
-Solver of sp(2m, C)'s rows (sp_coordinates).  Every constant and
+with algebra.read_off_structure, and sp(p, q)'s rows on sp(2m, C)'s
+basis are index formulas too (sp_real_rows).  Every constant and
 isotropy entry the catalog produces is real, even for a complex algebra,
 and is stored as an int: no catalog value is a GaussianRational, and a
 nonreal line stabilizer is an internal error.  The orbit models' rows are
@@ -37,8 +37,7 @@ from .algebra import (
     read_off_structure,
     realify,
 )
-from .complexify import CatalogEntry, Expected, classify_fiber  # re-exported
-from .complexify import OrbitModel, j_apply, place_row
+from .complexify import CatalogEntry, Expected, OrbitModel, j_apply, place_row
 from .cr import check_cr_pair, cr_type, levi_form, levi_signature
 from .errors import InputError, InternalError, excerpt
 from .linalg import kernel_rows, sparse
@@ -201,24 +200,15 @@ def read_off_in_sl(mats, n, names):
 # ---------------------------------------------------------------------------
 
 def sp_complex_basis_matrices(m):
-    """Block basis for sp(2m, C): X = [[A, B], [C, -A^T]] with B, C symmetric."""
-    mats = []
-    for a in range(m):
-        for b in range(m):
-            mats.append({(a, b): (1, 0), (m + b, m + a): (-1, 0)})
-    for a in range(m):
-        for b in range(a, m):
-            if a == b:
-                mats.append({(a, m + a): (1, 0)})
-            else:
-                mats.append({(a, m + b): (1, 0), (b, m + a): (1, 0)})
-    for a in range(m):
-        for b in range(a, m):
-            if a == b:
-                mats.append({(m + a, a): (1, 0)})
-            else:
-                mats.append({(m + a, b): (1, 0), (m + b, a): (1, 0)})
-    return mats
+    """Block basis for sp(2m, C): X = [[A, B], [C, -A^T]] with B, C symmetric.
+
+    A_ab for all a, b, then B_ab and C_ab for a <= b; at a == b the two
+    keys of B_ab's and C_ab's literals coincide, leaving one entry.
+    """
+    upper = [(a, b) for a in range(m) for b in range(a, m)]
+    mats = [{(a, b): (1, 0), (m + b, m + a): (-1, 0)} for a in range(m) for b in range(m)]
+    mats += [{(a, m + b): (1, 0), (b, m + a): (1, 0)} for a, b in upper]
+    return mats + [{(m + a, b): (1, 0), (m + b, a): (1, 0)} for a, b in upper]
 
 
 def sp_names(m):
@@ -229,77 +219,35 @@ def sp_names(m):
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def sp_complex_read_off(m):
-    """sp(2m, C) over Q(i), dimension m(2m + 1), read off inside sl(2m, C).
-
-    Returns the algebra and the Solver of its basis matrices' sl rows.
-    """
+def build_sp_complex(m):
+    """sp(2m, C) over Q(i), dimension m(2m + 1), read off inside sl(2m, C)."""
     if m < 1:
         raise InputError("sp needs m >= 1")
     rows = [sl_coordinates(x, 2 * m) for x in sp_complex_basis_matrices(m)]
-    return read_off_structure(build_sl_complex(2 * m), rows, names=sp_names(m))
+    return read_off_structure(build_sl_complex(2 * m), rows, names=sp_names(m))[0]
 
 
-def sp_coordinates(mat, m):
-    """Realified coordinates of a 2m x 2m matrix on the sp(2m, C) basis.
+def sp_real_rows(p, q):
+    """sp(p, q) = sp(2m, C) ∩ u(eps, eps), m = p + q, as realified sp(2m, C) rows.
 
-    Each part of its sl row is solved in the sp rows' Solver, and a matrix
-    outside sp(2m, C) raises InternalError.
-    """
-    algebra, solver = sp_complex_read_off(m)
-    row = sl_coordinates(mat, 2 * m)
-    sl_dim = 4 * m * m - 1
-    re = solver.solve({k: x for k, x in row.items() if k < sl_dim})
-    im = solver.solve({k - sl_dim: x for k, x in row.items() if k >= sl_dim})
-    if re is None or im is None:
-        raise InternalError(f"matrix lies outside sp({2 * m}, C)")
-    return {**re, **{algebra.dim + k: x for k, x in im.items()}}
-
-
-def sp_real_basis_matrices(p, q):
-    """sp(p, q) = sp(2m, C) ∩ u(eps, eps): the quaternionic unitary algebra.
-
-    Blocks X = [[A, B], [C, D]] with D = -A^T (symplectic) and
-    C = -eps conj(B) eps forced by anti-hermitianness for diag(eps, eps);
-    free parameters are A anti-hermitian w.r.t. eps (m^2 real) and B
-    symmetric complex (m(m+1) real), totalling m(2m+1).
+    A is anti-hermitian for eps and C = -eps conj(B) eps.  With s = eps_a
+    eps_b and imaginary parts d = m(2m + 1) on, the rows, each in ascending
+    coordinate order, are i A_aa; for a < b, A_ba - s A_ab and
+    i (A_ba + s A_ab); for a <= b, B_ab - s C_ab and i (B_ab + s C_ab).
     """
     m = p + q
+    d = m * (2 * m + 1)
     eps = su_signs(p, q)
-    mats = []
-
-    def embed(a_block, b_block):
-        out = {}
-
-        def add(key, re, im):
-            r0, i0 = out.get(key, (0, 0))
-            out[key] = (r0 + re, i0 + im)
-
-        for (r, c), (re, im) in a_block.items():
-            add((r, c), re, im)
-            add((m + c, m + r), -re, -im)  # D = -A^T
-        for (r, c), (re, im) in b_block.items():
-            add((r, m + c), re, im)
-            s = eps[r] * eps[c]
-            add((m + r, c), -s * re, s * im)  # C = -eps conj(B) eps
-        return {k: v for k, v in out.items() if v != (0, 0)}
-
-    for a in range(m):
-        mats.append(embed({(a, a): (0, 1)}, {}))
+    rows = [{d + a * m + a: 1} for a in range(m)]
     for a in range(m):
         for b in range(a + 1, m):
             s = eps[a] * eps[b]
-            mats.append(embed({(b, a): (1, 0), (a, b): (-s, 0)}, {}))
-            mats.append(embed({(b, a): (0, 1), (a, b): (0, s)}, {}))
-    for a in range(m):
-        for b in range(a, m):
-            if a == b:
-                mats.append(embed({}, {(a, a): (1, 0)}))
-                mats.append(embed({}, {(a, a): (0, 1)}))
-            else:
-                mats.append(embed({}, {(a, b): (1, 0), (b, a): (1, 0)}))
-                mats.append(embed({}, {(a, b): (0, 1), (b, a): (0, 1)}))
-    return mats
+            rows += [{a * m + b: -s, b * m + a: 1}, {d + a * m + b: s, d + b * m + a: 1}]
+    upper = [(a, b) for a in range(m) for b in range(a, m)]
+    for k, (a, b) in enumerate(upper, start=m * m):
+        s = eps[a] * eps[b]
+        rows += [{k: 1, k + len(upper): -s}, {d + k: 1, d + k + len(upper): s}]
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -368,10 +316,9 @@ def sp_quadric_orbit(p, q):
     if p < 1 or q < 1:
         raise InputError("sp quadric needs p, q >= 1")
     m = p + q
-    ambient, _ = sp_complex_read_off(m)
-    real_rows = [sp_coordinates(x, m) for x in sp_real_basis_matrices(p, q)]
     iso = line_stabilizer_rows(sp_complex_basis_matrices(m), _unit_pairs(2 * m, 0, p))
-    model = OrbitModel(ambient, real_rows, iso, name=f"sp_quadric({p},{q})")
+    model = OrbitModel(build_sp_complex(m), sp_real_rows(p, q), iso,
+                       name=f"sp_quadric({p},{q})")
     n = 4 * m - 3
     return CatalogEntry(
         name=f"sp_quadric({p},{q})",
@@ -418,6 +365,7 @@ def real_projective_orbit():
         ),
         pi1=((0, ()), (1, ()), False),
         compact_group=False,
+        projective_plane_base=True,
         notes=(
             "totally real plane orbit; for the preimage of SO3(R) the homotopy "
             "criterion does guarantee a globalization",

@@ -296,7 +296,9 @@ def cmd_catalog(args, rep):
         if args.format == "json":
             from .fileio import orbit_payload
 
-            payload = orbit_payload(entry.model, entry.pi1, entry.kahler)
+            payload = orbit_payload(entry.model, entry.pi1, kahler=entry.kahler,
+                                    quadric_refibers=entry.quadric_refibers,
+                                    projective_plane_base=entry.projective_plane_base)
             payload["expected"] = _expected_payload(entry.expected)
             payload["verdict"] = verdict(entry).overall
             rep.stream.write(json.dumps(payload, sort_keys=True) + "\n")

@@ -405,17 +405,18 @@ class CatalogEntry:
     """An orbit model with the invariants the classification asserts for it.
 
     pi1 is ((rank, torsion), (rank, torsion), known_surjective) or None.
-    quadric_refibers records that the fiber refibers over a projective line
-    with two-dimensional affine-quadric fibers, a fact the algebra does not
-    show.
+    Two supplied facts the algebra does not show: quadric_refibers, the
+    fiber refibers over a projective line with two-dimensional
+    affine-quadric fibers, and projective_plane_base, the base is RP^2.
     """
 
     def __init__(self, name, family, params, model, expected, pi1=None, compact_group=False,
-                 kahler=False, quadric_refibers=False, notes=()):
+                 kahler=False, quadric_refibers=False, projective_plane_base=False, notes=()):
         self.name, self.family, self.params, self.model = name, family, params, model
         self.expected, self.pi1, self.notes = expected, pi1, notes
         self.compact_group, self.kahler = compact_group, kahler
         self.quadric_refibers = quadric_refibers
+        self.projective_plane_base = projective_plane_base
 
     @cached_property
     def fibration(self):

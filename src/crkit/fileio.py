@@ -11,7 +11,9 @@ Three payload kinds, detected by their fields:
               as its CRPair, whose algebra is pair.g
   orbit       ambient (an algebra payload over Q_i), real_basis (rational
               rows in realified coordinates), isotropy_hat_basis (rows
-              over Q_i), optional kahler flag and pi1 data
+              over Q_i), optional flags kahler, quadric_refibers and
+              projective_plane_base (CatalogEntry's facts of those
+              names) and optional pi1 data
               ({"real": [rank, [torsion...]], "complex": [...],
               "surjective": flag}, nonnegative ranks, orders above 1, at most
               MAX_TORSION orders per list, checked on load);
@@ -237,9 +239,10 @@ def load_pi1(raw):
     return real, cplx, surjective
 
 
-def orbit_payload(model: OrbitModel, pi1=None, kahler=False) -> dict:
+def orbit_payload(model: OrbitModel, pi1=None, **flags) -> dict:
     """The orbit file of a model, with pi1 data (as load_pi1 returns it) when
-    given and the kahler flag when true: load_file reads back the entry."""
+    given and each flag (kahler, quadric_refibers, projective_plane_base)
+    that is true: load_file reads back the entry."""
     payload = {
         "schema": SCHEMA,
         "kind": "orbit",
@@ -256,8 +259,7 @@ def orbit_payload(model: OrbitModel, pi1=None, kahler=False) -> dict:
         (rank, torsion), (crank, ctorsion), surjective = pi1
         payload["pi1"] = {"real": [rank, list(torsion)], "complex": [crank, list(ctorsion)],
                           "surjective": surjective}
-    if kahler:
-        payload["kahler"] = True
+    payload.update((flag, True) for flag, value in flags.items() if value)
     return payload
 
 
@@ -301,4 +303,6 @@ def load_file(path):
     model = load_orbit_model(payload)  # a bad model is reported before bad pi1 data
     return kind, CatalogEntry(model.name or "orbit", "file", (), model, Expected(),
                               pi1=load_pi1(payload.get("pi1")),
-                              kahler=load_flag(payload, "kahler"))
+                              kahler=load_flag(payload, "kahler"),
+                              quadric_refibers=load_flag(payload, "quadric_refibers"),
+                              projective_plane_base=load_flag(payload, "projective_plane_base"))

@@ -133,7 +133,7 @@ def verdict(entry) -> GlobalizationVerdict:
     involved = affine_quadric_involvement(entry)
     notes = []
 
-    if entry.family == "p2r":
+    if entry.projective_plane_base:
         overall = NOT_DECIDABLE
         notes.append(
             "real projective plane base: the homotopy comparison fails for the "

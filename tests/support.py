@@ -18,7 +18,8 @@ from crkit.algebra import (
     span,
     sparse_span,
 )
-from crkit.catalog import build_sl_complex, read_off_in_sl, sp_real_basis_matrices
+from crkit.catalog import build_sl_complex, read_off_in_sl, sp_complex_basis_matrices
+from crkit.catalog import sp_real_rows, su_signs
 from crkit.complexify import OrbitModel
 from crkit.cr import CRPair, apply_endo, levi_form, matrix_columns
 from crkit.errors import InputError
@@ -876,11 +877,45 @@ def build_sl_complex_as_real(n):
     return realify(build_sl_complex(n))
 
 
+def in_sp_pq(mat, eps):
+    """Is the sparse matrix X in sp(2m, C) and anti-hermitian for E = diag(eps)?
+
+    X^T Omega + Omega X = 0 for Omega = [[0, I], [-I, 0]] says X = [[A, B],
+    [C, -A^T]] with B and C symmetric: X_rc = s X_{c+m, r+m}, indices mod
+    2m, with s = -1 in the diagonal blocks.  X^* E + E X = 0 says
+    eps_r X_rc = -eps_c conj(X_cr).
+    """
+    n, m = len(eps), len(eps) // 2
+
+    def holds(r, c):
+        (re, im), s = mat[(r, c)], 1 if (r < m) != (c < m) else -1
+        t_re, t_im = mat.get((c, r), (0, 0))
+        symplectic = mat.get(((c + m) % n, (r + m) % n)) == (s * re, s * im)
+        return symplectic and (eps[r] * re, eps[r] * im) == (-eps[c] * t_re, eps[c] * t_im)
+
+    return all(holds(r, c) for r, c in mat)
+
+
+def sp_real_matrices(p, q):
+    """The matrix of each sp_real_rows row: its combination of the (real)
+    sp(2m, C) basis matrices, imaginary parts past them, checked to lie in sp(p, q)."""
+    basis, mats = sp_complex_basis_matrices(p + q), []
+    for row in sp_real_rows(p, q):
+        mat = {}
+        for k, x in row.items():
+            for key, (b, _) in basis[k % len(basis)].items():
+                mat.setdefault(key, [0, 0])[k >= len(basis)] += x * b
+        mat = {key: tuple(v) for key, v in mat.items() if v != [0, 0]}
+        assert in_sp_pq(mat, su_signs(p, q) * 2), (p, q, row)
+        mats.append(mat)
+    return mats
+
+
 def build_sp(p, q):
     """sp(p, q) over Q: the quaternionic unitary algebra, dim (p+q)(2(p+q)+1)."""
     m = p + q
     names = tuple(f"sp{k}" for k in range(m * (2 * m + 1)))
-    return read_off_in_sl(sp_real_basis_matrices(p, q), 2 * m, names)
+    return read_off_in_sl(sp_real_matrices(p, q), 2 * m, names)
 
 
 def so_basis_matrices(n):

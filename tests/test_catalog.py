@@ -17,9 +17,9 @@ from crkit.catalog import (
     MAX_AMBIENT_DIM,
     _FAMILIES,
     build_sl_complex,
+    build_sp_complex,
     build_su,
     catalog_entries,
-    classify_fiber,
     get_entry,
     line_stabilizer_rows,
     quadric_orbit,
@@ -27,15 +27,16 @@ from crkit.catalog import (
     sl_basis_matrices,
     sl_coordinates,
     sp_complex_basis_matrices,
-    sp_complex_read_off,
-    sp_coordinates,
     sp_quadric_orbit,
-    sp_real_basis_matrices,
+    sp_real_rows,
     su_basis_matrices,
+    su_signs,
     twisted_diagonal_orbit,
     verify_entry,
 )
+from crkit.complexify import classify_fiber
 from crkit.errors import InputError, InternalError
+from crkit.linalg import echelon
 from crkit.scalars import GaussianRational
 
 from .support import (
@@ -45,8 +46,10 @@ from .support import (
     build_so,
     build_sp,
     dense_bracket,
+    in_sp_pq,
     oracle_structure_constants,
     so_basis_matrices,
+    sp_real_matrices,
 )
 
 F = Fraction
@@ -71,7 +74,7 @@ def test_builder_dimensions():
     assert build_so(4).dim == 6
     assert build_u(2).dim == 4
     m = 2
-    assert sp_complex_read_off(m)[0].dim == m * (2 * m + 1)
+    assert build_sp_complex(m).dim == m * (2 * m + 1)
     assert build_sp(1, 1).dim == 10
     assert build_sp(2, 1).dim == 21
 
@@ -94,7 +97,7 @@ def test_builders_validate():
         build_so(4),
         build_u(2),
         build_sp(1, 1),
-        sp_complex_read_off(2)[0],
+        build_sp_complex(2),
     ):
         assert validate(L).ok
 
@@ -144,7 +147,7 @@ def test_su_constants_match_solver_oracle():
 
 def test_sp_real_constants_match_solver_oracle():
     L = build_sp(1, 1)
-    oracle = oracle_structure_constants(sp_real_basis_matrices(1, 1), 4, False)
+    oracle = oracle_structure_constants(sp_real_matrices(1, 1), 4, False)
     assert {k: dict(v) for k, v in L.brackets.items()} == {
         k: {i: F(x) for i, x in v.items()} for k, v in oracle.items()
     }
@@ -176,8 +179,8 @@ def oracle_case(family, arg):
     if family == "so":
         return build_so(arg), so_basis_matrices(arg), arg, False
     if family == "sp_complex":
-        return sp_complex_read_off(arg)[0], sp_complex_basis_matrices(arg), 2 * arg, True
-    return build_sp(*arg), sp_real_basis_matrices(*arg), 2 * sum(arg), False
+        return build_sp_complex(arg), sp_complex_basis_matrices(arg), 2 * arg, True
+    return build_sp(*arg), sp_real_matrices(*arg), 2 * sum(arg), False
 
 
 @pytest.mark.parametrize(
@@ -194,43 +197,54 @@ def test_builder_constants_match_solver_oracle(family, arg):
         assert all(got[k] == row[k] for k in row), key
 
 
+@pytest.mark.parametrize("p,q", [(p, m - p) for m in range(1, 9) for p in range(m + 1)])
+def test_sp_real_rows_are_a_basis_of_sp_pq(p, q):
+    # sp_real_matrices asserts that each row's matrix lies in sp(p, q)
+    m = p + q
+    assert len(sp_real_matrices(p, q)) == len(echelon(sp_real_rows(p, q))) == m * (2 * m + 1)
+
+
+def test_sp_pq_check_rejects_matrices_outside_sp_pq():
+    eps = su_signs(1, 1) * 2
+    assert in_sp_pq({(0, 0): (0, 1), (2, 2): (0, -1)}, eps)  # i A_00
+    assert not in_sp_pq({(0, 0): (1, 0), (1, 1): (-1, 0)}, eps)  # traceless, outside sp(4, C)
+    assert not in_sp_pq({(0, 0): (1, 0), (2, 2): (-1, 0)}, eps)  # A_00 is not anti-hermitian
+    assert not in_sp_pq({(0, 2): (1, 0), (2, 0): (1, 0)}, eps)  # B_00 + C_00 is not either
+
+
 READ_OFF_CASES = {
     # a real, or an imaginary, nonzero trace: an entry-wise read-off of the
     # off-diagonal entries and partial sums alone would take these for {}
-    "sl3-trace-one": (sl_coordinates, 3, {(2, 2): (1, 0)}, None),
-    "sl3-imaginary-trace": (sl_coordinates, 3, {(1, 1): (0, 1)}, None),
+    "sl3-trace-one": (3, {(2, 2): (1, 0)}, None),
+    "sl3-imaginary-trace": (3, {(1, 1): (0, 1)}, None),
     # an index past the matrix size, whose entry-wise index would be that
     # of entry (1, 0)
-    "sl2-index-out-of-range": (sl_coordinates, 2, {(0, 2): (1, 0)}, None),
+    "sl2-index-out-of-range": (2, {(0, 2): (1, 0)}, None),
     # the imaginary diagonal reads off as twice the imaginary part of H0
-    "su2-imaginary-diagonal": (sl_coordinates, 2, {(0, 0): (0, 2), (1, 1): (0, -2)}, {5: 2}),
-    # traceless, but not of the form [[A, 0], [0, -A^T]]
-    "sp11-real-diagonal": (sp_coordinates, 2, {(0, 0): (1, 0), (1, 1): (-1, 0)}, None),
-    # i (A00 - D00) is the first sp(1, 1) basis matrix: i times sp's first
-    "sp11-imaginary-diagonal": (sp_coordinates, 2, {(0, 0): (0, 1), (2, 2): (0, -1)}, {10: 1}),
+    "su2-imaginary-diagonal": (2, {(0, 0): (0, 2), (1, 1): (0, -2)}, {5: 2}),
 }
 
 
 @pytest.mark.parametrize("case", sorted(READ_OFF_CASES))
 def test_read_off_rejects_matrices_outside_the_algebra(case):
-    coords, n, mat, expected = READ_OFF_CASES[case]
+    n, mat, expected = READ_OFF_CASES[case]
     if expected is None:
-        with pytest.raises(InternalError, match="outside s[lp]"):
-            coords(mat, n)
+        with pytest.raises(InternalError, match="outside sl"):
+            sl_coordinates(mat, n)
     else:
-        assert coords(mat, n) == expected
+        assert sl_coordinates(mat, n) == expected
 
 
 def test_complex_catalog_data_must_be_real():
     # the stabilizer of a nonreal line is an internal error
     with pytest.raises(InternalError):
         line_stabilizer_rows(sl_basis_matrices(2), ((1, 0), (0, 1)))
-    for L in (build_sl_complex(4), sp_complex_read_off(2)[0]):
+    for L in (build_sl_complex(4), build_sp_complex(2)):
         assert all(type(c) is int for row in L.brackets.values() for c in row.values())
 
 
 def test_parametrized_builders_have_bounded_caches():
-    for fn in (build_sl_complex, build_su, sp_complex_read_off, quadric_orbit,
+    for fn in (build_sl_complex, build_su, build_sp_complex, quadric_orbit,
                sp_quadric_orbit, twisted_diagonal_orbit):
         assert fn.cache_info().maxsize is not None, fn.__name__
 

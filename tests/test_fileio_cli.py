@@ -242,10 +242,8 @@ def test_analyze_orbit_file_full_pipeline(tmp_path, capsys):
 
 @pytest.mark.parametrize("name", ROSTER)
 def test_analyze_of_a_catalog_show_payload_reaches_the_catalog_verdict(name, tmp_path, capsys):
-    # the payload carries the entry's pi1 and kahler flag.  Two facts have no
-    # field in the format, so those verdicts still differ: sl2_uz's plane
-    # fiber refibering over P^1 (quadric_refibers) and p2r's real projective
-    # plane base (read off its family)
+    # the payload carries the entry's pi1 and its true flags: kahler,
+    # quadric_refibers (sl2_uz) and projective_plane_base (p2r)
     from crkit.globalize import verdict
 
     assert main(["catalog", "show", name, "--format", "json"]) == 0
@@ -255,7 +253,7 @@ def test_analyze_of_a_catalog_show_payload_reaches_the_catalog_verdict(name, tmp
     analyzed = [(r["check"], r["status"]) for r in records if r["analysis"] == "globalize"]
     v = verdict(get_entry(name))
     catalog = v.rows() + [("note", note) for note in v.notes]
-    assert (analyzed == catalog) == (name not in ("sl2_uz", "p2r"))
+    assert analyzed == catalog
 
 
 def test_analyze_orbit_file_builds_levi_form_once(tmp_path, capsys, monkeypatch):
@@ -462,6 +460,8 @@ def malformed_payloads():
         ("pi1-rank-null", pi1_rank_null),
         ("surjective-string", surjective_string),
         ("kahler-string", kahler_string),
+        ("quadric-refibers-string", dict(orbit, quadric_refibers="true")),
+        ("projective-plane-base-number", dict(orbit, projective_plane_base=1)),
     ]
 
 

@@ -119,7 +119,7 @@ def test_affine_quadric_involvement_tags():
     from types import SimpleNamespace
 
     from crkit.algebra import abelian
-    from crkit.catalog import classify_fiber
+    from crkit.complexify import classify_fiber
 
     def involved(fiber, quadric_refibers=False):
         entry = SimpleNamespace(taxon=classify_fiber(fiber), quadric_refibers=quadric_refibers)
@@ -193,7 +193,8 @@ def test_verdict_monotone_in_condition_c():
     def with_pi1(pi1):
         return CatalogEntry(
             base.name, base.family, base.params, base.model, base.expected, pi1,
-            base.compact_group, base.kahler, base.quadric_refibers, base.notes,
+            base.compact_group, base.kahler, base.quadric_refibers,
+            base.projective_plane_base, base.notes,
         )
 
     weak = with_pi1((base.pi1[0], base.pi1[1], False))

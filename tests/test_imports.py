@@ -216,26 +216,20 @@ def test_every_class_member_has_a_reader_in_the_package():
 
 
 def unused_imports(directory):
-    """A "file:line name" entry per name a module in directory imports and never reads.
-
-    An import whose line is marked "# re-exported" is read by the modules
-    that import the name from this one.
-    """
+    """A "file:line name" entry per name a module in directory imports and never reads."""
     unused = []
     for filename in sorted(os.listdir(directory)):
         if not filename.endswith(".py"):
             continue
         with open(os.path.join(directory, filename), encoding="utf-8") as fh:
-            source = fh.read()
-        lines, tree = source.splitlines(), ast.parse(source)
+            tree = ast.parse(fh.read())
         imported = {}
         for node in ast.walk(tree):
             if isinstance(node, ast.Import) or (
                 isinstance(node, ast.ImportFrom) and node.module != "__future__"
             ):
                 for alias in node.names:
-                    if "# re-exported" not in lines[alias.lineno - 1]:
-                        imported[alias.asname or alias.name.split(".")[0]] = alias.lineno
+                    imported[alias.asname or alias.name.split(".")[0]] = alias.lineno
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{filename}:{line} {name}" for name, line in imported.items()
                    if name not in read]

@@ -65,7 +65,8 @@ def with_model(entry, model):
     """The catalog entry with its orbit model replaced, the record kept."""
     return CatalogEntry(
         entry.name, entry.family, entry.params, model, entry.expected, entry.pi1,
-        entry.compact_group, entry.kahler, entry.quadric_refibers, entry.notes,
+        entry.compact_group, entry.kahler, entry.quadric_refibers,
+        entry.projective_plane_base, entry.notes,
     )
 
 
