@@ -1,25 +1,25 @@
-"""Classical matrix algebras and the shipped classification instances.
+"""Classical Lie algebras, written by index, and the shipped classification instances.
 
-Every catalog matrix is sparse, {(row, col): (re, im)} with int parts,
-and lies in sl(n, C), whose constants are index formulas
-(build_sl_complex).  Its coordinates on the sl basis are read off by
-index (sl_coordinates), as the realified row {coordinate: value} in
-ascending coordinate order; a nonzero trace or an index past n is an
-internal error.  su(p, q) and sp(2m, C) are read off inside sl(n, C)
-with algebra.read_off_structure, and sp(p, q)'s rows on sp(2m, C)'s
-basis are index formulas too (sp_real_rows).  Every constant and
-isotropy entry the catalog produces is real, even for a complex algebra,
-and is stored as an int: no catalog value is a GaussianRational, and a
-nonreal line stabilizer is an internal error.  The orbit models' rows are
-built sparse, {index: int}, in realified coordinates: real rows in the
-matrix basis's order, so the real algebra the model reads off them has
-the matrix model's constants, and isotropy rows (real, so a complex row
-is its own realification), placed in a product ambient by index shifts.
-No entry is built from a matrix-model real algebra: build_su, and the
-others in tests/support.py, are the tests' reference for those constants.
-Each catalog entry packages an orbit model with the invariants the
-classification asserts for it; verify_entry recomputes everything
-derivable and diffs it against that record.
+sl(n, C)'s constants are index formulas on its elementary/coroot basis
+(build_sl_complex), and every other algebra here is written by index on
+that basis: su(p, q) as realified rows (su_real_rows), sp(2m, C) as
+complex rows (sp_complex_rows), and sp(p, q) as realified rows on
+sp(2m, C)'s basis (sp_real_rows), each row {coordinate: value} in
+ascending coordinate order.  build_su and build_sp_complex read their
+constants off those rows with algebra.read_off_structure, and the
+stabilizer of a line through a 0/1 vector is solved from sl(n, C)'s
+action on it (line_stabilizer_rows).  No matrix is built here: the
+matrix models are the tests' independent oracle, in tests/support.py.
+Every constant and isotropy entry the catalog produces is an int, even
+for a complex algebra.  The orbit models' rows are sparse, {index: int},
+in realified coordinates: real rows in the order above, and isotropy
+rows (real, so a complex row is its own realification), placed in a
+product ambient by index shifts.  No entry is built from build_su's
+algebra: it, and the matrix-model algebras in tests/support.py, are the
+tests' reference for an entry's real_algebra.  Each catalog entry
+packages an orbit model with the invariants the classification asserts
+for it; verify_entry recomputes everything derivable and diffs it
+against that record.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .algebra import (
 )
 from .complexify import CatalogEntry, Expected, OrbitModel, j_apply, place_row
 from .cr import check_cr_pair, cr_type, levi_form, levi_signature
-from .errors import InputError, InternalError, excerpt
+from .errors import InputError, excerpt
 from .linalg import kernel_rows, sparse
 from .report import Check, Report
 from .scalars import QI, format_rational
@@ -48,69 +48,26 @@ _CACHE_SIZE = 16  # per parametrized builder; names reach them from user input
 
 
 # ---------------------------------------------------------------------------
-# sparse Gaussian-integer matrices: {(row, col): (re, im)} with int parts
-# ---------------------------------------------------------------------------
-
-def _real(value):
-    """The real part of a Gaussian-integer pair whose imaginary part must vanish."""
-    re, im = value
-    if im:
-        raise InternalError("complex catalog data must be real")
-    return re
-
-
-def mat_apply(mat, vec):
-    """mat . vec for a vector of Gaussian-integer pairs."""
-    out = [(0, 0)] * len(vec)
-    for (r, c), (mr, mi) in mat.items():
-        xr, xi = vec[c]
-        if xr or xi:
-            re, im = out[r]
-            out[r] = (re + mr * xr - mi * xi, im + mr * xi + mi * xr)
-    return tuple(out)
-
-
-# ---------------------------------------------------------------------------
 # sl(n), su(p, q)
 # ---------------------------------------------------------------------------
 
+def sl_pairs(n):
+    """(a, b) of each E_ab in sl(n, C)'s basis order; H_0 .. H_{n-2} follow them."""
+    return [(a, b) for a in range(n) for b in range(n) if a != b]
+
+
+def sl_index(n, a, b):
+    """The coordinate of E_ab, a != b, on sl(n, C)'s basis."""
+    return a * (n - 1) + b - (b > a)
+
+
+def sl_rows(n):
+    """sl(n, C)'s own basis as rows on it."""
+    return [{a: 1} for a in range(n * n - 1)]
+
+
 def sl_basis_names(n):
-    names = [f"E{a}{b}" for a in range(n) for b in range(n) if a != b]
-    names += [f"H{a}" for a in range(n - 1)]
-    return tuple(names)
-
-
-def sl_basis_matrices(n):
-    mats = [{(a, b): (1, 0)} for a in range(n) for b in range(n) if a != b]
-    for a in range(n - 1):
-        mats.append({(a, a): (1, 0), (a + 1, a + 1): (-1, 0)})
-    return mats
-
-
-def sl_coordinates(mat, n):
-    """Realified coordinates of a traceless n x n matrix on the sl(n, C) basis.
-
-    E_rc (r != c) is entry (r, c), and the diagonal d is sum h_k H_k with
-    h_k = d_0 + ... + d_k.  Returns {k: x} in ascending k: real parts at
-    k, imaginary parts at n^2 - 1 + k.  A nonzero trace or an index
-    outside 0 .. n - 1 raises InternalError.
-    """
-    coords = [(r * (n - 1) + c - (c > r), x) for (r, c), x in mat.items() if r != c]
-    h = (0, 0)
-    for k in range(n):
-        re, im = mat.get((k, k), (0, 0))
-        h = (h[0] + re, h[1] + im)
-        coords.append((n * (n - 1) + k, h))
-    # the last partial sum is the trace
-    if coords.pop()[1] != (0, 0) or not all(0 <= r < n and 0 <= c < n for r, c in mat):
-        raise InternalError(f"matrix lies outside sl({n}, C)")
-    out = {}
-    for k, (re, im) in coords:
-        if re:
-            out[k] = re
-        if im:
-            out[n * n - 1 + k] = im
-    return {k: out[k] for k in sorted(out)}
+    return tuple([f"E{a}{b}" for a, b in sl_pairs(n)] + [f"H{a}" for a in range(n - 1)])
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -124,8 +81,7 @@ def build_sl_complex(n):
     """
     if n < 2:
         raise InputError("sl needs n >= 2")
-    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
-    index = {ab: i for i, ab in enumerate(pairs)}
+    pairs = sl_pairs(n)
     coroot = len(pairs)  # H_k is basis element coroot + k
     brackets = {}
     for i, (a, b) in enumerate(pairs):
@@ -136,9 +92,9 @@ def build_sl_complex(n):
                 sign = 1 if a < b else -1
                 brackets[(i, j)] = {coroot + k: sign for k in range(lo, hi)}
             elif b == c:
-                brackets[(i, j)] = {index[(a, d)]: 1}
+                brackets[(i, j)] = {sl_index(n, a, d): 1}
             elif d == a:
-                brackets[(i, j)] = {index[(c, b)]: -1}
+                brackets[(i, j)] = {sl_index(n, c, b): -1}
         for k in range(n - 1):
             # (H_k)_jj is 1 at j = k and -1 at j = k + 1
             x = (b == k) - (b == k + 1) - (a == k) + (a == k + 1)
@@ -151,24 +107,24 @@ def su_signs(p, q):
     return [1] * p + [-1] * q
 
 
-def su_basis_matrices(p, q):
-    """Anti-hermitian traceless matrices for the signature-(p, q) form.
+def su_real_rows(p, q):
+    """su(p, q) as realified rows on sl(n, C)'s basis, n = p + q.
 
-    Basis: i H_a for the traceless diagonal, then for each a < b the pair
-    A_ab = E_ba - s E_ab and B_ab = i (E_ba + s E_ab) with s the product of
-    the signature signs at a and b.
+    The rows, each in ascending coordinate order with imaginary parts
+    d = n^2 - 1 on, are i H_a, then for a < b with s = eps_a eps_b the
+    pair A_ab = E_ba - s E_ab and B_ab = i (E_ba + s E_ab): the
+    anti-hermitian traceless matrices for the signature-(p, q) form.
     """
     n = p + q
+    d = n * n - 1
     eps = su_signs(p, q)
-    mats = []
-    for a in range(n - 1):
-        mats.append({(a, a): (0, 1), (a + 1, a + 1): (0, -1)})
+    rows = [{d + n * (n - 1) + a: 1} for a in range(n - 1)]
     for a in range(n):
         for b in range(a + 1, n):
             s = eps[a] * eps[b]
-            mats.append({(b, a): (1, 0), (a, b): (-s, 0)})
-            mats.append({(b, a): (0, 1), (a, b): (0, s)})
-    return mats
+            ab, ba = sl_index(n, a, b), sl_index(n, b, a)
+            rows += [{ab: -s, ba: 1}, {d + ab: s, d + ba: 1}]
+    return rows
 
 
 def su_names(p, q):
@@ -183,32 +139,32 @@ def su_names(p, q):
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def build_su(p, q=0):
-    """su(p, q) over Q, in the standard anti-hermitian matrix model."""
+    """su(p, q) over Q, read off its rows inside realify(sl(p + q, C))."""
     if p + q < 2 or p < 0 or q < 0:
         raise InputError("su needs p, q >= 0 and p + q >= 2")
-    return read_off_in_sl(su_basis_matrices(p, q), p + q, su_names(p, q))
-
-
-def read_off_in_sl(mats, n, names):
-    """The real algebra of traceless n x n matrices, read off inside realify(sl(n, C))."""
-    rows = [sl_coordinates(x, n) for x in mats]
-    return read_off_structure(realify(build_sl_complex(n)), rows, names=names)[0]
+    ambient = realify(build_sl_complex(p + q))
+    return read_off_structure(ambient, su_real_rows(p, q), names=su_names(p, q))[0]
 
 
 # ---------------------------------------------------------------------------
 # sp(2m, C) and sp(p, q)
 # ---------------------------------------------------------------------------
 
-def sp_complex_basis_matrices(m):
-    """Block basis for sp(2m, C): X = [[A, B], [C, -A^T]] with B, C symmetric.
+def sp_complex_rows(m):
+    """sp(2m, C)'s block basis as rows on sl(2m, C)'s basis.
 
-    A_ab for all a, b, then B_ab and C_ab for a <= b; at a == b the two
-    keys of B_ab's and C_ab's literals coincide, leaving one entry.
+    X = [[A, B], [C, -A^T]] with B and C symmetric: A_ab = E_ab - E_{m+b,m+a}
+    for all a, b, then B_ab = E_{a,m+b} + E_{b,m+a} and C_ab = E_{m+a,b} +
+    E_{m+b,a} for a <= b, a single E at a == b.  A_aa = E_aa - E_{m+a,m+a}
+    is H_a + ... + H_{m+a-1}.  Each row is in ascending coordinate order.
     """
+    n = 2 * m
+    rows = [{sl_index(n, a, b): 1, sl_index(n, m + b, m + a): -1} if a != b
+            else {n * (n - 1) + k: 1 for k in range(a, m + a)}
+            for a in range(m) for b in range(m)]
     upper = [(a, b) for a in range(m) for b in range(a, m)]
-    mats = [{(a, b): (1, 0), (m + b, m + a): (-1, 0)} for a in range(m) for b in range(m)]
-    mats += [{(a, m + b): (1, 0), (b, m + a): (1, 0)} for a, b in upper]
-    return mats + [{(m + a, b): (1, 0), (m + b, a): (1, 0)} for a, b in upper]
+    rows += [{sl_index(n, a, m + b): 1, sl_index(n, b, m + a): 1} for a, b in upper]
+    return rows + [{sl_index(n, m + a, b): 1, sl_index(n, m + b, a): 1} for a, b in upper]
 
 
 def sp_names(m):
@@ -220,11 +176,11 @@ def sp_names(m):
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def build_sp_complex(m):
-    """sp(2m, C) over Q(i), dimension m(2m + 1), read off inside sl(2m, C)."""
+    """sp(2m, C) over Q(i), dimension m(2m + 1), read off its rows inside sl(2m, C)."""
     if m < 1:
         raise InputError("sp needs m >= 1")
-    rows = [sl_coordinates(x, 2 * m) for x in sp_complex_basis_matrices(m)]
-    return read_off_structure(build_sl_complex(2 * m), rows, names=sp_names(m))[0]
+    ambient = build_sl_complex(2 * m)
+    return read_off_structure(ambient, sp_complex_rows(m), names=sp_names(m))[0]
 
 
 def sp_real_rows(p, q):
@@ -251,25 +207,35 @@ def sp_real_rows(p, q):
 
 
 # ---------------------------------------------------------------------------
-# stabilizers and embeddings
+# line stabilizers
 # ---------------------------------------------------------------------------
 
-def _unit_pairs(n, *indices):
-    """The Gaussian-integer vector with 1 at the given indices."""
-    return tuple((1, 0) if k in indices else (0, 0) for k in range(n))
-
-
-def line_stabilizer_rows(basis_mats, v):
+def line_stabilizer_rows(rows, n, line):
     """Sparse complex rows, in algebra coordinates, of {xi : xi . v in C v}.
 
-    v holds (re, im) pairs.  The matrices and v must be real, so the rows
-    are rational: they are the kernel's echelon rows.  The unknown
-    eigenvalue is one more domain coordinate, with a zero domain row.
+    rows are the algebra's basis as integer rows on sl(n, C)'s basis, and v
+    is 1 at the indices in line and 0 elsewhere.  sl(n, C) acts by
+    E_ab . v = v_b e_a and H_k . v = v_k e_k - v_{k+1} e_{k+1}, so the
+    conditions are rational and the rows are the kernel's echelon rows.
+    The unknown eigenvalue is one more domain coordinate, with a zero
+    domain row.
     """
-    unit = [{a: 1} for a in range(len(basis_mats))]
-    images = [(sparse([_real(x) for x in mat_apply(m, v)]),) for m in basis_mats]
-    images.append((sparse([-_real(x) for x in v]),))
-    return list(kernel_rows(unit + [{}], images).values())
+    v = [int(k in line) for k in range(n)]
+    pairs = sl_pairs(n)
+    images = []
+    for row in rows:
+        image = [0] * n
+        for i, x in row.items():
+            if i < len(pairs):
+                a, b = pairs[i]
+                image[a] += x * v[b]
+            else:
+                k = i - len(pairs)
+                image[k] += x * v[k]
+                image[k + 1] -= x * v[k + 1]
+        images.append((sparse(image),))
+    images.append((sparse([-x for x in v]),))
+    return list(kernel_rows([{a: 1} for a in range(len(rows))] + [{}], images).values())
 
 
 # ---------------------------------------------------------------------------
@@ -283,10 +249,9 @@ def quadric_orbit(p, q):
         raise InputError("quadric needs p, q >= 1")
     n1 = p + q
     ambient = build_sl_complex(n1)
-    real_rows = [sl_coordinates(x, n1) for x in su_basis_matrices(p, q)]
-    v = _unit_pairs(n1, 0, p)  # isotropic: +1 - 1 = 0
-    iso = line_stabilizer_rows(sl_basis_matrices(n1), v)
-    model = OrbitModel(ambient, real_rows, iso, name=f"quadric({p},{q})")
+    # the line of e_0 + e_p, isotropic: +1 - 1 = 0
+    iso = line_stabilizer_rows(sl_rows(n1), n1, (0, p))
+    model = OrbitModel(ambient, su_real_rows(p, q), iso, name=f"quadric({p},{q})")
     n = 2 * n1 - 3
     l = n1 - 2
     return CatalogEntry(
@@ -316,7 +281,7 @@ def sp_quadric_orbit(p, q):
     if p < 1 or q < 1:
         raise InputError("sp quadric needs p, q >= 1")
     m = p + q
-    iso = line_stabilizer_rows(sp_complex_basis_matrices(m), _unit_pairs(2 * m, 0, p))
+    iso = line_stabilizer_rows(sp_complex_rows(m), 2 * m, (0, p))
     model = OrbitModel(build_sp_complex(m), sp_real_rows(p, q), iso,
                        name=f"sp_quadric({p},{q})")
     n = 4 * m - 3
@@ -346,9 +311,8 @@ def sp_quadric_orbit(p, q):
 def real_projective_orbit():
     """The real points of the projective plane as the closed orbit of sl(3, R)."""
     ambient = build_sl_complex(3)
-    real_rows = [{a: 1} for a in range(8)]
-    iso = line_stabilizer_rows(sl_basis_matrices(3), _unit_pairs(3, 0))
-    model = OrbitModel(ambient, real_rows, iso, name="p2r")
+    iso = line_stabilizer_rows(sl_rows(3), 3, (0,))
+    model = OrbitModel(ambient, sl_rows(3), iso, name="p2r")
     return CatalogEntry(
         name="p2r",
         family="p2r",
@@ -382,11 +346,9 @@ def twisted_diagonal_orbit(n):
     sl = build_sl_complex(n1)
     ambient = direct_sum(sl, sl)
     dim = sl.dim
-    # realified coordinates of xi -> -conj(xi)^T on the sl basis, as columns
-    phi_cols = [
-        sl_coordinates({(c, r): (-re, im) for (r, c), (re, im) in x.items()}, n1)
-        for x in sl_basis_matrices(n1)
-    ]
+    # xi -> -conj(xi)^T on the sl basis, as columns: E_rc -> -E_cr, H_k -> -H_k
+    phi_cols = [{sl_index(n1, c, r): -1} for r, c in sl_pairs(n1)]
+    phi_cols += [{k: -1} for k in range(len(phi_cols), dim)]
 
     real_rows = []
     for a in range(dim):
@@ -398,8 +360,8 @@ def twisted_diagonal_orbit(n):
         minus_j_phi = {k: -x for k, x in j_apply(phi_cols[a], dim).items()}
         real_rows.append({2 * dim + a: 1, **place_row(minus_j_phi, dim, 2 * dim, dim)})
 
-    p_v = line_stabilizer_rows(sl_basis_matrices(n1), _unit_pairs(n1, 0))
-    p_u = line_stabilizer_rows(sl_basis_matrices(n1), _unit_pairs(n1, 1))
+    p_v = line_stabilizer_rows(sl_rows(n1), n1, (0,))
+    p_u = line_stabilizer_rows(sl_rows(n1), n1, (1,))
     # p_v in the first factor, p_u shifted into the second
     iso = p_v + [{k + dim: x for k, x in z.items()} for z in p_u]
 
@@ -425,8 +387,7 @@ def twisted_diagonal_orbit(n):
 
 def _su2_block_rows(total_cplx, offset):
     """Realified rows of su(2) placed in an sl2 block of a product ambient."""
-    return [place_row(sl_coordinates(x, 2), 3, total_cplx, offset)
-            for x in su_basis_matrices(2, 0)]
+    return [place_row(x, 3, total_cplx, offset) for x in su_real_rows(2, 0)]
 
 
 @lru_cache(maxsize=1)
@@ -601,9 +562,10 @@ ROSTER = (
 # Parametrized entries are built on demand only up to this complex ambient
 # dimension, that of sl(13, C) for the quadrics with p + q = 13: construction
 # and verification cost grows quickly with it.  The costliest entries
-# admitted, quadric(12,1), quadric(7,6) and sp_quadric(7,1), each take about
-# 0.2-0.35 CPU s to build and verify in-process on a shared 2-vCPU x86-64 VM
-# (median 0.23-0.33 s of five fresh processes).
+# admitted, quadric(7,6), quadric(12,1), sp_quadric(4,4), sp_quadric(7,1)
+# and twisted(8), each take 0.11-0.15 CPU s to build and verify on a shared
+# 2-vCPU x86-64 VM: time.process_time around get_entry and verify_entry in a
+# fresh process, median of 7 to 11 processes.
 MAX_AMBIENT_DIM = 168
 
 # (name prefix, builder, arity, complex ambient dimension)

@@ -320,6 +320,8 @@ def levi_signature(pair: CRPair, codirection=None) -> SignatureResult:
     normalized ordering plus both orderings in the result.
 
     codirection defaults to the first value coordinate, (1, 0, ..., 0).
+    In codimension 0 there is no value coordinate and no signature: that
+    is an InputError, whatever codirection is passed.
     In codimension k >= 2 that default is a choice of basis of g/R, so two
     bases of one model can give different results; verify_entry compares
     signatures on codimension-1 entries only.  The Levi kernel
@@ -327,6 +329,9 @@ def levi_signature(pair: CRPair, codirection=None) -> SignatureResult:
     """
     report = pair._levi
     k = report.value_dim
+    if k == 0:
+        raise InputError("codimension 0 leaves no value space, so the Levi form has no "
+                         "codirection and no signature")
     if codirection is None:
         codirection = tuple(int(c == 0) for c in range(k))
     if len(codirection) != k:

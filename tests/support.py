@@ -1,10 +1,13 @@
 """Shared helpers for the test suite: oracles, reference algebras, transports
 and random algebra generators.
 
-The library has no use for the helpers here: the matrix-model real
+The library has no use for the helpers here: the matrix models, as
+sparse Gaussian-integer matrices, that the catalog's index rows and line
+stabilizers are read off and solved against, the matrix-model real
 algebras the catalog's entries are compared with, the transports of the
 metamorphic tests, the cr-pair payload writer and the dense elimination
-references.
+references.  tests/test_imports.py fails on a definition here that no
+test reads.
 """
 
 from fractions import Fraction
@@ -18,8 +21,7 @@ from crkit.algebra import (
     span,
     sparse_span,
 )
-from crkit.catalog import build_sl_complex, read_off_in_sl, sp_complex_basis_matrices
-from crkit.catalog import sp_real_rows, su_signs
+from crkit.catalog import build_sl_complex, sp_real_rows, su_signs
 from crkit.complexify import OrbitModel
 from crkit.cr import CRPair, apply_endo, levi_form, matrix_columns
 from crkit.errors import InputError
@@ -853,6 +855,102 @@ def _inverse(p):
 def _matmul(a, b):
     return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
             for i in range(len(a))]
+
+
+# ---------------------------------------------------------------------------
+# matrix models: sparse Gaussian-integer matrices {(row, col): (re, im)}
+# ---------------------------------------------------------------------------
+
+def mat_apply(mat, vec):
+    """mat . vec for a vector of Gaussian-integer pairs."""
+    out = [(0, 0)] * len(vec)
+    for (r, c), (mr, mi) in mat.items():
+        xr, xi = vec[c]
+        if xr or xi:
+            re, im = out[r]
+            out[r] = (re + mr * xr - mi * xi, im + mr * xi + mi * xr)
+    return tuple(out)
+
+
+def sl_basis_matrices(n):
+    mats = [{(a, b): (1, 0)} for a in range(n) for b in range(n) if a != b]
+    for a in range(n - 1):
+        mats.append({(a, a): (1, 0), (a + 1, a + 1): (-1, 0)})
+    return mats
+
+
+def su_basis_matrices(p, q):
+    """Anti-hermitian traceless matrices for the signature-(p, q) form.
+
+    Basis: i H_a for the traceless diagonal, then for each a < b the pair
+    A_ab = E_ba - s E_ab and B_ab = i (E_ba + s E_ab) with s the product of
+    the signature signs at a and b.
+    """
+    n = p + q
+    eps = su_signs(p, q)
+    mats = []
+    for a in range(n - 1):
+        mats.append({(a, a): (0, 1), (a + 1, a + 1): (0, -1)})
+    for a in range(n):
+        for b in range(a + 1, n):
+            s = eps[a] * eps[b]
+            mats.append({(b, a): (1, 0), (a, b): (-s, 0)})
+            mats.append({(b, a): (0, 1), (a, b): (0, s)})
+    return mats
+
+
+def sp_complex_basis_matrices(m):
+    """Block basis for sp(2m, C): X = [[A, B], [C, -A^T]] with B, C symmetric.
+
+    A_ab for all a, b, then B_ab and C_ab for a <= b; at a == b the two
+    keys of B_ab's and C_ab's literals coincide, leaving one entry.
+    """
+    upper = [(a, b) for a in range(m) for b in range(a, m)]
+    mats = [{(a, b): (1, 0), (m + b, m + a): (-1, 0)} for a in range(m) for b in range(m)]
+    mats += [{(a, m + b): (1, 0), (b, m + a): (1, 0)} for a, b in upper]
+    return mats + [{(m + a, b): (1, 0), (m + b, a): (1, 0)} for a, b in upper]
+
+
+def sl_coordinates(mat, n):
+    """Realified coordinates of a traceless n x n matrix on the sl(n, C) basis.
+
+    E_rc (r != c) is entry (r, c), and the diagonal d is sum h_k H_k with
+    h_k = d_0 + ... + d_k.  Returns {k: x} in ascending k: real parts at
+    k, imaginary parts at n^2 - 1 + k.
+    """
+    assert all(0 <= r < n and 0 <= c < n for r, c in mat), mat
+    coords = [(r * (n - 1) + c - (c > r), x) for (r, c), x in mat.items() if r != c]
+    h = (0, 0)
+    for k in range(n):
+        re, im = mat.get((k, k), (0, 0))
+        h = (h[0] + re, h[1] + im)
+        coords.append((n * (n - 1) + k, h))
+    # the last partial sum is the trace
+    assert coords.pop()[1] == (0, 0), mat
+    out = {}
+    for k, (re, im) in coords:
+        if re:
+            out[k] = re
+        if im:
+            out[n * n - 1 + k] = im
+    return {k: out[k] for k in sorted(out)}
+
+
+def read_off_in_sl(mats, n, names):
+    """The real algebra of traceless n x n matrices, read off inside realify(sl(n, C))."""
+    rows = [sl_coordinates(x, n) for x in mats]
+    return read_off_structure(realify(build_sl_complex(n)), rows, names=names)[0]
+
+
+def matrix_line_stabilizer(mats, v):
+    """The echelon rows of {xi : xi . v in C v}, xi a combination of the real
+    matrices mats and v a real vector of Gaussian-integer pairs, by mat_apply."""
+    assert not any(im for mat in mats for _, im in mat.values()), mats
+    assert not any(im for _, im in v), v
+    unit = [{a: 1} for a in range(len(mats))]
+    images = [(sparse([re for re, _ in mat_apply(m, v)]),) for m in mats]
+    images.append((sparse([-re for re, _ in v]),))
+    return list(kernel_rows(unit + [{}], images).values())
 
 
 # ---------------------------------------------------------------------------

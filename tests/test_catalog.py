@@ -24,18 +24,17 @@ from crkit.catalog import (
     line_stabilizer_rows,
     quadric_orbit,
     real_projective_orbit,
-    sl_basis_matrices,
-    sl_coordinates,
-    sp_complex_basis_matrices,
+    sl_rows,
+    sp_complex_rows,
     sp_quadric_orbit,
     sp_real_rows,
-    su_basis_matrices,
+    su_real_rows,
     su_signs,
     twisted_diagonal_orbit,
     verify_entry,
 )
 from crkit.complexify import classify_fiber
-from crkit.errors import InputError, InternalError
+from crkit.errors import InputError
 from crkit.linalg import echelon
 from crkit.scalars import GaussianRational
 
@@ -47,9 +46,14 @@ from .support import (
     build_sp,
     dense_bracket,
     in_sp_pq,
+    matrix_line_stabilizer,
     oracle_structure_constants,
+    sl_basis_matrices,
+    sl_coordinates,
     so_basis_matrices,
+    sp_complex_basis_matrices,
     sp_real_matrices,
+    su_basis_matrices,
 )
 
 F = Fraction
@@ -212,33 +216,52 @@ def test_sp_pq_check_rejects_matrices_outside_sp_pq():
     assert not in_sp_pq({(0, 2): (1, 0), (2, 0): (1, 0)}, eps)  # B_00 + C_00 is not either
 
 
-READ_OFF_CASES = {
-    # a real, or an imaginary, nonzero trace: an entry-wise read-off of the
-    # off-diagonal entries and partial sums alone would take these for {}
-    "sl3-trace-one": (3, {(2, 2): (1, 0)}, None),
-    "sl3-imaginary-trace": (3, {(1, 1): (0, 1)}, None),
-    # an index past the matrix size, whose entry-wise index would be that
-    # of entry (1, 0)
-    "sl2-index-out-of-range": (2, {(0, 2): (1, 0)}, None),
+def test_read_off_of_an_imaginary_diagonal():
     # the imaginary diagonal reads off as twice the imaginary part of H0
-    "su2-imaginary-diagonal": (2, {(0, 0): (0, 2), (1, 1): (0, -2)}, {5: 2}),
-}
+    assert sl_coordinates({(0, 0): (0, 2), (1, 1): (0, -2)}, 2) == {5: 2}
 
 
-@pytest.mark.parametrize("case", sorted(READ_OFF_CASES))
-def test_read_off_rejects_matrices_outside_the_algebra(case):
-    n, mat, expected = READ_OFF_CASES[case]
-    if expected is None:
-        with pytest.raises(InternalError, match="outside sl"):
-            sl_coordinates(mat, n)
-    else:
-        assert sl_coordinates(mat, n) == expected
+def same_rows(got, want):
+    """Equal rows, each with its coordinates in the same order."""
+    return [list(r.items()) for r in got] == [list(r.items()) for r in want]
+
+
+@pytest.mark.parametrize("n", range(2, 14))
+def test_su_real_rows_are_the_read_off_of_the_matrix_model(n):
+    for p in range(n + 1):
+        mats = su_basis_matrices(p, n - p)
+        assert same_rows(su_real_rows(p, n - p), [sl_coordinates(x, n) for x in mats]), p
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_sp_complex_rows_are_the_read_off_of_the_block_matrices(m):
+    # real matrices: the realified read-off has no imaginary part
+    want = [sl_coordinates(x, 2 * m) for x in sp_complex_basis_matrices(m)]
+    assert same_rows(sp_complex_rows(m), want)
+
+
+def nonempty_lines(n):
+    return [tuple(k for k in range(n) if bits >> k & 1) for bits in range(1, 2 ** n)]
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_line_stabilizers_match_the_matrix_action(n):
+    for line in nonempty_lines(n):
+        v = tuple((int(k in line), 0) for k in range(n))
+        want = matrix_line_stabilizer(sl_basis_matrices(n), v)
+        assert same_rows(line_stabilizer_rows(sl_rows(n), n, line), want), line
+
+
+@pytest.mark.parametrize("m", range(2, 5))
+def test_sp_line_stabilizers_match_the_matrix_action(m):
+    # sp_quadric(p, q)'s line e_0 + e_p in C^2m, m = p + q
+    for p in range(1, m):
+        v = tuple((int(k in (0, p)), 0) for k in range(2 * m))
+        want = matrix_line_stabilizer(sp_complex_basis_matrices(m), v)
+        assert same_rows(line_stabilizer_rows(sp_complex_rows(m), 2 * m, (0, p)), want), p
 
 
 def test_complex_catalog_data_must_be_real():
-    # the stabilizer of a nonreal line is an internal error
-    with pytest.raises(InternalError):
-        line_stabilizer_rows(sl_basis_matrices(2), ((1, 0), (0, 1)))
     for L in (build_sl_complex(4), build_sp_complex(2)):
         assert all(type(c) is int for row in L.brackets.values() for c in row.values())
 

@@ -244,6 +244,13 @@ def test_levi_signature_zero_codirection_rejected():
         levi_signature(heisenberg_pair(), (F(0),))
 
 
+@pytest.mark.parametrize("codirection", [None, ()], ids=["default", "empty"])
+def test_levi_signature_in_codimension_zero_names_the_missing_value_space(codirection):
+    pair = get_entry("c2_torus").cr_pair
+    with pytest.raises(InputError, match="^codimension 0 leaves no value space"):
+        levi_signature(pair, codirection)
+
+
 def test_pair_equality_mod_h():
     # J and J' differing by an h-valued map give equal pairs
     g = heisenberg()

@@ -7,7 +7,8 @@ because this test process has long since imported every layer.  The
 public names are README's "Library use" list, every other function,
 class or module-level assignment in ``src/crkit``, private ones
 included, has a use inside the package, and so does every method and
-property of its classes.  Every name a test or package module imports is
+property of its classes.  Every top-level definition of
+``tests/support.py`` has a reader among the tests.  Every name a test or package module imports is
 read somewhere in that module, unless the import is marked as a
 re-export.
 """
@@ -183,6 +184,27 @@ def test_every_public_definition_has_a_use_in_the_package():
     unused = [d for d in definitions
               if d.split(".")[1] not in used and d.split(".")[1] not in crkit.__all__]
     assert unused == []
+
+
+def test_every_support_definition_has_a_reader_in_the_tests():
+    # a top-level definition of tests/support.py is read by a test module, or
+    # by another definition there; one that nothing reads is dead
+    tests = os.path.dirname(os.path.abspath(__file__))
+    definitions, used = [], set()
+    for filename in sorted(os.listdir(tests)):
+        if not filename.endswith(".py"):
+            continue
+        with open(os.path.join(tests, filename), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in tree.body:
+            own = top_level_names(node) if filename == "support.py" else set()
+            definitions += sorted(own)
+            for sub in ast.walk(node):
+                name = sub.id if isinstance(sub, ast.Name) else getattr(sub, "attr", None)
+                if isinstance(sub, (ast.Name, ast.Attribute)) and name not in own:
+                    used.add(name)
+    assert definitions, tests
+    assert [d for d in definitions if d not in used] == []
 
 
 def test_every_class_member_has_a_reader_in_the_package():

@@ -83,6 +83,7 @@ def test_invariants_survive_ambient_transport(name, transport):
     assert verify_entry(moved_entry).ok
     loaded = load_orbit_model(json.loads(json.dumps(orbit_payload(moved))))
     assert dims(loaded) == dims(moved) == dims(entry.model)
+    assert invariants(with_model(entry, loaded)) == before
 
 
 def unimodular(k, rng):
