@@ -1,14 +1,15 @@
 """Invariant CR-structure pairs on a Lie algebra and their Levi theory.
 
 A pair consists of a subspace R with h <= R <= g and an endomorphism J of
-R that squares to -id modulo the isotropy algebra h.  The axioms checked
+R/h that squares to -id, h the isotropy algebra.  The axioms checked
 here are exactly the closure and integrability identities that make the
 pair the infinitesimal model of an invariant partial complex structure on
 the homogeneous space of g modulo h.
 
 J is canonicalized by projecting its values onto the pivot-free
 complement of h inside R, so equivalent pairs (J differing by an h-valued
-map) compare equal.
+map) compare equal; the axioms read that canonical J alone, on one basis
+of R (h's echelon rows, then the complement), so they also report alike.
 
 Inside, vectors are sparse {index: coefficient} dicts and J is a sparse
 column map {j: {k: coeff}} with J e_j = sum coeff e_k; the axiom loops and
@@ -24,7 +25,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 
-from .algebra import LieAlgebra, Subspace, is_subalgebra, pivot_complement
+from .algebra import LieAlgebra, Subspace, pivot_complement
 from .errors import InputError, InternalError, StructureError
 from .linalg import (
     combine_rows,
@@ -65,11 +66,12 @@ class CRPair:
     """(R, J) with h <= R <= g and J an endomorphism of R, stored mod h.
 
     j_columns is J as a sparse column map {j: {k: coeff}} with every index
-    in range(dim g).  j_raw keeps a copy of it, complement is
+    in range(dim g); the pair keeps only J mod h.  complement is
     pivot_complement(R, h), and j is the canonical J: projecting onto R
     along its pivot-free coordinates sends e_p to R's row at p (0 off R's
     pivots), so column p is J of that row modulo h.  Raw Js that differ by
-    an h-valued map, as induced_cr_pair's may, give the same pair.
+    an h-valued map, as induced_cr_pair's may, give the same pair, and
+    check_cr_pair reads only the canonical J.
     """
 
     def __init__(self, g: LieAlgebra, h: Subspace, r: Subspace, j_columns):
@@ -86,8 +88,7 @@ class CRPair:
         self.g = g
         self.h = h
         self.r = r
-        self.j_raw = {j: dict(col) for j, col in j_columns.items()}
-        images = {p: apply_endo(self.j_raw, v) for p, v in r.echelon.items()}
+        images = {p: apply_endo(j_columns, v) for p, v in r.echelon.items()}
         if not all(r.contains(img) for img in images.values()):
             raise StructureError("J does not preserve R")
         reduced = {p: h.reduce(img) for p, img in images.items()}
@@ -146,17 +147,22 @@ def check_cr_pair(pair: CRPair, connected_isotropy: bool = True) -> Report:
     disconnected isotropy group the algebra cannot see the remaining
     components, and the row is reported as not checkable.
 
-    The last two conditions are bilinear and antisymmetric, so they hold
-    on R once they hold on a basis of it: h's rows plus the complement.
-    When the first two rows pass and h is a subalgebra, every pair with an
-    argument in h passes (Jh <= h, [h, R] <= R, and J[eta, J zeta] =
-    [eta, J^2 zeta] = -[eta, zeta] mod h for eta in h), so isotropy is
-    checked on h x complement and, given isotropy, integrability on
-    complement x complement.  A failure there reruns the ordered loop over
-    R's rows, whose first failing pair is the witness.
+    Each condition is one ordered loop of the canonical J (pair.apply_j)
+    over one basis B of R: h's echelon rows, then the complement.  A loop
+    skips only what an earlier check has decided.  Once kernel-exactness
+    holds, J vanishes on h.  Then h's rows pass J^2 = -1, and on a pair of
+    h's rows the isotropy condition reads [h_a, h_b] in h; that is
+    symmetric, so it is checked for a < b, by one bracket.  Once isotropy
+    holds too, every integrability pair with a row of h passes, and that
+    loop runs over complement x complement; under disconnected isotropy
+    the connected condition is computed only to license this.  A skipped
+    pair passes, so each row's witness is the unskipped loop's first.
     """
     g, h, r = pair.g, pair.h, pair.r
-    j = pair.j_raw
+    j = pair.apply_j
+    nh = h.dim
+    basis = [*h.echelon.values(), *pair.complement.values()]
+    images = [j(v) for v in basis]
     checks = []
 
     def found(name, witness):
@@ -166,80 +172,60 @@ def check_cr_pair(pair: CRPair, connected_isotropy: bool = True) -> Report:
         )
 
     # kernel exactness: J(h) <= h, and ker(J mod h) restricted to R equals h
-    witness = None
-    for v in h.echelon.values():
-        if not h.contains(apply_endo(j, v)):
-            witness = v
-            break
-    comp = list(pair.complement.values())
-    if witness is None and comp:
+    witness = next((v for v, jv in zip(basis[:nh], images) if jv), None)
+    if witness is None and nh < len(basis):
         # the complement rows vanish on h's pivots, and a nonzero vector of
         # h does not, so a nonzero combination of them never lies in h
-        images = [h.reduce(apply_endo(j, v)) for v in comp]
-        witness = next(iter(combine_rows(left_nullspace(images), comp)), None)
+        witness = next(iter(combine_rows(left_nullspace(images[nh:]), basis[nh:])), None)
     found("kernel-exactness", witness)
+    # once kernel-exactness holds, J sends the first skip rows of B, h's, to 0
+    skip = nh if witness is None else 0
 
     # J^2 + id = 0 mod h on R
-    witness = None
-    rows = list(r.echelon.values())
-    for v in rows:
-        if not h.contains(vec_add(apply_endo(j, apply_endo(j, v)), v)):
-            witness = v
-            break
+    witness = next((v for v, jv in zip(basis[skip:], images[skip:])
+                    if not h.contains(vec_add(j(jv), v))), None)
     found("square-minus-identity", witness)
 
-    # a file pair's h is never checked to be a subalgebra, so closure is a precondition
-    reduced = all(c.ok for c in checks) and is_subalgebra(g, h)
-    # isotropy compatibility (connected form), on h x complement first
-    witness = _isotropy_witness(g, h, r, j, comp) if reduced else None
+    def isotropy():
+        for a, xi in enumerate(basis[:nh]):
+            for b in range(a + 1 if skip else 0, len(basis)):
+                bracket = g.bracket(xi, basis[b])
+                # with J = 0 on both rows of h, the pair holds iff its bracket
+                # lies in h, as its mirror (b, a) does
+                if b < skip and h.contains(bracket):
+                    continue
+                if not r.contains(bracket):
+                    return bracket
+                diff = vec_sub(j(bracket), g.bracket(xi, images[b]))
+                if not h.contains(diff):
+                    return diff
+        return None
+
+    def integrability(rows, jrows):
+        for a, (xi, jxi) in enumerate(zip(rows, jrows)):
+            for zeta, jzeta in zip(rows[a + 1:], jrows[a + 1:]):
+                first = vec_sub(g.bracket(xi, zeta), g.bracket(jxi, jzeta))
+                if not r.contains(first):
+                    return first
+                torsion = vec_sub(
+                    vec_sub(j(first), g.bracket(jxi, zeta)), g.bracket(xi, jzeta)
+                )
+                if not h.contains(torsion):
+                    return torsion
+        return None
+
+    # isotropy compatibility (connected form)
+    witness = isotropy() if connected_isotropy or skip else None
     if connected_isotropy:
-        if not reduced or witness is not None:
-            witness = _isotropy_witness(g, h, r, j, rows)
         found("isotropy-compatibility", witness)
     else:
-        # disconnected isotropy is invisible at the algebra level; the
-        # connected condition above still licenses the reduced loop below
+        # disconnected isotropy is invisible at the algebra level
         checks.append(Check("isotropy-compatibility", None))
-    reduced = reduced and witness is None
 
     # integrability: [xi,zeta] - [Jxi,Jzeta] in R, and the torsion lands in h
-    witness = _integrability_witness(g, h, r, j, comp) if reduced else None
-    if not reduced or witness is not None:
-        witness = _integrability_witness(g, h, r, j, rows)
-    found("integrability", witness)
+    start = skip if witness is None else 0
+    found("integrability", integrability(basis[start:], images[start:]))
     return Report(tuple(checks))
-
-
-def _isotropy_witness(g, h, r, j, rows):
-    """The first (xi in h, zeta in rows) failing the connected isotropy condition."""
-    j_of_rows = [apply_endo(j, zeta) for zeta in rows]
-    for xi in h.echelon.values():
-        for zeta, jzeta in zip(rows, j_of_rows):
-            b = g.bracket(xi, zeta)
-            if not r.contains(b):
-                return b
-            diff = vec_sub(apply_endo(j, b), g.bracket(xi, jzeta))
-            if not h.contains(diff):
-                return diff
-    return None
-
-
-def _integrability_witness(g, h, r, j, rows):
-    """The first pair a < b of rows with [xi,zeta] - [Jxi,Jzeta] outside R or torsion outside h."""
-    j_of_rows = [apply_endo(j, zeta) for zeta in rows]
-    for a in range(len(rows)):
-        xi, jxi = rows[a], j_of_rows[a]
-        for b in range(a + 1, len(rows)):
-            zeta, jzeta = rows[b], j_of_rows[b]
-            first = vec_sub(g.bracket(xi, zeta), g.bracket(jxi, jzeta))
-            if not r.contains(first):
-                return first
-            torsion = vec_sub(
-                vec_sub(apply_endo(j, first), g.bracket(jxi, zeta)), g.bracket(xi, jzeta)
-            )
-            if not h.contains(torsion):
-                return torsion
-    return None
 
 
 class LeviReport(namedtuple(

@@ -38,7 +38,7 @@ import json
 from typing import TYPE_CHECKING
 
 from . import SCHEMA
-from .algebra import LieAlgebra, span
+from .algebra import LieAlgebra, span, validate
 from .errors import InputError, excerpt
 from .linalg import echelon, sparse
 from .scalars import QI, QQ, format_scalar, parse_rational, parse_scalar
@@ -184,13 +184,18 @@ def load_orbit_model(payload) -> OrbitModel:
     """The orbit model of a payload, on the echelon rows of its real basis.
 
     The complex isotropy rows become their realifications.  Echelon rows
-    make the model independent of the file's row order and scaling.
+    make the model independent of the file's row order and scaling.  The
+    model is built on the ambient, so an ambient that fails the Jacobi
+    identity is refused here.
     """
     from .complexify import OrbitModel, realified_rows
 
     ambient = load_algebra(_require(payload, "ambient", "orbit"))
     if ambient.field != QI:
         raise InputError("orbit ambient algebra must be complex (Q_i)")
+    jacobi = validate(ambient).by_name("jacobi")
+    if not jacobi.ok:
+        raise InputError(f"orbit ambient fails the Jacobi identity at {jacobi.detail}")
     width = 2 * ambient.dim
     real_rows = _rational_rows(_require(payload, "real_basis", "orbit"), width, "real_basis")
     iso_rows = []
@@ -293,6 +298,9 @@ def load_file(path):
         raise InputError(f"bad JSON in {path}: {excerpt(str(exc))}") from exc
     except RecursionError as exc:
         raise InputError(f"bad JSON in {path}: nested too deeply") from exc
+    except OSError as exc:
+        # a directory, a permission denied or an I/O fault
+        raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
     kind = detect_kind(payload)
     if kind == "algebra":
         return kind, load_algebra(payload)

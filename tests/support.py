@@ -614,14 +614,17 @@ def oracle_fiber(model, j):
 # ---------------------------------------------------------------------------
 
 def full_check_cr_pair(pair, connected_isotropy=True):
-    """The four CR axioms by the ordered loops over every (h, R) and R x R pair.
+    """The four CR axioms by the ordered loops over every pair of the basis B of R.
 
-    Isotropy brackets each of h's rows with each of R's echelon rows, and
-    integrability each pair of R's rows; no precondition, and no step
-    uses the complement of h in R.
+    B is h's echelon rows, then the complement, and J is the canonical J.
+    Square-minus-identity runs over all of B, isotropy over every (h, B)
+    pair and integrability over every pair a < b of B: nothing is skipped.
     """
     g, h, r = pair.g, pair.h, pair.r
-    j = pair.j_raw
+    j = pair.apply_j
+    hrows, comp = list(h.echelon.values()), list(pair.complement.values())
+    rows = hrows + comp
+    j_of_rows = [j(v) for v in rows]
     checks = []
 
     def found(name, witness):
@@ -630,13 +633,12 @@ def full_check_cr_pair(pair, connected_isotropy=True):
         )
 
     witness = None
-    for v in h.echelon.values():
-        if not h.contains(apply_endo(j, v)):
+    for v in hrows:
+        if not h.contains(j(v)):
             witness = v
             break
     if witness is None:
-        comp = list(pair.complement.values())
-        images = [h.reduce(apply_endo(j, v)) for v in comp]
+        images = [h.reduce(j(v)) for v in comp]
         if images:
             for vec in combine_rows(left_nullspace(images), comp):
                 if not h.contains(vec):
@@ -645,23 +647,21 @@ def full_check_cr_pair(pair, connected_isotropy=True):
     found("kernel-exactness", witness)
 
     witness = None
-    rows = list(r.echelon.values())
     for v in rows:
-        if not h.contains(vec_add(apply_endo(j, apply_endo(j, v)), v)):
+        if not h.contains(vec_add(j(j(v)), v)):
             witness = v
             break
     found("square-minus-identity", witness)
 
-    j_of_r = [apply_endo(j, zeta) for zeta in rows]
     if connected_isotropy:
         witness = None
-        for xi in h.echelon.values():
-            for zeta, jzeta in zip(rows, j_of_r):
+        for xi in hrows:
+            for zeta, jzeta in zip(rows, j_of_rows):
                 b = g.bracket(xi, zeta)
                 if not r.contains(b):
                     witness = b
                     break
-                diff = vec_sub(apply_endo(j, b), g.bracket(xi, jzeta))
+                diff = vec_sub(j(b), g.bracket(xi, jzeta))
                 if not h.contains(diff):
                     witness = diff
                     break
@@ -673,15 +673,15 @@ def full_check_cr_pair(pair, connected_isotropy=True):
 
     witness = None
     for a in range(len(rows)):
-        xi, jxi = rows[a], j_of_r[a]
+        xi, jxi = rows[a], j_of_rows[a]
         for b in range(a + 1, len(rows)):
-            zeta, jzeta = rows[b], j_of_r[b]
+            zeta, jzeta = rows[b], j_of_rows[b]
             first = vec_sub(g.bracket(xi, zeta), g.bracket(jxi, jzeta))
             if not r.contains(first):
                 witness = first
                 break
             torsion = vec_sub(
-                vec_sub(apply_endo(j, first), g.bracket(jxi, zeta)), g.bracket(xi, jzeta)
+                vec_sub(j(first), g.bracket(jxi, zeta)), g.bracket(xi, jzeta)
             )
             if not h.contains(torsion):
                 witness = torsion
@@ -708,16 +708,17 @@ def oracle_complement(pair):
     return echelon([pair.h.reduce(v) for v in pair.r.echelon.values()])
 
 
-def oracle_canonical_j(pair):
-    """The canonical J from every unit vector e_a: J of its projection onto R, modulo h.
+def oracle_canonical_j(pair, raw_j):
+    """The canonical J from every unit vector e_a: raw_j of its projection onto R, modulo h.
 
-    The projection is along the coordinates off R's pivots, e_a minus its
+    raw_j is a sparse column map of J on g, as a pair is built from; the
+    projection is along the coordinates off R's pivots, e_a minus its
     residual against R.
     """
     columns = {}
     for a in range(pair.g.dim):
         e = {a: 1}
-        img = pair.h.reduce(apply_endo(pair.j_raw, vec_sub(e, pair.r.reduce(e))))
+        img = pair.h.reduce(apply_endo(raw_j, vec_sub(e, pair.r.reduce(e))))
         if img:
             columns[a] = img
     return columns
@@ -792,8 +793,8 @@ def levi_raw_form(pair):
     )
 
 
-def pair_with_j(pair, on_h, on_comp):
-    """pair's g, h and R with the raw J given on a basis of g, densely.
+def j_columns(pair, on_h, on_comp):
+    """The column map of a raw J on pair's g, given on a basis of g, densely.
 
     on_h[t] is the image of h's t-th row, on_comp[i] that of the i-th
     complement row, and J vanishes on the unit vectors off R's pivots.
@@ -808,7 +809,7 @@ def pair_with_j(pair, on_h, on_comp):
         col = {k: x for k, x in enumerate(combination(coords, values)) if x}
         if col:
             columns[j] = col
-    return CRPair(pair.g, pair.h, pair.r, columns)
+    return columns
 
 
 def rebased_pair(pair, rows):
@@ -816,7 +817,7 @@ def rebased_pair(pair, rows):
     g = rebase(pair.g, rows)
     h = span(g, dense_coordinates(rows, pair.h.rows) if pair.h.rows else [])
     r = span(g, dense_coordinates(rows, pair.r.rows))
-    images = [apply_endo(pair.j_raw, sparse(b)) for b in rows]
+    images = [pair.apply_j(sparse(b)) for b in rows]
     columns = {}
     for a, x in enumerate(dense_coordinates(rows, [dense(v, g.dim) for v in images])):
         if any(x):
@@ -824,13 +825,13 @@ def rebased_pair(pair, rows):
     return CRPair(g, h, r, columns)
 
 
-def raw_j_on_h(pair):
-    """The dense images of h's rows under pair's raw J."""
-    return [dense(apply_endo(pair.j_raw, sparse(v)), pair.g.dim) for v in pair.h.rows]
+def j_on_h(pair):
+    """The dense images of h's rows under pair's canonical J."""
+    return [dense(pair.apply_j(sparse(v)), pair.g.dim) for v in pair.h.rows]
 
 
-def conjugated_pair(pair, p, scale=1, h_noise=None):
-    """pair with J replaced on R/h by scale * P J P^-1, P invertible.
+def conjugated_j(pair, p, scale=1, h_noise=None):
+    """The column map of pair's J replaced on R/h by scale * P J P^-1, P invertible.
 
     h_noise[i], when given, is an h-valued vector added to the image of
     the i-th complement row, which leaves J mod h as it is.
@@ -842,7 +843,7 @@ def conjugated_pair(pair, p, scale=1, h_noise=None):
     on_comp = [combination([new[k][i] for k in range(m)], comp) for i in range(m)]
     if h_noise is not None:
         on_comp = [[a + b for a, b in zip(v, w)] for v, w in zip(on_comp, h_noise)]
-    return pair_with_j(pair, raw_j_on_h(pair), on_comp)
+    return j_columns(pair, j_on_h(pair), on_comp)
 
 
 def _inverse(p):

@@ -187,7 +187,7 @@ def test_levi_form_takes_one_bracket_per_pair_of_complement_rows(monkeypatch, na
         pair = heisenberg_pair()
     else:
         built = get_entry(name).cr_pair
-        pair = CRPair(built.g, built.h, built.r, built.j_raw)
+        pair = CRPair(built.g, built.h, built.r, built.j)
     calls = counted_brackets(monkeypatch)
     levi_form(pair)
     assert len(pair.complement) >= 2

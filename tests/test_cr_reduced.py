@@ -1,16 +1,18 @@
 """check_cr_pair's loops modulo h against the full ordered loops.
 
-The library checks isotropy on h x complement and integrability on
-complement x complement once kernel-exactness and J^2 = -1 hold and h is
-a subalgebra, and reruns the full loop for the witness of a failure.
-support.full_check_cr_pair keeps the full loops over R's rows.  The pairs
-here all have h != 0; J is moved on R/h by conjugation, scaling, an
-h-valued term, a swap of h with the complement, a leak of h or a
-complement row sent to 0, so that every row fails somewhere, and the
-whole Report, witnesses included, must equal the full loops' Report.  On
-the same pairs the complement and the canonical J must equal
+The library reads the canonical J on one basis B of R, h's rows then the
+complement.  Once kernel-exactness holds it skips h's rows in J^2 = -1
+and checks isotropy on a pair of h's rows for a < b only, and once
+isotropy holds too it checks integrability on complement x complement.
+support.full_check_cr_pair keeps the full loops over B.  The pairs here
+all have h != 0; J is moved on R/h by conjugation, scaling, an h-valued
+term, a swap of h with the complement, a leak of h or a complement row
+sent to 0, so that every row fails somewhere, and the whole Report,
+witnesses included, must equal the full loops' Report.  Pairs that differ
+by an h-valued term on J compare equal and must report alike.  On the
+same pairs the complement and the canonical J must equal
 support.oracle_complement and support.oracle_canonical_j, which reduce
-R's rows modulo h and project every unit vector.
+R's rows modulo h and project every unit vector through the raw J.
 """
 
 import pytest
@@ -26,12 +28,12 @@ from .support import (
     basis_vector,
     basis_vectors,
     complement_rows,
-    conjugated_pair,
+    conjugated_j,
     full_check_cr_pair,
+    j_columns,
+    j_on_h,
     oracle_canonical_j,
     oracle_complement,
-    pair_with_j,
-    raw_j_on_h,
     rebased_pair,
 )
 
@@ -44,7 +46,7 @@ def times_ideal(k, pair):
     g = direct_sum(k, pair.g)
     units = [basis_vector(g, t) for t in range(n)]
     rows = [(0,) * n + tuple(r) for r in pair.r.rows]
-    j = {a + n: {b + n: x for b, x in col.items()} for a, col in pair.j_raw.items()}
+    j = {a + n: {b + n: x for b, x in col.items()} for a, col in pair.j.items()}
     return CRPair(g, span(g, units), span(g, units + rows), j)
 
 
@@ -52,8 +54,8 @@ def bidiagonal(pair):
     """pair on the basis b_a = e_a + e_(a+1).
 
     With h's pivots first, R's echelon rows at them then have parts off h,
-    so the full integrability loop fails first at another pair, with
-    another witness, than the loop on the complement.
+    so they differ from the basis B of R that the loops read, h's rows
+    then the complement.
     """
     n = pair.g.dim
     return rebased_pair(pair, [[int(i in (a, a + 1)) for i in range(n)] for a in range(n)])
@@ -63,7 +65,7 @@ def open_h_pair():
     """A file pair whose h = span(x, y) in heisenberg + R^2 is not a subalgebra.
 
     Kernel-exactness and J^2 = -1 hold, and every pair with an argument
-    off h passes, so only the full loops see [x, y] = z leave R.
+    off h passes, so only h x h pairs see [x, y] = z leave h.
     """
     g = direct_sum(heisenberg(), abelian(2))
     e = basis_vectors(g)
@@ -98,27 +100,33 @@ def shear(m, entries):
             for i in range(m)]
 
 
+def h_noise(pair, entries):
+    """An h-valued vector per complement row, drawn from entries: J mod h ignores them."""
+    h = pair.h.rows
+    return [[sum(entries[(i + t) % len(entries)] * row[c] for t, row in enumerate(h))
+             for c in range(pair.g.dim)] for i in range(len(pair.complement))]
+
+
 def moved(pair, kind, entries):
-    """pair with its raw J moved as kind says; entries feed the shear and the noise."""
+    """The raw J of pair moved as kind says; entries feed the shear and the noise."""
+    if kind == "none":
+        return pair.j
     comp = complement_rows(pair)
     m = len(comp)
     p = shear(m, entries)
     if kind == "conjugate":
-        return conjugated_pair(pair, p)
+        return conjugated_j(pair, p)
     if kind == "scale":
-        return conjugated_pair(pair, p, scale=2)
+        return conjugated_j(pair, p, scale=2)
     if kind == "h-noise":
-        # an h-valued term on each complement row: J mod h is unchanged
-        h = pair.h.rows
-        noise = [[sum(entries[(i + t) % len(entries)] * row[c] for t, row in enumerate(h))
-                  for c in range(pair.g.dim)] for i in range(m)]
-        return conjugated_pair(pair, [[int(i == j) for j in range(m)] for i in range(m)],
-                               h_noise=noise)
-    on_h = raw_j_on_h(pair)
+        return conjugated_j(pair, [[int(i == j) for j in range(m)] for i in range(m)],
+                            h_noise=h_noise(pair, entries))
+    on_h = j_on_h(pair)
     on_comp = [[0] * pair.g.dim for _ in range(m)]
     if kind == "swap":
-        # J h_t = c_t and J c_t = -h_t, J = 0 on the other rows of h: J^2 = -1
-        # mod h holds when m <= dim h, and J(h) leaves h
+        # J h_t = c_t and J c_t = -h_t, J = 0 on the other rows of h: the raw
+        # J^2 = -1 holds when m <= dim h, but J(h) leaves h and J mod h
+        # sends c_t to 0
         on_h = [[0] * pair.g.dim for _ in on_h]
         for t in range(min(m, len(on_h))):
             on_h[t] = list(comp[t])
@@ -130,7 +138,7 @@ def moved(pair, kind, entries):
         # kill: J sends the first complement row to 0 and keeps the others,
         # so J mod h vanishes off h
         on_comp[1:] = [dense(pair.apply_j(sparse(c)), pair.g.dim) for c in comp[1:]]
-    return pair_with_j(pair, on_h, on_comp)
+    return j_columns(pair, on_h, on_comp)
 
 
 def failing(report):
@@ -148,11 +156,13 @@ ENTRIES = st.lists(st.integers(-2, 2), min_size=100, max_size=100)
     connected=st.booleans(),
 )
 def test_reduced_loops_match_full_loops(name, kind, entries, connected):
-    pair = base(name) if kind == "none" else moved(base(name), kind, entries)
+    b = base(name)
+    raw = moved(b, kind, entries)
+    pair = CRPair(b.g, b.h, b.r, raw)
     assert check_cr_pair(pair, connected) == full_check_cr_pair(pair, connected)
     # the complement and J's columns are read off R's echelon rows at its pivots
     assert list(pair.complement.items()) == list(oracle_complement(pair).items())
-    assert list(pair.j.items()) == list(oracle_canonical_j(pair).items())
+    assert list(pair.j.items()) == list(oracle_canonical_j(pair, raw).items())
 
 
 KERNEL, SQUARE, ISOTROPY, INTEGRABILITY = ROWS
@@ -162,19 +172,17 @@ SHEAR = [1, -1, 2, 0, 1] * 20
 @pytest.mark.parametrize("name,kind,connected,fails", [
     ("quadric(2,2)", "none", True, set()),
     ("quadric(2,2)", "h-noise", True, set()),
-    # of the preconditions only kernel-exactness fails
-    ("quadric(2,2)", "swap", True, {KERNEL, ISOTROPY, INTEGRABILITY}),
+    # J(h) leaves h, and J mod h sends the complement rows swapped with h to 0
+    ("quadric(2,2)", "swap", True, {KERNEL, SQUARE, ISOTROPY, INTEGRABILITY}),
     ("quadric(2,1)", "leak", True, {KERNEL, SQUARE, ISOTROPY, INTEGRABILITY}),
     ("sp_quadric(1,1)", "scale", True, {SQUARE, ISOTROPY, INTEGRABILITY}),
     ("quadric(2,2)", "conjugate", True, {ISOTROPY, INTEGRABILITY}),
-    # the reduced isotropy loop fails first at another pair than the full loop
     ("sp_quadric(1,1)", "conjugate", True, {ISOTROPY, INTEGRABILITY}),
     # the connected condition fails, unreported: integrability takes the full loop
     ("quadric(2,1)", "conjugate", False, {INTEGRABILITY}),
     # h is an ideal, so isotropy holds for any J: integrability fails alone
     ("sl2 x heis_solv", "conjugate", True, {INTEGRABILITY}),
     ("sl2 x heis_solv", "conjugate", False, {INTEGRABILITY}),
-    # ... and the reduced integrability loop fails first at another pair
     ("sl2 x heis_solv, rebased", "conjugate", True, {INTEGRABILITY}),
     ("open h", "none", True, {ISOTROPY, INTEGRABILITY}),
     ("open h", "none", False, {INTEGRABILITY}),
@@ -182,11 +190,26 @@ SHEAR = [1, -1, 2, 0, 1] * 20
     ("quadric(2,1)", "kill", True, {KERNEL, SQUARE, ISOTROPY, INTEGRABILITY}),
 ])
 def test_every_row_fails_somewhere_with_the_full_loops_witness(name, kind, connected, fails):
-    pair = base(name) if kind == "none" else moved(base(name), kind, SHEAR)
+    b = base(name)
+    pair = CRPair(b.g, b.h, b.r, moved(b, kind, SHEAR))
     report = check_cr_pair(pair, connected)
     assert failing(report) == fails
     assert (report.by_name(ISOTROPY).ok is None) == (not connected)
     assert report == full_check_cr_pair(pair, connected)
+
+
+@pytest.mark.parametrize("name", ["quadric(2,2)", "sp_quadric(1,1)", "quadric(2,1)"])
+def test_pairs_that_compare_equal_report_alike(name):
+    # the conjugated pair, and the same pair with an h-valued term on J
+    b = base(name)
+    p = shear(len(b.complement), SHEAR)
+    plain = CRPair(b.g, b.h, b.r, conjugated_j(b, p))
+    noisy = CRPair(b.g, b.h, b.r, conjugated_j(b, p, h_noise=h_noise(b, SHEAR)))
+    assert plain == noisy
+    for connected in (True, False):
+        report = check_cr_pair(plain, connected)
+        assert not report.ok
+        assert check_cr_pair(noisy, connected) == report
 
 
 def test_a_passing_pair_brackets_modulo_h(monkeypatch):

@@ -210,6 +210,11 @@ def test_analyze_missing_file_exits_2(capsys):
     assert main(["analyze", "/nonexistent/missing.lie"]) == 2
 
 
+def test_analyze_directory_exits_2_with_one_line(tmp_path, capsys):
+    assert main(["analyze", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: cannot read {tmp_path}: Is a directory\n"
+
+
 def test_analyze_unknown_analysis_exits_2(tmp_path, capsys):
     path = write(tmp_path, "heis.lie", heisenberg_payload())
     assert main(["analyze", path, "--set", "frobnicate"]) == 2
@@ -420,6 +425,20 @@ def test_dependent_real_rows_exit_2(tmp_path, capsys):
     path = write(tmp_path, "dependent_named.orbit", dict(dependent, name=3))
     assert main(["analyze", path]) == 2
     assert capsys.readouterr().err == "error: orbit name must be a string, got 3\n"
+
+
+def test_orbit_ambient_failing_jacobi_exits_2(tmp_path, capsys):
+    # the model is built on the ambient, so the ambient is validated first
+    with open(os.path.join(GOLDEN, "quadric_2_1_orbit.json"), encoding="utf-8") as fh:
+        payload = json.load(fh)
+    brackets = payload["ambient"]["brackets"]
+    (entry,) = [b for b in brackets if b[:2] == [0, 2]]
+    entry[2] = [[6, "2"]]
+    path = write(tmp_path, "bad_ambient.orbit", payload)
+    assert main(["analyze", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: orbit ambient fails the Jacobi identity at (0, 1, 2)\n"
 
 
 def test_orbit_loader_ignores_row_order_and_scale():

@@ -47,6 +47,8 @@ CASES = {
     "analyze_pair_bad_square": ["analyze", "heisenberg_pair_bad_square.json"],
     # a witness of 5,000 digits, past str(int)'s default limit of 4,300
     "analyze_pair_large_witness": ["analyze", "heisenberg_pair_large_witness.json"],
+    # h = span(e0, e1) and J swaps it with span(e2, e3): J mod h sends e2 to 0
+    "analyze_pair_swap_j": ["analyze", "pair_swap_j.json"],
     # Q(i) inputs with nonzero imaginary parts: constants, witness, isotropy rows
     "analyze_nonreal_algebra": ["analyze", "nonreal_algebra.json", "--format", "json"],
     "analyze_nonreal_jacobi_failure": [

@@ -12,11 +12,13 @@ all of g (support.full_cr_normalizer).  The facts an orbit model takes
 from proofs rather than loops are checked here by dense ranks and
 brackets, and each catalog pair's complement of h in R and canonical J
 against a second elimination and the projection of every unit vector
+through the raw J that induced_cr_pair builds the pair from
 (support.oracle_complement, support.oracle_canonical_j).
 """
 
 import pytest
 
+from crkit import complexify
 from crkit.algebra import (
     derived_series,
     derived_subalgebra,
@@ -33,7 +35,7 @@ from crkit.complexify import (
     induced_cr_pair,
     product_model,
 )
-from crkit.cr import levi_form
+from crkit.cr import CRPair, levi_form
 from crkit.linalg import Solver, dense, sparse
 
 from .support import (
@@ -189,8 +191,13 @@ def test_proved_model_facts_hold(name):
 
 
 @pytest.mark.parametrize("name", sorted(set(ROSTER + FAMILY_SWEEP)))
-def test_complement_and_canonical_j_match_the_unit_vector_oracles(name):
-    # the complement and J's columns are read off R's echelon rows at its pivots
-    pair = get_entry(name).cr_pair
+def test_complement_and_canonical_j_match_the_unit_vector_oracles(monkeypatch, name):
+    # the complement and J's columns are read off R's echelon rows at its
+    # pivots; the raw J is the one induced_cr_pair builds the pair from
+    raw = []
+    monkeypatch.setattr(complexify, "CRPair",
+                        lambda g, h, r, j: raw.append(j) or CRPair(g, h, r, j))
+    pair = induced_cr_pair(get_entry(name).model)
+    assert pair == get_entry(name).cr_pair
     assert list(pair.complement.items()) == list(oracle_complement(pair).items())
-    assert list(pair.j.items()) == list(oracle_canonical_j(pair).items())
+    assert list(pair.j.items()) == list(oracle_canonical_j(pair, raw[0]).items())

@@ -21,7 +21,7 @@ from crkit.algebra import (
 )
 from crkit.catalog import build_sl_complex, build_su, catalog_entries, get_entry
 from crkit.complexify import complex_generators, j_apply, realify
-from crkit.cr import CRPair, apply_endo, check_cr_pair, cr_type, levi_form, levi_signature
+from crkit.cr import CRPair, check_cr_pair, cr_type, levi_form, levi_signature
 from crkit.globalize import condition_c_check
 from crkit.linalg import Solver, dense, sparse
 from crkit.scalars import QQ, GaussianRational as G
@@ -198,7 +198,7 @@ def rebase_pair(pair, rows):
     solver = Solver([sparse(row) for row in rows])  # old coordinates x = y . rows -> new y
     h = span(g, [dense_solve(solver, v) for v in pair.h.rows])
     r = span(g, [dense_solve(solver, v) for v in pair.r.rows])
-    j = {a: solver.solve(apply_endo(pair.j_raw, sparse(row))) for a, row in enumerate(rows)}
+    j = {a: solver.solve(pair.apply_j(sparse(row))) for a, row in enumerate(rows)}
     return CRPair(g, h, r, j)
 
 
